@@ -9,13 +9,8 @@ exhaustive-search oracle, an independent partition verifier, closed-form
 bounds, seeded generators, and a CLI (``linarb --help``).
 """
 
-from .coloring import ColorClassView, ForestColoring, edge_key
-from .degeneracy import (
-    DegeneracyOrdering,
-    degeneracy_ordering,
-    left_right_neighbors,
-    verify_ordering,
-)
+from .coloring import ForestColoring, edge_key
+from .degeneracy import DegeneracyOrdering, degeneracy_ordering
 from .errors import (
     FeasibilityError,
     GraphError,
@@ -23,9 +18,9 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .graph import Graph, connected_components, edges_incident_to_set, max_degree
+from .graph import Graph, connected_components, max_degree
 from .oracle import LaBounds, OracleResult, exact_la, la_bounds
-from .sdr import SdrAssignment, compute_sdr, hall_certificate_check
+from .sdr import SdrAssignment, compute_sdr
 from .solver import (
     DecomposeResult,
     Mode,
@@ -43,7 +38,6 @@ from .verify import VerificationReport, Violation, verify_partition
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColorClassView",
     "DecomposeResult",
     "DegeneracyOrdering",
     "FeasibilityError",
@@ -68,18 +62,14 @@ __all__ = [
     "decompose",
     "degeneracy_ordering",
     "edge_key",
-    "edges_incident_to_set",
     "exact_la",
     "generate_k_degenerate",
-    "hall_certificate_check",
     "la_bounds",
-    "left_right_neighbors",
     "main",
     "max_degree",
     "parse_edge_list",
     "place_light_edge",
     "regularize",
     "required_max_degree",
-    "verify_ordering",
     "verify_partition",
 ]

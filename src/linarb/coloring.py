@@ -2,17 +2,19 @@
 
 A ``ForestColoring`` assigns edges of an n-vertex graph to ``t`` classes
 while tracking, per vertex and class, the colored degree (capped at 2) and
-the up-to-two class neighbors.  Classes therefore consist of paths, isolated
-vertices, and -- transiently, between a cycle-closing assignment and its
-repair -- at most one cycle.  Callers are responsible for driving the state
-back to acyclic; the structure only enforces the degree cap.
+two slots.  Classes therefore consist of paths, isolated vertices, and --
+transiently, between a cycle-closing assignment and its repair -- at most
+one cycle.  Callers are responsible for driving the state back to acyclic;
+the structure only enforces the degree cap.
 
-Connectivity queries (`would_close_cycle`) run on one union-find per class,
-grown incrementally as edges are assigned.  Recoloring removes edges, which
-union-find cannot undo, so the affected classes are flagged dirty and
-rebuilt from the edge map on the next query.  Recolors are rare (they only
-happen while repairing a cycle), so the rebuild cost is negligible in
-practice while assignments stay near O(1).
+The class paths are the only connectivity structure.  At an interior
+vertex the two slots hold its two class neighbors.  At a path end the first
+slot holds its one neighbor and the otherwise unused second slot holds the
+far end of its path (its "mate").  Two vertices are connected in a class
+exactly when they share a path, so for path ends (every cycle check the
+sweep makes) `would_close_cycle` is one slot read.  Joining two paths
+rewires the mates of the two outer ends in O(1); removing an edge walks
+only the path it splits, to re-pair the new ends.
 """
 
 from __future__ import annotations
@@ -38,14 +40,12 @@ class ForestColoring:
         self.n = n
         self.t = t
         self.colors: dict[tuple[int, int], int] = {}
-        # Dense (vertex, class) tables: degree byte plus the two class neighbors.
+        # Dense (vertex, class) tables: degree byte plus two slots, which hold
+        # both class neighbors at degree 2 and (neighbor, mate) at degree 1.
         self._cd = bytearray(n * t)
         self._nb1 = array("i", [NIL]) * (n * t) if n * t else array("i")
         self._nb2 = array("i", [NIL]) * (n * t) if n * t else array("i")
         self._total = array("i", [0]) * n if n else array("i")
-        # Per-class union-find, built lazily, invalidated by recolors.
-        self._uf_parent: list[array | None] = [None] * t
-        self._uf_dirty = bytearray(t)
 
     # ------------------------------------------------------------------ queries
 
@@ -82,43 +82,93 @@ class ForestColoring:
     def class_neighbors(self, v: int, j: int) -> list[int]:
         """The at-most-two neighbors of ``v`` along class-``j`` edges."""
         i = v * self.t + j
-        out = []
-        if self._nb1[i] != NIL:
-            out.append(self._nb1[i])
-        if self._nb2[i] != NIL:
-            out.append(self._nb2[i])
-        return out
+        d = self._cd[i]
+        if d == 0:
+            return []
+        if d == 1:
+            return [self._nb1[i]]
+        return [self._nb1[i], self._nb2[i]]
 
-    def class_edges(self, j: int) -> list[tuple[int, int]]:
-        """All edges currently in class ``j`` (sorted; not a hot path)."""
-        return sorted(e for e, c in self.colors.items() if c == j)
-
-    # ------------------------------------------------------------------ slots
-
-    def _slot_add(self, v: int, j: int, u: int) -> None:
-        i = v * self.t + j
-        if self._nb1[i] == NIL:
-            self._nb1[i] = u
-        elif self._nb2[i] == NIL:
-            self._nb2[i] = u
-        else:  # pragma: no cover - guarded by the degree check
-            raise FeasibilityError(f"vertex {v} already has two class-{j} edges")
-
-    def _slot_remove(self, v: int, j: int, u: int) -> None:
-        i = v * self.t + j
-        if self._nb2[i] == u:
-            self._nb2[i] = NIL
-        elif self._nb1[i] == u:
-            self._nb1[i] = self._nb2[i]
-            self._nb2[i] = NIL
-        else:  # pragma: no cover - structure corruption guard
-            raise FeasibilityError(f"edge {v}-{u} missing from class-{j} slots")
+    # ------------------------------------------------------------------ paths
 
     def _next_on_walk(self, j: int, cur: int, prev: int) -> int:
-        """Step along class ``j`` from ``cur``, not back to ``prev``; NIL at a path end."""
+        """Step along class ``j`` from ``cur``, not back to its neighbor
+        ``prev``; NIL at a path end."""
         i = cur * self.t + j
+        if self._cd[i] < 2:
+            return NIL
         a = self._nb1[i]
         return a if a != prev else self._nb2[i]
+
+    def _path_end(self, j: int, x: int, prev: int) -> int:
+        """Walk class ``j`` from ``x``, first away from its neighbor ``prev``.
+
+        Returns the path end reached, or, when the walk comes round a cycle,
+        the last vertex before ``x`` again (which has class degree 2).
+        """
+        cur = x
+        for _ in range(self.n):
+            nxt = self._next_on_walk(j, cur, prev)
+            if nxt == NIL or nxt == x:
+                return cur
+            prev, cur = cur, nxt
+        raise FeasibilityError(f"class {j} walk exceeded vertex count")  # pragma: no cover
+
+    def _link(self, u: int, v: int, j: int) -> None:
+        """Add uv to the class-``j`` slots and pair the outer ends of the
+        joined path.  Both degrees must be below 2."""
+        t = self.t
+        cd, nb1, nb2 = self._cd, self._nb1, self._nb2
+        iu = u * t + j
+        iv = v * t + j
+        # a and b are the far ends of the paths through u and v.
+        if cd[iu]:
+            a = nb2[iu]
+            nb2[iu] = v
+        else:
+            a = u
+            nb1[iu] = v
+        if cd[iv]:
+            b = nb2[iv]
+            nb2[iv] = u
+        else:
+            b = v
+            nb1[iv] = u
+        cd[iu] += 1
+        cd[iv] += 1
+        # Closing a cycle (a == v, b == u) leaves no end to re-pair.
+        ia = a * t + j
+        ib = b * t + j
+        if cd[ia] == 1:
+            nb2[ia] = b
+        if cd[ib] == 1:
+            nb2[ib] = a
+
+    def _cut(self, u: int, v: int, j: int) -> None:
+        """Remove uv from the class-``j`` slots and pair the ends of the two
+        pieces it leaves."""
+        t = self.t
+        cd, nb1, nb2 = self._cd, self._nb1, self._nb2
+        iu = u * t + j
+        iv = v * t + j
+        # The far end of each piece; NIL when the piece is a lone vertex.
+        eu = ev = NIL
+        if cd[iu] == 2 and cd[iv] == 2:
+            eu = self._path_end(j, u, v)  # v itself when uv lies on a cycle
+            ev = u if eu == v else nb2[eu * t + j]
+        elif cd[iu] == 2:
+            eu = nb2[iv]
+        elif cd[iv] == 2:
+            ev = nb2[iu]
+        for i, x in ((iu, v), (iv, u)):
+            if nb1[i] == x:
+                nb1[i] = nb2[i] if cd[i] == 2 else NIL
+            nb2[i] = NIL
+            cd[i] -= 1
+        for x, e in ((u, eu), (v, ev)):
+            if e != NIL:
+                nb2[x * t + j] = e
+                nb2[e * t + j] = x
 
     # ------------------------------------------------------------------ mutation
 
@@ -138,20 +188,12 @@ class ForestColoring:
             raise FeasibilityError(f"edge {key} is already colored")
         t = self.t
         cd = self._cd
-        iu = u * t + j
-        iv = v * t + j
-        if cd[iu] >= 2 or cd[iv] >= 2:
+        if cd[u * t + j] >= 2 or cd[v * t + j] >= 2:
             raise FeasibilityError(f"assigning {key} to class {j} would exceed degree 2")
-        cd[iu] += 1
-        cd[iv] += 1
-        self._slot_add(u, j, v)
-        self._slot_add(v, j, u)
+        self._link(u, v, j)
         self._total[u] += 1
         self._total[v] += 1
         self.colors[key] = j
-        parent = self._uf_parent[j]
-        if parent is not None and not self._uf_dirty[j]:
-            self._union(parent, u, v)
 
     def recolor(self, u: int, v: int, j_new: int) -> None:
         """Move the colored edge uv to class ``j_new`` (no-op if already there)."""
@@ -167,17 +209,9 @@ class ForestColoring:
         t = self.t
         if cd[u * t + j_new] >= 2 or cd[v * t + j_new] >= 2:
             raise FeasibilityError(f"recoloring {key} to class {j_new} would exceed degree 2")
-        cd[u * t + j_old] -= 1
-        cd[v * t + j_old] -= 1
-        cd[u * t + j_new] += 1
-        cd[v * t + j_new] += 1
-        self._slot_remove(u, j_old, v)
-        self._slot_remove(v, j_old, u)
-        self._slot_add(u, j_new, v)
-        self._slot_add(v, j_new, u)
+        self._cut(u, v, j_old)
+        self._link(u, v, j_new)
         self.colors[key] = j_new
-        self._uf_dirty[j_old] = 1
-        self._uf_dirty[j_new] = 1
 
     def swap_colors(self, e1: tuple[int, int], e2: tuple[int, int]) -> None:
         """Exchange the classes of two colored edges atomically.
@@ -199,68 +233,49 @@ class ForestColoring:
         cd = self._cd
         t = self.t
         for (a, b), j in ((k1, c1), (k2, c2)):
-            cd[a * t + j] -= 1
-            cd[b * t + j] -= 1
-            self._slot_remove(a, j, b)
-            self._slot_remove(b, j, a)
+            self._cut(a, b, j)
         for (a, b), j in ((k1, c2), (k2, c1)):
             if cd[a * t + j] >= 2 or cd[b * t + j] >= 2:
                 # Roll back is not attempted: this indicates a caller bug.
                 raise FeasibilityError(f"swap would push degree above 2 at class {j}")
-            cd[a * t + j] += 1
-            cd[b * t + j] += 1
-            self._slot_add(a, j, b)
-            self._slot_add(b, j, a)
+            self._link(a, b, j)
         self.colors[k1] = c2
         self.colors[k2] = c1
-        self._uf_dirty[c1] = 1
-        self._uf_dirty[c2] = 1
 
     # ------------------------------------------------------------------ connectivity
 
-    def _ensure_uf(self, j: int) -> array:
-        parent = self._uf_parent[j]
-        if parent is None or self._uf_dirty[j]:
-            parent = array("i", range(self.n))
-            for (u, v), c in self.colors.items():
-                if c == j:
-                    self._union(parent, u, v)
-            self._uf_parent[j] = parent
-            self._uf_dirty[j] = 0
-        return parent
-
-    @staticmethod
-    def _find(parent: array, x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    @classmethod
-    def _union(cls, parent: array, a: int, b: int) -> None:
-        ra = cls._find(parent, a)
-        rb = cls._find(parent, b)
-        if ra != rb:
-            # Deterministic: larger root attaches under smaller.
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
     def would_close_cycle(self, j: int, u: int, v: int) -> bool:
-        """True iff ``u`` and ``v`` are already connected within class ``j``."""
+        """True iff ``u`` and ``v`` are already connected within class ``j``.
+
+        One slot read when both have class degree at most 1; otherwise a walk
+        from each interior vertex to an end of its path.
+        """
         if not 0 <= j < self.t:
             raise PreconditionError(f"class {j} out of range 0..{self.t - 1}")
-        parent = self._ensure_uf(j)
-        return self._find(parent, u) == self._find(parent, v)
+        if u == v:
+            return True
+        t = self.t
+        cd, nb2 = self._cd, self._nb2
+        ends: list[int] = []
+        for x in (u, v):
+            i = x * t + j
+            if cd[i] == 0:
+                return False
+            if cd[i] == 2:
+                end = self._path_end(j, x, nb2[i])
+                if cd[end * t + j] == 2:  # x lies on a cycle
+                    return x == u and v in self.cycle_containing(j, u, end)
+                x = end
+            ends.append(x)
+        a, b = ends
+        return a == b or nb2[a * t + j] == b
 
     def cycle_containing(self, j: int, u: int, v: int) -> list[int] | None:
         """The class-``j`` cycle through the colored edge uv, or None.
 
         Returned as a vertex sequence starting ``[u, v, ...]`` whose last
         vertex is again adjacent to ``u`` in class ``j``.  Walks the class
-        directly (degree <= 2 makes the continuation unique), so it stays
-        correct even when the union-find is dirty.
+        directly; degree <= 2 makes the continuation unique.
         """
         if self.colors.get(edge_key(u, v)) != j:
             raise PreconditionError(f"edge {u}-{v} is not colored {j}")
@@ -278,45 +293,28 @@ class ForestColoring:
             if len(out) > limit:  # pragma: no cover - corruption guard
                 raise FeasibilityError(f"class {j} walk exceeded vertex count")
 
-    def path_through(self, j: int, v: int) -> list[int]:
-        """The maximal class-``j`` path containing ``v``, as an ordered vertex list.
-
-        Raises if ``v`` is isolated in the class or its component is a cycle.
-        """
-        if self.class_degree(v, j) == 0:
-            raise PreconditionError(f"vertex {v} is isolated in class {j}")
-        nbrs = self.class_neighbors(v, j)
-        half: list[list[int]] = []
-        for first in nbrs:
-            part = [first]
-            prev, cur = v, first
-            while True:
-                nxt = self._next_on_walk(j, cur, prev)
-                if nxt == NIL:
-                    break
-                if nxt == v:
-                    raise FeasibilityError(f"component of {v} in class {j} is a cycle")
-                part.append(nxt)
-                prev, cur = cur, nxt
-            half.append(part)
-        if len(half) == 1:
-            return [v] + half[0]
-        return half[0][::-1] + [v] + half[1]
-
     # ------------------------------------------------------------------ validation
 
     def validate(self) -> list[str]:
         """Full-state consistency scan; returns human-readable problems.
 
-        Recomputes degrees, slots, totals from the color map, checks the
-        degree cap, and checks every class for cycles.  Intended for tests
-        and debug assertions, not hot paths.
+        Recomputes degrees, neighbors and totals from the color map, walks
+        every class path from scratch to check the mate stored at each end,
+        checks the degree cap, and checks every class for cycles with a local
+        union-find.  Intended for tests and debug assertions, not hot paths.
         """
         problems: list[str] = []
         n, t = self.n, self.t
-        cd = bytearray(n * t)
-        slots: dict[tuple[int, int], list[int]] = {}
+        adj: dict[tuple[int, int], list[int]] = {}
         total = [0] * n
+        parent = array("i", range(n * t))  # over (vertex, class) cells
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
         for (u, v), j in self.colors.items():
             if not (0 <= u < n and 0 <= v < n and u < v):
                 problems.append(f"bad edge key {(u, v)}")
@@ -324,70 +322,45 @@ class ForestColoring:
             if not 0 <= j < t:
                 problems.append(f"edge {(u, v)} has class {j} out of range")
                 continue
-            cd[u * t + j] += 1
-            cd[v * t + j] += 1
             total[u] += 1
             total[v] += 1
-            slots.setdefault((u, j), []).append(v)
-            slots.setdefault((v, j), []).append(u)
+            adj.setdefault((u, j), []).append(v)
+            adj.setdefault((v, j), []).append(u)
+            ru, rv = find(u * t + j), find(v * t + j)
+            if ru == rv:
+                problems.append(f"class {j} contains a cycle through edge {(u, v)}")
+            else:
+                parent[ru] = rv
+
+        def far_end(v: int, j: int) -> int:
+            prev, cur = v, adj[v, j][0]
+            while len(adj[cur, j]) == 2:
+                a, b = adj[cur, j]
+                prev, cur = cur, (b if a == prev else a)
+            return cur
+
         for v in range(n):
             for j in range(t):
-                want = cd[v * t + j]
+                i = v * t + j
+                nbrs = adj.get((v, j), [])
+                want = len(nbrs)
                 if want > 2:
                     problems.append(f"vertex {v} has {want} class-{j} edges")
-                if self._cd[v * t + j] != min(want, 255):
+                if self._cd[i] != min(want, 255):
                     problems.append(
                         f"degree table mismatch at ({v},{j}): "
-                        f"{self._cd[v * t + j]} stored, {want} actual"
+                        f"{self._cd[i]} stored, {want} actual"
                     )
-                have = sorted(self.class_neighbors(v, j))
-                if have != sorted(slots.get((v, j), [])):
+                slots = [self._nb1[i], self._nb2[i]]
+                if want == 1:
+                    mate = far_end(v, j)
+                    if slots[1] != mate:
+                        problems.append(
+                            f"mate mismatch at ({v},{j}): {slots[1]} stored, {mate} actual"
+                        )
+                    slots = slots[:1]
+                if sorted(x for x in slots if x != NIL) != sorted(nbrs):
                     problems.append(f"slot mismatch at ({v},{j})")
             if self._total[v] != total[v]:
                 problems.append(f"total degree mismatch at {v}")
-        for j in range(t):
-            parent = array("i", range(n))
-            for (u, v), c in self.colors.items():
-                if c != j:
-                    continue
-                if self._find(parent, u) == self._find(parent, v):
-                    problems.append(f"class {j} contains a cycle through edge {(u, v)}")
-                else:
-                    self._union(parent, u, v)
         return problems
-
-
-class ColorClassView:
-    """Read-only snapshot of one class: components, endpoints, cycle flags."""
-
-    def __init__(self, fc: ForestColoring, j: int) -> None:
-        if not 0 <= j < fc.t:
-            raise PreconditionError(f"class {j} out of range 0..{fc.t - 1}")
-        self.j = j
-        self.component_of: dict[int, int] = {}
-        self.components: list[list[int]] = []
-        self.endpoints: list[list[int]] = []
-        self.is_cycle: list[bool] = []
-        edges = [e for e, c in fc.colors.items() if c == j]
-        adj: dict[int, list[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        for start in sorted(adj):
-            if start in self.component_of:
-                continue
-            cid = len(self.components)
-            stack = [start]
-            members = []
-            while stack:
-                x = stack.pop()
-                if x in self.component_of:
-                    continue
-                self.component_of[x] = cid
-                members.append(x)
-                stack.extend(adj[x])
-            members.sort()
-            ends = [x for x in members if len(adj[x]) == 1]
-            self.components.append(members)
-            self.endpoints.append(ends)
-            self.is_cycle.append(not ends)

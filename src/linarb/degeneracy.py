@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import PreconditionError
 from .graph import Graph
 
 
@@ -66,33 +65,3 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
     for i, v in enumerate(order):
         position[v] = i
     return DegeneracyOrdering(order, position, k)
-
-
-def verify_ordering(g: Graph, ordering: DegeneracyOrdering, k: int) -> bool:
-    """Check that every vertex has at most ``k`` neighbors earlier in the ordering."""
-    pos = ordering.position
-    if sorted(ordering.order) != list(range(g.n)) or len(pos) != g.n:
-        return False
-    left = [0] * g.n
-    for u, v in g.edges():
-        later = u if pos[u] > pos[v] else v
-        left[later] += 1
-        if left[later] > k:
-            return False
-    return True
-
-
-def left_right_neighbors(g: Graph, ordering: DegeneracyOrdering, v: int) -> tuple[set[int], set[int]]:
-    """Split the neighborhood of ``v`` by ordering position: (earlier, later)."""
-    if not 0 <= v < g.n:
-        raise PreconditionError(f"vertex {v} not in graph")
-    pos = ordering.position
-    pv = pos[v]
-    left: set[int] = set()
-    right: set[int] = set()
-    for u in g.neighbors(v):
-        if pos[u] < pv:
-            left.add(u)
-        else:
-            right.add(u)
-    return left, right

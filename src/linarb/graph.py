@@ -37,7 +37,7 @@ class Graph:
 
     @classmethod
     def _from_parts(cls, adj: list[list[int]], edges: set[tuple[int, int]]) -> "Graph":
-        # Trusted fast path for copies; skips per-edge validation.
+        # Trusted fast path for derived graphs; skips per-edge validation.
         g = cls.__new__(cls)
         g._adj = adj
         g._edges = edges
@@ -91,9 +91,6 @@ class Graph:
         self._check_vertex(v)
         return len(self._adj[v])
 
-    def copy(self) -> "Graph":
-        return Graph._from_parts([list(a) for a in self._adj], set(self._edges))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.edge_count})"
 
@@ -103,19 +100,6 @@ def max_degree(g: Graph) -> int:
     if g.n == 0:
         return 0
     return max(len(g.neighbors(v)) for v in range(g.n))
-
-
-def edges_incident_to_set(g: Graph, v: int, targets: Iterable[int]) -> list[tuple[int, int]]:
-    """Edges from ``v`` into ``targets``, as ``(v, w)`` pairs ordered by ``w``.
-
-    Raises :class:`GraphError` when ``v`` or any target id is out of range.
-    """
-    g._check_vertex(v)
-    tset = set()
-    for w in targets:
-        g._check_vertex(w)
-        tset.add(w)
-    return [(v, w) for w in sorted(tset) if g.has_edge(v, w)]
 
 
 def connected_components(g: Graph) -> list[list[int]]:

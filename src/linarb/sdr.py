@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .degeneracy import DegeneracyOrdering
 from .errors import InternalContradictionError, PreconditionError
-from .graph import Graph, max_degree
+from .graph import Graph
 
 
 @dataclass
@@ -36,7 +35,6 @@ class SdrAssignment:
     """
 
     r: int
-    d: int
     reps: dict[int, list[int]]
 
     def reps_of(self, v: int) -> list[int]:
@@ -68,7 +66,7 @@ def compute_sdr(g: Graph, ordering: DegeneracyOrdering, d: int) -> SdrAssignment
     r = (d - k) // k
     owners = [v for v in range(g.n) if len(adj[v]) >= d]
     if r == 0:
-        return SdrAssignment(r, d, {v: [] for v in owners})
+        return SdrAssignment(r, {v: [] for v in owners})
 
     candidates = {v: _right_neighbors(g, ordering, v) for v in owners}
     taken_by: dict[int, int] = {}  # representative vertex -> owner holding it
@@ -91,7 +89,7 @@ def compute_sdr(g: Graph, ordering: DegeneracyOrdering, d: int) -> SdrAssignment
 
     for v in owners:
         assigned[v].sort()
-    return SdrAssignment(r, d, assigned)
+    return SdrAssignment(r, assigned)
 
 
 def _augment(
@@ -142,44 +140,3 @@ def _augment(
         released = via_candidate[v]
         assigned[v].remove(released)
         u = released
-
-
-def hall_certificate_check(
-    g: Graph,
-    ordering: DegeneracyOrdering,
-    d: int,
-    sample_sets: list[list[int]] | None = None,
-) -> bool:
-    """Check Hall's condition |union of N_R(v) for v in S| >= r * |S|.
-
-    With ``sample_sets`` given, only those subsets of the degree->=d vertices
-    are checked.  Without it, every subset is checked exhaustively, which is
-    only permitted when at most 20 vertices qualify.
-    """
-    k = ordering.k
-    if not k <= d <= max_degree(g):
-        raise PreconditionError(f"need k <= d <= max degree, got k={k}, d={d}")
-    r = (d - k) // k
-    owners = [v for v in range(g.n) if g.degree(v) >= d]
-    owner_set = set(owners)
-    nr = {v: set(_right_neighbors(g, ordering, v)) for v in owners}
-
-    def ok(subset) -> bool:
-        union: set[int] = set()
-        for v in subset:
-            if v not in owner_set:
-                raise PreconditionError(f"vertex {v} has degree below {d}")
-            union |= nr[v]
-        return len(union) >= r * len(subset)
-
-    if sample_sets is not None:
-        return all(ok(s) for s in sample_sets)
-    if len(owners) > 20:
-        raise PreconditionError(
-            f"exhaustive check limited to 20 qualifying vertices, found {len(owners)}"
-        )
-    for size in range(1, len(owners) + 1):
-        for subset in combinations(owners, size):
-            if not ok(subset):
-                return False
-    return True

@@ -4,8 +4,9 @@ the hand-built graphs that force the solver's rarer repair moves."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from linarb import DegeneracyOrdering, Graph
+from linarb import DegeneracyOrdering, Graph, PreconditionError, max_degree
 
 # One pass/fail line per acceptance criterion, echoed after the run so the
 # lines survive pytest's output capture.
@@ -112,6 +113,61 @@ def connected_in_class(colors, j: int, a: int, b: int) -> bool:
                 seen.add(u)
                 stack.append(u)
     return b in seen
+
+
+def verify_ordering(g: Graph, ordering: DegeneracyOrdering, k: int) -> bool:
+    """Check that every vertex has at most ``k`` neighbors earlier in the ordering."""
+    pos = ordering.position
+    if sorted(ordering.order) != list(range(g.n)) or len(pos) != g.n:
+        return False
+    left = [0] * g.n
+    for u, v in g.edges():
+        later = u if pos[u] > pos[v] else v
+        left[later] += 1
+        if left[later] > k:
+            return False
+    return True
+
+
+def hall_certificate_check(
+    g: Graph,
+    ordering: DegeneracyOrdering,
+    d: int,
+    sample_sets: list[list[int]] | None = None,
+) -> bool:
+    """Check Hall's condition |union of N_R(v) for v in S| >= r * |S|.
+
+    With ``sample_sets`` given, only those subsets of the degree->=d vertices
+    are checked.  Without it, every subset is checked exhaustively, which is
+    only permitted when at most 20 vertices qualify.
+    """
+    k = ordering.k
+    if not k <= d <= max_degree(g):
+        raise PreconditionError(f"need k <= d <= max degree, got k={k}, d={d}")
+    r = (d - k) // k
+    pos = ordering.position
+    owners = [v for v in range(g.n) if g.degree(v) >= d]
+    nr = {v: {u for u in g.neighbors(v) if pos[u] > pos[v]} for v in owners}
+
+    def ok(subset) -> bool:
+        union: set[int] = set()
+        for v in subset:
+            if v not in nr:
+                raise PreconditionError(f"vertex {v} has degree below {d}")
+            union |= nr[v]
+        return len(union) >= r * len(subset)
+
+    if sample_sets is not None:
+        return all(ok(s) for s in sample_sets)
+    if len(owners) > 20:
+        raise PreconditionError(
+            f"exhaustive check limited to 20 qualifying vertices, found {len(owners)}"
+        )
+    for size in range(1, len(owners) + 1):
+        for subset in combinations(owners, size):
+            if not ok(subset):
+                return False
+    return True
 
 
 # -------------------------------------------- repair-forcing constructions

@@ -26,7 +26,6 @@ from linarb import (
     degeneracy_ordering,
     exact_la,
     generate_k_degenerate,
-    hall_certificate_check,
     la_bounds,
     max_degree,
     place_light_edge,
@@ -37,6 +36,7 @@ from linarb import (
 from conftest import (
     ACCEPTANCE_LINES,
     endpoint_recolor_fixture,
+    hall_certificate_check,
     naive_degeneracy,
     path_partner_swap_fixture,
     unreserved_trade_fixture,

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from linarb import FeasibilityError, PreconditionError
-from linarb import ColorClassView, ForestColoring, edge_key
+from linarb import ForestColoring, edge_key
 from conftest import class_adjacency, connected_in_class
 
 
@@ -23,7 +23,6 @@ def test_assign_updates_all_views():
     assert fc.colored_degree(0) == 1
     assert fc.class_neighbors(0, 1) == [2]
     assert fc.color_sets(0) == ([0, 2], [1], [])
-    assert fc.class_edges(1) == [(0, 2)]
     assert fc.validate() == []
 
 
@@ -155,57 +154,100 @@ def test_cycle_containing_walks_the_cycle():
         fc.cycle_containing(1, 0, 1)
 
 
-def test_path_through_orders_the_whole_path():
-    fc = ForestColoring(7, 2)
-    for a, b in ((4, 2), (2, 6), (6, 0), (0, 5)):
-        fc.assign(a, b, 0)
-    path = fc.path_through(0, 6)
-    assert path in ([4, 2, 6, 0, 5], [5, 0, 6, 2, 4])
-    assert fc.path_through(0, 4) in ([4, 2, 6, 0, 5], [5, 0, 6, 2, 4])
-    with pytest.raises(PreconditionError):
-        fc.path_through(0, 3)
-    with pytest.raises(PreconditionError):
-        fc.path_through(1, 0)
-
-
-def test_path_through_rejects_cycle_component():
-    fc = ForestColoring(4, 1)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        fc.assign(a, b, 0)
-    with pytest.raises(FeasibilityError):
-        fc.path_through(0, 1)
-
-
 def test_validate_detects_tampering():
     fc = ForestColoring(4, 2)
     fc.assign(0, 1, 0)
     fc._cd[0 * 2 + 0] += 1
     assert any("mismatch" in p for p in fc.validate())
+    # The far end of the path 0-1-2 is 2, not 0's neighbor 1.
+    fc = ForestColoring(3, 1)
+    fc.assign(0, 1, 0)
+    fc.assign(1, 2, 0)
+    assert fc.validate() == []
+    fc._nb2[0] = 1
+    assert any("mate mismatch at (0,0)" in p for p in fc.validate())
 
 
-def test_class_view_components():
-    fc = ForestColoring(8, 2)
-    for a, b in ((0, 1), (1, 2), (4, 5), (5, 6), (6, 4)):
-        fc.assign(a, b, 0)
-    view = ColorClassView(fc, 0)
-    assert len(view.components) == 2
-    by_members = {frozenset(c): i for i, c in enumerate(view.components)}
-    path_id = by_members[frozenset({0, 1, 2})]
-    cyc_id = by_members[frozenset({4, 5, 6})]
-    assert not view.is_cycle[path_id]
-    assert view.is_cycle[cyc_id]
-    assert sorted(view.endpoints[path_id]) == [0, 2]
-    assert view.endpoints[cyc_id] == []
-    assert view.component_of[1] == path_id
+def swap_keeps_forest(colors, e1, e2):
+    """Whether exchanging the classes of e1 and e2 keeps the degree cap and
+    adds no cycle, judged on a from-scratch rebuild of the other edges."""
+    c1, c2 = colors[e1], colors[e2]
+    rem = {e: c for e, c in colors.items() if e not in (e1, e2)}
+    deg: dict[tuple[int, int], int] = {}
+    for (a, b), j in rem.items():
+        deg[a, j] = deg.get((a, j), 0) + 1
+        deg[b, j] = deg.get((b, j), 0) + 1
+    for (a, b), j in ((e1, c2), (e2, c1)):
+        if deg.get((a, j), 0) >= 2 or deg.get((b, j), 0) >= 2:
+            return False
+        if connected_in_class(rem, j, a, b):
+            return False
+    return True
+
+
+def can_join(fc, j, u, v):
+    """Whether uv may enter class j without a cycle, judged from scratch."""
+    return (
+        fc.class_degree(u, j) < 2
+        and fc.class_degree(v, j) < 2
+        and not connected_in_class(fc.colors, j, u, v)
+    )
+
+
+def close_and_break_cycle(fc, rnd):
+    """Join the two ends of a class path with assign, then break the cycle
+    by recoloring or swapping one of its edges, as the solver's repair does.
+    Returns whether a cycle was closed."""
+    j = rnd.randrange(fc.t)
+    adj = class_adjacency(fc.colors).get(j, {})
+    ends = sorted(x for x, nbrs in adj.items() if len(nbrs) == 1)
+    if not ends:
+        return False
+    u = rnd.choice(ends)
+    prev, v = u, adj[u][0]
+    while len(adj[v]) == 2:
+        a, b = adj[v]
+        prev, v = v, (b if a == prev else a)
+    # Skip single-edge paths and ends already adjacent in another class, and
+    # keep at least one way out: uv itself must fit some other class.
+    if edge_key(u, v) in fc.colors:
+        return False
+    if not any(can_join(fc, k, u, v) for k in range(fc.t) if k != j):
+        return False
+    assert fc.would_close_cycle(j, u, v)
+    fc.assign(u, v, j)
+    cycle = fc.cycle_containing(j, u, v)
+    assert cycle is not None
+    for x in range(fc.n):
+        want = connected_in_class(fc.colors, j, v, x)
+        assert fc.would_close_cycle(j, v, x) == want
+        assert fc.would_close_cycle(j, x, v) == want
+    edges = [edge_key(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    e1 = rnd.choice(edges)
+    others = sorted(e for e, c in fc.colors.items() if c != j)
+    e2 = rnd.choice(others) if others else None
+    if e2 is not None and rnd.random() < 0.5 and swap_keeps_forest(fc.colors, e1, e2):
+        fc.swap_colors(e1, e2)
+    else:
+        moves = [(e, k) for e in edges for k in range(fc.t) if k != j and can_join(fc, k, *e)]
+        (a, b), k = rnd.choice(moves)
+        fc.recolor(a, b, k)
+    assert not any(fc.color_of(*e) == j and fc.cycle_containing(j, *e) for e in edges)
+    assert fc.validate() == []
+    return True
 
 
 def random_forest_state(seed, n=14, t=4, steps=160):
-    """Drive a coloring through random valid assigns/recolors/swaps."""
+    """Drive a coloring through random valid assigns/recolors/swaps and
+    closed-then-broken cycles; returns the coloring and the cycle count."""
     rnd = random.Random(seed)
     fc = ForestColoring(n, t)
+    cycles = 0
     for _ in range(steps):
         op = rnd.random()
-        if op < 0.6:
+        if op < 0.1:
+            cycles += close_and_break_cycle(fc, rnd)
+        elif op < 0.6:
             u, v = rnd.sample(range(n), 2)
             j = rnd.randrange(t)
             key = edge_key(u, v)
@@ -226,28 +268,16 @@ def random_forest_state(seed, n=14, t=4, steps=160):
             fc.recolor(u, v, j)
         elif len(fc.colors) >= 2:
             e1, e2 = rnd.sample(sorted(fc.colors), 2)
-            c1, c2 = fc.colors[e1], fc.colors[e2]
-            if c1 == c2:
-                continue
-            rem = {e: c for e, c in fc.colors.items() if e not in (e1, e2)}
-            deg: dict[tuple[int, int], int] = {}
-            for (a, b), j in rem.items():
-                deg[a, j] = deg.get((a, j), 0) + 1
-                deg[b, j] = deg.get((b, j), 0) + 1
-            ok = True
-            for (a, b), j in ((e1, c2), (e2, c1)):
-                if deg.get((a, j), 0) >= 2 or deg.get((b, j), 0) >= 2:
-                    ok = False
-                elif connected_in_class(rem, j, a, b):
-                    ok = False
-            if ok:
+            if fc.colors[e1] != fc.colors[e2] and swap_keeps_forest(fc.colors, e1, e2):
                 fc.swap_colors(e1, e2)
-    return fc
+    return fc, cycles
 
 
 def test_random_states_stay_consistent():
+    cycles = 0
     for seed in range(12):
-        fc = random_forest_state(seed)
+        fc, closed = random_forest_state(seed)
+        cycles += closed
         assert fc.validate() == []
         # Connectivity answers must match a from-scratch rebuild.
         rnd = random.Random(seed + 1000)
@@ -264,3 +294,4 @@ def test_random_states_stay_consistent():
                 nbrs = sorted(adj.get(j, {}).get(v, []))
                 assert sorted(fc.class_neighbors(v, j)) == nbrs
                 assert fc.class_degree(v, j) == len(nbrs)
+    assert cycles >= 12

@@ -1,17 +1,9 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from linarb import (
-    DegeneracyOrdering,
-    Graph,
-    PreconditionError,
-    degeneracy_ordering,
-    left_right_neighbors,
-    verify_ordering,
-)
+from linarb import DegeneracyOrdering, Graph, degeneracy_ordering
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -20,6 +12,7 @@ from conftest import (
     path_graph,
     random_graph,
     star_graph,
+    verify_ordering,
 )
 
 
@@ -103,18 +96,6 @@ def test_verify_ordering_accepts_and_rejects():
     assert not verify_ordering(g, ordering, 0)
     broken = DegeneracyOrdering(order=[0, 0, 2, 3, 4], position=ordering.position, k=1)
     assert not verify_ordering(g, broken, 1)
-
-
-def test_left_right_neighbors_split():
-    g = cycle_graph(5)
-    ordering = degeneracy_ordering(g)
-    for v in range(5):
-        left, right = left_right_neighbors(g, ordering, v)
-        assert left | right == set(g.neighbors(v))
-        assert left.isdisjoint(right)
-        assert all(ordering.position[u] < ordering.position[v] for u in left)
-    with pytest.raises(PreconditionError):
-        left_right_neighbors(g, ordering, 9)
 
 
 @settings(max_examples=60)

@@ -5,12 +5,10 @@ from linarb import (
     Graph,
     GraphError,
     connected_components,
-    edges_incident_to_set,
     max_degree,
 )
 from conftest import (
     complete_graph,
-    cycle_graph,
     gfrom,
     naive_components,
     path_graph,
@@ -81,16 +79,6 @@ def test_vertex_out_of_range_rejected():
         g.neighbors(5)
 
 
-def test_copy_is_independent():
-    g = path_graph(4)
-    h = g.copy()
-    h.add_edge(0, 2)
-    assert not g.has_edge(0, 2)
-    assert h.has_edge(0, 2)
-    assert g.edge_count == 3
-    assert h.edge_count == 4
-
-
 def test_max_degree_star():
     assert max_degree(star_graph(7)) == 7
     assert max_degree(path_graph(2)) == 1
@@ -105,15 +93,6 @@ def test_components_match_naive():
     got = connected_components(g)
     assert [set(c) for c in got] == naive_components(g)
     assert all(c == sorted(c) for c in got)
-
-
-def test_edges_incident_to_set():
-    g = cycle_graph(5)
-    assert edges_incident_to_set(g, 0, {1, 2, 4}) == [(0, 1), (0, 4)]
-    assert edges_incident_to_set(g, 2, [3]) == [(2, 3)]
-    assert edges_incident_to_set(g, 0, []) == []
-    with pytest.raises(GraphError):
-        edges_incident_to_set(g, 0, {7})
 
 
 @given(st.integers(1, 12), st.data())

@@ -23,6 +23,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     endpoint_recolor_fixture,
+    ordering_for,
     path_graph,
     path_partner_swap_fixture,
     star_graph,
@@ -359,6 +360,30 @@ def test_repair_by_recoloring_to_endpoint_free_class():
     assert state.stats.repair_iterations == 1
 
 
+def test_tiled_fixture_copies_match_the_single_copy():
+    """One SolverState sweeping disjoint copies of the endpoint-recolor
+    fixture, one copy after another, colors every copy exactly as the
+    fixture alone: the class paths left by a repair in one component must
+    answer the next component's cycle checks correctly."""
+    g1, ordering1, delta, t = endpoint_recolor_fixture()
+    single = SolverState(g1, ordering1, delta, t, Mode.MINIMUM).run()
+    copies, n1 = 40, g1.n
+    g = Graph.from_edges(
+        copies * n1,
+        [(b * n1 + u, b * n1 + v) for b in range(copies) for u, v in g1.edges()],
+    )
+    order = [b * n1 + x for b in range(copies) for x in ordering1.order]
+    state = SolverState(g, ordering_for(g, order, 2), delta, t, Mode.MINIMUM, debug=True)
+    coloring = state.run()
+    for b in range(copies):
+        lo = b * n1
+        block = {(u - lo, v - lo): c for (u, v), c in coloring.items() if lo <= u < lo + n1}
+        assert block == single
+    assert state.stats.repair_iterations == copies
+    report = verify_partition(g, {e: c + 1 for e, c in coloring.items()}, t)
+    assert report.valid, report.violations[:3]
+
+
 def test_solver_state_rejects_forests_and_thin_graphs():
     g = path_graph(6)
     with pytest.raises(PreconditionError):
@@ -393,3 +418,59 @@ def test_random_instances_verify_valid_and_tight(seed):
     report = verify_partition(g, result.coloring, result.t)
     assert report.valid
     assert result.t == (result.delta + 1) // 2
+
+
+# ------------------------------------------------ metamorphic properties
+#
+# Each transformation below keeps the degeneracy and the maximum degree, so
+# decompose must return the same class count, and a partition the verifier
+# accepts.
+
+
+def _relabel(g, delta, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _shuffle_edges(g, delta, rnd):
+    edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges()]
+    rnd.shuffle(edges)
+    return Graph.from_edges(g.n, edges)
+
+
+def _add_isolated(g, delta, rnd):
+    return Graph.from_edges(g.n + rnd.randint(1, 5), g.edges())
+
+
+def _union_forest(g, delta, rnd):
+    """Disjoint union with a random forest of maximum degree <= delta."""
+    size = rnd.randint(1, 30)
+    deg = [0] * size
+    edges = g.edges()
+    for i in range(1, size):
+        parents = [p for p in range(i) if deg[p] < delta]
+        if parents and rnd.random() < 0.9:
+            p = rnd.choice(parents)
+            deg[p] += 1
+            deg[i] += 1
+            edges.append((g.n + p, g.n + i))
+    return Graph.from_edges(g.n + size, edges)
+
+
+@pytest.mark.parametrize("transform", [_relabel, _shuffle_edges, _add_isolated, _union_forest])
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    mode=st.sampled_from(list(Mode)),
+    extra=st.integers(0, 20),
+    seed=st.integers(0, 2**32),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_decompose_metamorphic(transform, k, mode, extra, seed, rnd):
+    g = generate_k_degenerate(k + 1 + extra, k, required_max_degree(k, mode), seed)
+    base = decompose(g, mode)
+    h = transform(g, base.delta, rnd)
+    result = decompose(h, mode)
+    assert (result.t, result.k, result.delta) == (base.t, base.k, base.delta)
+    check_decomposition(h, result)
