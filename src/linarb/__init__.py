@@ -29,7 +29,6 @@ from .solver import (
     class_count_for,
     decompose,
     place_light_edge,
-    regularize,
     required_max_degree,
 )
 from .cli import SplitMix64, generate_k_degenerate, main, parse_edge_list
@@ -69,7 +68,6 @@ __all__ = [
     "max_degree",
     "parse_edge_list",
     "place_light_edge",
-    "regularize",
     "required_max_degree",
     "verify_partition",
 ]

@@ -15,6 +15,13 @@ exactly when they share a path, so for path ends (every cycle check the
 sweep makes) `would_close_cycle` is one slot read.  Joining two paths
 rewires the mates of the two outer ends in O(1); removing an edge walks
 only the path it splits, to re-pair the new ends.
+
+A vertex may also hold *phantom leaves*: edges to private degree-1
+neighbors that the caller never needs to see (the paper's padding
+pendants).  A leaf cannot lie on a cycle or join two paths, so a phantom
+is just a count per (vertex, class) cell.  It uses up class capacity, and
+so counts in every degree the class exposes, but never enters the path
+slots.
 """
 
 from __future__ import annotations
@@ -41,8 +48,11 @@ class ForestColoring:
         self.t = t
         self.colors: dict[tuple[int, int], int] = {}
         # Dense (vertex, class) tables: degree byte plus two slots, which hold
-        # both class neighbors at degree 2 and (neighbor, mate) at degree 1.
+        # both class neighbors at degree 2 and (neighbor, mate) at degree 1,
+        # and the phantom-leaf count.  Only _cd describes the paths; the
+        # capacity used at a cell is _cd + _ph.
         self._cd = bytearray(n * t)
+        self._ph = bytearray(n * t)
         self._nb1 = array("i", [NIL]) * (n * t) if n * t else array("i")
         self._nb2 = array("i", [NIL]) * (n * t) if n * t else array("i")
         self._total = array("i", [0]) * n if n else array("i")
@@ -50,10 +60,12 @@ class ForestColoring:
     # ------------------------------------------------------------------ queries
 
     def class_degree(self, v: int, j: int) -> int:
-        return self._cd[v * self.t + j]
+        """Class-``j`` edges at ``v``, phantom leaves included."""
+        i = v * self.t + j
+        return self._cd[i] + self._ph[i]
 
     def colored_degree(self, v: int) -> int:
-        """Total number of colored edges at ``v`` across all classes."""
+        """Total number of colored edges and phantom leaves at ``v``."""
         return self._total[v]
 
     def color_of(self, u: int, v: int) -> int | None:
@@ -62,15 +74,16 @@ class ForestColoring:
     def color_sets(self, v: int) -> tuple[list[int], list[int], list[int]]:
         """Partition class indices by the degree of ``v``: (degree 0, 1, 2).
 
-        The three lists are ascending and always cover all ``t`` classes.
+        Degrees count phantom leaves.  The three lists are ascending and
+        always cover all ``t`` classes.
         """
         base = v * self.t
-        cd = self._cd
+        cd, ph = self._cd, self._ph
         c0: list[int] = []
         c1: list[int] = []
         c2: list[int] = []
         for j in range(self.t):
-            d = cd[base + j]
+            d = cd[base + j] + ph[base + j]
             if d == 0:
                 c0.append(j)
             elif d == 1:
@@ -187,8 +200,10 @@ class ForestColoring:
         if key in self.colors:
             raise FeasibilityError(f"edge {key} is already colored")
         t = self.t
-        cd = self._cd
-        if cd[u * t + j] >= 2 or cd[v * t + j] >= 2:
+        cd, ph = self._cd, self._ph
+        iu = u * t + j
+        iv = v * t + j
+        if cd[iu] + ph[iu] >= 2 or cd[iv] + ph[iv] >= 2:
             raise FeasibilityError(f"assigning {key} to class {j} would exceed degree 2")
         self._link(u, v, j)
         self._total[u] += 1
@@ -205,9 +220,7 @@ class ForestColoring:
             raise FeasibilityError(f"edge {key} is not colored")
         if j_old == j_new:
             return
-        cd = self._cd
-        t = self.t
-        if cd[u * t + j_new] >= 2 or cd[v * t + j_new] >= 2:
+        if self._full(u, j_new) or self._full(v, j_new):
             raise FeasibilityError(f"recoloring {key} to class {j_new} would exceed degree 2")
         self._cut(u, v, j_old)
         self._link(u, v, j_new)
@@ -230,17 +243,50 @@ class ForestColoring:
             return
         if c1 == c2:
             return
-        cd = self._cd
-        t = self.t
         for (a, b), j in ((k1, c1), (k2, c2)):
             self._cut(a, b, j)
         for (a, b), j in ((k1, c2), (k2, c1)):
-            if cd[a * t + j] >= 2 or cd[b * t + j] >= 2:
+            if self._full(a, j) or self._full(b, j):
                 # Roll back is not attempted: this indicates a caller bug.
                 raise FeasibilityError(f"swap would push degree above 2 at class {j}")
             self._link(a, b, j)
         self.colors[k1] = c2
         self.colors[k2] = c1
+
+    def place_phantoms(self, v: int, classes: list[int]) -> None:
+        """Give ``v`` one more phantom leaf in each class of ``classes``; a
+        class may repeat."""
+        t = self.t
+        cd, ph = self._cd, self._ph
+        base = v * t
+        for j in classes:
+            if not 0 <= j < t:
+                raise PreconditionError(f"class {j} out of range 0..{t - 1}")
+            i = base + j
+            if cd[i] + ph[i] >= 2:
+                raise FeasibilityError(f"a phantom at ({v},{j}) would exceed degree 2")
+            ph[i] += 1
+        self._total[v] += len(classes)
+
+    def swap_with_phantom(self, v: int, u: int, j: int) -> None:
+        """Exchange the class of the colored edge vu with that of one of
+        ``v``'s phantom leaves in class ``j``: vu moves to ``j`` and the
+        leaf to vu's old class."""
+        i = v * self.t + j
+        j_old = self.colors.get(edge_key(u, v))
+        if j_old is None or not self._ph[i]:
+            raise FeasibilityError(f"need a colored edge {u}-{v} and a phantom at ({v},{j})")
+        if j_old == j:
+            return
+        if self._full(u, j):
+            raise FeasibilityError(f"moving {u}-{v} to class {j} would exceed degree 2 at {u}")
+        self._ph[i] -= 1
+        self.recolor(v, u, j)
+        self._ph[v * self.t + j_old] += 1
+
+    def _full(self, v: int, j: int) -> bool:
+        i = v * self.t + j
+        return self._cd[i] + self._ph[i] >= 2
 
     # ------------------------------------------------------------------ connectivity
 
@@ -298,10 +344,11 @@ class ForestColoring:
     def validate(self) -> list[str]:
         """Full-state consistency scan; returns human-readable problems.
 
-        Recomputes degrees, neighbors and totals from the color map, walks
-        every class path from scratch to check the mate stored at each end,
-        checks the degree cap, and checks every class for cycles with a local
-        union-find.  Intended for tests and debug assertions, not hot paths.
+        Recomputes degrees, neighbors and totals (phantom leaves included)
+        from the color map and the phantom counts, walks every class path
+        from scratch to check the mate stored at each end, checks the degree
+        cap on edges plus phantoms, and checks every class for cycles with a
+        local union-find.  Intended for tests and debug assertions, not hot paths.
         """
         problems: list[str] = []
         n, t = self.n, self.t
@@ -344,8 +391,11 @@ class ForestColoring:
                 i = v * t + j
                 nbrs = adj.get((v, j), [])
                 want = len(nbrs)
-                if want > 2:
-                    problems.append(f"vertex {v} has {want} class-{j} edges")
+                total[v] += self._ph[i]
+                if want + self._ph[i] > 2:
+                    problems.append(
+                        f"vertex {v} has {want} class-{j} edges and {self._ph[i]} phantoms"
+                    )
                 if self._cd[i] != min(want, 255):
                     problems.append(
                         f"degree table mismatch at ({v},{j}): "

@@ -13,12 +13,18 @@ owner with capacity r, owner -> candidate and candidate -> sink with
 capacity 1).  A greedy smallest-id pass saturates almost all demand; the
 rare leftovers are finished with breadth-first augmenting paths, so the
 result is deterministic and near-linear on typical inputs.
+
+A vertex may be padded with phantom leaves: private right-neighbors that
+only it can reserve.  Their ids would follow every real vertex, so each
+owner's phantoms rank after all its real candidates, and only their count
+is tracked.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from .degeneracy import DegeneracyOrdering
 from .errors import InternalContradictionError, PreconditionError
@@ -29,13 +35,15 @@ from .graph import Graph
 class SdrAssignment:
     """Disjoint representative sets for every vertex of degree >= d.
 
-    ``reps`` maps each qualifying vertex to its ``r`` representatives, sorted
-    by id.  Vertices below the degree threshold are absent; ``reps_of``
-    returns ``[]`` for them.
+    ``reps`` maps each qualifying vertex to its real representatives, sorted
+    by id, and ``phantoms`` to the number of its phantom leaves reserved on
+    top (absent when zero); together they make ``r``.  Vertices below the
+    degree threshold are absent; ``reps_of`` returns ``[]`` for them.
     """
 
     r: int
     reps: dict[int, list[int]]
+    phantoms: dict[int, int] = field(default_factory=dict)
 
     def reps_of(self, v: int) -> list[int]:
         return self.reps.get(v, [])
@@ -49,8 +57,14 @@ def _right_neighbors(g: Graph, ordering: DegeneracyOrdering, v: int) -> list[int
     return out
 
 
-def compute_sdr(g: Graph, ordering: DegeneracyOrdering, d: int) -> SdrAssignment:
+def compute_sdr(
+    g: Graph, ordering: DegeneracyOrdering, d: int, pad: Sequence[int] | None = None
+) -> SdrAssignment:
     """Reserve ``(d - k) // k`` disjoint right-neighbors for every degree->=d vertex.
+
+    ``pad[v]``, when given, is the number of phantom leaves padding ``v``:
+    they count toward its degree and are candidates only ``v`` can take,
+    after all its real ones.
 
     Raises :class:`PreconditionError` unless ``k <= d <= max_degree(g)``, and
     :class:`InternalContradictionError` if no full assignment exists (which a
@@ -60,17 +74,20 @@ def compute_sdr(g: Graph, ordering: DegeneracyOrdering, d: int) -> SdrAssignment
     if k <= 0:
         raise PreconditionError("ordering certifies degeneracy 0; no representatives to reserve")
     adj = g._adj
-    delta = max((len(row) for row in adj), default=0)
+    pad = pad if pad is not None else [0] * g.n
+    degree = [len(row) + p for row, p in zip(adj, pad)]
+    delta = max(degree, default=0)
     if not k <= d <= delta:
         raise PreconditionError(f"need k <= d <= max degree, got k={k}, d={d}, max={delta}")
     r = (d - k) // k
-    owners = [v for v in range(g.n) if len(adj[v]) >= d]
+    owners = [v for v in range(g.n) if degree[v] >= d]
     if r == 0:
         return SdrAssignment(r, {v: [] for v in owners})
 
     candidates = {v: _right_neighbors(g, ordering, v) for v in owners}
     taken_by: dict[int, int] = {}  # representative vertex -> owner holding it
     assigned: dict[int, list[int]] = {v: [] for v in owners}
+    phantoms: dict[int, int] = {}
 
     # Greedy warm start: each owner grabs its smallest free candidates.
     for v in owners:
@@ -81,27 +98,32 @@ def compute_sdr(g: Graph, ordering: DegeneracyOrdering, d: int) -> SdrAssignment
             if u not in taken_by:
                 taken_by[u] = v
                 row.append(u)
+        if len(row) < r and pad[v]:
+            phantoms[v] = min(r - len(row), pad[v])
 
     # Finish deficits with shortest augmenting paths over the partial matching.
     for v in owners:
-        while len(assigned[v]) < r:
-            _augment(v, candidates, taken_by, assigned)
+        while len(assigned[v]) + phantoms.get(v, 0) < r:
+            _augment(v, candidates, pad, taken_by, assigned, phantoms)
 
     for v in owners:
         assigned[v].sort()
-    return SdrAssignment(r, assigned)
+    return SdrAssignment(r, assigned, phantoms)
 
 
 def _augment(
     start: int,
     candidates: dict[int, list[int]],
+    pad: Sequence[int],
     taken_by: dict[int, int],
     assigned: dict[int, list[int]],
+    phantoms: dict[int, int],
 ) -> None:
     """Reassign along one augmenting path so ``start`` gains a representative.
 
     BFS alternates owner -> candidate (candidate not yet visited) and
-    candidate -> current holder.  Reaching a free candidate flips the path:
+    candidate -> current holder.  Reaching a free candidate, or an owner with
+    a free phantom once its real candidates are exhausted, flips the path:
     the start owner nets +1 while every intermediate owner trades one
     candidate for another.
     """
@@ -109,7 +131,8 @@ def _augment(
     via_candidate: dict[int, int] = {}  # owner -> candidate it was reached through
     seen = {start}
     queue = deque([start])
-    end = -1
+    end = -1  # the free candidate reached
+    phantom_owner = -1  # or the owner whose free phantom was reached
     while queue:
         v = queue.popleft()
         for u in candidates[v]:
@@ -119,24 +142,31 @@ def _augment(
             holder = taken_by.get(u)
             if holder is None:
                 end = u
-                queue.clear()
                 break
             if holder not in seen:
                 seen.add(holder)
                 via_candidate[holder] = u
                 queue.append(holder)
-    if end < 0:
+        if end >= 0:
+            break
+        if phantoms.get(v, 0) < pad[v]:
+            phantom_owner = v
+            break
+    if end >= 0:
+        v = parent_owner[end]
+        taken_by[end] = v
+        assigned[v].append(end)
+    elif phantom_owner >= 0:
+        v = phantom_owner
+        phantoms[v] = phantoms.get(v, 0) + 1
+    else:
         raise InternalContradictionError(
             "representative demand is infeasible; the ordering does not certify "
             "the claimed degeneracy"
         )
-    u = end
-    while True:
+    while v != start:
+        u = via_candidate[v]
+        assigned[v].remove(u)
         v = parent_owner[u]
         taken_by[u] = v
         assigned[v].append(u)
-        if v == start:
-            return
-        released = via_candidate[v]
-        assigned[v].remove(released)
-        u = released

@@ -4,8 +4,11 @@ For a graph of degeneracy k and maximum degree D with D >= 2k^2 - k, the
 edge set splits into exactly ceil(D/2) linear forests, and this module
 constructs such a partition:
 
-1.  Pad the graph so every vertex has degree D or 1 (pendant vertices keep
-    the degeneracy unchanged and are discarded from the final answer).
+1.  Pad the graph so every vertex has degree D or 1.  A padding pendant has
+    one edge and touches nothing else, so it only uses up one class slot at
+    its owner: each one is kept as a *phantom leaf*, a per-class count at
+    its owner (see :mod:`linarb.coloring`), and the sweep colors only the
+    input's edges.
 2.  Order vertices so that left-neighborhoods have size at most k, with all
     degree-D vertices before all degree-1 vertices.
 3.  Reserve ``r = (D - k) // k`` disjoint right-neighbors ("representatives")
@@ -97,77 +100,53 @@ class DecomposeResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def regularize(g: Graph, target_delta: int | None = None) -> tuple[Graph, int]:
-    """Pad ``g`` with pendant vertices so every degree is ``target_delta`` or 1.
-
-    Every vertex with ``1 < degree < target_delta`` receives pendant
-    neighbors up to the target.  Pendants get fresh ids starting at ``g.n``;
-    the second return value is ``g.n`` itself, so an edge of the result is
-    original exactly when both endpoints are below it.  Degeneracy is
-    unchanged (pendants peel first).
-
-    Requires a graph without isolated vertices and ``target_delta >= max
-    degree >= 2``.
-    """
-    delta = max_degree(g)
-    if target_delta is None:
-        target_delta = delta
-    if delta < 2:
-        raise PreconditionError(f"regularize needs maximum degree >= 2, got {delta}")
-    if target_delta < delta:
-        raise PreconditionError(f"target degree {target_delta} is below maximum degree {delta}")
-    n = g.n
-    adj = [list(g.neighbors(v)) for v in range(n)]
-    edges = {e for e in g.edges()}
-    nxt = n
-    for v in range(n):
-        d = len(adj[v])
-        if d == 0:
-            raise PreconditionError(f"vertex {v} is isolated; strip isolated vertices first")
-        if 1 < d < target_delta:
-            for _ in range(target_delta - d):
-                adj.append([v])
-                adj[v].append(nxt)
-                edges.add((v, nxt))
-                nxt += 1
-    return Graph._from_parts(adj, edges), n
-
-
-def place_light_edge(fc: ForestColoring, x: int, y: int) -> int:
+def place_light_edge(fc: ForestColoring, x: int, y: int, start: int = 0) -> int:
     """Color the uncolored edge xy into a class untouched at ``x`` where ``y``
     is not yet internal, returning the (smallest) class index used.
 
     Such a class exists whenever ``2*d(x) + d(y) <= 2*t + 2``, with degrees
-    counting xy itself: summing ``2*cd(x, j) + cd(y, j)`` over all ``t``
-    classes gives at most ``2t - 1``, so some class scores at most 1.  Only
-    ``y`` can become internal in its class, and no cycle can form because
-    ``x`` enters the class as a fresh vertex.
+    counting xy itself and phantom leaves: summing ``2*d(x, j) + d(y, j)``
+    over all ``t`` classes gives at most ``2t - 1``, so some class scores at
+    most 1.  Only ``y`` can become internal in its class, and no cycle can
+    form because ``x`` enters the class as a fresh vertex.
+
+    Classes below ``start`` are skipped; a caller passes the first class
+    not yet full at ``y``, which changes nothing but the scan length.  An
+    ``x`` with no colored edge is untouched everywhere, so only ``y``'s row
+    is scanned for it.
     """
     t = fc.t
-    cd = fc._cd
-    bx = x * t
-    by = y * t
-    for j in range(t):
-        if cd[bx + j] == 0 and cd[by + j] <= 1:
-            fc.assign(x, y, j)
-            return j
-    dx = fc.colored_degree(x) + 1
-    dy = fc.colored_degree(y) + 1
+    cd, ph = fc._cd, fc._ph
+    total = fc._total
+    dx = total[x] + 1
+    dy = total[y] + 1
     if 2 * dx + dy > 2 * t + 2:
         raise PreconditionError(
             f"edge {x}-{y} violates 2*d(x)+d(y) <= 2t+2: 2*{dx}+{dy} > {2 * t + 2}"
         )
+    by = y * t
+    if dx == 1:
+        for j in range(start, t):
+            if cd[by + j] + ph[by + j] <= 1:
+                fc.assign(x, y, j)
+                return j
+    else:
+        bx = x * t
+        for j in range(start, t):
+            if cd[bx + j] + ph[bx + j] == 0 and cd[by + j] + ph[by + j] <= 1:
+                fc.assign(x, y, j)
+                return j
     raise InternalContradictionError(
         f"no class for edge {x}-{y} although 2*{dx}+{dy} <= {2 * t + 2}"
     )
 
 
 class SolverState:
-    """Per-component sweep state over the padded graph.
+    """Sweep state over one graph, padded implicitly with phantom leaves.
 
     Exposes :meth:`process_vertex` so tests can drive the sweep one position
-    at a time; :meth:`run` drives it to completion and projects the coloring
-    back onto the component's original edges (still 0-based classes).
+    at a time; :meth:`run` drives it to completion and returns the coloring
+    of the graph's edges (still 0-based classes).
     """
 
     def __init__(
@@ -188,6 +167,7 @@ class SolverState:
                 f"mode {mode.value} needs maximum degree >= {required_max_degree(k, mode)} "
                 f"at degeneracy {k}, got {target_delta}"
             )
+        self.g = g
         self.k = k
         self.delta = target_delta
         self.t = t
@@ -195,41 +175,53 @@ class SolverState:
         self.debug = debug
         self.stats = stats if stats is not None else SolveStats()
 
-        self.g_star, self.n_orig = regularize(g, target_delta)
-        self.stats.pendants_added += self.g_star.n - self.n_orig
-        n_star = self.g_star.n
+        # Padding: every vertex of degree 2..D-1 gets D - degree phantom
+        # leaves, so every degree becomes D or 1.  Pendants would peel first,
+        # so the degeneracy is unchanged.
+        n = g.n
+        delta = max_degree(g)
+        if delta < 2:
+            raise PreconditionError(f"padding needs maximum degree >= 2, got {delta}")
+        if target_delta < delta:
+            raise PreconditionError(
+                f"target degree {target_delta} is below maximum degree {delta}"
+            )
+        pad = [0] * n
+        for v, row in enumerate(g._adj):
+            d = len(row)
+            if d == 0:
+                raise PreconditionError(f"vertex {v} is isolated; strip isolated vertices first")
+            if d > 1:
+                pad[v] = target_delta - d
+        self.pad = pad
+        self.pendants = sum(pad)
+        self.stats.pendants_added += self.pendants
 
-        # Reorder: degree-D vertices first (stable), then original degree-1
-        # vertices, then pendants.  Left-degrees only shrink, so the ordering
-        # still certifies degeneracy k, and every degree-1 vertex trails
-        # every degree-D vertex as the sweep requires.
+        # Reorder: degree-D vertices first (stable), then degree-1 vertices.
+        # Left-degrees only shrink, so the ordering still certifies
+        # degeneracy k, and every degree-1 vertex trails every degree-D
+        # vertex as the sweep requires.  Phantom leaves would trail both.
         highs: list[int] = []
         ones: list[int] = []
         for v in base_ordering.order:
-            d = self.g_star.degree(v)
-            if d == target_delta:
-                highs.append(v)
-            elif d == 1:
-                ones.append(v)
-            else:  # pragma: no cover - regularize guarantees {1, D}
-                raise InternalContradictionError(f"vertex {v} has degree {d} after padding")
-        order = highs + ones + list(range(self.n_orig, n_star))
-        position = [0] * n_star
+            (ones if len(g._adj[v]) == 1 else highs).append(v)
+        order = highs + ones
+        position = [0] * n
         for i, v in enumerate(order):
             position[v] = i
         self.ordering = DegeneracyOrdering(order, position, k)
         self.n_high = len(highs)
 
-        self.sdr: SdrAssignment = compute_sdr(self.g_star, self.ordering, target_delta)
+        self.sdr: SdrAssignment = compute_sdr(g, self.ordering, target_delta, pad)
         if self.sdr.r < 1:
             raise InternalContradictionError(
                 f"degree threshold admitted r={self.sdr.r}; arithmetic is broken"
             )
-        self.fc = ForestColoring(n_star, t)
+        self.fc = ForestColoring(n, t)
         # Owner position per reserved vertex (-1 when never reserved); a
         # vertex is "pending" while its owner lies ahead of the sweep, and
         # pending vertices must keep every class degree at most 1.
-        self.reserved_owner_pos = [-1] * n_star
+        self.reserved_owner_pos = [-1] * n
         for v, row in self.sdr.reps.items():
             pv = position[v]
             for u in row:
@@ -243,95 +235,97 @@ class SolverState:
         # single edge is always colored from the other side: skip them.
         for i in range(self.n_high):
             self.process_vertex(i)
-        if len(self.fc.colors) != self.g_star.edge_count:
+        fc = self.fc
+        if len(fc.colors) != self.g.edge_count:
             raise InternalContradictionError(
-                f"sweep left {self.g_star.edge_count - len(self.fc.colors)} edges uncolored"
+                f"sweep left {self.g.edge_count - len(fc.colors)} edges uncolored"
+            )
+        placed = sum(fc._ph)
+        if placed != self.pendants:
+            raise InternalContradictionError(
+                f"sweep placed {placed} phantom leaves, padding needs {self.pendants}"
             )
         if self.debug:
-            problems = self.fc.validate()
+            problems = fc.validate()
             if problems:
                 raise InternalContradictionError("final state invalid: " + "; ".join(problems))
-        n_orig = self.n_orig
-        return {e: c for e, c in self.fc.colors.items() if e[1] < n_orig}
+        return fc.colors
 
     def process_vertex(self, i: int) -> None:
-        """Color every right-edge of the vertex at position ``i``.
+        """Color every right-edge of the vertex at position ``i``, phantom
+        leaves included.
 
         Degree-1 vertices are no-ops (their single edge is colored from the
-        other side).  For degree-D vertices this adds exactly |N_R| edges.
+        other side).  For degree-D vertices this adds exactly |N_R| edges and
+        leaves.
         """
-        g = self.g_star
-        v = self.ordering.order[i]
-        adj = g._adj[v]
-        if len(adj) != self.delta:
+        if i >= self.n_high:
             return
+        v = self.ordering.order[i]
         position = self.ordering.position
-        right = sorted(u for u in adj if position[u] > i)
+        right = sorted(u for u in self.g._adj[v] if position[u] > i)
         reps = self.sdr.reps_of(v)
         rep_set = set(reps)
         spare = [u for u in right if u not in rep_set]
+        reserved_phantoms = self.sdr.phantoms.get(v, 0)
         if self.debug:
             self._touched = [v] + right
-        self._stage_light(v, spare)
-        bad = self._stage_reserved(v, reps, rep_set)
+        self._stage_light(v, spare, self.pad[v] - reserved_phantoms)
+        res_ph, bad = self._stage_reserved(v, reps, reserved_phantoms, rep_set)
         if bad:
-            self._repair(v, reps, rep_set, spare, bad)
+            self._repair(v, reps, rep_set, spare, res_ph, bad)
         if self.debug:
             self._check_pending_headroom(i)
 
-    def _stage_light(self, v: int, spare: list[int]) -> None:
-        """Place every non-reserved right-edge of ``v``.
+    def _stage_light(self, v: int, spare: list[int], phantoms: int) -> None:
+        """Place every non-reserved right-edge of ``v`` with
+        :func:`place_light_edge`, then its ``phantoms`` spare leaves.
 
-        Equivalent to :func:`place_light_edge` per edge, with two shortcuts:
-        classes already full at ``v`` are skipped once for the whole stage
-        (degrees at ``v`` only grow here), and an endpoint with no colored
-        edge yet (pendants, trailing degree-1 vertices) accepts any class, so
-        no scan of its row is needed.
+        Classes already full at ``v`` are skipped once for the whole stage
+        (degrees at ``v`` only grow here).  A leaf would enter the lowest
+        class open at ``v``, so the spare leaves fill those classes in
+        ascending order.
         """
         fc = self.fc
         t = fc.t
-        cd = fc._cd
-        total = fc._total
+        cd, ph = fc._cd, fc._ph
         base_v = v * t
-        limit = 2 * t + 2
         ptr = 0
-        for u in spare:
-            if 2 * (total[u] + 1) + (total[v] + 1) > limit:
-                raise InternalContradictionError(
-                    f"edge {v}-{u} exceeds the placement budget; padding or "
-                    f"reservation arithmetic is broken"
-                )
-            while ptr < t and cd[base_v + ptr] == 2:
-                ptr += 1
-            if ptr == t:
+        try:
+            for u in spare:
+                while ptr < t and cd[base_v + ptr] + ph[base_v + ptr] == 2:
+                    ptr += 1
+                place_light_edge(fc, u, v, ptr)
+        except PreconditionError as exc:
+            raise InternalContradictionError(
+                f"{exc}; padding or reservation arithmetic is broken"
+            ) from exc
+        if phantoms:
+            # One entry per open slot at v, in ascending class order.
+            slots = [
+                j for j in range(ptr, t) for _ in range(2 - cd[base_v + j] - ph[base_v + j])
+            ]
+            if len(slots) < phantoms:
                 raise InternalContradictionError(f"no open class at vertex {v}")
-            if total[u] == 0:
-                j = ptr
-            else:
-                bu = u * t
-                j = -1
-                for jj in range(ptr, t):
-                    if cd[bu + jj] == 0 and cd[base_v + jj] <= 1:
-                        j = jj
-                        break
-                if j < 0:
-                    raise InternalContradictionError(
-                        f"no class for edge {v}-{u}; placement guarantee failed"
-                    )
-            fc.assign(v, u, j)
+            fc.place_phantoms(v, slots[:phantoms])
 
-    def _stage_reserved(self, v: int, reps: list[int], rep_set: set[int]) -> set[int]:
+    def _stage_reserved(
+        self, v: int, reps: list[int], phantoms: int, rep_set: set[int]
+    ) -> tuple[list[int], set[int]]:
         """Color the reserved edges of ``v``, exhausting its class budget.
 
-        At entry ``v`` has ``D - r`` colored edges, so its free/half class
-        counts satisfy ``2*|free| + |half| = 2t - (D - r)``, which is ``r`` or
-        ``r + 1`` in MINIMUM mode (``r+1`` or ``r+2`` in relaxed mode).  The
-        reserved edges consume free classes twice, then half classes once, in
-        ascending class order.  Returns the reserved vertices whose new edge
-        closed a cycle.
+        At entry ``v`` has ``D - r`` colored edges and leaves, so its
+        free/half class counts satisfy ``2*|free| + |half| = 2t - (D - r)``,
+        which is ``r`` or ``r + 1`` in MINIMUM mode (``r+1`` or ``r+2`` in
+        relaxed mode).  The reserved edges, then the ``phantoms`` reserved
+        leaves (whose pendant ids would follow every real vertex), consume
+        free classes twice, then half classes once, in ascending class
+        order; a leaf needs no cycle check.  Returns the classes of the
+        reserved leaves in that order, and the reserved vertices whose new
+        edge closed a cycle.
         """
         fc = self.fc
-        r = len(reps)
+        r = len(reps) + phantoms
         if r != self.sdr.r:
             raise InternalContradictionError(f"owner {v} holds {r} != r={self.sdr.r} reserved")
         free, half, _ = fc.color_sets(v)
@@ -351,6 +345,8 @@ class SolverState:
             if fc.would_close_cycle(c, v, u):
                 flagged.append((u, c))
             fc.assign(v, u, c)
+        res_ph = seq[len(reps):r]
+        fc.place_phantoms(v, res_ph)
         bad: set[int] = set()
         for u, c in flagged:
             bad.add(u)
@@ -359,21 +355,39 @@ class SolverState:
             for z in fc.class_neighbors(v, c):
                 if z != u and z in rep_set and fc.color_of(v, z) == c:
                     bad.add(z)
-        return bad
+        return res_ph, bad
 
     # ------------------------------------------------------------------ repair
 
     def _repair(
-        self, v: int, reps: list[int], rep_set: set[int], spare: list[int], bad: set[int]
+        self,
+        v: int,
+        reps: list[int],
+        rep_set: set[int],
+        spare: list[int],
+        res_ph: list[int],
+        bad: set[int],
     ) -> None:
         """Drive the set of cycle-carrying reserved edges to empty.
 
         Each iteration recolors or swaps one reserved edge of ``v`` (in one
         case trading with a non-reserved edge) and must strictly shrink the
-        bad set; the iteration count is hard-capped at ``r + 1``.
+        bad set; the iteration count is hard-capped at ``r + 1``.  A swap
+        partner may be a phantom leaf of ``v``: ``res_ph`` and the spare
+        list built here give the class of each reserved and spare leaf in
+        pendant order, and are updated as leaves move.
         """
         fc = self.fc
-        cap = len(reps) + 1
+        # The spare leaves filled the lowest open classes in order, and only
+        # a repair moves them, so their classes are the counts left after
+        # the reserved leaves, expanded in ascending order.
+        base_v = v * fc.t
+        spare_ph = [
+            j
+            for j in range(fc.t)
+            for _ in range(fc._ph[base_v + j] - res_ph.count(j))
+        ]
+        cap = len(reps) + len(res_ph) + 1
         iters = 0
         while bad:
             iters += 1
@@ -385,27 +399,39 @@ class SolverState:
             cycle = fc.cycle_containing(xi, v, w)
             if cycle is None:
                 raise InternalContradictionError(self._dump(v, reps, bad, "tracked cycle vanished"))
-            move = self._choose_repair_move(v, reps, rep_set, spare, w, xi)
+            move = self._choose_repair_move(v, reps, rep_set, spare, res_ph, spare_ph, w, xi)
             if move[0] == "recolor":
                 fc.recolor(v, w, move[1])
-            else:
+            elif move[0] == "swap":
                 fc.swap_colors((v, w), (v, move[2]))
+            else:
+                _, j, leaves, i = move
+                fc.swap_with_phantom(v, w, j)
+                leaves[i] = xi
             new_bad = {
                 u for u in reps if fc.cycle_containing(fc.color_of(v, u), v, u) is not None
             }
             if len(new_bad) >= len(bad):
                 raise InternalContradictionError(
-                    self._dump(v, reps, new_bad, f"move {move} did not shrink the cycle set")
+                    self._dump(v, reps, new_bad, f"move {move[:2]} did not shrink the cycle set")
                 )
             bad = new_bad
 
     def _choose_repair_move(
-        self, v: int, reps: list[int], rep_set: set[int], spare: list[int], w: int, xi: int
+        self,
+        v: int,
+        reps: list[int],
+        rep_set: set[int],
+        spare: list[int],
+        res_ph: list[int],
+        spare_ph: list[int],
+        w: int,
+        xi: int,
     ) -> tuple:
         """Pick the move that frees the reserved edge vw from its cycle.
 
-        Degrees are examined net of the reserved edges at ``v`` (the state
-        the budget argument reasons about).  Preference order:
+        Degrees are examined net of the reserved edges and leaves at ``v``
+        (the state the budget argument reasons about).  Preference order:
 
         1. a class where ``w`` is untouched and ``v`` is not internal:
            recolor vw there, or swap with the reserved edge already holding
@@ -416,22 +442,25 @@ class SolverState:
            again;
         3. otherwise (possible only at degeneracy 2) swap vw with a
            non-reserved right-edge of ``v``.
+
+        Among partners a phantom leaf ranks after every real vertex, as the
+        id of its pendant would.  A swap with the leaf at index ``i`` of
+        ``leaves`` is returned as ``("phantom", j, leaves, i)``.
         """
         fc = self.fc
         t = fc.t
         rep_count = [0] * t
         for u in reps:
             rep_count[fc.color_of(v, u)] += 1
+        for c in res_ph:
+            rep_count[c] += 1
         net_v = [fc.class_degree(v, j) - rep_count[j] for j in range(t)]
 
         for j in range(t):
             wd = fc.class_degree(w, j) - (1 if j == xi else 0)
             if wd == 0 and net_v[j] != 2:
-                partners = [u for u in reps if u != w and fc.color_of(v, u) == j]
                 self.stats.repairs_endpoint_free += 1
-                if partners:
-                    return ("swap", j, min(partners))
-                return ("recolor", j)
+                return self._reserved_partner(v, reps, res_ph, w, j) or ("recolor", j)
 
         for j in range(t):
             if net_v[j] == 0 and j != xi:
@@ -443,8 +472,8 @@ class SolverState:
                     return ("recolor", j)
                 u = self._partner_on_path(v, w, j)
                 if u is None:
-                    u = min(x for x in reps if x != w and fc.color_of(v, x) == j)
-                elif u not in rep_set or fc.color_of(v, u) != j:
+                    return self._reserved_partner(v, reps, res_ph, w, j)
+                if u not in rep_set or fc.color_of(v, u) != j:
                     raise InternalContradictionError(
                         self._dump(v, reps, {w}, f"path partner {u} is not reserved in class {j}")
                     )
@@ -462,9 +491,25 @@ class SolverState:
             if eta is not None and eta != xi:
                 self.stats.repairs_unreserved += 1
                 return ("swap", eta, u)
+        for i, eta in enumerate(spare_ph):
+            if eta != xi:
+                self.stats.repairs_unreserved += 1
+                return ("phantom", eta, spare_ph, i)
         raise InternalContradictionError(
             self._dump(v, reps, {w}, "no unreserved right-edge outside the cycle class")
         )
+
+    def _reserved_partner(
+        self, v: int, reps: list[int], res_ph: list[int], w: int, j: int
+    ) -> tuple | None:
+        """The swap with the smallest reserved edge of class ``j`` at ``v``
+        other than vw, a real one before a leaf; None when there is none."""
+        partners = [u for u in reps if u != w and self.fc.color_of(v, u) == j]
+        if partners:
+            return ("swap", j, min(partners))
+        if j in res_ph:
+            return ("phantom", j, res_ph, res_ph.index(j))
+        return None
 
     def _partner_on_path(self, v: int, w: int, j: int) -> int | None:
         """Walk class ``j`` from ``w``; if the walk reaches ``v``, return the
@@ -498,7 +543,7 @@ class SolverState:
             if self.reserved_owner_pos[x] > i:
                 bx = x * t
                 for j in range(t):
-                    if fc._cd[bx + j] > 1:
+                    if fc._cd[bx + j] + fc._ph[bx + j] > 1:
                         raise InternalContradictionError(
                             f"reserved vertex {x} became internal in class {j} "
                             f"before its owner (position {self.reserved_owner_pos[x]})"

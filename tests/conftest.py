@@ -258,6 +258,22 @@ def unreserved_trade_fixture() -> tuple[Graph, DegeneracyOrdering, int, int]:
     return g, ordering_for(g, order, 2), 6, 3
 
 
+def pendant_partner_fixture() -> tuple[Graph, DegeneracyOrdering, int, int]:
+    """Degeneracy-2 graph + ordering whose repair swaps with a padding pendant.
+
+    At maximum degree 6 every vertex of degree 2..5 is padded.  Owner 4
+    (degree 3) reserves its one right-neighbor 6 and one pendant, whose
+    ids would follow every real vertex.  The edge 4-6 closes a cycle in
+    class 1, and class 2, where 6 is untouched and 4 is not internal net of
+    its reserved edges, is held at 4 only by the reserved pendant, so the
+    endpoint-free move swaps 4-6 with that pendant.  Returns (graph,
+    ordering, delta, t).
+    """
+    g = gfrom(7, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3),
+                  (2, 3), (2, 4), (2, 5), (2, 6), (4, 6)])
+    return g, ordering_for(g, [2, 0, 1, 3, 4, 5, 6], 2), 6, 3
+
+
 def path_partner_swap_fixture() -> tuple[Graph, DegeneracyOrdering, int, int]:
     """Degeneracy-3 graph + ordering forcing the free-class path swap.
 

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linarb import (
+    DegeneracyOrdering,
     Graph,
     PreconditionError,
     compute_sdr,
     degeneracy_ordering,
+    generate_k_degenerate,
     max_degree,
 )
 from conftest import (
@@ -121,6 +123,59 @@ def test_random_assignments_valid(n, data):
     d = data.draw(st.integers(ordering.k, max_degree(g)))
     sdr = compute_sdr(g, ordering, d)
     check_assignment(g, ordering, d, sdr)
+
+
+def with_explicit_pendants(g, ordering, pad):
+    """``g`` with pad[v] real pendant vertices hung on each v, numbered after
+    every vertex of ``g`` in vertex order, and appended to the ordering."""
+    edges = g.edges()
+    nxt = g.n
+    for v, p in enumerate(pad):
+        for _ in range(p):
+            edges.append((v, nxt))
+            nxt += 1
+    order = ordering.order + list(range(g.n, nxt))
+    position = [0] * nxt
+    for i, v in enumerate(order):
+        position[v] = i
+    return gfrom(nxt, edges), DegeneracyOrdering(order, position, ordering.k)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_phantom_padding_matches_explicit_pendants(seed):
+    """Padding kept as counts reserves the same real vertices, and as many
+    phantoms as the same graph padded with real pendant vertices reserves
+    pendants."""
+    rnd = random.Random(seed)
+    k = rnd.randrange(1, 4)
+    g = generate_k_degenerate(rnd.randrange(k + 2, 40), k, rnd.randrange(2 * k, 20), seed)
+    ordering = degeneracy_ordering(g)
+    d = max_degree(g) + rnd.randrange(0, 3)
+    pad = [d - g.degree(v) if 1 < g.degree(v) < d else 0 for v in range(g.n)]
+    got = compute_sdr(g, ordering, d, pad)
+    padded, padded_ordering = with_explicit_pendants(g, ordering, pad)
+    want = compute_sdr(padded, padded_ordering, d)
+    assert got.r == want.r
+    assert sorted(got.reps) == sorted(want.reps)
+    for v, reps in want.reps.items():
+        real = [u for u in reps if u < g.n]
+        assert got.reps[v] == real
+        assert got.phantoms.get(v, 0) == len(reps) - len(real)
+
+
+def test_deficit_resolved_through_a_phantom():
+    """Owner 2 has no padding, and owners 0 and 1 greedily take all four of
+    its candidates; each augmenting path ends at a free phantom of owner 0,
+    which releases a real candidate to owner 2."""
+    g = gfrom(9, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8)])
+    ordering = ordering_for(g, [0, 1, 7, 8, 2, 3, 4, 5, 6], 2)
+    pad = [6 - g.degree(v) if g.degree(v) > 1 else 0 for v in range(g.n)]
+    sdr = compute_sdr(g, ordering, 6, pad)
+    assert (sdr.reps_of(0), sdr.phantoms[0]) == ([], 2)
+    assert (sdr.reps_of(1), sdr.phantoms.get(1, 0)) == ([5, 6], 0)
+    assert (sdr.reps_of(2), sdr.phantoms.get(2, 0)) == ([3, 4], 0)
+    padded, padded_ordering = with_explicit_pendants(g, ordering, pad)
+    assert compute_sdr(padded, padded_ordering, 6).reps[2] == [3, 4]
 
 
 def test_hall_exhaustive_small():

@@ -15,7 +15,6 @@ from linarb import (
     generate_k_degenerate,
     max_degree,
     place_light_edge,
-    regularize,
     required_max_degree,
     verify_partition,
 )
@@ -26,6 +25,7 @@ from conftest import (
     ordering_for,
     path_graph,
     path_partner_swap_fixture,
+    pendant_partner_fixture,
     star_graph,
     unreserved_trade_fixture,
 )
@@ -58,57 +58,42 @@ def test_class_count_table():
     assert class_count_for(7, 1, Mode.LAC) == 4
 
 
-# ------------------------------------------------------------- regularize
+# ---------------------------------------------------------------- padding
 
 
-def test_regularize_pads_middle_degrees():
-    g = path_graph(4)  # degrees 1, 2, 2, 1
-    padded, n_orig = regularize(g, 4)
-    assert n_orig == 4
-    assert padded.n == 4 + 2 + 2
-    for v in range(padded.n):
-        assert padded.degree(v) in (1, 4)
-    for u, v in g.edges():
-        assert padded.has_edge(u, v)
-    assert degeneracy_ordering(padded).k == degeneracy_ordering(g).k
+def test_solver_state_rejects_unpaddable_inputs():
+    # Maximum degree 1: an ordering that claims degeneracy 2 passes the
+    # threshold check, but nothing can be padded.
+    g = path_graph(2)
+    with pytest.raises(PreconditionError, match="maximum degree"):
+        SolverState(g, ordering_for(g, [0, 1], 2), 6, 3, Mode.MINIMUM)
+    # Target below the maximum degree.
+    g = generate_k_degenerate(n=30, k=2, delta_min=8, seed=4)
+    with pytest.raises(PreconditionError, match="below maximum degree"):
+        SolverState(g, degeneracy_ordering(g), 7, 4, Mode.MINIMUM)
+    # An isolated vertex.
+    g = Graph.from_edges(g.n + 1, g.edges())
+    with pytest.raises(PreconditionError, match="isolated"):
+        SolverState(g, degeneracy_ordering(g), max_degree(g), 4, Mode.MINIMUM)
 
 
-def test_regularize_defaults_to_current_max():
-    g = star_graph(4)
-    g.add_edge(1, 2)
-    padded, n_orig = regularize(g)
-    assert max_degree(padded) == 4
-    assert all(padded.degree(v) in (1, 4) for v in range(padded.n))
-    assert padded.n == 9  # vertices 1 and 2 gain two pendants each
+def expected_pendants(g, delta):
+    return sum(delta - g.degree(v) for v in range(g.n) if 1 < g.degree(v) < delta)
 
 
-def test_regularize_leaves_regular_graphs_alone():
-    g = star_graph(5)
-    padded, n_orig = regularize(g, 5)
-    assert padded.n == g.n
-    assert padded.edges() == g.edges()
-
-
-def test_regularize_rejections():
-    with pytest.raises(PreconditionError):
-        regularize(path_graph(2))  # max degree 1
-    g = path_graph(3)
-    with pytest.raises(PreconditionError):
-        regularize(g, 1)
-    h = Graph(4)
-    h.add_edge(0, 1)
-    h.add_edge(1, 2)
-    with pytest.raises(PreconditionError):
-        regularize(h, 3)  # vertex 3 is isolated
-
-
-def test_regularize_pendant_ids_follow_originals():
-    g = cycle_graph(4)
-    padded, n_orig = regularize(g, 6)
-    assert n_orig == 4
-    pendant_edges = [e for e in padded.edges() if e[1] >= n_orig]
-    assert len(pendant_edges) == 4 * 4
-    assert all(u < n_orig <= v for u, v in pendant_edges)
+@pytest.mark.parametrize(
+    "k, mode, seed", [(2, Mode.MINIMUM, 1), (3, Mode.LAC, 2), (4, Mode.MINIMUM, 3)]
+)
+def test_pendants_added_counts_the_padding(k, mode, seed):
+    """Every vertex of degree 2..delta-1 is padded up to delta, and the sweep
+    places exactly that many phantom leaves."""
+    g = generate_k_degenerate(n=40, k=k, delta_min=required_max_degree(k, mode) + 1, seed=seed)
+    result = decompose(g, mode)
+    assert result.stats.pendants_added == expected_pendants(g, result.delta) > 0
+    base = degeneracy_ordering(g)
+    state = SolverState(g, base, result.delta, result.t, mode)
+    state.run()
+    assert sum(state.fc._ph) == state.stats.pendants_added == expected_pendants(g, result.delta)
 
 
 # -------------------------------------------------------- light placement
@@ -360,6 +345,33 @@ def test_repair_by_recoloring_to_endpoint_free_class():
     assert state.stats.repair_iterations == 1
 
 
+def test_repair_by_swapping_with_a_reserved_pendant():
+    """The endpoint-free move finds its class held at the owner only by a
+    reserved phantom leaf, and swaps the cycle edge with it."""
+    g, ordering, delta, t = pendant_partner_fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=True)
+    assert state.run() == {
+        (0, 1): 1, (0, 2): 2, (0, 4): 2, (0, 5): 0, (1, 2): 0, (1, 3): 2,
+        (2, 3): 0, (2, 4): 1, (2, 5): 2, (2, 6): 1, (4, 6): 2,
+    }
+    assert state.stats.repair_iterations == state.stats.repairs_endpoint_free == 1
+    assert state.stats.pendants_added == 20
+
+
+def test_reserved_partner_ranks_real_edges_before_leaves():
+    """A phantom leaf is a swap partner only when no real reserved edge holds
+    the class, as its pendant id followed every real vertex.  No sweep found
+    yet reaches a class holding both, so the rule is pinned directly."""
+    g, ordering, delta, t = pendant_partner_fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
+    state.fc.assign(4, 6, 2)
+    leaves = [1, 2]
+    assert state._reserved_partner(4, [6], leaves, 0, 2) == ("swap", 2, 6)
+    assert state._reserved_partner(4, [6], leaves, 0, 1) == ("phantom", 1, leaves, 0)
+    assert state._reserved_partner(4, [6], leaves, 6, 2) == ("phantom", 2, leaves, 1)
+    assert state._reserved_partner(4, [6], leaves, 0, 0) is None
+
+
 def test_tiled_fixture_copies_match_the_single_copy():
     """One SolverState sweeping disjoint copies of the endpoint-recolor
     fixture, one copy after another, colors every copy exactly as the
@@ -401,13 +413,28 @@ def test_stepwise_sweep_keeps_every_invariant():
     delta = max_degree(g)
     t = class_count_for(delta, base.k, Mode.MINIMUM)
     state = SolverState(g, base, delta, t, Mode.MINIMUM, debug=True)
-    for i in range(state.n_high):
+    for i in range(g.n):
         state.process_vertex(i)
         assert state.fc.validate() == []
-    assert len(state.fc.colors) == state.g_star.edge_count
-    coloring = {e: c for e, c in state.fc.colors.items() if e[1] < state.n_orig}
-    report = verify_partition(g, {e: c + 1 for e, c in coloring.items()}, t)
+    assert len(state.fc.colors) == g.edge_count
+    assert sum(state.fc._ph) == state.stats.pendants_added == expected_pendants(g, delta)
+    report = verify_partition(g, {e: c + 1 for e, c in state.fc.colors.items()}, t)
     assert report.valid
+
+
+def test_padding_stays_implicit_on_a_lifted_hub():
+    """One hub lifted to degree 200 in a 5000-vertex graph of degeneracy 2:
+    padding every other vertex to 200 takes about a million pendants, none
+    of which may become a vertex of the coloring state."""
+    g = generate_k_degenerate(n=5000, k=2, delta_min=200, seed=7)
+    delta = max_degree(g)
+    t = class_count_for(delta, 2, Mode.MINIMUM)
+    state = SolverState(g, degeneracy_ordering(g), delta, t, Mode.MINIMUM)
+    coloring = state.run()
+    assert state.fc.n == g.n
+    assert state.stats.pendants_added == expected_pendants(g, delta) > 900_000
+    report = verify_partition(g, {e: c + 1 for e, c in coloring.items()}, t)
+    assert report.valid and report.optimal
 
 
 @settings(max_examples=25, deadline=None)
