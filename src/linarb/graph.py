@@ -97,9 +97,7 @@ class Graph:
 
 def max_degree(g: Graph) -> int:
     """Maximum vertex degree; 0 for a graph without vertices or edges."""
-    if g.n == 0:
-        return 0
-    return max(len(g.neighbors(v)) for v in range(g.n))
+    return max((len(row) for row in g._adj), default=0)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -236,6 +236,8 @@ class SolverState:
         for i in range(self.n_high):
             self.process_vertex(i)
         fc = self.fc
+        if len(fc.colors) < self.g.edge_count:
+            self._color_isolated_edges()
         if len(fc.colors) != self.g.edge_count:
             raise InternalContradictionError(
                 f"sweep left {self.g.edge_count - len(fc.colors)} edges uncolored"
@@ -250,6 +252,19 @@ class SolverState:
             if problems:
                 raise InternalContradictionError("final state invalid: " + "; ".join(problems))
         return fc.colors
+
+    def _color_isolated_edges(self) -> None:
+        """Put every edge whose two endpoints both have degree 1 into class 0.
+
+        The sweep reaches a degree-1 vertex's edge only from its other end,
+        so an edge that is a component of its own is never colored.  Alone
+        in its component, it closes no cycle and fills no class.
+        """
+        adj = self.g._adj
+        for v in self.ordering.order[self.n_high:]:
+            u = adj[v][0]
+            if v < u and len(adj[u]) == 1:
+                self.fc.assign(v, u, 0)
 
     def process_vertex(self, i: int) -> None:
         """Color every right-edge of the vertex at position ``i``, phantom

@@ -1,13 +1,19 @@
 """Independent validation of a linear-forest edge partition.
 
 Deliberately shares no state with the solver: degrees are recounted from
-scratch and each class is cycle-checked with its own traversal, so a solver
-bug cannot hide behind its own bookkeeping.
+scratch and each class is cycle-checked with its own path-end table, so a
+solver bug cannot hide behind its own bookkeeping.
+
+The check runs in O(n + m) time and memory, whatever the class count: it
+touches only the classes the partition uses, and sorts only the entries it
+reports.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from .graph import Graph, max_degree
@@ -63,43 +69,92 @@ class VerificationReport:
         }
 
 
-def _class_cycle(vertices: list[int], adj: dict[int, list[int]]) -> list[int] | None:
-    """Return one cycle from the subgraph ``adj`` (max degree <= 2), or None.
+def _key_is_edge(e, n: int, edges: set[tuple[int, int]]) -> bool:
+    """Whether the key ``e`` names an edge: a pair ``u < v`` of ints in range."""
+    u, v = e
+    return isinstance(u, int) and isinstance(v, int) and 0 <= u < v < n and (u, v) in edges
 
-    With degrees capped at 2 every component is a path or a cycle, so a
-    component is a cycle exactly when a traversal from any vertex revisits
-    its start.  Iterative, to keep long paths off the call stack.
+
+def _group(coloring: dict, n: int, edges: set[tuple[int, int]], class_count: int):
+    """Split ``coloring`` into accepted edges by class and rejected entries.
+
+    Returns ``(groups, rejected, covered, named)``: ``groups`` maps each
+    class in ``1..class_count`` that is used to its accepted edges as int
+    pairs, ``rejected`` holds the other ``(key, class)`` entries, ``covered``
+    counts the keys equal to an edge of the graph, and ``named`` is None, or,
+    unless every key is a tuple of exact ints and every class an exact int,
+    the accepted entries as given, which name the reported vertices and
+    classes (a ``bool`` is an int here, as everywhere in Python).
     """
-    seen: set[int] = set()
-    for s in vertices:
-        if s in seen or not adj.get(s):
+    groups: defaultdict[int, list] = defaultdict(list)
+    keys = coloring.keys()
+    if (
+        set(map(type, keys)) <= {tuple}
+        and set(map(type, chain.from_iterable(keys))) <= {int}
+        and set(map(type, coloring.values())) <= {int}
+    ):
+        foreign = keys - edges
+        for e, c in coloring.items():
+            groups[c].append(e)
+        rejected = [(e, coloring[e]) for e in foreign]
+        for c in list(groups):
+            if not 1 <= c <= class_count:
+                rejected += [(e, c) for e in groups.pop(c) if e not in foreign]
+            elif foreign:
+                groups[c] = [e for e in groups[c] if e not in foreign]
+        return groups, rejected, len(coloring) - len(foreign), None
+    rejected = []
+    named = []
+    covered = 0
+    for e, c in coloring.items():
+        covered += e in edges
+        if _key_is_edge(e, n, edges) and isinstance(c, int) and 1 <= c <= class_count:
+            u, v = e
+            groups[int(c)].append((int(u), int(v)))
+            named.append((e, c))
+        else:
+            rejected.append((e, c))
+    return groups, rejected, covered, named
+
+
+def _cycle(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """Smallest vertex on a cycle of the edge set ``pairs``, and that
+    cycle's length; None for a linear forest.
+
+    Every vertex must have at most two edges in ``pairs``.  Each path end
+    keeps the other end of its path (an isolated vertex is its own end), so
+    an edge closes a cycle exactly when it joins the two ends of one path.
+    Only then are the closed cycles walked.
+    """
+    end: dict[int, int] = {}
+    get = end.get
+    closing = []
+    for u, v in pairs:
+        a = get(u, u)
+        if a == v:
+            closing.append(u)
             continue
-        # Walk to one end of the component (or back around to s).
-        prev, cur = -1, s
-        while True:
-            seen.add(cur)
-            nxt = -1
-            for y in adj[cur]:
-                if y != prev:
-                    nxt = y
-                    break
-            if nxt == -1:
-                break  # reached a path end; component is a path
-            if nxt == s:
-                # closed a loop; reconstruct it by walking once more
-                cycle = [s]
-                prev, cur = -1, s
-                while True:
-                    for y in adj[cur]:
-                        if y != prev:
-                            prev, cur = cur, y
-                            break
-                    if cur == s:
-                        return cycle
-                    cycle.append(cur)
-                    seen.add(cur)
-            prev, cur = cur, nxt
-    return None
+        b = get(v, v)
+        end[a] = b
+        end[b] = a
+    if not closing:
+        return None
+    nbrs: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    best = None
+    for s in closing:
+        length, low = 1, s
+        prev, cur = s, nbrs[s][0]
+        while cur != s:
+            length += 1
+            low = min(low, cur)
+            x, y = nbrs[cur]
+            prev, cur = cur, (y if x == prev else x)
+        if best is None or low < best[0]:
+            best = (low, length)
+    return best
 
 
 def verify_partition(
@@ -113,74 +168,71 @@ def verify_partition(
     class indices.  Edges of ``g`` missing from the map, map entries that are
     not edges of ``g`` (including malformed or out-of-range ones), degree
     overflows, and monochromatic cycles are each reported; the report lists
-    every violation found, not just the first.
+    every violation found, not just the first.  Violations come in this
+    order: unknown entries by key, uncolored edges, overflows by (vertex,
+    class), then per class without an overflow the cycle through its
+    smallest vertex that lies on one.
     """
     if not isinstance(coloring, dict):
         coloring = dict(coloring)
+    n = g.n
+    edges = g._edges
+    groups, rejected, covered, named = _group(coloring, n, edges, class_count)
+
     violations: list[Violation] = []
-    per_class_adj: list[dict[int, list[int]]] = [dict() for _ in range(class_count)]
-    degree_in_class: dict[tuple[int, int], int] = {}
+    for e, c in sorted(rejected):
+        if not _key_is_edge(e, n, edges):
+            detail = f"colored edge {e} is not an edge of the graph"
+        else:
+            detail = f"edge {e} assigned class {c!r} outside 1..{class_count}"
+        violations.append(Violation(UNKNOWN_EDGE, detail, edge=e))
 
-    for e, c in sorted(coloring.items()):
-        u, v = e
-        ok_edge = (
-            isinstance(u, int)
-            and isinstance(v, int)
-            and 0 <= u < v < g.n
-            and g.has_edge(u, v)
-        )
-        if not ok_edge:
-            violations.append(
-                Violation(UNKNOWN_EDGE, f"colored edge {e} is not an edge of the graph", edge=e)
-            )
-            continue
-        if not isinstance(c, int) or not 1 <= c <= class_count:
-            violations.append(
-                Violation(
-                    UNKNOWN_EDGE,
-                    f"edge {e} assigned class {c!r} outside 1..{class_count}",
-                    edge=e,
-                )
-            )
-            continue
-        adj = per_class_adj[c - 1]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-        degree_in_class[(u, c)] = degree_in_class.get((u, c), 0) + 1
-        degree_in_class[(v, c)] = degree_in_class.get((v, c), 0) + 1
-
-    for u, v in g.edges():
-        if (u, v) not in coloring:
+    if covered < len(edges):
+        for u, v in sorted(edges.difference(coloring)):
             violations.append(
                 Violation(UNCOLORED_EDGE, f"edge ({u}, {v}) received no class", edge=(u, v))
             )
 
-    for (x, c), d in sorted(degree_in_class.items()):
-        if d > 2:
-            violations.append(
-                Violation(
-                    DEGREE_OVERFLOW,
-                    f"vertex {x} has {d} edges in class {c}",
-                    vertex=x,
-                    class_index=c,
-                )
-            )
+    overflows: list[tuple[int, int, int]] = []
+    cycles: list[tuple[int, int, int]] = []
+    for c in sorted(groups):
+        pairs = groups[c]
+        degree = Counter(chain.from_iterable(pairs))
+        if max(degree.values(), default=0) > 2:
+            overflows += [(x, c, d) for x, d in degree.items() if d > 2]
+        else:
+            found = _cycle(pairs)
+            if found is not None:
+                cycles.append((c, *found))
 
-    overflow_classes = {c for (_, c), d in degree_in_class.items() if d > 2}
-    for ci, adj in enumerate(per_class_adj, start=1):
-        if ci in overflow_classes:
-            continue  # cycle walk assumes degrees <= 2; overflow already reported
-        cyc = _class_cycle(sorted(adj), adj)
-        if cyc is not None:
-            violations.append(
-                Violation(
-                    MONOCHROMATIC_CYCLE,
-                    f"class {ci} contains a cycle through {len(cyc)} vertices "
-                    f"(starts at {cyc[0]})",
-                    vertex=cyc[0],
-                    class_index=ci,
-                )
+    # Name a vertex and class as written in the first accepted entry, in key
+    # order, that puts an edge at that vertex in that class (True for 1, say).
+    names: dict = {}
+    if named and (overflows or cycles):
+        for e, c in sorted(named):
+            for x in e:
+                names.setdefault((x, c), (x, c))
+    overflows.sort()
+    for x, c, d in overflows:
+        x, c = names.get((x, c), (x, c))
+        violations.append(
+            Violation(
+                DEGREE_OVERFLOW,
+                f"vertex {x} has {d} edges in class {c}",
+                vertex=x,
+                class_index=c,
             )
+        )
+    for c, s, length in cycles:
+        s = names.get((s, c), (s, c))[0]
+        violations.append(
+            Violation(
+                MONOCHROMATIC_CYCLE,
+                f"class {c} contains a cycle through {length} vertices (starts at {s})",
+                vertex=s,
+                class_index=c,
+            )
+        )
 
     valid = not violations
     lower = (max_degree(g) + 1) // 2

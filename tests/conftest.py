@@ -5,8 +5,17 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterable
 
 from linarb import DegeneracyOrdering, Graph, PreconditionError, max_degree
+from linarb.verify import (
+    DEGREE_OVERFLOW,
+    MONOCHROMATIC_CYCLE,
+    UNCOLORED_EDGE,
+    UNKNOWN_EDGE,
+    VerificationReport,
+    Violation,
+)
 
 # One pass/fail line per acceptance criterion, echoed after the run so the
 # lines survive pytest's output capture.
@@ -168,6 +177,134 @@ def hall_certificate_check(
             if not ok(subset):
                 return False
     return True
+
+
+def _reference_class_cycle(vertices: list[int], adj: dict[int, list[int]]) -> list[int] | None:
+    """Return one cycle from the subgraph ``adj`` (max degree <= 2), or None.
+
+    With degrees capped at 2 every component is a path or a cycle, so a
+    component is a cycle exactly when a traversal from any vertex revisits
+    its start.  Iterative, to keep long paths off the call stack.
+    """
+    seen: set[int] = set()
+    for s in vertices:
+        if s in seen or not adj.get(s):
+            continue
+        # Walk to one end of the component (or back around to s).
+        prev, cur = -1, s
+        while True:
+            seen.add(cur)
+            nxt = -1
+            for y in adj[cur]:
+                if y != prev:
+                    nxt = y
+                    break
+            if nxt == -1:
+                break  # reached a path end; component is a path
+            if nxt == s:
+                # closed a loop; reconstruct it by walking once more
+                cycle = [s]
+                prev, cur = -1, s
+                while True:
+                    for y in adj[cur]:
+                        if y != prev:
+                            prev, cur = cur, y
+                            break
+                    if cur == s:
+                        return cycle
+                    cycle.append(cur)
+                    seen.add(cur)
+            prev, cur = cur, nxt
+    return None
+
+
+def reference_verify_partition(
+    g: Graph,
+    coloring: dict[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]],
+    class_count: int,
+) -> VerificationReport:
+    """The dict-based verifier ``linarb.verify_partition`` replaced, kept
+    unchanged as the oracle its array-based successor is checked against.
+
+    Check ``coloring`` as a partition of E(g) into ``class_count`` linear forests.
+
+    ``coloring`` maps canonical edges ``(u, v)`` with ``u < v`` to 1-based
+    class indices.  Edges of ``g`` missing from the map, map entries that are
+    not edges of ``g`` (including malformed or out-of-range ones), degree
+    overflows, and monochromatic cycles are each reported; the report lists
+    every violation found, not just the first.
+    """
+    if not isinstance(coloring, dict):
+        coloring = dict(coloring)
+    violations: list[Violation] = []
+    per_class_adj: list[dict[int, list[int]]] = [dict() for _ in range(class_count)]
+    degree_in_class: dict[tuple[int, int], int] = {}
+
+    for e, c in sorted(coloring.items()):
+        u, v = e
+        ok_edge = (
+            isinstance(u, int)
+            and isinstance(v, int)
+            and 0 <= u < v < g.n
+            and g.has_edge(u, v)
+        )
+        if not ok_edge:
+            violations.append(
+                Violation(UNKNOWN_EDGE, f"colored edge {e} is not an edge of the graph", edge=e)
+            )
+            continue
+        if not isinstance(c, int) or not 1 <= c <= class_count:
+            violations.append(
+                Violation(
+                    UNKNOWN_EDGE,
+                    f"edge {e} assigned class {c!r} outside 1..{class_count}",
+                    edge=e,
+                )
+            )
+            continue
+        adj = per_class_adj[c - 1]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+        degree_in_class[(u, c)] = degree_in_class.get((u, c), 0) + 1
+        degree_in_class[(v, c)] = degree_in_class.get((v, c), 0) + 1
+
+    for u, v in g.edges():
+        if (u, v) not in coloring:
+            violations.append(
+                Violation(UNCOLORED_EDGE, f"edge ({u}, {v}) received no class", edge=(u, v))
+            )
+
+    for (x, c), d in sorted(degree_in_class.items()):
+        if d > 2:
+            violations.append(
+                Violation(
+                    DEGREE_OVERFLOW,
+                    f"vertex {x} has {d} edges in class {c}",
+                    vertex=x,
+                    class_index=c,
+                )
+            )
+
+    overflow_classes = {c for (_, c), d in degree_in_class.items() if d > 2}
+    for ci, adj in enumerate(per_class_adj, start=1):
+        if ci in overflow_classes:
+            continue  # cycle walk assumes degrees <= 2; overflow already reported
+        cyc = _reference_class_cycle(sorted(adj), adj)
+        if cyc is not None:
+            violations.append(
+                Violation(
+                    MONOCHROMATIC_CYCLE,
+                    f"class {ci} contains a cycle through {len(cyc)} vertices "
+                    f"(starts at {cyc[0]})",
+                    vertex=cyc[0],
+                    class_index=ci,
+                )
+            )
+
+    valid = not violations
+    lower = (max_degree(g) + 1) // 2
+    optimal = valid and class_count == lower
+    return VerificationReport(valid, optimal, class_count, lower, violations)
 
 
 # -------------------------------------------- repair-forcing constructions

@@ -1,6 +1,7 @@
 """Tests for the PRNG, the graph generator, edge-list parsing, and the CLI."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -489,6 +490,77 @@ def test_cli_verify_rejects_twice_colored_edge(tmp_path):
     code, out, err = run_cli(["verify", str(graph_file), "--classes", str(classes_file)])
     assert code == 1
     assert "colored twice" in err
+
+
+def test_cli_verify_huge_class_index_costs_nothing(tmp_path):
+    # The class count is read off the file; checking must not allocate per class.
+    graph_file = tmp_path / "graph.txt"
+    classes_file = tmp_path / "classes.txt"
+    graph_file.write_text("0 1\n1 2\n")
+    classes_file.write_text(f"0 1 1\n1 2 {10**9}\n")
+    code, out, err = run_cli(["verify", str(graph_file), "--classes", str(classes_file)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "valid: true",
+        "optimal: false",
+        f"classes: {10**9}",
+        "lower_bound: 1",
+    ]
+
+
+CORRUPT_GRAPH_TEXT = (
+    "0 1\n1 2\n0 2\n3 4\n3 5\n3 6\n4 5\n6 7\n2 7\n1 7\n8 9\n9 10\n10 11\n8 11\n"
+)
+# A reversed key, a triangle and a 4-cycle in classes 1 and 3, an overflow
+# with a cycle under it in class 2, classes 0 and 5 outside 1..3, a foreign
+# edge, a self-loop key, and the uncolored edge 1-7.
+CORRUPT_CLASSES_TEXT = (
+    "# corrupted\n1 0 1\n1 2 1\n0 2 1\n3 4 2\n3 5 2\n3 6 2\n4 5 2\n6 7 5\n"
+    "2 7 0\n0 5 1\n4 4 1\n8 9 3\n9 10 3\n10 11 3\n11 8 3\n"
+)
+
+
+def _verify_corrupt(tmp_path, *extra):
+    graph_file = tmp_path / "graph.txt"
+    classes_file = tmp_path / "classes.txt"
+    graph_file.write_text(CORRUPT_GRAPH_TEXT)
+    classes_file.write_text(CORRUPT_CLASSES_TEXT)
+    return run_cli(
+        ["verify", str(graph_file), "--classes", str(classes_file), "--t", "3", *extra]
+    )
+
+
+def test_cli_verify_corrupt_partition_text_is_stable(tmp_path):
+    code, out, err = _verify_corrupt(tmp_path)
+    assert (code, err) == (1, "")
+    assert out == (
+        "valid: false\n"
+        "optimal: false\n"
+        "classes: 3\n"
+        "lower_bound: 2\n"
+        "violation: [UNKNOWN_EDGE] colored edge (0, 5) is not an edge of the graph\n"
+        "violation: [UNKNOWN_EDGE] edge (2, 7) assigned class 0 outside 1..3\n"
+        "violation: [UNKNOWN_EDGE] colored edge (4, 4) is not an edge of the graph\n"
+        "violation: [UNKNOWN_EDGE] edge (6, 7) assigned class 5 outside 1..3\n"
+        "violation: [UNCOLORED_EDGE] edge (1, 7) received no class\n"
+        "violation: [DEGREE_OVERFLOW] vertex 3 has 3 edges in class 2\n"
+        "violation: [MONOCHROMATIC_CYCLE] class 1 contains a cycle through 3 vertices "
+        "(starts at 0)\n"
+        "violation: [MONOCHROMATIC_CYCLE] class 3 contains a cycle through 4 vertices "
+        "(starts at 8)\n"
+    )
+
+
+def test_cli_verify_corrupt_partition_json_is_stable(tmp_path):
+    code, out, _ = _verify_corrupt(tmp_path, "--format", "json")
+    assert code == 1
+    # sha256 of the JSON report the dict-based verifier printed for this input
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "833050a4734af6f3ae744d6c523178b0b8b41b75b3e593d53b5eadf176933306"
+    )
+    assert [v["kind"] for v in json.loads(out)["violations"]] == (
+        ["UNKNOWN_EDGE"] * 4 + ["UNCOLORED_EDGE", "DEGREE_OVERFLOW"] + ["MONOCHROMATIC_CYCLE"] * 2
+    )
 
 
 def test_cli_dimacs_input_matches_plain_input():

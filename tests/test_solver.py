@@ -77,6 +77,25 @@ def test_solver_state_rejects_unpaddable_inputs():
         SolverState(g, degeneracy_ordering(g), max_degree(g), 4, Mode.MINIMUM)
 
 
+@pytest.mark.parametrize("extra", [1, 3])
+def test_sweep_colors_edges_between_two_leaves(extra):
+    # Disjoint edges join two degree-1 vertices, which the sweep skips.
+    g0 = generate_k_degenerate(n=200, k=2, delta_min=6, seed=3)
+    n0 = g0.n
+    pairs = [(n0 + 2 * i, n0 + 2 * i + 1) for i in range(extra)]
+    g = Graph.from_edges(n0 + 2 * extra, g0.edges() + pairs)
+    base = degeneracy_ordering(g0)
+    order = base.order + [x for e in pairs for x in e]
+    ordering = ordering_for(g, order, base.k)
+    delta = max_degree(g0)
+    t = class_count_for(delta, base.k, Mode.MINIMUM)
+    coloring = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=True).run()
+    assert all(coloring[e] == 0 for e in pairs)
+    alone = SolverState(g0, base, delta, t, Mode.MINIMUM).run()
+    assert {e: c for e, c in coloring.items() if e not in pairs} == alone
+    assert verify_partition(g, {e: c + 1 for e, c in coloring.items()}, t).valid
+
+
 def expected_pendants(g, delta):
     return sum(delta - g.degree(v) for v in range(g.n) if 1 < g.degree(v) < delta)
 

@@ -1,3 +1,14 @@
+import ast
+import random
+from collections import namedtuple
+from enum import IntEnum
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linarb.verify
 from linarb import decompose, generate_k_degenerate, verify_partition
 from linarb.verify import (
     DEGREE_OVERFLOW,
@@ -5,7 +16,15 @@ from linarb.verify import (
     UNCOLORED_EDGE,
     UNKNOWN_EDGE,
 )
-from conftest import cycle_graph, gfrom, path_graph, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    gfrom,
+    path_graph,
+    random_graph,
+    reference_verify_partition,
+    star_graph,
+)
 
 
 def kinds(report):
@@ -122,3 +141,152 @@ def test_solver_output_passes_verification():
         report = verify_partition(g, result.coloring, result.t)
         assert report.valid
         assert report.optimal
+
+
+# ------------------------------------------ differential against the reference
+
+
+def assert_same_report(g, coloring, class_count):
+    got = verify_partition(g, coloring, class_count).as_dict()
+    want = reference_verify_partition(g, coloring, class_count).as_dict()
+    # repr also tells True from 1 in the reported vertices and classes
+    assert repr(got) == repr(want)
+
+
+BAD_CLASSES = (True, False, 0, -1, 10**9, 1.0, "x", None)
+
+
+def corrupt(rnd, g, coloring, t, ops):
+    """Apply ``ops`` to a copy of ``coloring`` with the stream ``rnd``."""
+    col = dict(coloring)
+    for op in ops:
+        keys = sorted(col, key=repr)
+        key = rnd.choice(keys) if keys else None
+        if op == "drop" and key is not None:
+            del col[key]
+        elif op == "foreign" and g.n >= 2:
+            u, v = sorted(rnd.sample(range(g.n), 2))
+            if (u, v) not in col:
+                col[(u, v)] = rnd.randint(1, t)
+        elif op == "out_of_range":
+            col[rnd.choice([(-1, 0), (0, g.n), (g.n, g.n + 3), (2, 2)])] = 1
+        elif op in ("reverse", "float", "bool") and key is not None:
+            c = col.pop(key)
+            u, v = key
+            if op == "reverse":
+                col[(v, u)] = c
+            elif op == "float":
+                col[(float(u), float(v))] = c
+            else:  # a bool stands in for 0 or 1 only
+                col[(u == 1 if u in (0, 1) else u, v)] = c
+        elif op == "bad_class" and key is not None:
+            col[key] = rnd.choice(BAD_CLASSES + (t + 1,))
+        elif op == "bool_class" and key is not None:
+            col[key] = True
+        elif op == "recolor" and key is not None:
+            col[key] = rnd.randint(1, max(t, 1))
+        elif op == "merge" and keys:
+            # one class swallows every edge at a few vertices: overflows and cycles
+            c = rnd.randint(1, max(t, 1))
+            hub = set(rnd.sample(range(g.n), min(g.n, 3)))
+            for e in keys:
+                if isinstance(e[0], int) and (e[0] in hub or e[1] in hub):
+                    col[e] = c
+    return col
+
+
+OPS = ("drop", "foreign", "out_of_range", "reverse", "float", "bool",
+       "bad_class", "bool_class", "recolor", "merge")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 14),
+    t=st.integers(1, 4),
+    ops=st.lists(st.sampled_from(OPS), max_size=8),
+)
+def test_matches_reference_on_random_colorings(seed, n, t, ops):
+    rnd = random.Random(seed)
+    g = random_graph(rnd, n, rnd.randint(0, 3 * n))
+    edges = g.edges()
+    rnd.shuffle(edges)  # the verifier must not depend on the map's order
+    coloring = {e: rnd.randint(1, t) for e in edges}
+    assert_same_report(g, corrupt(rnd, g, coloring, t, ops), t + rnd.choice((-1, 0, 0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 3),
+    ops=st.lists(st.sampled_from(OPS), max_size=5),
+)
+def test_matches_reference_on_corrupted_solver_output(seed, k, ops):
+    g = generate_k_degenerate(n=40, k=k, delta_min=max(2, 2 * k * k - k), seed=seed)
+    result = decompose(g)
+    assert_same_report(g, result.coloring, result.t)
+    rnd = random.Random(seed)
+    assert_same_report(g, corrupt(rnd, g, result.coloring, result.t, ops), result.t)
+
+
+class V(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+Pair = namedtuple("Pair", "u v")
+
+
+def fixed_cases():
+    tri_tail = gfrom(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    two_cycles = gfrom(9, [(0, 1), (2, 3), (3, 4), (2, 4), (5, 6), (6, 7), (7, 8), (5, 8)])
+    star4 = star_graph(4)
+    k4 = complete_graph(4)
+    yield path_graph(0), {}, 0
+    yield path_graph(0), {(0, 1): 1}, 2
+    yield path_graph(3), {}, 1
+    yield path_graph(3), [((0, 1), 1), ((1, 2), 2)], 2
+    # several cycles in one class: the report names the lowest cycle vertex
+    yield two_cycles, {e: 1 for e in two_cycles.edges()}, 1
+    yield two_cycles, {e: 1 + (e[0] >= 5) for e in two_cycles.edges()}, 2
+    # overflow and cycle in one class: only the overflow is reported
+    yield tri_tail, {e: 1 for e in tri_tail.edges()}, 1
+    yield k4, {e: 1 for e in k4.edges()}, 1
+    yield star4, {e: 1 for e in star4.edges()}, 2
+    # bool and IntEnum vertices and classes count as ints, and are reported
+    # as written in the first entry, in key order, at that vertex and class
+    yield star4, {(False, 1): True, (0, 2): 1, (0, 3): 1, (0, 4): 2}, 2
+    yield star4, {(0, 1): 1, (0, 2): True, (0, 3): 1}, 1
+    yield tri_tail, {(V.ZERO, V.ONE): V.ONE, (1, 2): 1, (0, 2): 1, (2, 3): 2}, 2
+    yield tri_tail, {(False, True): 1, (True, 2): 1, (False, 2): True}, 1
+    yield tri_tail, {Pair(0, 1): 1, Pair(1, 2): 1, (0, 2): 2, (2, 3): 1}, 2
+    yield tri_tail, {(0.0, 1.0): 1, (1, 2): 1.0, (2, 0): 1, (3, 5): 2}, 2
+    yield tri_tail, {(0, 1): 1, (1, 2): 1, (0, 2): 1, (3, 4): -1, (4, 5): 0}, 1
+    # a class index far past the class count (the reference allocates one
+    # dict per class, so a huge class count is left to the CLI test)
+    yield star4, {(0, 1): 10**12, (0, 2): 1}, 2
+
+
+@pytest.mark.parametrize("case", range(len(list(fixed_cases()))))
+def test_matches_reference_on_fixed_cases(case):
+    g, coloring, t = list(fixed_cases())[case]
+    assert_same_report(g, coloring, t)
+
+
+def test_malformed_key_raises_like_the_reference():
+    g = path_graph(3)
+    for bad in ((0, 1, 2), (0,)):
+        with pytest.raises(ValueError):
+            reference_verify_partition(g, {bad: 1, (1, 2): 1}, 1)
+        with pytest.raises(ValueError):
+            verify_partition(g, {bad: 1, (1, 2): 1}, 1)
+
+
+def test_verifier_imports_nothing_from_the_solver():
+    tree = ast.parse(Path(linarb.verify.__file__).read_text())
+    imported = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    }
+    assert imported.isdisjoint({"coloring", "solver", "linarb.coloring", "linarb.solver"})
