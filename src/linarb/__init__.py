@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .graph import Graph, connected_components, max_degree
+from .graph import Graph, max_degree
 from .oracle import LaBounds, OracleResult, exact_la, la_bounds
 from .sdr import SdrAssignment, compute_sdr
 from .solver import (
@@ -57,7 +57,6 @@ __all__ = [
     "Violation",
     "class_count_for",
     "compute_sdr",
-    "connected_components",
     "decompose",
     "degeneracy_ordering",
     "edge_key",

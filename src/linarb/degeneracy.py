@@ -35,21 +35,22 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
     id) and the removal sequence is reversed, so each vertex ends up with at
     most ``k`` neighbors to its left.  The returned ``k`` is exact.
 
-    The peeling queue is a lazy heap keyed by (current degree, id); stale
-    entries are skipped on pop.
+    The peeling queue is a lazy heap of single ints ``degree * n + id``,
+    which pop in (current degree, id) order without a tuple per entry;
+    stale entries are skipped on pop.
     """
     n = g.n
     if n == 0:
         return DegeneracyOrdering([], [], 0)
     adj = g._adj
     deg = [len(row) for row in adj]
-    heap: list[tuple[int, int]] = [(deg[v], v) for v in range(n)]
+    heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
     removed = bytearray(n)
     removal: list[int] = []
     k = 0
     while heap:
-        d, v = heapq.heappop(heap)
+        d, v = divmod(heapq.heappop(heap), n)
         if removed[v] or d != deg[v]:
             continue
         removed[v] = 1
@@ -59,7 +60,7 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
         for u in adj[v]:
             if not removed[u]:
                 deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
+                heapq.heappush(heap, deg[u] * n + u)
     order = removal[::-1]
     position = [0] * n
     for i, v in enumerate(order):

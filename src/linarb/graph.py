@@ -7,7 +7,6 @@ handle them strip them explicitly.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from .errors import GraphError
@@ -99,24 +98,3 @@ def max_degree(g: Graph) -> int:
     """Maximum vertex degree; 0 for a graph without vertices or edges."""
     return max((len(row) for row in g._adj), default=0)
 
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by smallest member."""
-    seen = bytearray(g.n)
-    out: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if not seen[y]:
-                    seen[y] = 1
-                    comp.append(y)
-                    queue.append(y)
-        comp.sort()
-        out.append(comp)
-    return out

@@ -4,13 +4,15 @@ For a graph of degeneracy k and maximum degree D with D >= 2k^2 - k, the
 edge set splits into exactly ceil(D/2) linear forests, and this module
 constructs such a partition:
 
-1.  Pad the graph so every vertex has degree D or 1.  A padding pendant has
-    one edge and touches nothing else, so it only uses up one class slot at
-    its owner: each one is kept as a *phantom leaf*, a per-class count at
+1.  Pad the graph so every vertex has degree D, 1 or 0.  A padding pendant
+    has one edge and touches nothing else, so it only uses up one class slot
+    at its owner: each one is kept as a *phantom leaf*, a per-class count at
     its owner (see :mod:`linarb.coloring`), and the sweep colors only the
     input's edges.
-2.  Order vertices so that left-neighborhoods have size at most k, with all
-    degree-D vertices before all degree-1 vertices.
+2.  Order the vertices of the whole graph so that left-neighborhoods have
+    size at most k, with all degree-D vertices before all degree-1 and
+    isolated ones.  The thresholds are global, so one ordering certifying
+    the global k serves every component: there is no per-component pass.
 3.  Reserve ``r = (D - k) // k`` disjoint right-neighbors ("representatives")
     for every degree-D vertex; reserved vertices keep one unit of headroom in
     every class until their owner is processed.
@@ -34,7 +36,7 @@ from enum import Enum
 from .coloring import NIL, ForestColoring, edge_key
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
 from .errors import InternalContradictionError, PreconditionError
-from .graph import Graph, connected_components, max_degree
+from .graph import Graph, max_degree
 from .sdr import SdrAssignment, compute_sdr
 from .verify import verify_partition
 
@@ -69,14 +71,20 @@ def class_count_for(delta: int, k: int, mode: Mode) -> int:
 
 @dataclass
 class SolveStats:
-    """Counters accumulated across all components of one decompose call."""
+    """Counters and coarse stage timers of one decompose call.
 
-    components: int = 0
+    ``order_ms``, ``sdr_ms`` and ``sweep_ms`` time the degeneracy ordering,
+    the representative selection and the sweep (repairs included).
+    """
+
     pendants_added: int = 0
     repair_iterations: int = 0
     repairs_endpoint_free: int = 0
     repairs_owner_free: int = 0
     repairs_unreserved: int = 0
+    order_ms: float = 0.0
+    sdr_ms: float = 0.0
+    sweep_ms: float = 0.0
     wall_ms: float = 0.0
 
 
@@ -144,6 +152,9 @@ def place_light_edge(fc: ForestColoring, x: int, y: int, start: int = 0) -> int:
 class SolverState:
     """Sweep state over one graph, padded implicitly with phantom leaves.
 
+    Isolated vertices are allowed and skipped: they get no padding and sit
+    with the degree-1 vertices behind the sweep.
+
     Exposes :meth:`process_vertex` so tests can drive the sweep one position
     at a time; :meth:`run` drives it to completion and returns the coloring
     of the graph's edges (still 0-based classes).
@@ -176,8 +187,8 @@ class SolverState:
         self.stats = stats if stats is not None else SolveStats()
 
         # Padding: every vertex of degree 2..D-1 gets D - degree phantom
-        # leaves, so every degree becomes D or 1.  Pendants would peel first,
-        # so the degeneracy is unchanged.
+        # leaves, so every degree becomes D, 1 or 0.  Pendants would peel
+        # first, so the degeneracy is unchanged.
         n = g.n
         delta = max_degree(g)
         if delta < 2:
@@ -186,25 +197,20 @@ class SolverState:
             raise PreconditionError(
                 f"target degree {target_delta} is below maximum degree {delta}"
             )
-        pad = [0] * n
-        for v, row in enumerate(g._adj):
-            d = len(row)
-            if d == 0:
-                raise PreconditionError(f"vertex {v} is isolated; strip isolated vertices first")
-            if d > 1:
-                pad[v] = target_delta - d
+        pad = [target_delta - len(row) if len(row) > 1 else 0 for row in g._adj]
         self.pad = pad
         self.pendants = sum(pad)
         self.stats.pendants_added += self.pendants
 
-        # Reorder: degree-D vertices first (stable), then degree-1 vertices.
-        # Left-degrees only shrink, so the ordering still certifies
-        # degeneracy k, and every degree-1 vertex trails every degree-D
-        # vertex as the sweep requires.  Phantom leaves would trail both.
+        # Reorder: degree-D vertices first (stable), then degree-1 and
+        # isolated vertices.  Left-degrees only shrink, so the ordering still
+        # certifies degeneracy k, and every degree-1 vertex trails every
+        # degree-D vertex as the sweep requires.  Phantom leaves would trail
+        # both.
         highs: list[int] = []
         ones: list[int] = []
         for v in base_ordering.order:
-            (ones if len(g._adj[v]) == 1 else highs).append(v)
+            (ones if len(g._adj[v]) <= 1 else highs).append(v)
         order = highs + ones
         position = [0] * n
         for i, v in enumerate(order):
@@ -212,7 +218,9 @@ class SolverState:
         self.ordering = DegeneracyOrdering(order, position, k)
         self.n_high = len(highs)
 
+        mark = time.perf_counter()
         self.sdr: SdrAssignment = compute_sdr(g, self.ordering, target_delta, pad)
+        self.stats.sdr_ms += (time.perf_counter() - mark) * 1000.0
         if self.sdr.r < 1:
             raise InternalContradictionError(
                 f"degree threshold admitted r={self.sdr.r}; arithmetic is broken"
@@ -232,7 +240,9 @@ class SolverState:
 
     def run(self) -> dict[tuple[int, int], int]:
         # Positions past the degree-D block hold degree-1 vertices, whose
-        # single edge is always colored from the other side: skip them.
+        # single edge is always colored from the other side, and isolated
+        # vertices: skip them.
+        start = time.perf_counter()
         for i in range(self.n_high):
             self.process_vertex(i)
         fc = self.fc
@@ -251,6 +261,7 @@ class SolverState:
             problems = fc.validate()
             if problems:
                 raise InternalContradictionError("final state invalid: " + "; ".join(problems))
+        self.stats.sweep_ms += (time.perf_counter() - start) * 1000.0
         return fc.colors
 
     def _color_isolated_edges(self) -> None:
@@ -262,9 +273,9 @@ class SolverState:
         """
         adj = self.g._adj
         for v in self.ordering.order[self.n_high:]:
-            u = adj[v][0]
-            if v < u and len(adj[u]) == 1:
-                self.fc.assign(v, u, 0)
+            row = adj[v]
+            if row and v < row[0] and len(adj[row[0]]) == 1:
+                self.fc.assign(v, row[0], 0)
 
     def process_vertex(self, i: int) -> None:
         """Color every right-edge of the vertex at position ``i``, phantom
@@ -576,7 +587,7 @@ class SolverState:
         return "\n".join(lines)
 
 
-def _color_forest(g: Graph, t: int, out: dict[tuple[int, int], int]) -> None:
+def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
     """Pair the edges of a forest into ``ceil(max_degree/2) <= t`` classes.
 
     Any assignment keeping per-vertex class counts at 2 works: subgraphs of a
@@ -584,6 +595,7 @@ def _color_forest(g: Graph, t: int, out: dict[tuple[int, int], int]) -> None:
     smallest classes with remaining capacity at the parent.
     """
     n = g.n
+    out: dict[tuple[int, int], int] = {}
     seen = bytearray(n)
     by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
     for root in by_degree:
@@ -608,6 +620,7 @@ def _color_forest(g: Graph, t: int, out: dict[tuple[int, int], int]) -> None:
                 used[c] += 1
                 seen[y] = 1
                 stack.append((y, x, c))
+    return out
 
 
 def decompose(
@@ -621,8 +634,10 @@ def decompose(
     ``t`` is ``ceil(delta/2)`` in MINIMUM mode (requires maximum degree
     ``delta >= 2k^2 - k`` for degeneracy ``k >= 2``) and ``ceil((delta+1)/2)``
     in LAC mode (requires ``delta >= 2k^2 - 2k``).  Forests need no degree
-    threshold.  Components are processed independently against the global
-    ``delta`` and ``t``; isolated vertices are ignored and reported.
+    threshold.  One degeneracy ordering of the whole graph drives one sweep:
+    the thresholds are global, so an ordering certifying the global ``k``
+    meets the paper's Hall and budget argument on every component at once.
+    Isolated vertices are ignored and reported.
 
     ``debug_checks`` enables expensive internal invariant scans plus a final
     independent verification; it defaults to the ``LINARB_DEBUG_ASSERT=1``
@@ -636,12 +651,12 @@ def decompose(
     if debug_checks is None:
         debug_checks = os.environ.get("LINARB_DEBUG_ASSERT") == "1"
     stats = SolveStats()
-    isolated = [v for v in range(g.n) if g.degree(v) == 0]
+    isolated = [v for v, row in enumerate(g._adj) if not row]
     delta = max_degree(g)
-    if g.edge_count == 0:
-        stats.wall_ms = (time.perf_counter() - start) * 1000.0
-        return DecomposeResult({}, 0, 0, 0, mode, g.n, 0, isolated, stats)
-    k = degeneracy_ordering(g).k
+    mark = time.perf_counter()
+    ordering = degeneracy_ordering(g)
+    stats.order_ms = (time.perf_counter() - mark) * 1000.0
+    k = ordering.k
     if k >= 2:
         need = required_max_degree(k, mode)
         if delta < need:
@@ -650,27 +665,14 @@ def decompose(
                 f"graph has {delta}"
             )
     t = class_count_for(delta, k, mode)
-    coloring: dict[tuple[int, int], int] = {}
-    for comp in connected_components(g):
-        if len(comp) == 1:
-            continue
-        stats.components += 1
-        local = {v: i for i, v in enumerate(comp)}
-        sub = Graph(len(comp))
-        for v in comp:
-            lv = local[v]
-            for u in g.neighbors(v):
-                if u > v:
-                    sub.add_edge(lv, local[u])
-        base = degeneracy_ordering(sub)
-        part: dict[tuple[int, int], int] = {}
-        if base.k <= 1:
-            _color_forest(sub, t, part)
-        else:
-            state = SolverState(sub, base, delta, t, mode, debug_checks, stats)
-            part = state.run()
-        for (a, b), c in part.items():
-            coloring[edge_key(comp[a], comp[b])] = c + 1
+    if k <= 1:
+        part = _color_forest(g, t)
+    else:
+        part = SolverState(g, ordering, delta, t, mode, debug_checks, stats).run()
+    # One int object per vertex in the keys: the sweep's keys hold several
+    # per vertex, and reusing them made verify_partition 15-25% slower.
+    ids = list(range(g.n))
+    coloring = {(ids[u], ids[v]): c + 1 for (u, v), c in part.items()}
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     result = DecomposeResult(coloring, t, k, delta, mode, g.n, g.edge_count, isolated, stats)
     if debug_checks:

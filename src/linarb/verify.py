@@ -71,7 +71,10 @@ class VerificationReport:
 
 def _key_is_edge(e, n: int, edges: set[tuple[int, int]]) -> bool:
     """Whether the key ``e`` names an edge: a pair ``u < v`` of ints in range."""
-    u, v = e
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        return False
     return isinstance(u, int) and isinstance(v, int) and 0 <= u < v < n and (u, v) in edges
 
 
@@ -115,6 +118,15 @@ def _group(coloring: dict, n: int, edges: set[tuple[int, int]], class_count: int
         else:
             rejected.append((e, c))
     return groups, rejected, covered, named
+
+
+def _sorted_entries(entries: list) -> list:
+    """``entries`` sorted, or sorted by ``repr`` when some of them cannot be
+    ordered against each other (a key ``('a', 'b')`` beside ``(0, 2)``)."""
+    try:
+        return sorted(entries)
+    except TypeError:
+        return sorted(entries, key=repr)
 
 
 def _cycle(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
@@ -169,9 +181,10 @@ def verify_partition(
     not edges of ``g`` (including malformed or out-of-range ones), degree
     overflows, and monochromatic cycles are each reported; the report lists
     every violation found, not just the first.  Violations come in this
-    order: unknown entries by key, uncolored edges, overflows by (vertex,
-    class), then per class without an overflow the cycle through its
-    smallest vertex that lies on one.
+    order: unknown entries by key (by ``repr`` when their keys cannot be
+    compared), uncolored edges, overflows by (vertex, class), then per class
+    without an overflow the cycle through its smallest vertex that lies on
+    one.
     """
     if not isinstance(coloring, dict):
         coloring = dict(coloring)
@@ -180,7 +193,7 @@ def verify_partition(
     groups, rejected, covered, named = _group(coloring, n, edges, class_count)
 
     violations: list[Violation] = []
-    for e, c in sorted(rejected):
+    for e, c in _sorted_entries(rejected):
         if not _key_is_edge(e, n, edges):
             detail = f"colored edge {e} is not an edge of the graph"
         else:
@@ -209,7 +222,7 @@ def verify_partition(
     # order, that puts an edge at that vertex in that class (True for 1, say).
     names: dict = {}
     if named and (overflows or cycles):
-        for e, c in sorted(named):
+        for e, c in _sorted_entries(named):
             for x in e:
                 names.setdefault((x, c), (x, c))
     overflows.sort()

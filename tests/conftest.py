@@ -7,7 +7,19 @@ import random
 from itertools import combinations
 from typing import Iterable
 
-from linarb import DegeneracyOrdering, Graph, PreconditionError, max_degree
+from linarb import (
+    DegeneracyOrdering,
+    Graph,
+    Mode,
+    PreconditionError,
+    SolverState,
+    class_count_for,
+    degeneracy_ordering,
+    edge_key,
+    max_degree,
+    required_max_degree,
+)
+from linarb.solver import _color_forest
 from linarb.verify import (
     DEGREE_OVERFLOW,
     MONOCHROMATIC_CYCLE,
@@ -82,19 +94,25 @@ def naive_components(g: Graph) -> list[set[int]]:
     return comps
 
 
-def naive_degeneracy(g: Graph) -> int:
-    """Repeated minimum-degree removal without any queue machinery."""
+def naive_degeneracy(g: Graph) -> tuple[int, list[int]]:
+    """Repeated minimum-degree removal without any queue machinery.
+
+    Returns the degeneracy and the removal sequence, ties broken by the
+    smallest id; a degeneracy ordering is that sequence reversed.
+    """
     alive = set(range(g.n))
     deg = {v: g.degree(v) for v in alive}
     worst = 0
+    removal = []
     while alive:
         v = min(alive, key=lambda x: (deg[x], x))
         worst = max(worst, deg[v])
         alive.remove(v)
+        removal.append(v)
         for u in g.neighbors(v):
             if u in alive:
                 deg[u] -= 1
-    return worst
+    return worst, removal
 
 
 def class_adjacency(colors: dict[tuple[int, int], int]) -> dict[int, dict[int, list[int]]]:
@@ -223,8 +241,10 @@ def reference_verify_partition(
     coloring: dict[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]],
     class_count: int,
 ) -> VerificationReport:
-    """The dict-based verifier ``linarb.verify_partition`` replaced, kept
-    unchanged as the oracle its array-based successor is checked against.
+    """The dict-based verifier ``linarb.verify_partition`` replaced, kept as
+    the oracle its array-based successor is checked against.  Its one change
+    since: keys that are not pairs, or cannot be ordered against each other,
+    are reported instead of raising.
 
     Check ``coloring`` as a partition of E(g) into ``class_count`` linear forests.
 
@@ -240,8 +260,16 @@ def reference_verify_partition(
     per_class_adj: list[dict[int, list[int]]] = [dict() for _ in range(class_count)]
     degree_in_class: dict[tuple[int, int], int] = {}
 
-    for e, c in sorted(coloring.items()):
-        u, v = e
+    try:
+        entries = sorted(coloring.items())
+    except TypeError:
+        # Keys that cannot be ordered against each other: order by repr.
+        entries = sorted(coloring.items(), key=repr)
+    for e, c in entries:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            u = v = None  # not a pair: reported below as an unknown edge
         ok_edge = (
             isinstance(u, int)
             and isinstance(v, int)
@@ -305,6 +333,46 @@ def reference_verify_partition(
     lower = (max_degree(g) + 1) // 2
     optimal = valid and class_count == lower
     return VerificationReport(valid, optimal, class_count, lower, violations)
+
+
+def reference_decompose_by_component(
+    g: Graph, mode: Mode | str = Mode.MINIMUM
+) -> tuple[dict[tuple[int, int], int], int, int, int]:
+    """The per-component ``decompose`` that the whole-graph sweep replaced,
+    kept as the oracle the sweep is checked against.
+
+    Each component with edges is copied with its vertices relabelled in
+    ascending order, gets a degeneracy ordering of its own, and is swept
+    (paired as a forest below degeneracy 2) against the global ``delta``
+    and ``t``.  Returns ``(coloring, t, k, delta)``, classes 1-based.
+    """
+    mode = Mode(mode)
+    delta = max_degree(g)
+    if g.edge_count == 0:
+        return {}, 0, 0, 0
+    k = degeneracy_ordering(g).k
+    if k >= 2 and delta < required_max_degree(k, mode):
+        raise PreconditionError(f"{mode.value} mode needs a larger maximum degree")
+    t = class_count_for(delta, k, mode)
+    coloring: dict[tuple[int, int], int] = {}
+    for members in naive_components(g):
+        if len(members) == 1:
+            continue
+        comp = sorted(members)
+        local = {v: i for i, v in enumerate(comp)}
+        sub = Graph(len(comp))
+        for v in comp:
+            for u in g.neighbors(v):
+                if u > v:
+                    sub.add_edge(local[v], local[u])
+        base = degeneracy_ordering(sub)
+        if base.k <= 1:
+            part = _color_forest(sub, t)
+        else:
+            part = SolverState(sub, base, delta, t, mode).run()
+        for (a, b), c in part.items():
+            coloring[edge_key(comp[a], comp[b])] = c + 1
+    return coloring, t, k, delta
 
 
 # -------------------------------------------- repair-forcing constructions

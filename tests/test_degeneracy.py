@@ -1,17 +1,22 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from linarb import DegeneracyOrdering, Graph, degeneracy_ordering
+from linarb import DegeneracyOrdering, Graph, degeneracy_ordering, generate_k_degenerate
 from conftest import (
     complete_graph,
     cycle_graph,
+    endpoint_recolor_fixture,
     gfrom,
     naive_degeneracy,
     path_graph,
+    path_partner_swap_fixture,
+    pendant_partner_fixture,
     random_graph,
     star_graph,
+    unreserved_trade_fixture,
     verify_ordering,
 )
 
@@ -57,7 +62,7 @@ def test_k_matches_naive_on_random_graphs():
         m = rnd.randint(0, n * (n - 1) // 2)
         g = random_graph(rnd, n, m)
         ordering = degeneracy_ordering(g)
-        assert ordering.k == naive_degeneracy(g)
+        assert ordering.k == naive_degeneracy(g)[0]
         check_certificate(g, ordering)
 
 
@@ -107,4 +112,38 @@ def test_certificate_always_valid(n, data):
     ordering = degeneracy_ordering(g)
     worst = check_certificate(g, ordering)
     assert ordering.k == worst or g.edge_count == 0
-    assert ordering.k == naive_degeneracy(g)
+    assert ordering.k == naive_degeneracy(g)[0]
+
+
+def assert_order_is_naive_removal_reversed(g):
+    ordering = degeneracy_ordering(g)
+    k, removal = naive_degeneracy(g)
+    assert ordering.order == removal[::-1]
+    assert ordering.k == k
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 3.0), st.integers(0, 2**32))
+def test_order_is_naive_removal_reversed_on_random_graphs(n, density, seed):
+    rnd = random.Random(seed)
+    assert_order_is_naive_removal_reversed(random_graph(rnd, n, int(density * n)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_order_is_naive_removal_reversed_on_generated_graphs(k):
+    # Many vertices share a degree, so the id tie-break decides most pops.
+    for seed in range(3):
+        assert_order_is_naive_removal_reversed(generate_k_degenerate(150, k, 4 * k, seed))
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        endpoint_recolor_fixture,
+        unreserved_trade_fixture,
+        pendant_partner_fixture,
+        path_partner_swap_fixture,
+    ],
+)
+def test_order_is_naive_removal_reversed_on_repair_fixtures(fixture):
+    assert_order_is_naive_removal_reversed(fixture()[0])

@@ -4,13 +4,11 @@ from hypothesis import given, strategies as st
 from linarb import (
     Graph,
     GraphError,
-    connected_components,
     max_degree,
 )
 from conftest import (
     complete_graph,
     gfrom,
-    naive_components,
     path_graph,
     star_graph,
 )
@@ -22,7 +20,6 @@ def test_empty_graph():
     assert g.edge_count == 0
     assert g.edges() == []
     assert max_degree(g) == 0
-    assert connected_components(g) == []
 
 
 def test_add_vertex_returns_new_id():
@@ -83,16 +80,6 @@ def test_max_degree_star():
     assert max_degree(star_graph(7)) == 7
     assert max_degree(path_graph(2)) == 1
     assert max_degree(complete_graph(5)) == 4
-
-
-def test_components_match_naive():
-    g = Graph(7)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(4, 5)
-    got = connected_components(g)
-    assert [set(c) for c in got] == naive_components(g)
-    assert all(c == sorted(c) for c in got)
 
 
 @given(st.integers(1, 12), st.data())

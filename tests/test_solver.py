@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linarb.solver
 from linarb import (
     ForestColoring,
     Graph,
@@ -26,6 +27,7 @@ from conftest import (
     path_graph,
     path_partner_swap_fixture,
     pendant_partner_fixture,
+    reference_decompose_by_component,
     star_graph,
     unreserved_trade_fixture,
 )
@@ -71,10 +73,30 @@ def test_solver_state_rejects_unpaddable_inputs():
     g = generate_k_degenerate(n=30, k=2, delta_min=8, seed=4)
     with pytest.raises(PreconditionError, match="below maximum degree"):
         SolverState(g, degeneracy_ordering(g), 7, 4, Mode.MINIMUM)
-    # An isolated vertex.
-    g = Graph.from_edges(g.n + 1, g.edges())
-    with pytest.raises(PreconditionError, match="isolated"):
-        SolverState(g, degeneracy_ordering(g), max_degree(g), 4, Mode.MINIMUM)
+
+
+def test_solver_state_sweeps_isolated_vertices():
+    # Isolated vertices before, between and after the edges' vertices: they
+    # get no padding, trail the sweep, and change no edge's class.
+    g0 = generate_k_degenerate(n=60, k=2, delta_min=8, seed=4)
+    shift = 3
+    g = Graph(g0.n + 2 * shift + 1)
+    for u, v in g0.edges():
+        g.add_edge(u + shift + (u >= 30), v + shift + (v >= 30))
+    isolated = [v for v in range(g.n) if g.degree(v) == 0]
+    assert len(isolated) == 2 * shift + 1
+    ordering = degeneracy_ordering(g)
+    delta = max_degree(g)
+    t = class_count_for(delta, ordering.k, Mode.MINIMUM)
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=True)
+    assert all(state.pad[v] == 0 for v in isolated)
+    assert set(state.ordering.order[state.n_high:]) >= set(isolated)
+    coloring = state.run()
+    assert len(coloring) == g.edge_count
+    assert verify_partition(g, {e: c + 1 for e, c in coloring.items()}, t).valid
+    alone = SolverState(g0, degeneracy_ordering(g0), delta, t, Mode.MINIMUM).run()
+    back = {v: v - shift - (v >= 30 + shift + 1) for v in range(g.n)}
+    assert {(back[u], back[v]): c for (u, v), c in coloring.items()} == alone
 
 
 @pytest.mark.parametrize("extra", [1, 3])
@@ -292,7 +314,6 @@ def test_components_solved_independently():
     for u, v in g2.edges():
         g.add_edge(offset + u, offset + v)
     result = decompose(g)
-    assert result.stats.components == 2
     check_decomposition(g, result)
 
 
@@ -520,3 +541,115 @@ def test_decompose_metamorphic(transform, k, mode, extra, seed, rnd):
     result = decompose(h, mode)
     assert (result.t, result.k, result.delta) == (base.t, base.k, base.delta)
     check_decomposition(h, result)
+
+
+# ------------------------------------------------ whole-graph sweep
+#
+# decompose sweeps the whole graph under one degeneracy ordering; the
+# per-component solve it replaced is kept in conftest as the oracle.
+
+
+def _disjoint_union(parts, isolated, rnd):
+    """The disjoint union of ``parts`` plus ``isolated`` bare vertices, with
+    the vertex ids shuffled so the components interleave."""
+    n = sum(p.n for p in parts) + isolated
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    edges = []
+    offset = 0
+    for p in parts:
+        edges += [(perm[offset + u], perm[offset + v]) for u, v in p.edges()]
+        offset += p.n
+    rnd.shuffle(edges)
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def _k_degenerate_parts(draw, k, mode, count):
+    """``count`` graphs of degeneracy exactly ``k``; the first one reaches
+    the degree threshold of ``mode``."""
+    need = required_max_degree(k, mode)
+    parts = []
+    for i in range(count):
+        lo = need if i == 0 else 0
+        delta_min = draw(st.integers(lo, need + 3))
+        n = draw(st.integers(k + 2, 40))
+        parts.append(generate_k_degenerate(n, k, delta_min, draw(st.integers(0, 2**32))))
+    return parts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    mode=st.sampled_from(list(Mode)),
+    count=st.integers(1, 4),
+    isolated=st.integers(0, 3),
+    data=st.data(),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_whole_graph_sweep_equals_per_component_solve(k, mode, count, isolated, data, rnd):
+    """Every component with edges has the global degeneracy: the one sweep
+    colors each exactly as solving it alone did."""
+    parts = data.draw(_k_degenerate_parts(k, mode, count))
+    g = _disjoint_union(parts, isolated, rnd)
+    result = decompose(g, mode)
+    coloring, t, k_ref, delta = reference_decompose_by_component(g, mode)
+    assert (result.t, result.k, result.delta) == (t, k_ref, delta)
+    assert sorted(result.coloring.items()) == sorted(coloring.items())
+    check_decomposition(g, result)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 3),
+    mode=st.sampled_from(list(Mode)),
+    forests=st.integers(0, 3),
+    lower=st.integers(0, 2),
+    k2s=st.integers(0, 3),
+    isolated=st.integers(0, 3),
+    data=st.data(),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_whole_graph_sweep_on_mixed_components(
+    k, mode, forests, lower, k2s, isolated, data, rnd
+):
+    """Forest components, components of a lower degeneracy and single edges
+    beside a k-degenerate one: the one sweep keeps t, k and delta and gives
+    a valid partition."""
+    parts = data.draw(_k_degenerate_parts(k, mode, 1))
+    delta = max_degree(parts[0])
+    for _ in range(forests):
+        n, top = data.draw(st.integers(2, 30)), data.draw(st.integers(0, delta))
+        parts.append(generate_k_degenerate(n, 1, top, rnd.randrange(2**32)))
+    for _ in range(lower):
+        n = data.draw(st.integers(k + 1, 30))
+        parts.append(generate_k_degenerate(n, k - 1, 0, rnd.randrange(2**32)))
+    parts += [path_graph(2)] * k2s
+    g = _disjoint_union(parts, isolated, rnd)
+    result = decompose(g, mode)
+    _, t, k_ref, delta_ref = reference_decompose_by_component(g, mode)
+    assert (result.t, result.k, result.delta) == (t, k_ref, delta_ref)
+    assert result.isolated == [v for v in range(g.n) if g.degree(v) == 0]
+    check_decomposition(g, result)
+
+
+def test_decompose_computes_one_ordering(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return degeneracy_ordering(g)
+
+    monkeypatch.setattr(linarb.solver, "degeneracy_ordering", counting)
+    g1 = generate_k_degenerate(n=40, k=2, delta_min=7, seed=1)
+    parts = [g1, star_graph(5), path_graph(2), path_graph(4)]
+    g = _disjoint_union(parts, 2, random.Random(3))
+    result = decompose(g)
+    assert calls == [g]
+    check_decomposition(g, result)
+    calls.clear()
+    forest = _disjoint_union([star_graph(6), path_graph(5)], 1, random.Random(4))
+    result = decompose(forest)
+    assert result.k == 1
+    assert calls == [forest]
+    check_decomposition(forest, result)

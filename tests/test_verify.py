@@ -264,6 +264,9 @@ def fixed_cases():
     yield tri_tail, {Pair(0, 1): 1, Pair(1, 2): 1, (0, 2): 2, (2, 3): 1}, 2
     yield tri_tail, {(0.0, 1.0): 1, (1, 2): 1.0, (2, 0): 1, (3, 5): 2}, 2
     yield tri_tail, {(0, 1): 1, (1, 2): 1, (0, 2): 1, (3, 4): -1, (4, 5): 0}, 1
+    # a frozenset key unpacks to an edge, so it counts at its vertices, but
+    # it cannot be ordered against the tuples when the overflow is named
+    yield star4, {frozenset((0, 1)): 1, (0, 2): 1, (0, 3): 1, (0, 4): 2}, 2
     # a class index far past the class count (the reference allocates one
     # dict per class, so a huge class count is left to the CLI test)
     yield star4, {(0, 1): 10**12, (0, 2): 1}, 2
@@ -275,13 +278,19 @@ def test_matches_reference_on_fixed_cases(case):
     assert_same_report(g, coloring, t)
 
 
-def test_malformed_key_raises_like_the_reference():
-    g = path_graph(3)
-    for bad in ((0, 1, 2), (0,)):
-        with pytest.raises(ValueError):
-            reference_verify_partition(g, {bad: 1, (1, 2): 1}, 1)
-        with pytest.raises(ValueError):
-            verify_partition(g, {bad: 1, (1, 2): 1}, 1)
+def test_malformed_keys_are_reported_as_unknown_edges():
+    # A key that is not a pair, beside a well-formed one, a foreign one and
+    # an uncolored edge.  ("a", "b") cannot be ordered against (0, 2).
+    g = path_graph(4)
+    for bad in ((0, 1, 2), (0,), (), ("a", "b"), ("a", "b", "c")):
+        coloring = {bad: 1, (1, 2): 1, (0, 2): 1}
+        assert_same_report(g, coloring, 1)
+        report = verify_partition(g, coloring, 1)
+        unknown = [v.edge for v in report.violations if v.kind == UNKNOWN_EDGE]
+        assert sorted(unknown, key=repr) == sorted([bad, (0, 2)], key=repr)
+        uncolored = [v.edge for v in report.violations if v.kind == UNCOLORED_EDGE]
+        assert uncolored == [(0, 1), (2, 3)]
+        assert not report.valid
 
 
 def test_verifier_imports_nothing_from_the_solver():
