@@ -15,13 +15,6 @@ exactly when they share a path, so for path ends (every cycle check the
 sweep makes) `would_close_cycle` is one slot read.  Joining two paths
 rewires the mates of the two outer ends in O(1); removing an edge walks
 only the path it splits, to re-pair the new ends.
-
-A vertex may also hold *phantom leaves*: edges to private degree-1
-neighbors that the caller never needs to see (the paper's padding
-pendants).  A leaf cannot lie on a cycle or join two paths, so a phantom
-is just a count per (vertex, class) cell.  It uses up class capacity, and
-so counts in every degree the class exposes, but never enters the path
-slots.
 """
 
 from __future__ import annotations
@@ -48,11 +41,8 @@ class ForestColoring:
         self.t = t
         self.colors: dict[tuple[int, int], int] = {}
         # Dense (vertex, class) tables: degree byte plus two slots, which hold
-        # both class neighbors at degree 2 and (neighbor, mate) at degree 1,
-        # and the phantom-leaf count.  Only _cd describes the paths; the
-        # capacity used at a cell is _cd + _ph.
+        # both class neighbors at degree 2 and (neighbor, mate) at degree 1.
         self._cd = bytearray(n * t)
-        self._ph = bytearray(n * t)
         self._nb1 = array("i", [NIL]) * (n * t) if n * t else array("i")
         self._nb2 = array("i", [NIL]) * (n * t) if n * t else array("i")
         self._total = array("i", [0]) * n if n else array("i")
@@ -60,12 +50,11 @@ class ForestColoring:
     # ------------------------------------------------------------------ queries
 
     def class_degree(self, v: int, j: int) -> int:
-        """Class-``j`` edges at ``v``, phantom leaves included."""
-        i = v * self.t + j
-        return self._cd[i] + self._ph[i]
+        """Number of class-``j`` edges at ``v``."""
+        return self._cd[v * self.t + j]
 
     def colored_degree(self, v: int) -> int:
-        """Total number of colored edges and phantom leaves at ``v``."""
+        """Total number of colored edges at ``v``."""
         return self._total[v]
 
     def color_of(self, u: int, v: int) -> int | None:
@@ -74,16 +63,15 @@ class ForestColoring:
     def color_sets(self, v: int) -> tuple[list[int], list[int], list[int]]:
         """Partition class indices by the degree of ``v``: (degree 0, 1, 2).
 
-        Degrees count phantom leaves.  The three lists are ascending and
-        always cover all ``t`` classes.
+        The three lists are ascending and always cover all ``t`` classes.
         """
         base = v * self.t
-        cd, ph = self._cd, self._ph
+        cd = self._cd
         c0: list[int] = []
         c1: list[int] = []
         c2: list[int] = []
         for j in range(self.t):
-            d = cd[base + j] + ph[base + j]
+            d = cd[base + j]
             if d == 0:
                 c0.append(j)
             elif d == 1:
@@ -200,10 +188,8 @@ class ForestColoring:
         if key in self.colors:
             raise FeasibilityError(f"edge {key} is already colored")
         t = self.t
-        cd, ph = self._cd, self._ph
-        iu = u * t + j
-        iv = v * t + j
-        if cd[iu] + ph[iu] >= 2 or cd[iv] + ph[iv] >= 2:
+        cd = self._cd
+        if cd[u * t + j] >= 2 or cd[v * t + j] >= 2:
             raise FeasibilityError(f"assigning {key} to class {j} would exceed degree 2")
         self._link(u, v, j)
         self._total[u] += 1
@@ -253,40 +239,8 @@ class ForestColoring:
         self.colors[k1] = c2
         self.colors[k2] = c1
 
-    def place_phantoms(self, v: int, classes: list[int]) -> None:
-        """Give ``v`` one more phantom leaf in each class of ``classes``; a
-        class may repeat."""
-        t = self.t
-        cd, ph = self._cd, self._ph
-        base = v * t
-        for j in classes:
-            if not 0 <= j < t:
-                raise PreconditionError(f"class {j} out of range 0..{t - 1}")
-            i = base + j
-            if cd[i] + ph[i] >= 2:
-                raise FeasibilityError(f"a phantom at ({v},{j}) would exceed degree 2")
-            ph[i] += 1
-        self._total[v] += len(classes)
-
-    def swap_with_phantom(self, v: int, u: int, j: int) -> None:
-        """Exchange the class of the colored edge vu with that of one of
-        ``v``'s phantom leaves in class ``j``: vu moves to ``j`` and the
-        leaf to vu's old class."""
-        i = v * self.t + j
-        j_old = self.colors.get(edge_key(u, v))
-        if j_old is None or not self._ph[i]:
-            raise FeasibilityError(f"need a colored edge {u}-{v} and a phantom at ({v},{j})")
-        if j_old == j:
-            return
-        if self._full(u, j):
-            raise FeasibilityError(f"moving {u}-{v} to class {j} would exceed degree 2 at {u}")
-        self._ph[i] -= 1
-        self.recolor(v, u, j)
-        self._ph[v * self.t + j_old] += 1
-
     def _full(self, v: int, j: int) -> bool:
-        i = v * self.t + j
-        return self._cd[i] + self._ph[i] >= 2
+        return self._cd[v * self.t + j] >= 2
 
     # ------------------------------------------------------------------ connectivity
 
@@ -344,10 +298,9 @@ class ForestColoring:
     def validate(self) -> list[str]:
         """Full-state consistency scan; returns human-readable problems.
 
-        Recomputes degrees, neighbors and totals (phantom leaves included)
-        from the color map and the phantom counts, walks every class path
-        from scratch to check the mate stored at each end, checks the degree
-        cap on edges plus phantoms, and checks every class for cycles with a
+        Recomputes degrees, neighbors and totals from the color map, walks
+        every class path from scratch to check the mate stored at each end,
+        checks the degree cap, and checks every class for cycles with a
         local union-find.  Intended for tests and debug assertions, not hot paths.
         """
         problems: list[str] = []
@@ -391,11 +344,8 @@ class ForestColoring:
                 i = v * t + j
                 nbrs = adj.get((v, j), [])
                 want = len(nbrs)
-                total[v] += self._ph[i]
-                if want + self._ph[i] > 2:
-                    problems.append(
-                        f"vertex {v} has {want} class-{j} edges and {self._ph[i]} phantoms"
-                    )
+                if want > 2:
+                    problems.append(f"vertex {v} has {want} class-{j} edges")
                 if self._cd[i] != min(want, 255):
                     problems.append(
                         f"degree table mismatch at ({v},{j}): "

@@ -6,9 +6,9 @@ constructs such a partition:
 
 1.  Pad the graph so every vertex has degree D, 1 or 0.  A padding pendant
     has one edge and touches nothing else, so it only uses up one class slot
-    at its owner: each one is kept as a *phantom leaf*, a per-class count at
-    its owner (see :mod:`linarb.coloring`), and the sweep colors only the
-    input's edges.
+    at its owner, and only while the sweep is at that owner: the sweep keeps
+    an owner's pendants as per-class leaf counts for the length of its step
+    and colors only the input's edges.
 2.  Order the vertices of the whole graph so that left-neighborhoods have
     size at most k, with all degree-D vertices before all degree-1 and
     isolated ones.  The thresholds are global, so one ordering certifying
@@ -32,6 +32,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import add
 
 from .coloring import NIL, ForestColoring, edge_key
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
@@ -113,10 +114,12 @@ def place_light_edge(fc: ForestColoring, x: int, y: int, start: int = 0) -> int:
     is not yet internal, returning the (smallest) class index used.
 
     Such a class exists whenever ``2*d(x) + d(y) <= 2*t + 2``, with degrees
-    counting xy itself and phantom leaves: summing ``2*d(x, j) + d(y, j)``
-    over all ``t`` classes gives at most ``2t - 1``, so some class scores at
-    most 1.  Only ``y`` can become internal in its class, and no cycle can
-    form because ``x`` enters the class as a fresh vertex.
+    counting xy itself: summing ``2*d(x, j) + d(y, j)`` over all ``t``
+    classes gives at most ``2t - 1``, so some class scores at most 1.  Only
+    ``y`` can become internal in its class, and no cycle can form because
+    ``x`` enters the class as a fresh vertex.  The sweep places light edges
+    before the owner ``y`` gets its padding leaves, and ``x`` gets its own
+    later still, so colored edges are all these degrees need to count.
 
     Classes below ``start`` are skipped; a caller passes the first class
     not yet full at ``y``, which changes nothing but the scan length.  An
@@ -124,7 +127,7 @@ def place_light_edge(fc: ForestColoring, x: int, y: int, start: int = 0) -> int:
     is scanned for it.
     """
     t = fc.t
-    cd, ph = fc._cd, fc._ph
+    cd = fc._cd
     total = fc._total
     dx = total[x] + 1
     dy = total[y] + 1
@@ -135,13 +138,13 @@ def place_light_edge(fc: ForestColoring, x: int, y: int, start: int = 0) -> int:
     by = y * t
     if dx == 1:
         for j in range(start, t):
-            if cd[by + j] + ph[by + j] <= 1:
+            if cd[by + j] <= 1:
                 fc.assign(x, y, j)
                 return j
     else:
         bx = x * t
         for j in range(start, t):
-            if cd[bx + j] + ph[bx + j] == 0 and cd[by + j] + ph[by + j] <= 1:
+            if cd[bx + j] == 0 and cd[by + j] <= 1:
                 fc.assign(x, y, j)
                 return j
     raise InternalContradictionError(
@@ -150,7 +153,8 @@ def place_light_edge(fc: ForestColoring, x: int, y: int, start: int = 0) -> int:
 
 
 class SolverState:
-    """Sweep state over one graph, padded implicitly with phantom leaves.
+    """Sweep state over one graph, padded implicitly: each owner's padding
+    leaves are per-class counts that live only for its step.
 
     Isolated vertices are allowed and skipped: they get no padding and sit
     with the degree-1 vertices behind the sweep.
@@ -186,9 +190,9 @@ class SolverState:
         self.debug = debug
         self.stats = stats if stats is not None else SolveStats()
 
-        # Padding: every vertex of degree 2..D-1 gets D - degree phantom
-        # leaves, so every degree becomes D, 1 or 0.  Pendants would peel
-        # first, so the degeneracy is unchanged.
+        # Padding: every vertex of degree 2..D-1 gets D - degree leaves, so
+        # every degree becomes D, 1 or 0.  Pendants would peel first, so the
+        # degeneracy is unchanged.
         n = g.n
         delta = max_degree(g)
         if delta < 2:
@@ -199,14 +203,13 @@ class SolverState:
             )
         pad = [target_delta - len(row) if len(row) > 1 else 0 for row in g._adj]
         self.pad = pad
-        self.pendants = sum(pad)
-        self.stats.pendants_added += self.pendants
+        self.stats.pendants_added += sum(pad)
 
         # Reorder: degree-D vertices first (stable), then degree-1 and
         # isolated vertices.  Left-degrees only shrink, so the ordering still
         # certifies degeneracy k, and every degree-1 vertex trails every
-        # degree-D vertex as the sweep requires.  Phantom leaves would trail
-        # both.
+        # degree-D vertex as the sweep requires.  Padding pendants would
+        # trail both.
         highs: list[int] = []
         ones: list[int] = []
         for v in base_ordering.order:
@@ -226,15 +229,20 @@ class SolverState:
                 f"degree threshold admitted r={self.sdr.r}; arithmetic is broken"
             )
         self.fc = ForestColoring(n, t)
-        # Owner position per reserved vertex (-1 when never reserved); a
-        # vertex is "pending" while its owner lies ahead of the sweep, and
-        # pending vertices must keep every class degree at most 1.
-        self.reserved_owner_pos = [-1] * n
-        for v, row in self.sdr.reps.items():
-            pv = position[v]
-            for u in row:
-                self.reserved_owner_pos[u] = pv
+        # Debug only: owner position per reserved vertex (-1 when never
+        # reserved); a vertex is "pending" while its owner lies ahead of the
+        # sweep, and pending vertices must keep every class degree at most 1.
+        self.reserved_owner_pos: list[int] = []
+        if debug:
+            self.reserved_owner_pos = [-1] * n
+            for v, row in self.sdr.reps.items():
+                pv = position[v]
+                for u in row:
+                    self.reserved_owner_pos[u] = pv
         self._touched: list[int] = []
+        # The padding leaves of the owner being swept, per class; replaced at
+        # the start of each owner's step and read only during it.
+        self.leaves = bytearray(t)
 
     # ------------------------------------------------------------------ sweep
 
@@ -251,11 +259,6 @@ class SolverState:
         if len(fc.colors) != self.g.edge_count:
             raise InternalContradictionError(
                 f"sweep left {self.g.edge_count - len(fc.colors)} edges uncolored"
-            )
-        placed = sum(fc._ph)
-        if placed != self.pendants:
-            raise InternalContradictionError(
-                f"sweep placed {placed} phantom leaves, padding needs {self.pendants}"
             )
         if self.debug:
             problems = fc.validate()
@@ -278,12 +281,14 @@ class SolverState:
                 self.fc.assign(v, row[0], 0)
 
     def process_vertex(self, i: int) -> None:
-        """Color every right-edge of the vertex at position ``i``, phantom
-        leaves included.
+        """Color every right-edge of the vertex at position ``i`` and place
+        its padding leaves in :attr:`leaves`.
 
         Degree-1 vertices are no-ops (their single edge is colored from the
-        other side).  For degree-D vertices this adds exactly |N_R| edges and
-        leaves.
+        other side).  A leaf joins no path, so it matters only while it uses
+        up a class at its owner, and every other vertex the step reads lies
+        later in the order, with no leaves yet.  The step ends with
+        :meth:`_check_capacity`.
         """
         if i >= self.n_high:
             return
@@ -293,86 +298,93 @@ class SolverState:
         reps = self.sdr.reps_of(v)
         rep_set = set(reps)
         spare = [u for u in right if u not in rep_set]
-        reserved_phantoms = self.sdr.phantoms.get(v, 0)
+        reserved = self.sdr.phantoms.get(v, 0)
         if self.debug:
             self._touched = [v] + right
-        self._stage_light(v, spare, self.pad[v] - reserved_phantoms)
-        res_ph, bad = self._stage_reserved(v, reps, reserved_phantoms, rep_set)
+        self.leaves = bytearray(self.t)
+        slots = self._stage_light(v, spare, self.pad[v] - reserved)
+        res, bad = self._stage_reserved(v, reps, reserved, rep_set, slots)
         if bad:
-            self._repair(v, reps, rep_set, spare, res_ph, bad)
+            self._repair(v, reps, rep_set, spare, res, bad)
+        self._check_capacity(v)
         if self.debug:
             self._check_pending_headroom(i)
 
-    def _stage_light(self, v: int, spare: list[int], phantoms: int) -> None:
+    def _stage_light(self, v: int, spare: list[int], count: int) -> list[int]:
         """Place every non-reserved right-edge of ``v`` with
-        :func:`place_light_edge`, then its ``phantoms`` spare leaves.
+        :func:`place_light_edge`, then its ``count`` spare leaves, and return
+        the slots still open at ``v``: each free class twice, then each half
+        class, in ascending class order.
 
         Classes already full at ``v`` are skipped once for the whole stage
         (degrees at ``v`` only grow here).  A leaf would enter the lowest
-        class open at ``v``, so the spare leaves fill those classes in
-        ascending order.
+        class open at ``v``, so the spare leaves fill the open slots in
+        ascending class order.
         """
         fc = self.fc
         t = fc.t
-        cd, ph = fc._cd, fc._ph
+        cd, leaves = fc._cd, self.leaves
         base_v = v * t
         ptr = 0
         try:
             for u in spare:
-                while ptr < t and cd[base_v + ptr] + ph[base_v + ptr] == 2:
+                while ptr < t and cd[base_v + ptr] == 2:
                     ptr += 1
                 place_light_edge(fc, u, v, ptr)
         except PreconditionError as exc:
             raise InternalContradictionError(
                 f"{exc}; padding or reservation arithmetic is broken"
             ) from exc
-        if phantoms:
-            # One entry per open slot at v, in ascending class order.
-            slots = [
-                j for j in range(ptr, t) for _ in range(2 - cd[base_v + j] - ph[base_v + j])
-            ]
-            if len(slots) < phantoms:
-                raise InternalContradictionError(f"no open class at vertex {v}")
-            fc.place_phantoms(v, slots[:phantoms])
+        slots: list[int] = []
+        half: list[int] = []
+        for j in range(ptr, t):
+            room = 2 - cd[base_v + j]
+            if count:
+                take = min(room, count)
+                leaves[j] = take
+                count -= take
+                room -= take
+            if room == 2:
+                slots += (j, j)
+            elif room == 1:
+                half.append(j)
+        if count:
+            raise InternalContradictionError(f"no open class at vertex {v}")
+        return slots + half
 
     def _stage_reserved(
-        self, v: int, reps: list[int], phantoms: int, rep_set: set[int]
-    ) -> tuple[list[int], set[int]]:
+        self, v: int, reps: list[int], count: int, rep_set: set[int], slots: list[int]
+    ) -> tuple[bytearray, set[int]]:
         """Color the reserved edges of ``v``, exhausting its class budget.
 
-        At entry ``v`` has ``D - r`` colored edges and leaves, so its
-        free/half class counts satisfy ``2*|free| + |half| = 2t - (D - r)``,
-        which is ``r`` or ``r + 1`` in MINIMUM mode (``r+1`` or ``r+2`` in
-        relaxed mode).  The reserved edges, then the ``phantoms`` reserved
-        leaves (whose pendant ids would follow every real vertex), consume
-        free classes twice, then half classes once, in ascending class
-        order; a leaf needs no cycle check.  Returns the classes of the
-        reserved leaves in that order, and the reserved vertices whose new
-        edge closed a cycle.
+        At entry ``v`` has ``D - r`` colored edges and leaves, so its open
+        ``slots`` number ``2*|free| + |half| = 2t - (D - r)``, which is
+        ``r`` or ``r + 1`` in MINIMUM mode (``r+1`` or ``r+2`` in relaxed
+        mode).  The reserved edges, then the ``count`` reserved leaves
+        (whose pendant ids would follow every real vertex), take the slots
+        in order; a leaf needs no cycle check.  Returns the reserved leaves
+        as per-class counts, and the reserved vertices whose new edge closed
+        a cycle.
         """
         fc = self.fc
-        r = len(reps) + phantoms
+        r = len(reps) + count
         if r != self.sdr.r:
             raise InternalContradictionError(f"owner {v} holds {r} != r={self.sdr.r} reserved")
-        free, half, _ = fc.color_sets(v)
-        budget = 2 * len(free) + len(half)
+        budget = len(slots)
         lo, hi = (r, r + 1) if self.mode is Mode.MINIMUM else (r, r + 2)
         if not lo <= budget <= hi:
             raise InternalContradictionError(
                 f"class budget {budget} at owner {v} outside [{lo}, {hi}]"
             )
-        seq: list[int] = []
-        for c in free:
-            seq.append(c)
-            seq.append(c)
-        seq.extend(half)
         flagged: list[tuple[int, int]] = []
-        for u, c in zip(reps, seq):
+        for u, c in zip(reps, slots):
             if fc.would_close_cycle(c, v, u):
                 flagged.append((u, c))
             fc.assign(v, u, c)
-        res_ph = seq[len(reps):r]
-        fc.place_phantoms(v, res_ph)
+        res = bytearray(fc.t)
+        for c in slots[len(reps):r]:
+            res[c] += 1
+            self.leaves[c] += 1
         bad: set[int] = set()
         for u, c in flagged:
             bad.add(u)
@@ -381,7 +393,21 @@ class SolverState:
             for z in fc.class_neighbors(v, c):
                 if z != u and z in rep_set and fc.color_of(v, z) == c:
                     bad.add(z)
-        return res_ph, bad
+        return res, bad
+
+    def _check_capacity(self, v: int) -> None:
+        """End of an owner's step: ``v`` holds exactly its ``pad[v]`` leaves,
+        and they fit in every class beside its edges.  ForestColoring caps
+        edges alone, so this is the one check that sees the leaves."""
+        t = self.t
+        base_v = v * t
+        leaves = self.leaves
+        loads = list(map(add, self.fc._cd[base_v:base_v + t], leaves))
+        if sum(leaves) != self.pad[v] or max(loads) > 2:
+            raise InternalContradictionError(
+                f"owner {v} holds {sum(leaves)} leaves for padding {self.pad[v]}, "
+                f"class loads {loads}"
+            )
 
     # ------------------------------------------------------------------ repair
 
@@ -391,7 +417,7 @@ class SolverState:
         reps: list[int],
         rep_set: set[int],
         spare: list[int],
-        res_ph: list[int],
+        res: bytearray,
         bad: set[int],
     ) -> None:
         """Drive the set of cycle-carrying reserved edges to empty.
@@ -399,21 +425,19 @@ class SolverState:
         Each iteration recolors or swaps one reserved edge of ``v`` (in one
         case trading with a non-reserved edge) and must strictly shrink the
         bad set; the iteration count is hard-capped at ``r + 1``.  A swap
-        partner may be a phantom leaf of ``v``: ``res_ph`` and the spare
-        list built here give the class of each reserved and spare leaf in
-        pendant order, and are updated as leaves move.
+        partner may be a leaf of ``v``: trading with one recolors vw into
+        the leaf's class and moves the leaf to vw's old class in
+        :attr:`leaves`, and in ``res`` for a reserved leaf.  The spare leaves
+        are listed here in pendant order, which the unreserved trade's
+        tie-break follows, and the list is updated as they move.
         """
         fc = self.fc
+        leaves = self.leaves
         # The spare leaves filled the lowest open classes in order, and only
         # a repair moves them, so their classes are the counts left after
         # the reserved leaves, expanded in ascending order.
-        base_v = v * fc.t
-        spare_ph = [
-            j
-            for j in range(fc.t)
-            for _ in range(fc._ph[base_v + j] - res_ph.count(j))
-        ]
-        cap = len(reps) + len(res_ph) + 1
+        spare_leaves = [j for j in range(fc.t) for _ in range(leaves[j] - res[j])]
+        cap = self.sdr.r + 1
         iters = 0
         while bad:
             iters += 1
@@ -425,15 +449,22 @@ class SolverState:
             cycle = fc.cycle_containing(xi, v, w)
             if cycle is None:
                 raise InternalContradictionError(self._dump(v, reps, bad, "tracked cycle vanished"))
-            move = self._choose_repair_move(v, reps, rep_set, spare, res_ph, spare_ph, w, xi)
-            if move[0] == "recolor":
+            move = self._choose_repair_move(v, reps, rep_set, spare, res, spare_leaves, w, xi)
+            kind = move[0]
+            if kind == "recolor":
                 fc.recolor(v, w, move[1])
-            elif move[0] == "swap":
+            elif kind == "swap":
                 fc.swap_colors((v, w), (v, move[2]))
             else:
-                _, j, leaves, i = move
-                fc.swap_with_phantom(v, w, j)
-                leaves[i] = xi
+                j = move[1]
+                fc.recolor(v, w, j)
+                leaves[j] -= 1
+                leaves[xi] += 1
+                if kind == "reserved leaf":
+                    res[j] -= 1
+                    res[xi] += 1
+                else:
+                    spare_leaves[move[2]] = xi
             new_bad = {
                 u for u in reps if fc.cycle_containing(fc.color_of(v, u), v, u) is not None
             }
@@ -449,8 +480,8 @@ class SolverState:
         reps: list[int],
         rep_set: set[int],
         spare: list[int],
-        res_ph: list[int],
-        spare_ph: list[int],
+        res: bytearray,
+        spare_leaves: list[int],
         w: int,
         xi: int,
     ) -> tuple:
@@ -469,24 +500,25 @@ class SolverState:
         3. otherwise (possible only at degeneracy 2) swap vw with a
            non-reserved right-edge of ``v``.
 
-        Among partners a phantom leaf ranks after every real vertex, as the
-        id of its pendant would.  A swap with the leaf at index ``i`` of
-        ``leaves`` is returned as ``("phantom", j, leaves, i)``.
+        Among partners a leaf ranks after every real vertex, as the id of
+        its pendant would.  A trade with a reserved leaf of class ``j`` is
+        returned as ``("reserved leaf", j)``, and one with the spare leaf at
+        index ``i`` of ``spare_leaves`` as ``("spare leaf", j, i)``.
         """
         fc = self.fc
         t = fc.t
-        rep_count = [0] * t
+        cd, leaves = fc._cd, self.leaves
+        base_v = v * t
+        rep_count = list(res)
         for u in reps:
             rep_count[fc.color_of(v, u)] += 1
-        for c in res_ph:
-            rep_count[c] += 1
-        net_v = [fc.class_degree(v, j) - rep_count[j] for j in range(t)]
+        net_v = [cd[base_v + j] + leaves[j] - rep_count[j] for j in range(t)]
 
         for j in range(t):
             wd = fc.class_degree(w, j) - (1 if j == xi else 0)
             if wd == 0 and net_v[j] != 2:
                 self.stats.repairs_endpoint_free += 1
-                return self._reserved_partner(v, reps, res_ph, w, j) or ("recolor", j)
+                return self._reserved_partner(v, reps, res, w, j) or ("recolor", j)
 
         for j in range(t):
             if net_v[j] == 0 and j != xi:
@@ -498,7 +530,7 @@ class SolverState:
                     return ("recolor", j)
                 u = self._partner_on_path(v, w, j)
                 if u is None:
-                    return self._reserved_partner(v, reps, res_ph, w, j)
+                    return self._reserved_partner(v, reps, res, w, j)
                 if u not in rep_set or fc.color_of(v, u) != j:
                     raise InternalContradictionError(
                         self._dump(v, reps, {w}, f"path partner {u} is not reserved in class {j}")
@@ -517,24 +549,25 @@ class SolverState:
             if eta is not None and eta != xi:
                 self.stats.repairs_unreserved += 1
                 return ("swap", eta, u)
-        for i, eta in enumerate(spare_ph):
+        for i, eta in enumerate(spare_leaves):
             if eta != xi:
                 self.stats.repairs_unreserved += 1
-                return ("phantom", eta, spare_ph, i)
+                return ("spare leaf", eta, i)
         raise InternalContradictionError(
             self._dump(v, reps, {w}, "no unreserved right-edge outside the cycle class")
         )
 
     def _reserved_partner(
-        self, v: int, reps: list[int], res_ph: list[int], w: int, j: int
+        self, v: int, reps: list[int], res: bytearray, w: int, j: int
     ) -> tuple | None:
         """The swap with the smallest reserved edge of class ``j`` at ``v``
-        other than vw, a real one before a leaf; None when there is none."""
+        other than vw, a real one before a leaf (``res`` counts the reserved
+        leaves per class); None when there is none."""
         partners = [u for u in reps if u != w and self.fc.color_of(v, u) == j]
         if partners:
             return ("swap", j, min(partners))
-        if j in res_ph:
-            return ("phantom", j, res_ph, res_ph.index(j))
+        if res[j]:
+            return ("reserved leaf", j)
         return None
 
     def _partner_on_path(self, v: int, w: int, j: int) -> int | None:
@@ -562,14 +595,15 @@ class SolverState:
 
     def _check_pending_headroom(self, i: int) -> None:
         """Every reserved vertex whose owner is still ahead must have class
-        degrees <= 1.  Only vertices touched this step can have changed."""
-        fc = self.fc
-        t = fc.t
+        degrees <= 1.  Only vertices touched this step can have changed, and
+        none of them holds leaves yet."""
+        cd = self.fc._cd
+        t = self.t
         for x in self._touched:
             if self.reserved_owner_pos[x] > i:
                 bx = x * t
                 for j in range(t):
-                    if fc._cd[bx + j] + fc._ph[bx + j] > 1:
+                    if cd[bx + j] > 1:
                         raise InternalContradictionError(
                             f"reserved vertex {x} became internal in class {j} "
                             f"before its owner (position {self.reserved_owner_pos[x]})"
@@ -583,6 +617,7 @@ class SolverState:
             f"  reserved={reps} bad={sorted(bad)}",
             f"  reserved colors={[fc.color_of(v, u) for u in reps]}",
             f"  owner class degrees={[fc.class_degree(v, j) for j in range(self.t)]}",
+            f"  owner leaves={list(self.leaves)}",
         ]
         return "\n".join(lines)
 

@@ -35,7 +35,9 @@ class Violation:
     def as_dict(self) -> dict:
         d: dict = {"kind": self.kind, "detail": self.detail}
         if self.edge is not None:
-            d["edge"] = list(self.edge)
+            # A rejected key can be anything the caller passed.
+            e = self.edge
+            d["edge"] = list(e) if isinstance(e, tuple) and len(e) == 2 else repr(e)
         if self.vertex is not None:
             d["vertex"] = self.vertex
         if self.class_index is not None:

@@ -116,59 +116,6 @@ def test_swap_rejects_uncolored_and_overflow():
         fc.swap_colors((0, 3), (4, 5))
 
 
-def test_phantoms_use_capacity_but_join_no_path():
-    fc = ForestColoring(4, 2)
-    fc.place_phantoms(0, [0])
-    assert fc.class_degree(0, 0) == 1
-    assert fc.colored_degree(0) == 1
-    assert fc.class_neighbors(0, 0) == []
-    assert fc.color_sets(0) == ([1], [0], [])
-    fc.assign(0, 1, 0)
-    assert fc.class_degree(0, 0) == 2
-    assert fc.class_neighbors(0, 0) == [1]
-    # Vertex 0 is full in class 0, but still a path end there.
-    assert fc.would_close_cycle(0, 1, 0)
-    assert not fc.would_close_cycle(0, 0, 2)
-    with pytest.raises(FeasibilityError):
-        fc.assign(0, 2, 0)
-    with pytest.raises(FeasibilityError):
-        fc.place_phantoms(0, [0])
-    with pytest.raises(PreconditionError):
-        fc.place_phantoms(0, [2])
-    fc.place_phantoms(1, [1, 1])
-    assert fc.color_sets(1) == ([], [0], [1])
-    with pytest.raises(FeasibilityError):
-        fc.recolor(0, 1, 1)
-    fc.assign(2, 3, 1)
-    assert fc.validate() == []
-    with pytest.raises(FeasibilityError):
-        fc.swap_colors((0, 1), (2, 3))  # 0-1 cannot enter class 1 at vertex 1
-
-
-def test_swap_with_phantom_trades_classes():
-    fc = ForestColoring(4, 2)
-    fc.assign(0, 1, 0)
-    fc.assign(1, 2, 0)
-    fc.place_phantoms(0, [1])
-    fc.swap_with_phantom(0, 1, 1)
-    assert fc.color_of(0, 1) == 1
-    assert fc.class_degree(0, 0) == 1 and fc.class_neighbors(0, 0) == []
-    assert fc.class_degree(0, 1) == 1 and fc.class_neighbors(0, 1) == [1]
-    assert fc.colored_degree(0) == 2
-    assert fc.validate() == []
-    with pytest.raises(FeasibilityError):
-        fc.swap_with_phantom(0, 1, 1)  # no leaf left in class 1
-    fc.place_phantoms(0, [1])
-    fc.swap_with_phantom(0, 1, 1)  # the edge is already in the leaf's class
-    assert fc.color_of(0, 1) == 1 and fc.class_degree(0, 1) == 2
-    with pytest.raises(FeasibilityError):
-        fc.swap_with_phantom(0, 3, 0)  # 0-3 is not colored
-    fc.assign(1, 3, 0)  # vertex 1 is now full in class 0
-    with pytest.raises(FeasibilityError):
-        fc.swap_with_phantom(0, 1, 0)
-    assert fc.validate() == []
-
-
 def test_would_close_cycle_and_closure():
     fc = ForestColoring(5, 2)
     fc.assign(0, 1, 0)
@@ -219,25 +166,24 @@ def test_validate_detects_tampering():
     assert fc.validate() == []
     fc._nb2[0] = 1
     assert any("mate mismatch at (0,0)" in p for p in fc.validate())
-    # A phantom count that pushes a cell past 2.
-    fc = ForestColoring(3, 1)
+    # A third class-0 edge at vertex 0, written past assign.
+    fc = ForestColoring(4, 1)
     fc.assign(0, 1, 0)
-    fc.place_phantoms(0, [0])
+    fc.assign(0, 2, 0)
     assert fc.validate() == []
-    fc._ph[0] += 1
+    fc.colors[0, 3] = 0
     problems = fc.validate()
-    assert "vertex 0 has 1 class-0 edges and 2 phantoms" in problems
+    assert "vertex 0 has 3 class-0 edges" in problems
     assert "total degree mismatch at 0" in problems
 
 
 def swap_keeps_forest(fc, e1, e2):
     """Whether exchanging the classes of e1 and e2 keeps the degree cap and
-    adds no cycle, judged on a from-scratch rebuild of the other edges and
-    the phantom counts."""
+    adds no cycle, judged on a from-scratch rebuild of the other edges."""
     colors = fc.colors
     c1, c2 = colors[e1], colors[e2]
     rem = {e: c for e, c in colors.items() if e not in (e1, e2)}
-    deg = {(v, j): fc._ph[v * fc.t + j] for v in range(fc.n) for j in range(fc.t)}
+    deg: dict[tuple[int, int], int] = {}
     for (a, b), j in rem.items():
         deg[a, j] = deg.get((a, j), 0) + 1
         deg[b, j] = deg.get((b, j), 0) + 1
@@ -301,37 +247,13 @@ def close_and_break_cycle(fc, rnd):
     return True
 
 
-def phantom_step(fc, rnd):
-    """Place a phantom leaf, or swap a colored edge with one, where valid."""
-    if rnd.random() < 0.5 or not fc.colors:
-        v, j = rnd.randrange(fc.n), rnd.randrange(fc.t)
-        if fc.class_degree(v, j) < 2:
-            fc.place_phantoms(v, [j])
-        return
-    a, b = rnd.choice(sorted(fc.colors))
-    v, u = (a, b) if rnd.random() < 0.5 else (b, a)
-    j = rnd.randrange(fc.t)
-    rest = {e: c for e, c in fc.colors.items() if e != (a, b)}
-    if (
-        fc._ph[v * fc.t + j]
-        and fc.colors[a, b] != j
-        and fc.class_degree(u, j) < 2
-        and not connected_in_class(rest, j, u, v)
-    ):
-        fc.swap_with_phantom(v, u, j)
-
-
-def random_forest_state(seed, n=14, t=4, steps=160, phantoms=False):
+def random_forest_state(seed, n=14, t=4, steps=160):
     """Drive a coloring through random valid assigns/recolors/swaps and
-    closed-then-broken cycles, plus phantom placements and swaps when asked;
-    returns the coloring and the cycle count."""
+    closed-then-broken cycles; returns the coloring and the cycle count."""
     rnd = random.Random(seed)
     fc = ForestColoring(n, t)
     cycles = 0
     for _ in range(steps):
-        if phantoms and rnd.random() < 0.2:
-            phantom_step(fc, rnd)
-            continue
         op = rnd.random()
         if op < 0.1:
             cycles += close_and_break_cycle(fc, rnd)
@@ -383,23 +305,3 @@ def test_random_states_stay_consistent():
                 assert sorted(fc.class_neighbors(v, j)) == nbrs
                 assert fc.class_degree(v, j) == len(nbrs)
     assert cycles >= 12
-
-
-def test_random_states_with_phantoms_stay_consistent():
-    """Phantom leaves use capacity but never change which vertices a class
-    connects."""
-    leaves = 0
-    for seed in range(12):
-        fc, _ = random_forest_state(seed, phantoms=True)
-        leaves += sum(fc._ph)
-        assert fc.validate() == []
-        adj = class_adjacency(dict(fc.colors))
-        for v in range(fc.n):
-            for j in range(fc.t):
-                nbrs = adj.get(j, {}).get(v, [])
-                assert fc.class_degree(v, j) == len(nbrs) + fc._ph[v * fc.t + j] <= 2
-                for u in range(fc.n):
-                    assert fc.would_close_cycle(j, u, v) == connected_in_class(
-                        fc.colors, j, u, v
-                    )
-    assert leaves >= 12

@@ -7,6 +7,7 @@ import linarb.solver
 from linarb import (
     ForestColoring,
     Graph,
+    InternalContradictionError,
     Mode,
     PreconditionError,
     SolverState,
@@ -122,19 +123,60 @@ def expected_pendants(g, delta):
     return sum(delta - g.degree(v) for v in range(g.n) if 1 < g.degree(v) < delta)
 
 
+def record_leaves(monkeypatch, state):
+    """Map each owner to the number of leaves it holds as its step ends."""
+    counts = {}
+    check = state._check_capacity
+
+    def recording(v):
+        counts[v] = sum(state.leaves)
+        check(v)
+
+    monkeypatch.setattr(state, "_check_capacity", recording)
+    return counts
+
+
+def check_leaf_counts(g, delta, state, counts):
+    assert counts == {v: delta - g.degree(v) for v in range(g.n) if g.degree(v) > 1}
+    assert sum(counts.values()) == state.stats.pendants_added == expected_pendants(g, delta)
+
+
 @pytest.mark.parametrize(
     "k, mode, seed", [(2, Mode.MINIMUM, 1), (3, Mode.LAC, 2), (4, Mode.MINIMUM, 3)]
 )
-def test_pendants_added_counts_the_padding(k, mode, seed):
-    """Every vertex of degree 2..delta-1 is padded up to delta, and the sweep
-    places exactly that many phantom leaves."""
+def test_pendants_added_counts_the_padding(monkeypatch, k, mode, seed):
+    """Every vertex of degree 2..delta-1 is padded up to delta, and each
+    owner's step places exactly its share of the leaves."""
     g = generate_k_degenerate(n=40, k=k, delta_min=required_max_degree(k, mode) + 1, seed=seed)
     result = decompose(g, mode)
     assert result.stats.pendants_added == expected_pendants(g, result.delta) > 0
     base = degeneracy_ordering(g)
     state = SolverState(g, base, result.delta, result.t, mode)
+    counts = record_leaves(monkeypatch, state)
     state.run()
-    assert sum(state.fc._ph) == state.stats.pendants_added == expected_pendants(g, result.delta)
+    check_leaf_counts(g, result.delta, state, counts)
+
+
+@pytest.mark.parametrize("overfull", [False, True])
+def test_owner_capacity_check_fires_outside_debug(monkeypatch, overfull):
+    """ForestColoring caps edges alone, so the end of each owner's step
+    checks the leaves: one leaf short of pad[v], or one leaf too many in a
+    full class, raises even without debug checks."""
+    g, ordering, delta, t = pendant_partner_fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
+    stage = state._stage_reserved
+
+    def tampered(v, reps, count, rep_set, slots):
+        out = stage(v, reps, count, rep_set, slots)
+        state.pad[v] += 1
+        if overfull:
+            cd, leaves = state.fc._cd, state.leaves
+            leaves[next(j for j in range(t) if cd[v * t + j] + leaves[j] == 2)] += 1
+        return out
+
+    monkeypatch.setattr(state, "_stage_reserved", tampered)
+    with pytest.raises(InternalContradictionError, match="leaves for padding"):
+        state.process_vertex(0)
 
 
 # -------------------------------------------------------- light placement
@@ -387,7 +429,7 @@ def test_repair_by_recoloring_to_endpoint_free_class():
 
 def test_repair_by_swapping_with_a_reserved_pendant():
     """The endpoint-free move finds its class held at the owner only by a
-    reserved phantom leaf, and swaps the cycle edge with it."""
+    reserved leaf, and swaps the cycle edge with it."""
     g, ordering, delta, t = pendant_partner_fixture()
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=True)
     assert state.run() == {
@@ -399,17 +441,35 @@ def test_repair_by_swapping_with_a_reserved_pendant():
 
 
 def test_reserved_partner_ranks_real_edges_before_leaves():
-    """A phantom leaf is a swap partner only when no real reserved edge holds
-    the class, as its pendant id followed every real vertex.  No sweep found
-    yet reaches a class holding both, so the rule is pinned directly."""
+    """A reserved leaf is a swap partner only when no real reserved edge
+    holds the class, as its pendant id followed every real vertex.  No sweep
+    found yet reaches a class holding both, so the rule is pinned directly."""
     g, ordering, delta, t = pendant_partner_fixture()
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
     state.fc.assign(4, 6, 2)
-    leaves = [1, 2]
-    assert state._reserved_partner(4, [6], leaves, 0, 2) == ("swap", 2, 6)
-    assert state._reserved_partner(4, [6], leaves, 0, 1) == ("phantom", 1, leaves, 0)
-    assert state._reserved_partner(4, [6], leaves, 6, 2) == ("phantom", 2, leaves, 1)
-    assert state._reserved_partner(4, [6], leaves, 0, 0) is None
+    res = bytearray([0, 1, 1])  # one reserved leaf in each of classes 1 and 2
+    assert state._reserved_partner(4, [6], res, 0, 2) == ("swap", 2, 6)
+    assert state._reserved_partner(4, [6], res, 0, 1) == ("reserved leaf", 1)
+    assert state._reserved_partner(4, [6], res, 6, 2) == ("reserved leaf", 2)
+    assert state._reserved_partner(4, [6], res, 0, 0) is None
+
+
+def test_unreserved_leaf_trade_follows_pendant_order():
+    """When only a spare leaf can take the cycle edge, the first leaf in
+    pendant order whose class differs from the edge's wins, not the lowest
+    class: after one trade the list is no longer sorted.  Pinned directly on
+    a hand-set state where every class but the edge's is full at the owner
+    and the edge's far end has another edge in its class."""
+    g, ordering, delta, t = pendant_partner_fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
+    state.fc.assign(4, 6, 0)
+    state.fc.assign(5, 6, 0)
+    state.leaves = bytearray([0, 2, 2])
+    res = bytearray(t)
+    spare_leaves = [2, 1, 1, 2]
+    move = state._choose_repair_move(4, [6], {6}, [], res, spare_leaves, 6, 0)
+    assert move == ("spare leaf", 2, 0)
+    assert state.stats.repairs_unreserved == 1
 
 
 def test_tiled_fixture_copies_match_the_single_copy():
@@ -445,7 +505,7 @@ def test_solver_state_rejects_forests_and_thin_graphs():
         SolverState(h, degeneracy_ordering(h), 2, 1, Mode.MINIMUM)
 
 
-def test_stepwise_sweep_keeps_every_invariant():
+def test_stepwise_sweep_keeps_every_invariant(monkeypatch):
     """Driving positions one at a time with debug scans enabled must hold
     the headroom and consistency invariants at every prefix."""
     g = generate_k_degenerate(n=35, k=2, delta_min=6, seed=9)
@@ -453,11 +513,12 @@ def test_stepwise_sweep_keeps_every_invariant():
     delta = max_degree(g)
     t = class_count_for(delta, base.k, Mode.MINIMUM)
     state = SolverState(g, base, delta, t, Mode.MINIMUM, debug=True)
+    counts = record_leaves(monkeypatch, state)
     for i in range(g.n):
         state.process_vertex(i)
         assert state.fc.validate() == []
     assert len(state.fc.colors) == g.edge_count
-    assert sum(state.fc._ph) == state.stats.pendants_added == expected_pendants(g, delta)
+    check_leaf_counts(g, delta, state, counts)
     report = verify_partition(g, {e: c + 1 for e, c in state.fc.colors.items()}, t)
     assert report.valid
 

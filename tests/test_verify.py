@@ -280,14 +280,18 @@ def test_matches_reference_on_fixed_cases(case):
 
 def test_malformed_keys_are_reported_as_unknown_edges():
     # A key that is not a pair, beside a well-formed one, a foreign one and
-    # an uncolored edge.  ("a", "b") cannot be ordered against (0, 2).
+    # an uncolored edge.  ("a", "b") cannot be ordered against (0, 2), and 5
+    # cannot be iterated: its dict form falls back to repr.
     g = path_graph(4)
-    for bad in ((0, 1, 2), (0,), (), ("a", "b"), ("a", "b", "c")):
+    for bad in ((0, 1, 2), (0,), (), ("a", "b"), ("a", "b", "c"), 5):
         coloring = {bad: 1, (1, 2): 1, (0, 2): 1}
         assert_same_report(g, coloring, 1)
         report = verify_partition(g, coloring, 1)
         unknown = [v.edge for v in report.violations if v.kind == UNKNOWN_EDGE]
         assert sorted(unknown, key=repr) == sorted([bad, (0, 2)], key=repr)
+        shown = [v["edge"] for v in report.as_dict()["violations"] if v["kind"] == UNKNOWN_EDGE]
+        want = list(bad) if isinstance(bad, tuple) and len(bad) == 2 else repr(bad)
+        assert sorted(shown, key=repr) == sorted([want, [0, 2]], key=repr)
         uncolored = [v.edge for v in report.violations if v.kind == UNCOLORED_EDGE]
         assert uncolored == [(0, 1), (2, 3)]
         assert not report.valid
