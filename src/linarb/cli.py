@@ -281,8 +281,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         coloring = found.witness or {}
         head = {
             "t": found.la,
-            "k": degeneracy_ordering(g).k,
-            "delta": max_degree(g),
+            "k": k,
+            "delta": delta,
             "mode": "exact",
             "n": g.n,
             "m": g.edge_count,
@@ -383,10 +383,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = parse_edge_list(_read_input(args.input), dimacs=args.dimacs)
     b = la_bounds(g)
-    k = degeneracy_ordering(g).k if g.edge_count else 0
     payload = {
-        "delta": max_degree(g),
-        "degeneracy": k,
+        "delta": b.delta,
+        "degeneracy": b.degeneracy,
         "lower": b.lower,
         "upper": b.upper,
         "upper_proven": b.upper_proven,

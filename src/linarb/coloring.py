@@ -60,26 +60,6 @@ class ForestColoring:
     def color_of(self, u: int, v: int) -> int | None:
         return self.colors.get(edge_key(u, v))
 
-    def color_sets(self, v: int) -> tuple[list[int], list[int], list[int]]:
-        """Partition class indices by the degree of ``v``: (degree 0, 1, 2).
-
-        The three lists are ascending and always cover all ``t`` classes.
-        """
-        base = v * self.t
-        cd = self._cd
-        c0: list[int] = []
-        c1: list[int] = []
-        c2: list[int] = []
-        for j in range(self.t):
-            d = cd[base + j]
-            if d == 0:
-                c0.append(j)
-            elif d == 1:
-                c1.append(j)
-            else:
-                c2.append(j)
-        return c0, c1, c2
-
     def class_neighbors(self, v: int, j: int) -> list[int]:
         """The at-most-two neighbors of ``v`` along class-``j`` edges."""
         i = v * self.t + j

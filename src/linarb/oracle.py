@@ -138,12 +138,15 @@ class LaBounds:
 
     ``lower`` always holds.  ``upper`` holds whenever ``upper_proven`` is
     True; otherwise it is the widely believed one-extra-class bound, stated
-    without a guarantee.
+    without a guarantee.  ``delta`` and ``degeneracy`` are the data the
+    bracket was derived from.
     """
 
     lower: int
     upper: int
     upper_proven: bool
+    delta: int
+    degeneracy: int
 
 
 def la_bounds(g: Graph) -> LaBounds:
@@ -158,15 +161,13 @@ def la_bounds(g: Graph) -> LaBounds:
     """
     delta = max_degree(g)
     if delta == 0:
-        return LaBounds(0, 0, True)
+        return LaBounds(0, 0, True, 0, 0)
     k = degeneracy_ordering(g).k
     lower = (delta + 1) // 2
     if delta % 2 == 0 and all(g.degree(v) == delta for v in range(g.n)):
         lower = delta // 2 + 1
-    if k <= 1:
-        return LaBounds(lower, (delta + 1) // 2, True)
-    if delta >= 2 * k * k - k:
-        return LaBounds(lower, (delta + 1) // 2, True)
+    if k <= 1 or delta >= 2 * k * k - k:
+        return LaBounds(lower, (delta + 1) // 2, True, delta, k)
     upper = delta // 2 + 1
     proven = delta >= 2 * k * k - 2 * k or delta <= 6 or delta in (8, 10)
-    return LaBounds(lower, upper, proven)
+    return LaBounds(lower, upper, proven, delta, k)

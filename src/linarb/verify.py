@@ -71,55 +71,49 @@ class VerificationReport:
         }
 
 
-def _key_is_edge(e, n: int, edges: set[tuple[int, int]]) -> bool:
-    """Whether the key ``e`` names an edge: a pair ``u < v`` of ints in range."""
-    try:
-        u, v = e
-    except (TypeError, ValueError):
-        return False
-    return isinstance(u, int) and isinstance(v, int) and 0 <= u < v < n and (u, v) in edges
+def _exact(e) -> bool:
+    """Whether the key ``e`` is a tuple of exact ints (``bool`` is not one)."""
+    return type(e) is tuple and set(map(type, e)) <= {int}
 
 
-def _group(coloring: dict, n: int, edges: set[tuple[int, int]], class_count: int):
+def _group(coloring: dict, edges: set[tuple[int, int]], class_count: int):
     """Split ``coloring`` into accepted edges by class and rejected entries.
 
-    Returns ``(groups, rejected, covered, named)``: ``groups`` maps each
-    class in ``1..class_count`` that is used to its accepted edges as int
-    pairs, ``rejected`` holds the other ``(key, class)`` entries, ``covered``
-    counts the keys equal to an edge of the graph, and ``named`` is None, or,
-    unless every key is a tuple of exact ints and every class an exact int,
-    the accepted entries as given, which name the reported vertices and
-    classes (a ``bool`` is an int here, as everywhere in Python).
+    An entry is accepted when its key is a tuple of exact ints that is an
+    edge of the graph and its class is an exact int in ``1..class_count``.
+    Returns ``(groups, rejected, colored)``: ``groups`` maps each class
+    used to its accepted edges, ``rejected`` holds every other ``(key,
+    class)`` entry, and ``colored`` the exact keys, which color the edges
+    they name whatever their class.
     """
-    groups: defaultdict[int, list] = defaultdict(list)
-    keys = coloring.keys()
-    if (
-        set(map(type, keys)) <= {tuple}
-        and set(map(type, chain.from_iterable(keys))) <= {int}
+    rejected = []
+    colored = coloring.keys()
+    if not (
+        set(map(type, colored)) <= {tuple}
+        and set(map(type, chain.from_iterable(colored))) <= {int}
         and set(map(type, coloring.values())) <= {int}
     ):
-        foreign = keys - edges
+        # Some entry lies outside the domain: set those entries aside.
+        colored, kept = [], {}
         for e, c in coloring.items():
-            groups[c].append(e)
-        rejected = [(e, coloring[e]) for e in foreign]
-        for c in list(groups):
-            if not 1 <= c <= class_count:
-                rejected += [(e, c) for e in groups.pop(c) if e not in foreign]
-            elif foreign:
-                groups[c] = [e for e in groups[c] if e not in foreign]
-        return groups, rejected, len(coloring) - len(foreign), None
-    rejected = []
-    named = []
-    covered = 0
-    for e, c in coloring.items():
-        covered += e in edges
-        if _key_is_edge(e, n, edges) and isinstance(c, int) and 1 <= c <= class_count:
-            u, v = e
-            groups[int(c)].append((int(u), int(v)))
-            named.append((e, c))
-        else:
+            if _exact(e):
+                colored.append(e)
+                if type(c) is int:
+                    kept[e] = c
+                    continue
             rejected.append((e, c))
-    return groups, rejected, covered, named
+        coloring = kept
+    groups: defaultdict[int, list] = defaultdict(list)
+    foreign = coloring.keys() - edges
+    for e, c in coloring.items():
+        groups[c].append(e)
+    rejected += [(e, coloring[e]) for e in foreign]
+    for c in list(groups):
+        if not 1 <= c <= class_count:
+            rejected += [(e, c) for e in groups.pop(c) if e not in foreign]
+        elif foreign:
+            groups[c] = [e for e in groups[c] if e not in foreign]
+    return groups, rejected, colored
 
 
 def _sorted_entries(entries: list) -> list:
@@ -179,31 +173,32 @@ def verify_partition(
     """Check ``coloring`` as a partition of E(g) into ``class_count`` linear forests.
 
     ``coloring`` maps canonical edges ``(u, v)`` with ``u < v`` to 1-based
-    class indices.  Edges of ``g`` missing from the map, map entries that are
-    not edges of ``g`` (including malformed or out-of-range ones), degree
-    overflows, and monochromatic cycles are each reported; the report lists
-    every violation found, not just the first.  Violations come in this
-    order: unknown entries by key (by ``repr`` when their keys cannot be
-    compared), uncolored edges, overflows by (vertex, class), then per class
-    without an overflow the cycle through its smallest vertex that lies on
-    one.
+    class indices.  The domain is exact: a key is a ``tuple`` of ``int``
+    objects and a class an ``int`` (a ``bool``, ``IntEnum``, ``float`` or
+    namedtuple is none of these).  Edges of ``g`` that no such key names,
+    every other entry (a key that is not an edge of ``g``, or a class that
+    is not in range), degree overflows, and monochromatic cycles are each
+    reported; the report lists every violation found, not just the first.
+    Violations come in this order: unknown entries by key (by ``repr`` when
+    their keys cannot be compared), uncolored edges, overflows by (vertex,
+    class), then per class without an overflow the cycle through its
+    smallest vertex that lies on one.
     """
     if not isinstance(coloring, dict):
         coloring = dict(coloring)
-    n = g.n
     edges = g._edges
-    groups, rejected, covered, named = _group(coloring, n, edges, class_count)
+    groups, rejected, colored = _group(coloring, edges, class_count)
 
     violations: list[Violation] = []
     for e, c in _sorted_entries(rejected):
-        if not _key_is_edge(e, n, edges):
-            detail = f"colored edge {e} is not an edge of the graph"
-        else:
+        if _exact(e) and e in edges:
             detail = f"edge {e} assigned class {c!r} outside 1..{class_count}"
+        else:
+            detail = f"colored edge {e} is not an edge of the graph"
         violations.append(Violation(UNKNOWN_EDGE, detail, edge=e))
 
-    if covered < len(edges):
-        for u, v in sorted(edges.difference(coloring)):
+    if sum(map(len, groups.values())) < len(edges):
+        for u, v in sorted(edges.difference(colored)):
             violations.append(
                 Violation(UNCOLORED_EDGE, f"edge ({u}, {v}) received no class", edge=(u, v))
             )
@@ -220,16 +215,8 @@ def verify_partition(
             if found is not None:
                 cycles.append((c, *found))
 
-    # Name a vertex and class as written in the first accepted entry, in key
-    # order, that puts an edge at that vertex in that class (True for 1, say).
-    names: dict = {}
-    if named and (overflows or cycles):
-        for e, c in _sorted_entries(named):
-            for x in e:
-                names.setdefault((x, c), (x, c))
     overflows.sort()
     for x, c, d in overflows:
-        x, c = names.get((x, c), (x, c))
         violations.append(
             Violation(
                 DEGREE_OVERFLOW,
@@ -239,7 +226,6 @@ def verify_partition(
             )
         )
     for c, s, length in cycles:
-        s = names.get((s, c), (s, c))[0]
         violations.append(
             Violation(
                 MONOCHROMATIC_CYCLE,

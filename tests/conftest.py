@@ -242,9 +242,12 @@ def reference_verify_partition(
     class_count: int,
 ) -> VerificationReport:
     """The dict-based verifier ``linarb.verify_partition`` replaced, kept as
-    the oracle its array-based successor is checked against.  Its one change
+    the oracle its array-based successor is checked against.  Its changes
     since: keys that are not pairs, or cannot be ordered against each other,
-    are reported instead of raising.
+    are reported instead of raising, and the domain is exact: a key must be
+    a ``tuple`` of two ``int`` objects and a class an ``int``, tested by
+    exact type, so a ``bool``, ``IntEnum`` or namedtuple is rejected, and
+    only such a key colors the edge it names.
 
     Check ``coloring`` as a partition of E(g) into ``class_count`` linear forests.
 
@@ -259,6 +262,7 @@ def reference_verify_partition(
     violations: list[Violation] = []
     per_class_adj: list[dict[int, list[int]]] = [dict() for _ in range(class_count)]
     degree_in_class: dict[tuple[int, int], int] = {}
+    colored: set[tuple[int, int]] = set()
 
     try:
         entries = sorted(coloring.items())
@@ -266,22 +270,22 @@ def reference_verify_partition(
         # Keys that cannot be ordered against each other: order by repr.
         entries = sorted(coloring.items(), key=repr)
     for e, c in entries:
-        try:
-            u, v = e
-        except (TypeError, ValueError):
-            u = v = None  # not a pair: reported below as an unknown edge
         ok_edge = (
-            isinstance(u, int)
-            and isinstance(v, int)
-            and 0 <= u < v < g.n
-            and g.has_edge(u, v)
+            type(e) is tuple
+            and len(e) == 2
+            and type(e[0]) is int
+            and type(e[1]) is int
+            and 0 <= e[0] < e[1] < g.n
+            and g.has_edge(e[0], e[1])
         )
         if not ok_edge:
             violations.append(
                 Violation(UNKNOWN_EDGE, f"colored edge {e} is not an edge of the graph", edge=e)
             )
             continue
-        if not isinstance(c, int) or not 1 <= c <= class_count:
+        u, v = e
+        colored.add((u, v))
+        if type(c) is not int or not 1 <= c <= class_count:
             violations.append(
                 Violation(
                     UNKNOWN_EDGE,
@@ -297,7 +301,7 @@ def reference_verify_partition(
         degree_in_class[(v, c)] = degree_in_class.get((v, c), 0) + 1
 
     for u, v in g.edges():
-        if (u, v) not in coloring:
+        if (u, v) not in colored:
             violations.append(
                 Violation(UNCOLORED_EDGE, f"edge ({u}, {v}) received no class", edge=(u, v))
             )

@@ -250,6 +250,16 @@ def test_criterion_3_exact_oracle_agrees_with_bounds_and_solver():
     )
 
 
+def profile(fc: ForestColoring, v: int) -> list[int]:
+    """The class degrees of ``v``, one per class."""
+    return [fc.class_degree(v, j) for j in range(fc.t)]
+
+
+def internal(row: list[int]) -> list[int]:
+    """The classes in which a vertex with class degrees ``row`` is internal."""
+    return [j for j, d in enumerate(row) if d > 1]
+
+
 def test_criterion_4_light_insertion_never_fails_within_budget():
     failures: list[str] = []
     trials = 0
@@ -275,7 +285,7 @@ def test_criterion_4_light_insertion_never_fails_within_budget():
         dy = fc.colored_degree(y) + 1
         if 2 * dx + dy > 2 * t + 2:
             continue
-        before = {v2: fc.color_sets(v2) for v2 in range(n)}
+        before = {v2: profile(fc, v2) for v2 in range(n)}
         try:
             j = place_light_edge(fc, x, y)
         except Exception as exc:
@@ -288,9 +298,10 @@ def test_criterion_4_light_insertion_never_fails_within_budget():
         for v2 in range(n):
             if v2 == y:
                 continue
-            if fc.color_sets(v2)[2] != before[v2][2]:
+            row = profile(fc, v2)
+            if internal(row) != internal(before[v2]):
                 failures.append(f"trial {trials}: vertex {v2} changed internal classes")
-            if v2 != x and fc.color_sets(v2) != before[v2]:
+            if v2 != x and row != before[v2]:
                 failures.append(f"trial {trials}: vertex {v2} profile moved")
         if fc.validate():
             failures.append(f"trial {trials}: state invalid after insert")

@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linarb.cli
+import linarb.oracle
+import linarb.solver
 from linarb import (
     ParseError,
     PreconditionError,
@@ -407,6 +410,31 @@ def test_cli_bounds_json_output():
         "upper": 2,
         "upper_proven": True,
     }
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["bounds", "-"], K4_TEXT),
+        (["bounds", "-", "--format", "json"], STAR6_TEXT),
+        (["decompose", "-", "--mode", "auto"], K4_TEXT),
+    ],
+    ids=["bounds-text", "bounds-json", "auto-exact"],
+)
+def test_cli_command_computes_one_ordering(monkeypatch, argv, text):
+    """``bounds`` and the exhaustive-search branch of ``decompose --mode
+    auto`` report the degeneracy of the one ordering they computed."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return degeneracy_ordering(g)
+
+    for module in (linarb.cli, linarb.oracle, linarb.solver):
+        monkeypatch.setattr(module, "degeneracy_ordering", counting)
+    code, _, err = run_cli(argv, stdin_text=text)
+    assert code == 0 and err == ""
+    assert len(calls) == 1
 
 
 def test_cli_oracle_on_a_four_cycle():

@@ -22,7 +22,7 @@ def test_assign_updates_all_views():
     assert fc.class_degree(0, 0) == 0
     assert fc.colored_degree(0) == 1
     assert fc.class_neighbors(0, 1) == [2]
-    assert fc.color_sets(0) == ([0, 2], [1], [])
+    assert [fc.class_degree(0, j) for j in range(3)] == [0, 1, 0]
     assert fc.validate() == []
 
 
@@ -40,15 +40,14 @@ def test_assign_rejections():
         fc.assign(1, 3, 0)
 
 
-def test_color_sets_partition_identity():
+def test_class_degrees_sum_to_colored_degree():
     fc = ForestColoring(8, 4)
     fc.assign(0, 1, 0)
     fc.assign(0, 2, 0)
     fc.assign(0, 3, 2)
-    c0, c1, c2 = fc.color_sets(0)
-    assert (c0, c1, c2) == ([1, 3], [2], [0])
-    assert 2 * len(c2) + len(c1) == fc.colored_degree(0)
-    assert sorted(c0 + c1 + c2) == list(range(4))
+    row = [fc.class_degree(0, j) for j in range(4)]
+    assert row == [2, 0, 1, 0]
+    assert sum(row) == fc.colored_degree(0)
 
 
 def test_recolor_moves_and_errors():

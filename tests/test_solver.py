@@ -232,13 +232,13 @@ def test_place_light_edge_feasible_states_never_fail(data):
     x = 0  # kept bare so the budget reduces to d(y) <= 2t
     if 2 * 1 + (fc.colored_degree(y) + 1) > 2 * t + 2:
         return
-    before = {v: fc.color_sets(v) for v in range(n) if v not in (x, y)}
+    before = {v: [fc.class_degree(v, j) for j in range(t)] for v in range(n) if v not in (x, y)}
     j = place_light_edge(fc, x, y)
     assert fc.color_of(x, y) == j
     assert fc.class_degree(x, j) == 1
     assert fc.class_degree(y, j) <= 2
-    for v, sets in before.items():
-        assert fc.color_sets(v) == sets
+    for v, row in before.items():
+        assert [fc.class_degree(v, j) for j in range(t)] == row
     assert fc.validate() == []
 
 
@@ -470,6 +470,55 @@ def test_unreserved_leaf_trade_follows_pendant_order():
     move = state._choose_repair_move(4, [6], {6}, [], res, spare_leaves, 6, 0)
     assert move == ("spare leaf", 2, 0)
     assert state.stats.repairs_unreserved == 1
+
+
+@pytest.mark.parametrize("reserved", [0, 1])
+def test_leaf_trades_update_the_counts_a_later_iteration_reads(reserved):
+    """Two leaf trades at one owner: the second move is chosen from the
+    bookkeeping the first trade left.  Owner 0 has reserved edges 0-1 on the
+    class-0 cycle 0-1-5-4 and 0-2 on the class-1 cycle 0-2-6-3, and its two
+    leaves in class 2, the first of them reserved when ``reserved`` is 1.
+    Each trade moves a leaf into the cycle edge's old class, so the second
+    trade takes the leaf that moved to class 0: the first spare leaf in
+    pendant order, or the reserved leaf ``res`` now counts there.  Pinned
+    on a hand-set state, as no sweep found yet trades twice at one owner."""
+    g, ordering, delta, t = pendant_partner_fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
+    fc = state.fc
+    for u, v, j in [(0, 1, 0), (1, 5, 0), (4, 5, 0), (0, 4, 0),
+                    (0, 2, 1), (2, 6, 1), (3, 6, 1), (0, 3, 1),
+                    (1, 4, 1), (2, 5, 2)]:
+        fc.assign(u, v, j)
+    state.leaves = bytearray([0, 0, 2])
+    res = bytearray([0, 0, reserved])
+    state._repair(0, [1, 2], {1, 2}, [], res, {1, 2})
+    assert (fc.color_of(0, 1), fc.color_of(0, 2)) == (2, 0)
+    assert list(state.leaves) == [0, 1, 1]
+    assert list(res) == [0, reserved, 0]
+    assert state.stats.repair_iterations == 2
+    moved = state.stats.repairs_endpoint_free if reserved else state.stats.repairs_unreserved
+    assert moved == 2
+    assert fc.validate() == []
+
+
+def test_pending_headroom_check_fires_on_an_internal_reserved_vertex():
+    """The debug headroom scan raises once a vertex reserved by a later
+    owner has two edges of one class, and stops watching it at its owner's
+    position.  Vertex 6 is in the right list of vertex 2, at position 0,
+    and is reserved by vertex 4, at position 4.  The state is hand-set by
+    adding a second class-1 edge 5-6 beside 2-6; vertex 5 is reserved by
+    vertex 2, whose step this is, so only 6 is pending."""
+    g, ordering, delta, t = pendant_partner_fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=True)
+    state.process_vertex(0)
+    assert state._touched == [2, 0, 1, 3, 4, 5, 6]
+    assert state.reserved_owner_pos[5] == 0 and state.reserved_owner_pos[6] == 4
+    assert state.fc.color_of(2, 6) == 1
+    state._check_pending_headroom(0)
+    state.fc.assign(5, 6, 1)
+    with pytest.raises(InternalContradictionError, match="reserved vertex 6 became internal"):
+        state._check_pending_headroom(0)
+    state._check_pending_headroom(4)
 
 
 def test_tiled_fixture_copies_match_the_single_copy():

@@ -149,7 +149,7 @@ def test_solver_output_passes_verification():
 def assert_same_report(g, coloring, class_count):
     got = verify_partition(g, coloring, class_count).as_dict()
     want = reference_verify_partition(g, coloring, class_count).as_dict()
-    # repr also tells True from 1 in the reported vertices and classes
+    # repr also tells True from 1, and (False, 1) from (0, 1), in the report
     assert repr(got) == repr(want)
 
 
@@ -255,8 +255,9 @@ def fixed_cases():
     yield tri_tail, {e: 1 for e in tri_tail.edges()}, 1
     yield k4, {e: 1 for e in k4.edges()}, 1
     yield star4, {e: 1 for e in star4.edges()}, 2
-    # bool and IntEnum vertices and classes count as ints, and are reported
-    # as written in the first entry, in key order, at that vertex and class
+    # bool and IntEnum vertices and classes, namedtuple keys and float keys
+    # and classes lie outside the exact domain: each such entry is an
+    # unknown edge, and only an exact key colors the edge it names
     yield star4, {(False, 1): True, (0, 2): 1, (0, 3): 1, (0, 4): 2}, 2
     yield star4, {(0, 1): 1, (0, 2): True, (0, 3): 1}, 1
     yield tri_tail, {(V.ZERO, V.ONE): V.ONE, (1, 2): 1, (0, 2): 1, (2, 3): 2}, 2
@@ -264,8 +265,8 @@ def fixed_cases():
     yield tri_tail, {Pair(0, 1): 1, Pair(1, 2): 1, (0, 2): 2, (2, 3): 1}, 2
     yield tri_tail, {(0.0, 1.0): 1, (1, 2): 1.0, (2, 0): 1, (3, 5): 2}, 2
     yield tri_tail, {(0, 1): 1, (1, 2): 1, (0, 2): 1, (3, 4): -1, (4, 5): 0}, 1
-    # a frozenset key unpacks to an edge, so it counts at its vertices, but
-    # it cannot be ordered against the tuples when the overflow is named
+    # a frozenset key is no tuple: it is an unknown edge that adds to no
+    # vertex's degree, and edge (0, 1) stays uncolored
     yield star4, {frozenset((0, 1)): 1, (0, 2): 1, (0, 3): 1, (0, 4): 2}, 2
     # a class index far past the class count (the reference allocates one
     # dict per class, so a huge class count is left to the CLI test)
