@@ -11,6 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import asdict
 
 from .degeneracy import degeneracy_ordering
@@ -23,7 +26,7 @@ from .errors import (
 )
 from .graph import Graph, max_degree
 from .oracle import DEFAULT_NODE_BUDGET, exact_la, la_bounds
-from .solver import Mode, decompose, required_max_degree
+from .solver import Mode, _solve, decompose, required_max_degree
 from .verify import verify_partition
 
 _MASK64 = (1 << 64) - 1
@@ -188,10 +191,12 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
     n = n_declared if n_declared is not None else (
         max((hi for (_, hi) in found), default=-1) + 1
     )
-    g = Graph(n)
+    # Filled from the sorted edges, every row comes out ascending.
+    adj: list[list[int]] = [[] for _ in range(n)]
     for lo, hi in sorted(found):
-        g.add_edge(lo, hi)
-    return g
+        adj[lo].append(hi)
+        adj[hi].append(lo)
+    return Graph._from_parts(adj, set(found))
 
 
 # --------------------------------------------------------------------- output
@@ -210,15 +215,36 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _partition_text(head: dict, coloring: dict[tuple[int, int], int]) -> str:
+def _classes(g: Graph, coloring: dict[tuple[int, int], int]) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(u, w, class)`` for every edge of ``g`` in ascending order.
+
+    The walk follows the ascending rows of a parsed graph, so the map is
+    never sorted.  The map's keys must be exactly the graph's edges;
+    anything else is a solver bug and raises InternalContradictionError
+    before the caller has written a line.
+    """
+    if len(coloring) != g.edge_count:
+        raise InternalContradictionError(
+            f"partition has {len(coloring)} entries for {g.edge_count} edges"
+        )
+    for u, row in enumerate(g._adj):
+        for w in row[bisect_right(row, u):]:
+            try:
+                c = coloring[u, w]
+            except KeyError:
+                raise InternalContradictionError(f"partition misses edge {u}-{w}") from None
+            yield u, w, c
+
+
+def _partition_text(head: dict, g: Graph, coloring: dict[tuple[int, int], int]) -> str:
     parts = [f"# {' '.join(f'{k}={v}' for k, v in head.items())}"]
-    parts.extend(f"{u} {v} {c}" for (u, v), c in sorted(coloring.items()))
+    parts.extend(f"{u} {w} {c}" for u, w, c in _classes(g, coloring))
     return "\n".join(parts)
 
 
-def _partition_json(head: dict, coloring: dict[tuple[int, int], int]) -> str:
+def _partition_json(head: dict, g: Graph, coloring: dict[tuple[int, int], int]) -> str:
     payload = dict(head)
-    payload["classes"] = [[u, v, c] for (u, v), c in sorted(coloring.items())]
+    payload["classes"] = [[u, w, c] for u, w, c in _classes(g, coloring)]
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -253,9 +279,12 @@ def _parse_coloring(text: str) -> tuple[dict[tuple[int, int], int], int]:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = parse_edge_list(_read_input(args.input), dimacs=args.dimacs)
     debug = True if args.debug_assertions else None
+    ordering = None
     if args.mode == "auto":
         delta = max_degree(g)
-        k = degeneracy_ordering(g).k if g.edge_count else 0
+        start = time.perf_counter()
+        ordering = degeneracy_ordering(g)
+        k = ordering.k
         if k <= 1 or delta >= required_max_degree(k, Mode.MINIMUM):
             mode: Mode | None = Mode.MINIMUM
         elif delta >= required_max_degree(k, Mode.LAC):
@@ -290,7 +319,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         stats_dict: dict = {"nodes_explored": found.nodes_explored}
         t = found.la or 0
     else:
-        result = decompose(g, mode, debug_checks=debug)
+        if ordering is None:
+            result = decompose(g, mode, debug_checks=debug)
+        else:
+            result = _solve(g, ordering, mode, debug, start)
         coloring = result.coloring
         head = {
             "t": result.t,
@@ -314,15 +346,15 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         head_out = dict(head)
         if args.format == "json":
             head_out["stats"] = stats_dict
-            _emit(_partition_json(head_out, coloring))
+            _emit(_partition_json(head_out, g, coloring))
         else:
-            body = _partition_text(head_out, coloring)
+            body = _partition_text(head_out, g, coloring)
             notes = " ".join(f"{k}={v}" for k, v in sorted(stats_dict.items()))
             _emit(body + f"\n# stats {notes}")
     elif args.format == "json":
-        _emit(_partition_json(head, coloring))
+        _emit(_partition_json(head, g, coloring))
     else:
-        _emit(_partition_text(head, coloring))
+        _emit(_partition_text(head, g, coloring))
     return 0
 
 

@@ -16,7 +16,10 @@ class Graph:
     """Mutable undirected simple graph.
 
     Adjacency lists preserve insertion order, which keeps every algorithm in
-    this package deterministic for a fixed construction sequence.
+    this package deterministic for a fixed construction sequence.  A graph
+    from :func:`linarb.cli.parse_edge_list` is built from its sorted edges,
+    so every row is ascending; the CLI's partition output relies on this to
+    print the edges in order without sorting the map.
     """
 
     __slots__ = ("_adj", "_edges")

@@ -14,6 +14,12 @@ capacity 1).  A greedy smallest-id pass saturates almost all demand; the
 rare leftovers are finished with breadth-first augmenting paths, so the
 result is deterministic and near-linear on typical inputs.
 
+The candidates are read from a right-row table the caller builds once and
+shares with the sweep: one flat list of targets, where the right-neighbors
+of the vertex at position ``i``, ascending by id, are
+``targets[offsets[i]:offsets[i + 1]]``.  Nothing here builds rows of its
+own.
+
 A vertex may be padded with phantom leaves: private right-neighbors that
 only it can reserve.  Their ids would follow every real vertex, so each
 owner's phantoms rank after all its real candidates, and only their count
@@ -49,22 +55,21 @@ class SdrAssignment:
         return self.reps.get(v, [])
 
 
-def _right_neighbors(g: Graph, ordering: DegeneracyOrdering, v: int) -> list[int]:
-    pos = ordering.position
-    pv = pos[v]
-    out = [u for u in g._adj[v] if pos[u] > pv]
-    out.sort()
-    return out
-
-
 def compute_sdr(
-    g: Graph, ordering: DegeneracyOrdering, d: int, pad: Sequence[int] | None = None
+    g: Graph,
+    ordering: DegeneracyOrdering,
+    d: int,
+    targets: list[int],
+    offsets: Sequence[int],
+    pad: Sequence[int] | None = None,
 ) -> SdrAssignment:
     """Reserve ``(d - k) // k`` disjoint right-neighbors for every degree->=d vertex.
 
-    ``pad[v]``, when given, is the number of phantom leaves padding ``v``:
-    they count toward its degree and are candidates only ``v`` can take,
-    after all its real ones.
+    ``targets`` and ``offsets`` are the right rows of ``ordering`` (see the
+    module docstring); they must cover the position of every vertex of
+    degree at least ``d``.  ``pad[v]``, when given, is the number of
+    phantom leaves padding ``v``: they count toward its degree and are
+    candidates only ``v`` can take, after all its real ones.
 
     Raises :class:`PreconditionError` unless ``k <= d <= max_degree(g)``, and
     :class:`InternalContradictionError` if no full assignment exists (which a
@@ -84,7 +89,7 @@ def compute_sdr(
     if r == 0:
         return SdrAssignment(r, {v: [] for v in owners})
 
-    candidates = {v: _right_neighbors(g, ordering, v) for v in owners}
+    position = ordering.position
     taken_by: dict[int, int] = {}  # representative vertex -> owner holding it
     assigned: dict[int, list[int]] = {v: [] for v in owners}
     phantoms: dict[int, int] = {}
@@ -92,7 +97,8 @@ def compute_sdr(
     # Greedy warm start: each owner grabs its smallest free candidates.
     for v in owners:
         row = assigned[v]
-        for u in candidates[v]:
+        i = position[v]
+        for u in targets[offsets[i]:offsets[i + 1]]:
             if len(row) == r:
                 break
             if u not in taken_by:
@@ -104,7 +110,7 @@ def compute_sdr(
     # Finish deficits with shortest augmenting paths over the partial matching.
     for v in owners:
         while len(assigned[v]) + phantoms.get(v, 0) < r:
-            _augment(v, candidates, pad, taken_by, assigned, phantoms)
+            _augment(v, targets, offsets, position, pad, taken_by, assigned, phantoms)
 
     for v in owners:
         assigned[v].sort()
@@ -113,7 +119,9 @@ def compute_sdr(
 
 def _augment(
     start: int,
-    candidates: dict[int, list[int]],
+    targets: list[int],
+    offsets: Sequence[int],
+    position: Sequence[int],
     pad: Sequence[int],
     taken_by: dict[int, int],
     assigned: dict[int, list[int]],
@@ -135,7 +143,8 @@ def _augment(
     phantom_owner = -1  # or the owner whose free phantom was reached
     while queue:
         v = queue.popleft()
-        for u in candidates[v]:
+        i = position[v]
+        for u in targets[offsets[i]:offsets[i + 1]]:
             if u in parent_owner:
                 continue
             parent_owner[u] = v

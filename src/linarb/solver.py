@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import add
@@ -76,6 +77,8 @@ class SolveStats:
 
     ``order_ms``, ``sdr_ms`` and ``sweep_ms`` time the degeneracy ordering,
     the representative selection and the sweep (repairs included).
+    ``sdr_ms`` includes building the right-row table that the selection and
+    the sweep share.
     """
 
     pendants_added: int = 0
@@ -221,8 +224,25 @@ class SolverState:
         self.ordering = DegeneracyOrdering(order, position, k)
         self.n_high = len(highs)
 
+        # The right rows of the degree-D block, ascending by id, built once
+        # and read by both the representative selection and the sweep: the
+        # row at position i is targets[offsets[i]:offsets[i + 1]].  The
+        # targets stay the graph's own int objects, which the coloring's
+        # keys reuse; the offsets are only read, so an array holds them.
         mark = time.perf_counter()
-        self.sdr: SdrAssignment = compute_sdr(g, self.ordering, target_delta, pad)
+        adj = g._adj
+        targets: list[int] = []
+        offsets = array("i", [0])
+        for i, v in enumerate(highs):
+            row = [u for u in adj[v] if position[u] > i]
+            row.sort()
+            targets += row
+            offsets.append(len(targets))
+        self.targets = targets
+        self.offsets = offsets
+        self.sdr: SdrAssignment = compute_sdr(
+            g, self.ordering, target_delta, targets, offsets, pad
+        )
         self.stats.sdr_ms += (time.perf_counter() - mark) * 1000.0
         if self.sdr.r < 1:
             raise InternalContradictionError(
@@ -293,8 +313,7 @@ class SolverState:
         if i >= self.n_high:
             return
         v = self.ordering.order[i]
-        position = self.ordering.position
-        right = sorted(u for u in self.g._adj[v] if position[u] > i)
+        right = self.targets[self.offsets[i]:self.offsets[i + 1]]
         reps = self.sdr.reps_of(v)
         rep_set = set(reps)
         spare = [u for u in right if u not in rep_set]
@@ -681,16 +700,27 @@ def decompose(
     Raises :class:`PreconditionError` when the degree threshold fails, and
     :class:`InternalContradictionError` only on an implementation bug.
     """
-    start = time.perf_counter()
     mode = Mode(mode)
+    start = time.perf_counter()
+    return _solve(g, degeneracy_ordering(g), mode, debug_checks, start)
+
+
+def _solve(
+    g: Graph,
+    ordering: DegeneracyOrdering,
+    mode: Mode,
+    debug_checks: bool | None,
+    start: float,
+) -> DecomposeResult:
+    """:func:`decompose` given a degeneracy ordering of ``g`` the caller
+    already holds.  ``start`` is the clock reading taken right before that
+    ordering was computed, so ``order_ms`` and ``wall_ms`` still cover it."""
+    stats = SolveStats()
+    stats.order_ms = (time.perf_counter() - start) * 1000.0
     if debug_checks is None:
         debug_checks = os.environ.get("LINARB_DEBUG_ASSERT") == "1"
-    stats = SolveStats()
     isolated = [v for v, row in enumerate(g._adj) if not row]
     delta = max_degree(g)
-    mark = time.perf_counter()
-    ordering = degeneracy_ordering(g)
-    stats.order_ms = (time.perf_counter() - mark) * 1000.0
     k = ordering.k
     if k >= 2:
         need = required_max_degree(k, mode)

@@ -3,6 +3,7 @@ the hand-built graphs that force the solver's rarer repair moves."""
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 from typing import Iterable
@@ -154,6 +155,23 @@ def verify_ordering(g: Graph, ordering: DegeneracyOrdering, k: int) -> bool:
         if left[later] > k:
             return False
     return True
+
+
+def right_rows(g: Graph, ordering: DegeneracyOrdering) -> tuple[list[int], list[int]]:
+    """Reference right-row table over every position of ``ordering``: each
+    edge listed at its earlier endpoint's position, rows ascending by id,
+    flattened so the row at position i is targets[offsets[i]:offsets[i + 1]]."""
+    pos = ordering.position
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        first, last = (u, v) if pos[u] < pos[v] else (v, u)
+        rows[pos[first]].append(last)
+    targets: list[int] = []
+    offsets = [0]
+    for row in rows:
+        targets += sorted(row)
+        offsets.append(len(targets))
+    return targets, offsets
 
 
 def hall_certificate_check(
@@ -337,6 +355,26 @@ def reference_verify_partition(
     lower = (max_degree(g) + 1) // 2
     optimal = valid and class_count == lower
     return VerificationReport(valid, optimal, class_count, lower, violations)
+
+
+def reference_partition_output(
+    head: dict, coloring: dict[tuple[int, int], int], fmt: str, stats: dict | None = None
+) -> str:
+    """What ``linarb decompose`` prints for ``coloring``, rendered the way the
+    CLI did before its emit walked the graph's rows: ``coloring.items()``
+    sorted by key, with ``stats`` as under ``--stats``."""
+    classes = sorted(coloring.items())
+    if fmt == "json":
+        payload = dict(head)
+        if stats is not None:
+            payload["stats"] = stats
+        payload["classes"] = [[u, v, c] for (u, v), c in classes]
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = [f"# {' '.join(f'{k}={v}' for k, v in head.items())}"]
+    lines.extend(f"{u} {v} {c}" for (u, v), c in classes)
+    if stats is not None:
+        lines.append(f"# stats {' '.join(f'{k}={v}' for k, v in sorted(stats.items()))}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_decompose_by_component(

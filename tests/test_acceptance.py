@@ -39,6 +39,7 @@ from conftest import (
     hall_certificate_check,
     naive_degeneracy,
     path_partner_swap_fixture,
+    right_rows,
     unreserved_trade_fixture,
 )
 
@@ -322,7 +323,7 @@ def test_criterion_5_representatives_are_disjoint_and_hall_certified():
         g = generate_k_degenerate(n, k, rnd.randrange(2 * k, 4 * k + 6), seed=570000 + i)
         ordering = degeneracy_ordering(g)
         d = max_degree(g)
-        sdr = compute_sdr(g, ordering, d)
+        sdr = compute_sdr(g, ordering, d, *right_rows(g, ordering))
         owners = sorted(sdr.reps)
         if sdr.r != (d - ordering.k) // ordering.k:
             failures.append(f"i={i}: wrong spare count {sdr.r}")

@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ import linarb.cli
 import linarb.oracle
 import linarb.solver
 from linarb import (
+    Graph,
+    Mode,
     ParseError,
     PreconditionError,
     SplitMix64,
@@ -22,9 +26,10 @@ from linarb import (
     main,
     max_degree,
     parse_edge_list,
+    required_max_degree,
 )
 
-from conftest import naive_degeneracy
+from conftest import naive_degeneracy, reference_partition_output
 
 
 def run_cli(argv, stdin_text=None):
@@ -43,6 +48,9 @@ def run_cli(argv, stdin_text=None):
 
 K4_TEXT = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 STAR6_TEXT = "\n".join(f"0 {i}" for i in range(1, 7)) + "\n"
+# A five-cycle with two extra leaves on one vertex: degeneracy 2 and maximum
+# degree 4, which only the relaxed class count can handle.
+GAP_TEXT = "0 1\n1 2\n2 3\n3 4\n0 4\n0 5\n0 6\n"
 
 
 # ----------------------------------------------------------------------- PRNG
@@ -255,6 +263,140 @@ def test_parse_round_trips_generated_graphs(n, seed):
     assert parse_edge_list(text).edges() == g.edges()
 
 
+# ---------------------------------------------------- parse and emit, differential
+
+
+def edge_file(rnd, g, style):
+    """The edges of ``g`` as an edge file, shuffled, each pair in a random
+    orientation, with comments and blank lines mixed in.  ``style`` is
+    "plain" (no header), "header" (``p n m`` first, with up to two extra
+    isolated vertices) or "dimacs" (the same, with 1-based ``e u v`` lines).
+    Returns the vertex count, the pairs as written and the text."""
+    n = g.n if style == "plain" else g.n + rnd.randrange(3)
+    pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges()]
+    rnd.shuffle(pairs)
+    lines = ["c from a test" if style == "dimacs" else "# from a test"]
+    if style == "header":
+        lines.append(f"p {n} {len(pairs)}")
+    elif style == "dimacs":
+        lines.append(f"p edge {n} {len(pairs)}")
+    for u, v in pairs:
+        lines.append(f"e {u + 1} {v + 1}" if style == "dimacs" else f"{u} {v}")
+        if rnd.random() < 0.05:
+            lines.append("")
+    return n, pairs, "\n".join(lines) + "\n"
+
+
+def record(monkeypatch, name):
+    """Replace ``linarb.cli.<name>`` by a wrapper that keeps every result."""
+    seen = []
+    real = getattr(linarb.cli, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(linarb.cli, name, wrapper)
+    return seen
+
+
+STYLES = ["plain", "header", "dimacs"]
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_gives_ascending_rows_and_the_edge_set_of_from_edges(style, seed):
+    rnd = random.Random(seed)
+    base = generate_k_degenerate(rnd.randrange(2, 80), rnd.choice((1, 2, 3)),
+                                 rnd.randrange(12), seed)
+    n, pairs, text = edge_file(rnd, base, style)
+    g = parse_edge_list(text, dimacs=style == "dimacs")
+    want = Graph.from_edges(n, pairs)
+    assert g.n == want.n
+    assert g._edges == want._edges
+    assert all(row == sorted(row) for row in g._adj)
+    assert [sorted(row) for row in g._adj] == [sorted(row) for row in want._adj]
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "extra", [[], ["--stats"], ["--verify-after"], ["--stats", "--verify-after"]],
+    ids=["plain", "stats", "verify", "stats-verify"],
+)
+@pytest.mark.parametrize("seed", range(2))
+def test_cli_renderings_match_the_sorted_reference(monkeypatch, style, fmt, extra, seed):
+    """Walking the parsed graph's rows prints what sorting the map printed."""
+    rnd = random.Random(100 + seed)
+    k = rnd.choice((2, 3))
+    mode = ("minimum", "lac")[seed]
+    base = generate_k_degenerate(rnd.randrange(20, 120), k,
+                                 required_max_degree(k, Mode(mode)) + rnd.randrange(3), seed)
+    _, _, text = edge_file(rnd, base, style)
+    results = record(monkeypatch, "decompose")
+    argv = ["decompose", "-", "--mode", mode, "--format", fmt, *extra]
+    code, out, err = run_cli(argv + (["--dimacs"] if style == "dimacs" else []), stdin_text=text)
+    assert code == 0 and err == ""
+    (result,) = results
+    head = {"t": result.t, "k": result.k, "delta": result.delta, "mode": mode,
+            "n": result.n, "m": result.m}
+    if "--verify-after" in extra:
+        head["verified"] = True
+    stats = asdict(result.stats) if "--stats" in extra else None
+    assert out == reference_partition_output(head, result.coloring, fmt, stats)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "text, mode",
+    [(K4_TEXT, "exact"), (GAP_TEXT, "lac"), (STAR6_TEXT, "minimum")],
+    ids=["exact", "sweep", "forest"],
+)
+def test_cli_auto_renderings_match_the_sorted_reference(monkeypatch, text, mode, fmt):
+    g = parse_edge_list(text)
+    results = record(monkeypatch, "exact_la" if mode == "exact" else "_solve")
+    argv = ["decompose", "-", "--mode", "auto", "--format", fmt, "--stats"]
+    code, out, err = run_cli(argv, stdin_text=text)
+    assert code == 0 and err == ""
+    (found,) = results
+    if mode == "exact":
+        t, coloring, stats = found.la, found.witness, {"nodes_explored": found.nodes_explored}
+    else:
+        t, coloring, stats = found.t, found.coloring, asdict(found.stats)
+    head = {"t": t, "k": degeneracy_ordering(g).k, "delta": max_degree(g), "mode": mode,
+            "n": g.n, "m": g.edge_count}
+    assert out == reference_partition_output(head, coloring, fmt, stats)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [("drop", "6 entries for 7 edges"), ("rename", "misses edge 3-4"),
+     ("extra", "8 entries for 7 edges")],
+)
+def test_cli_decompose_emits_nothing_off_the_edge_set(monkeypatch, fmt, fault, message):
+    """Without ``--verify-after`` the emit still holds the map to the graph's
+    edge set: a dropped, renamed or extra key is an internal contradiction,
+    exit 2, with nothing on stdout."""
+    real = linarb.cli.decompose
+
+    def faulty(g, mode, **kwargs):
+        result = real(g, mode, **kwargs)
+        if fault == "extra":
+            result.coloring[5, 6] = 1
+        else:
+            c = result.coloring.pop((3, 4))
+            if fault == "rename":
+                result.coloring[4, 3] = c
+        return result
+
+    monkeypatch.setattr(linarb.cli, "decompose", faulty)
+    code, out, err = run_cli(["decompose", "-", "--mode", "lac", "--format", fmt],
+                             stdin_text=GAP_TEXT)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error:") and message in err
+
+
 # ------------------------------------------------------------------- commands
 
 
@@ -358,10 +500,7 @@ def test_cli_decompose_auto_falls_back_to_exhaustive_search():
 
 
 def test_cli_decompose_auto_prefers_relaxed_mode_in_the_gap():
-    # A five-cycle with two extra leaves on one vertex: degeneracy 2 and
-    # maximum degree 4, which only the relaxed class count can handle.
-    text = "0 1\n1 2\n2 3\n3 4\n0 4\n0 5\n0 6\n"
-    code, out, _ = run_cli(["decompose", "-", "--mode", "auto"], stdin_text=text)
+    code, out, _ = run_cli(["decompose", "-", "--mode", "auto"], stdin_text=GAP_TEXT)
     assert code == 0
     assert out.splitlines()[0] == "# t=3 k=2 delta=4 mode=lac n=7 m=7"
 
@@ -418,12 +557,14 @@ def test_cli_bounds_json_output():
         (["bounds", "-"], K4_TEXT),
         (["bounds", "-", "--format", "json"], STAR6_TEXT),
         (["decompose", "-", "--mode", "auto"], K4_TEXT),
+        (["decompose", "-", "--mode", "auto"], GAP_TEXT),
     ],
-    ids=["bounds-text", "bounds-json", "auto-exact"],
+    ids=["bounds-text", "bounds-json", "auto-exact", "auto-sweep"],
 )
 def test_cli_command_computes_one_ordering(monkeypatch, argv, text):
-    """``bounds`` and the exhaustive-search branch of ``decompose --mode
-    auto`` report the degeneracy of the one ordering they computed."""
+    """``bounds`` and both branches of ``decompose --mode auto`` use the one
+    ordering they computed: the sweep branch hands the CLI's ordering on to
+    the solver instead of computing another."""
     calls = []
 
     def counting(g):

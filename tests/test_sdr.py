@@ -18,6 +18,7 @@ from conftest import (
     hall_certificate_check,
     ordering_for,
     random_graph,
+    right_rows,
     star_graph,
 )
 
@@ -44,23 +45,24 @@ def check_assignment(g, ordering, d, sdr):
 
 def test_zero_degeneracy_rejected():
     g = Graph(4)
+    ordering = degeneracy_ordering(g)
     with pytest.raises(PreconditionError):
-        compute_sdr(g, degeneracy_ordering(g), 1)
+        compute_sdr(g, ordering, 1, *right_rows(g, ordering))
 
 
 def test_threshold_range_enforced():
     g = cycle_graph(5)
     ordering = degeneracy_ordering(g)
     with pytest.raises(PreconditionError):
-        compute_sdr(g, ordering, 1)
+        compute_sdr(g, ordering, 1, *right_rows(g, ordering))
     with pytest.raises(PreconditionError):
-        compute_sdr(g, ordering, 3)
+        compute_sdr(g, ordering, 3, *right_rows(g, ordering))
 
 
 def test_threshold_equal_to_degeneracy_reserves_nothing():
     g = cycle_graph(6)
     ordering = degeneracy_ordering(g)
-    sdr = compute_sdr(g, ordering, 2)
+    sdr = compute_sdr(g, ordering, 2, *right_rows(g, ordering))
     assert sdr.r == 0
     assert sorted(sdr.reps) == list(range(6))
     assert all(reps == [] for reps in sdr.reps.values())
@@ -70,7 +72,7 @@ def test_threshold_equal_to_degeneracy_reserves_nothing():
 def test_star_center_reserves_all_but_one_leaf():
     g = star_graph(8)
     ordering = degeneracy_ordering(g)
-    sdr = compute_sdr(g, ordering, 8)
+    sdr = compute_sdr(g, ordering, 8, *right_rows(g, ordering))
     assert sdr.r == 7
     assert list(sdr.reps) == [0]
     check_assignment(g, ordering, 8, sdr)
@@ -78,7 +80,8 @@ def test_star_center_reserves_all_but_one_leaf():
 
 def test_reps_of_non_owner_is_empty():
     g = star_graph(5)
-    sdr = compute_sdr(g, degeneracy_ordering(g), 5)
+    ordering = degeneracy_ordering(g)
+    sdr = compute_sdr(g, ordering, 5, *right_rows(g, ordering))
     assert sdr.reps_of(3) == []
 
 
@@ -97,7 +100,7 @@ def test_greedy_deficit_resolved_by_reassignment():
     for u in range(4, 10):
         g.add_edge(3, u)
     ordering = ordering_for(g, list(range(22)), 2)
-    sdr = compute_sdr(g, ordering, 6)
+    sdr = compute_sdr(g, ordering, 6, *right_rows(g, ordering))
     assert sdr.r == 2
     check_assignment(g, ordering, 6, sdr)
     assert len(sdr.reps_of(3)) == 2
@@ -108,8 +111,8 @@ def test_deterministic():
     g = random_graph(rnd, 12, 30)
     ordering = degeneracy_ordering(g)
     d = max(ordering.k, max_degree(g) - 1)
-    a = compute_sdr(g, ordering, d)
-    b = compute_sdr(g, ordering, d)
+    a = compute_sdr(g, ordering, d, *right_rows(g, ordering))
+    b = compute_sdr(g, ordering, d, *right_rows(g, ordering))
     assert a.reps == b.reps
 
 
@@ -121,7 +124,7 @@ def test_random_assignments_valid(n, data):
     g = gfrom(n, chosen)
     ordering = degeneracy_ordering(g)
     d = data.draw(st.integers(ordering.k, max_degree(g)))
-    sdr = compute_sdr(g, ordering, d)
+    sdr = compute_sdr(g, ordering, d, *right_rows(g, ordering))
     check_assignment(g, ordering, d, sdr)
 
 
@@ -152,9 +155,9 @@ def test_phantom_padding_matches_explicit_pendants(seed):
     ordering = degeneracy_ordering(g)
     d = max_degree(g) + rnd.randrange(0, 3)
     pad = [d - g.degree(v) if 1 < g.degree(v) < d else 0 for v in range(g.n)]
-    got = compute_sdr(g, ordering, d, pad)
+    got = compute_sdr(g, ordering, d, *right_rows(g, ordering), pad)
     padded, padded_ordering = with_explicit_pendants(g, ordering, pad)
-    want = compute_sdr(padded, padded_ordering, d)
+    want = compute_sdr(padded, padded_ordering, d, *right_rows(padded, padded_ordering))
     assert got.r == want.r
     assert sorted(got.reps) == sorted(want.reps)
     for v, reps in want.reps.items():
@@ -170,12 +173,13 @@ def test_deficit_resolved_through_a_phantom():
     g = gfrom(9, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8)])
     ordering = ordering_for(g, [0, 1, 7, 8, 2, 3, 4, 5, 6], 2)
     pad = [6 - g.degree(v) if g.degree(v) > 1 else 0 for v in range(g.n)]
-    sdr = compute_sdr(g, ordering, 6, pad)
+    sdr = compute_sdr(g, ordering, 6, *right_rows(g, ordering), pad)
     assert (sdr.reps_of(0), sdr.phantoms[0]) == ([], 2)
     assert (sdr.reps_of(1), sdr.phantoms.get(1, 0)) == ([5, 6], 0)
     assert (sdr.reps_of(2), sdr.phantoms.get(2, 0)) == ([3, 4], 0)
     padded, padded_ordering = with_explicit_pendants(g, ordering, pad)
-    assert compute_sdr(padded, padded_ordering, 6).reps[2] == [3, 4]
+    rows = right_rows(padded, padded_ordering)
+    assert compute_sdr(padded, padded_ordering, 6, *rows).reps[2] == [3, 4]
 
 
 def test_hall_exhaustive_small():

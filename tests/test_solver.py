@@ -29,6 +29,7 @@ from conftest import (
     path_partner_swap_fixture,
     pendant_partner_fixture,
     reference_decompose_by_component,
+    right_rows,
     star_graph,
     unreserved_trade_fixture,
 )
@@ -74,6 +75,24 @@ def test_solver_state_rejects_unpaddable_inputs():
     g = generate_k_degenerate(n=30, k=2, delta_min=8, seed=4)
     with pytest.raises(PreconditionError, match="below maximum degree"):
         SolverState(g, degeneracy_ordering(g), 7, 4, Mode.MINIMUM)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_shared_right_rows_match_the_reference(seed):
+    """The one right-row table covers the degree-D block of the sweep order,
+    ascending by id, also when the graph's own rows are not."""
+    rnd = random.Random(seed)
+    k = rnd.choice((2, 3))
+    base = generate_k_degenerate(rnd.randrange(k + 3, 60), k, 2 * k * k, seed)
+    edges = base.edges()
+    rnd.shuffle(edges)
+    g = Graph.from_edges(base.n, ((v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges))
+    delta = max_degree(g)
+    t = class_count_for(delta, k, Mode.LAC)
+    state = SolverState(g, degeneracy_ordering(g), delta, t, Mode.LAC)
+    targets, offsets = right_rows(g, state.ordering)
+    assert list(state.offsets) == offsets[:state.n_high + 1]
+    assert state.targets == targets[:offsets[state.n_high]]
 
 
 def test_solver_state_sweeps_isolated_vertices():
