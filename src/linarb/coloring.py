@@ -1,8 +1,12 @@
 """Mutable edge coloring whose classes stay linear forests.
 
-A ``ForestColoring`` assigns edges of an n-vertex graph to ``t`` classes
-while tracking, per vertex and class, the colored degree (capped at 2) and
-two slots.  Classes therefore consist of paths, isolated vertices, and --
+A ``ForestColoring`` assigns the ``m`` edges of an n-vertex graph to ``t``
+classes.  Every edge has an id in ``0..m-1``, chosen by the caller, and its
+class is one entry of the ``array('i')`` :attr:`ForestColoring.edge_class`
+(``NIL`` while uncolored); the mutations take the id the caller holds along
+with the two endpoints, so no map keyed by vertex pairs exists.  Per vertex
+and class the structure tracks the colored degree (capped at 2) and two
+slots.  Classes therefore consist of paths, isolated vertices, and --
 transiently, between a cycle-closing assignment and its repair -- at most
 one cycle.  Callers are responsible for driving the state back to acyclic;
 the structure only enforces the degree cap.
@@ -20,9 +24,11 @@ only the path it splits, to re-pair the new ends.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 
 from .errors import FeasibilityError, PreconditionError
 
+# An empty slot, or the class of an uncolored edge.
 NIL = -1
 
 
@@ -32,14 +38,16 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 class ForestColoring:
-    """Edge -> class assignment with per-vertex class degrees capped at 2."""
+    """Edge id -> class assignment with per-vertex class degrees capped at 2."""
 
-    def __init__(self, n: int, t: int) -> None:
-        if n < 0 or t < 0:
-            raise PreconditionError(f"need n >= 0 and t >= 0, got n={n}, t={t}")
+    def __init__(self, n: int, t: int, m: int) -> None:
+        if n < 0 or t < 0 or m < 0:
+            raise PreconditionError(f"need n, t, m >= 0, got n={n}, t={t}, m={m}")
         self.n = n
         self.t = t
-        self.colors: dict[tuple[int, int], int] = {}
+        # The class of each edge id, NIL while uncolored.  Classes reach
+        # ceil(delta/2), well past a byte on a high-degree hub.
+        self.edge_class = array("i", [NIL]) * m
         # Dense (vertex, class) tables: degree byte plus two slots, which hold
         # both class neighbors at degree 2 and (neighbor, mate) at degree 1.
         self._cd = bytearray(n * t)
@@ -56,9 +64,6 @@ class ForestColoring:
     def colored_degree(self, v: int) -> int:
         """Total number of colored edges at ``v``."""
         return self._total[v]
-
-    def color_of(self, u: int, v: int) -> int | None:
-        return self.colors.get(edge_key(u, v))
 
     def class_neighbors(self, v: int, j: int) -> list[int]:
         """The at-most-two neighbors of ``v`` along class-``j`` edges."""
@@ -153,8 +158,8 @@ class ForestColoring:
 
     # ------------------------------------------------------------------ mutation
 
-    def assign(self, u: int, v: int, j: int) -> None:
-        """Color the uncolored edge uv with class ``j``.
+    def assign(self, e: int, u: int, v: int, j: int) -> None:
+        """Color the uncolored edge ``e`` = uv with class ``j``.
 
         Rejects the call if either endpoint already has two class-``j``
         edges.  The assignment may close a cycle in class ``j``; callers that
@@ -164,60 +169,57 @@ class ForestColoring:
             raise PreconditionError(f"self-loop at {u}")
         if not 0 <= j < self.t:
             raise PreconditionError(f"class {j} out of range 0..{self.t - 1}")
-        key = (u, v) if u < v else (v, u)
-        if key in self.colors:
-            raise FeasibilityError(f"edge {key} is already colored")
+        if self.edge_class[e] != NIL:
+            raise FeasibilityError(f"edge {e} ({u}-{v}) is already colored")
         t = self.t
         cd = self._cd
         if cd[u * t + j] >= 2 or cd[v * t + j] >= 2:
-            raise FeasibilityError(f"assigning {key} to class {j} would exceed degree 2")
+            raise FeasibilityError(f"assigning {u}-{v} to class {j} would exceed degree 2")
         self._link(u, v, j)
         self._total[u] += 1
         self._total[v] += 1
-        self.colors[key] = j
+        self.edge_class[e] = j
 
-    def recolor(self, u: int, v: int, j_new: int) -> None:
-        """Move the colored edge uv to class ``j_new`` (no-op if already there)."""
+    def recolor(self, e: int, u: int, v: int, j_new: int) -> None:
+        """Move the colored edge ``e`` = uv to class ``j_new`` (no-op if
+        already there)."""
         if not 0 <= j_new < self.t:
             raise PreconditionError(f"class {j_new} out of range 0..{self.t - 1}")
-        key = (u, v) if u < v else (v, u)
-        j_old = self.colors.get(key)
-        if j_old is None:
-            raise FeasibilityError(f"edge {key} is not colored")
+        j_old = self.edge_class[e]
+        if j_old == NIL:
+            raise FeasibilityError(f"edge {e} ({u}-{v}) is not colored")
         if j_old == j_new:
             return
         if self._full(u, j_new) or self._full(v, j_new):
-            raise FeasibilityError(f"recoloring {key} to class {j_new} would exceed degree 2")
+            raise FeasibilityError(f"recoloring {u}-{v} to class {j_new} would exceed degree 2")
         self._cut(u, v, j_old)
         self._link(u, v, j_new)
-        self.colors[key] = j_new
+        self.edge_class[e] = j_new
 
-    def swap_colors(self, e1: tuple[int, int], e2: tuple[int, int]) -> None:
-        """Exchange the classes of two colored edges atomically.
+    def swap_colors(self, e1: int, u1: int, v1: int, e2: int, u2: int, v2: int) -> None:
+        """Exchange the classes of the colored edges ``e1`` = u1v1 and
+        ``e2`` = u2v2 atomically.
 
         Both removals happen before either re-insertion, so a shared endpoint
         never sees a transient degree overflow.  Swapping edges of the same
         class is a no-op; swapping twice restores the original coloring.
         """
-        k1 = edge_key(*e1)
-        k2 = edge_key(*e2)
-        c1 = self.colors.get(k1)
-        c2 = self.colors.get(k2)
-        if c1 is None or c2 is None:
-            raise FeasibilityError(f"both edges must be colored: {k1}={c1}, {k2}={c2}")
-        if k1 == k2:
-            return
+        cls = self.edge_class
+        c1 = cls[e1]
+        c2 = cls[e2]
+        if c1 == NIL or c2 == NIL:
+            raise FeasibilityError(f"both edges must be colored: {e1}={c1}, {e2}={c2}")
         if c1 == c2:
             return
-        for (a, b), j in ((k1, c1), (k2, c2)):
-            self._cut(a, b, j)
-        for (a, b), j in ((k1, c2), (k2, c1)):
+        self._cut(u1, v1, c1)
+        self._cut(u2, v2, c2)
+        for a, b, j in ((u1, v1, c2), (u2, v2, c1)):
             if self._full(a, j) or self._full(b, j):
                 # Roll back is not attempted: this indicates a caller bug.
                 raise FeasibilityError(f"swap would push degree above 2 at class {j}")
             self._link(a, b, j)
-        self.colors[k1] = c2
-        self.colors[k2] = c1
+        cls[e1] = c2
+        cls[e2] = c1
 
     def _full(self, v: int, j: int) -> bool:
         return self._cd[v * self.t + j] >= 2
@@ -244,21 +246,25 @@ class ForestColoring:
             if cd[i] == 2:
                 end = self._path_end(j, x, nb2[i])
                 if cd[end * t + j] == 2:  # x lies on a cycle
-                    return x == u and v in self.cycle_containing(j, u, end)
+                    return x == u and v in self._cycle_through(j, u, end)
                 x = end
             ends.append(x)
         a, b = ends
         return a == b or nb2[a * t + j] == b
 
-    def cycle_containing(self, j: int, u: int, v: int) -> list[int] | None:
-        """The class-``j`` cycle through the colored edge uv, or None.
+    def cycle_containing(self, j: int, e: int, u: int, v: int) -> list[int] | None:
+        """The class-``j`` cycle through the colored edge ``e`` = uv, or None.
 
         Returned as a vertex sequence starting ``[u, v, ...]`` whose last
         vertex is again adjacent to ``u`` in class ``j``.  Walks the class
         directly; degree <= 2 makes the continuation unique.
         """
-        if self.colors.get(edge_key(u, v)) != j:
-            raise PreconditionError(f"edge {u}-{v} is not colored {j}")
+        if self.edge_class[e] != j:
+            raise PreconditionError(f"edge {e} ({u}-{v}) is not colored {j}")
+        return self._cycle_through(j, u, v)
+
+    def _cycle_through(self, j: int, u: int, v: int) -> list[int] | None:
+        """:meth:`cycle_containing` for class-``j`` neighbors ``u`` and ``v``."""
         out = [u, v]
         prev, cur = u, v
         limit = self.n + 1
@@ -275,16 +281,20 @@ class ForestColoring:
 
     # ------------------------------------------------------------------ validation
 
-    def validate(self) -> list[str]:
+    def validate(self, ends: Sequence[tuple[int, int]]) -> list[str]:
         """Full-state consistency scan; returns human-readable problems.
 
-        Recomputes degrees, neighbors and totals from the color map, walks
+        ``ends[e]`` is the ``(u, v)`` pair, ``u < v``, of edge id ``e``.
+        Recomputes degrees, neighbors and totals from the class array, walks
         every class path from scratch to check the mate stored at each end,
         checks the degree cap, and checks every class for cycles with a
         local union-find.  Intended for tests and debug assertions, not hot paths.
         """
         problems: list[str] = []
         n, t = self.n, self.t
+        cls = self.edge_class
+        if len(ends) != len(cls):
+            problems.append(f"{len(ends)} edge ends for {len(cls)} edge ids")
         adj: dict[tuple[int, int], list[int]] = {}
         total = [0] * n
         parent = array("i", range(n * t))  # over (vertex, class) cells
@@ -295,7 +305,9 @@ class ForestColoring:
                 x = parent[x]
             return x
 
-        for (u, v), j in self.colors.items():
+        for (u, v), j in zip(ends, cls):
+            if j == NIL:
+                continue
             if not (0 <= u < n and 0 <= v < n and u < v):
                 problems.append(f"bad edge key {(u, v)}")
                 continue

@@ -28,9 +28,13 @@ D >= 2k^2 - 2k ("relaxed" mode, matching the classic one-more-class bound).
 
 from __future__ import annotations
 
+import json
 import os
+import tempfile
 import time
 from array import array
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import add
@@ -112,9 +116,9 @@ class DecomposeResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def place_light_edge(fc: ForestColoring, x: int, y: int, start: int = 0) -> int:
-    """Color the uncolored edge xy into a class untouched at ``x`` where ``y``
-    is not yet internal, returning the (smallest) class index used.
+def place_light_edge(fc: ForestColoring, e: int, x: int, y: int, start: int = 0) -> int:
+    """Color the uncolored edge ``e`` = xy into a class untouched at ``x``
+    where ``y`` is not yet internal, returning the (smallest) class index used.
 
     Such a class exists whenever ``2*d(x) + d(y) <= 2*t + 2``, with degrees
     counting xy itself: summing ``2*d(x, j) + d(y, j)`` over all ``t``
@@ -142,13 +146,13 @@ def place_light_edge(fc: ForestColoring, x: int, y: int, start: int = 0) -> int:
     if dx == 1:
         for j in range(start, t):
             if cd[by + j] <= 1:
-                fc.assign(x, y, j)
+                fc.assign(e, x, y, j)
                 return j
     else:
         bx = x * t
         for j in range(start, t):
             if cd[bx + j] == 0 and cd[by + j] <= 1:
-                fc.assign(x, y, j)
+                fc.assign(e, x, y, j)
                 return j
     raise InternalContradictionError(
         f"no class for edge {x}-{y} although 2*{dx}+{dy} <= {2 * t + 2}"
@@ -161,6 +165,11 @@ class SolverState:
 
     Isolated vertices are allowed and skipped: they get no padding and sit
     with the degree-1 vertices behind the sweep.
+
+    Every edge has an id, its index in the right-row table (:attr:`targets`);
+    the few edges between two degree-1 vertices, which no row lists, follow
+    in the order :meth:`_color_isolated_edges` colors them.  The sweep keeps
+    classes by edge id only, in the coloring's class array.
 
     Exposes :meth:`process_vertex` so tests can drive the sweep one position
     at a time; :meth:`run` drives it to completion and returns the coloring
@@ -218,17 +227,21 @@ class SolverState:
         for v in base_ordering.order:
             (ones if len(g._adj[v]) <= 1 else highs).append(v)
         order = highs + ones
+        # One int object per vertex id, shared by the positions and the
+        # output map's keys (see edge_keys).
+        ids = list(range(n))
         position = [0] * n
-        for i, v in enumerate(order):
+        for i, v in zip(ids, order):
             position[v] = i
+        self.ids = ids
         self.ordering = DegeneracyOrdering(order, position, k)
         self.n_high = len(highs)
 
         # The right rows of the degree-D block, ascending by id, built once
         # and read by both the representative selection and the sweep: the
-        # row at position i is targets[offsets[i]:offsets[i + 1]].  The
-        # targets stay the graph's own int objects, which the coloring's
-        # keys reuse; the offsets are only read, so an array holds them.
+        # row at position i is targets[offsets[i]:offsets[i + 1]], and an
+        # index into targets is the id of that edge.  The offsets are only
+        # read, so an array holds them.
         mark = time.perf_counter()
         adj = g._adj
         targets: list[int] = []
@@ -248,7 +261,7 @@ class SolverState:
             raise InternalContradictionError(
                 f"degree threshold admitted r={self.sdr.r}; arithmetic is broken"
             )
-        self.fc = ForestColoring(n, t)
+        self.fc = ForestColoring(n, t, g.edge_count)
         # Debug only: owner position per reserved vertex (-1 when never
         # reserved); a vertex is "pending" while its owner lies ahead of the
         # sweep, and pending vertices must keep every class degree at most 1.
@@ -267,6 +280,12 @@ class SolverState:
     # ------------------------------------------------------------------ sweep
 
     def run(self) -> dict[tuple[int, int], int]:
+        """Sweep to completion and return ``{(u, v): class}``, 0-based.
+
+        The map, in edge-id order, is the largest structure of a solve, so
+        it is built from the class array only after the representatives and
+        the coloring tables are released: the state is spent afterwards.
+        """
         # Positions past the degree-D block hold degree-1 vertices, whose
         # single edge is always colored from the other side, and isolated
         # vertices: skip them.
@@ -274,31 +293,57 @@ class SolverState:
         for i in range(self.n_high):
             self.process_vertex(i)
         fc = self.fc
-        if len(fc.colors) < self.g.edge_count:
+        cls = fc.edge_class
+        if len(self.targets) < len(cls):
             self._color_isolated_edges()
-        if len(fc.colors) != self.g.edge_count:
-            raise InternalContradictionError(
-                f"sweep left {self.g.edge_count - len(fc.colors)} edges uncolored"
-            )
+        uncolored = cls.count(NIL)
+        if uncolored:
+            raise InternalContradictionError(f"sweep left {uncolored} edges uncolored")
         if self.debug:
-            problems = fc.validate()
+            problems = fc.validate(list(self.edge_keys()))
             if problems:
                 raise InternalContradictionError("final state invalid: " + "; ".join(problems))
+        del self.sdr, self.fc
+        out = dict(zip(self.edge_keys(), cls))
         self.stats.sweep_ms += (time.perf_counter() - start) * 1000.0
-        return fc.colors
+        return out
 
-    def _color_isolated_edges(self) -> None:
-        """Put every edge whose two endpoints both have degree 1 into class 0.
+    def _isolated_edges(self) -> Iterator[tuple[int, int]]:
+        """The edges whose two endpoints both have degree 1, in sweep order.
 
         The sweep reaches a degree-1 vertex's edge only from its other end,
-        so an edge that is a component of its own is never colored.  Alone
-        in its component, it closes no cycle and fills no class.
+        so an edge that is a component of its own is in no right row.
         """
         adj = self.g._adj
         for v in self.ordering.order[self.n_high:]:
             row = adj[v]
             if row and v < row[0] and len(adj[row[0]]) == 1:
-                self.fc.assign(v, row[0], 0)
+                yield v, row[0]
+
+    def _color_isolated_edges(self) -> None:
+        """Put every edge whose two endpoints both have degree 1 into class 0,
+        under the ids that follow the right-row table.  Alone in its
+        component, such an edge closes no cycle and fills no class."""
+        for e, (v, u) in enumerate(self._isolated_edges(), len(self.targets)):
+            self.fc.assign(e, v, u, 0)
+
+    def edge_keys(self) -> Iterator[tuple[int, int]]:
+        """Every edge as its ``(u, v)`` pair, ``u < v``, in edge-id order.
+
+        The pairs hold one int object per vertex, from :attr:`ids`: the
+        rows' own objects, several per vertex, made verify_partition 15-25%
+        slower on the map.
+        """
+        ids = self.ids
+        order, targets, offsets = self.ordering.order, self.targets, self.offsets
+        for i in range(self.n_high):
+            v = ids[order[i]]
+            for u in targets[offsets[i]:offsets[i + 1]]:
+                u = ids[u]
+                yield (v, u) if v < u else (u, v)
+        if len(targets) < self.g.edge_count:
+            for v, u in self._isolated_edges():
+                yield ids[v], ids[u]
 
     def process_vertex(self, i: int) -> None:
         """Color every right-edge of the vertex at position ``i`` and place
@@ -313,27 +358,29 @@ class SolverState:
         if i >= self.n_high:
             return
         v = self.ordering.order[i]
-        right = self.targets[self.offsets[i]:self.offsets[i + 1]]
-        reps = self.sdr.reps_of(v)
-        rep_set = set(reps)
-        spare = [u for u in right if u not in rep_set]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        targets = self.targets
+        # The reserved edges by far end, and the ids of the other right-edges;
+        # a row and its representatives both ascend by vertex id.
+        rep_edge = {u: bisect_left(targets, u, lo, hi) for u in self.sdr.reps_of(v)}
+        spare = [e for e in range(lo, hi) if targets[e] not in rep_edge]
         reserved = self.sdr.phantoms.get(v, 0)
         if self.debug:
-            self._touched = [v] + right
+            self._touched = [v] + targets[lo:hi]
         self.leaves = bytearray(self.t)
         slots = self._stage_light(v, spare, self.pad[v] - reserved)
-        res, bad = self._stage_reserved(v, reps, reserved, rep_set, slots)
+        res, bad = self._stage_reserved(v, rep_edge, reserved, slots)
         if bad:
-            self._repair(v, reps, rep_set, spare, res, bad)
+            self._repair(v, rep_edge, spare, res, bad)
         self._check_capacity(v)
         if self.debug:
             self._check_pending_headroom(i)
 
     def _stage_light(self, v: int, spare: list[int], count: int) -> list[int]:
-        """Place every non-reserved right-edge of ``v`` with
-        :func:`place_light_edge`, then its ``count`` spare leaves, and return
-        the slots still open at ``v``: each free class twice, then each half
-        class, in ascending class order.
+        """Place every non-reserved right-edge of ``v`` (the edge ids
+        ``spare``) with :func:`place_light_edge`, then its ``count`` spare
+        leaves, and return the slots still open at ``v``: each free class
+        twice, then each half class, in ascending class order.
 
         Classes already full at ``v`` are skipped once for the whole stage
         (degrees at ``v`` only grow here).  A leaf would enter the lowest
@@ -343,13 +390,14 @@ class SolverState:
         fc = self.fc
         t = fc.t
         cd, leaves = fc._cd, self.leaves
+        targets = self.targets
         base_v = v * t
         ptr = 0
         try:
-            for u in spare:
+            for e in spare:
                 while ptr < t and cd[base_v + ptr] == 2:
                     ptr += 1
-                place_light_edge(fc, u, v, ptr)
+                place_light_edge(fc, e, targets[e], v, ptr)
         except PreconditionError as exc:
             raise InternalContradictionError(
                 f"{exc}; padding or reservation arithmetic is broken"
@@ -372,9 +420,10 @@ class SolverState:
         return slots + half
 
     def _stage_reserved(
-        self, v: int, reps: list[int], count: int, rep_set: set[int], slots: list[int]
+        self, v: int, rep_edge: dict[int, int], count: int, slots: list[int]
     ) -> tuple[bytearray, set[int]]:
-        """Color the reserved edges of ``v``, exhausting its class budget.
+        """Color the reserved edges of ``v`` (``rep_edge`` maps each far end
+        to its edge id), exhausting its class budget.
 
         At entry ``v`` has ``D - r`` colored edges and leaves, so its open
         ``slots`` number ``2*|free| + |half| = 2t - (D - r)``, which is
@@ -386,7 +435,8 @@ class SolverState:
         a cycle.
         """
         fc = self.fc
-        r = len(reps) + count
+        cls = fc.edge_class
+        r = len(rep_edge) + count
         if r != self.sdr.r:
             raise InternalContradictionError(f"owner {v} holds {r} != r={self.sdr.r} reserved")
         budget = len(slots)
@@ -396,12 +446,12 @@ class SolverState:
                 f"class budget {budget} at owner {v} outside [{lo}, {hi}]"
             )
         flagged: list[tuple[int, int]] = []
-        for u, c in zip(reps, slots):
+        for (u, e), c in zip(rep_edge.items(), slots):
             if fc.would_close_cycle(c, v, u):
                 flagged.append((u, c))
-            fc.assign(v, u, c)
+            fc.assign(e, v, u, c)
         res = bytearray(fc.t)
-        for c in slots[len(reps):r]:
+        for c in slots[len(rep_edge):r]:
             res[c] += 1
             self.leaves[c] += 1
         bad: set[int] = set()
@@ -410,7 +460,7 @@ class SolverState:
             # The cycle runs through both class-c edges at v; if the second
             # one is also reserved, it is on the same cycle.
             for z in fc.class_neighbors(v, c):
-                if z != u and z in rep_set and fc.color_of(v, z) == c:
+                if z != u and z in rep_edge and cls[rep_edge[z]] == c:
                     bad.add(z)
         return res, bad
 
@@ -433,13 +483,16 @@ class SolverState:
     def _repair(
         self,
         v: int,
-        reps: list[int],
-        rep_set: set[int],
+        rep_edge: dict[int, int],
         spare: list[int],
         res: bytearray,
         bad: set[int],
     ) -> None:
         """Drive the set of cycle-carrying reserved edges to empty.
+
+        ``rep_edge`` maps the far end of each reserved edge of ``v`` to its
+        edge id, ``spare`` lists the ids of the other right-edges, and
+        ``bad`` holds the far ends of the reserved edges on a cycle.
 
         Each iteration recolors or swaps one reserved edge of ``v`` (in one
         case trading with a non-reserved edge) and must strictly shrink the
@@ -451,6 +504,8 @@ class SolverState:
         tie-break follows, and the list is updated as they move.
         """
         fc = self.fc
+        cls = fc.edge_class
+        targets = self.targets
         leaves = self.leaves
         # The spare leaves filled the lowest open classes in order, and only
         # a repair moves them, so their classes are the counts left after
@@ -462,21 +517,25 @@ class SolverState:
             iters += 1
             self.stats.repair_iterations += 1
             if iters > cap:
-                raise InternalContradictionError(self._dump(v, reps, bad, "iteration cap hit"))
+                raise InternalContradictionError(self._dump(v, rep_edge, bad, "iteration cap hit"))
             w = min(bad)
-            xi = fc.color_of(v, w)
-            cycle = fc.cycle_containing(xi, v, w)
+            ew = rep_edge[w]
+            xi = cls[ew]
+            cycle = fc.cycle_containing(xi, ew, v, w)
             if cycle is None:
-                raise InternalContradictionError(self._dump(v, reps, bad, "tracked cycle vanished"))
-            move = self._choose_repair_move(v, reps, rep_set, spare, res, spare_leaves, w, xi)
+                raise InternalContradictionError(
+                    self._dump(v, rep_edge, bad, "tracked cycle vanished")
+                )
+            move = self._choose_repair_move(v, rep_edge, spare, res, spare_leaves, w, xi)
             kind = move[0]
             if kind == "recolor":
-                fc.recolor(v, w, move[1])
+                fc.recolor(ew, v, w, move[1])
             elif kind == "swap":
-                fc.swap_colors((v, w), (v, move[2]))
+                e = move[2]
+                fc.swap_colors(ew, v, w, e, v, targets[e])
             else:
                 j = move[1]
-                fc.recolor(v, w, j)
+                fc.recolor(ew, v, w, j)
                 leaves[j] -= 1
                 leaves[xi] += 1
                 if kind == "reserved leaf":
@@ -485,19 +544,17 @@ class SolverState:
                 else:
                     spare_leaves[move[2]] = xi
             new_bad = {
-                u for u in reps if fc.cycle_containing(fc.color_of(v, u), v, u) is not None
+                u for u, e in rep_edge.items() if fc.cycle_containing(cls[e], e, v, u) is not None
             }
             if len(new_bad) >= len(bad):
-                raise InternalContradictionError(
-                    self._dump(v, reps, new_bad, f"move {move[:2]} did not shrink the cycle set")
-                )
+                reason = f"move {move[:2]} did not shrink the cycle set"
+                raise InternalContradictionError(self._dump(v, rep_edge, new_bad, reason))
             bad = new_bad
 
     def _choose_repair_move(
         self,
         v: int,
-        reps: list[int],
-        rep_set: set[int],
+        rep_edge: dict[int, int],
         spare: list[int],
         res: bytearray,
         spare_leaves: list[int],
@@ -520,24 +577,26 @@ class SolverState:
            non-reserved right-edge of ``v``.
 
         Among partners a leaf ranks after every real vertex, as the id of
-        its pendant would.  A trade with a reserved leaf of class ``j`` is
-        returned as ``("reserved leaf", j)``, and one with the spare leaf at
-        index ``i`` of ``spare_leaves`` as ``("spare leaf", j, i)``.
+        its pendant would.  A move returns as ``("recolor", j)``, or as
+        ``("swap", j, e)`` with the partner's edge id ``e``.  A trade with a
+        reserved leaf of class ``j`` is returned as ``("reserved leaf", j)``,
+        and one with the spare leaf at index ``i`` of ``spare_leaves`` as
+        ``("spare leaf", j, i)``.
         """
         fc = self.fc
         t = fc.t
-        cd, leaves = fc._cd, self.leaves
+        cd, cls, leaves = fc._cd, fc.edge_class, self.leaves
         base_v = v * t
         rep_count = list(res)
-        for u in reps:
-            rep_count[fc.color_of(v, u)] += 1
+        for e in rep_edge.values():
+            rep_count[cls[e]] += 1
         net_v = [cd[base_v + j] + leaves[j] - rep_count[j] for j in range(t)]
 
         for j in range(t):
             wd = fc.class_degree(w, j) - (1 if j == xi else 0)
             if wd == 0 and net_v[j] != 2:
                 self.stats.repairs_endpoint_free += 1
-                return self._reserved_partner(v, reps, res, w, j) or ("recolor", j)
+                return self._reserved_partner(rep_edge, res, w, j) or ("recolor", j)
 
         for j in range(t):
             if net_v[j] == 0 and j != xi:
@@ -549,42 +608,43 @@ class SolverState:
                     return ("recolor", j)
                 u = self._partner_on_path(v, w, j)
                 if u is None:
-                    return self._reserved_partner(v, reps, res, w, j)
-                if u not in rep_set or fc.color_of(v, u) != j:
-                    raise InternalContradictionError(
-                        self._dump(v, reps, {w}, f"path partner {u} is not reserved in class {j}")
-                    )
-                return ("swap", j, u)
+                    return self._reserved_partner(rep_edge, res, w, j)
+                if u not in rep_edge or cls[rep_edge[u]] != j:
+                    reason = f"path partner {u} is not reserved in class {j}"
+                    raise InternalContradictionError(self._dump(v, rep_edge, {w}, reason))
+                return ("swap", j, rep_edge[u])
 
         # Both pools empty forces degeneracy exactly 2 (the class budget at v
         # cannot cover r reserved edges otherwise), so a non-reserved trade
         # partner is available and safe: its only colored edge is vu.
         if self.k != 2:
             raise InternalContradictionError(
-                self._dump(v, reps, {w}, f"unreserved trade reached at degeneracy {self.k}")
+                self._dump(v, rep_edge, {w}, f"unreserved trade reached at degeneracy {self.k}")
             )
-        for u in spare:
-            eta = fc.color_of(v, u)
-            if eta is not None and eta != xi:
+        for e in spare:
+            eta = cls[e]
+            if eta != NIL and eta != xi:
                 self.stats.repairs_unreserved += 1
-                return ("swap", eta, u)
+                return ("swap", eta, e)
         for i, eta in enumerate(spare_leaves):
             if eta != xi:
                 self.stats.repairs_unreserved += 1
                 return ("spare leaf", eta, i)
         raise InternalContradictionError(
-            self._dump(v, reps, {w}, "no unreserved right-edge outside the cycle class")
+            self._dump(v, rep_edge, {w}, "no unreserved right-edge outside the cycle class")
         )
 
     def _reserved_partner(
-        self, v: int, reps: list[int], res: bytearray, w: int, j: int
+        self, rep_edge: dict[int, int], res: bytearray, w: int, j: int
     ) -> tuple | None:
-        """The swap with the smallest reserved edge of class ``j`` at ``v``
-        other than vw, a real one before a leaf (``res`` counts the reserved
-        leaves per class); None when there is none."""
-        partners = [u for u in reps if u != w and self.fc.color_of(v, u) == j]
+        """The swap with the reserved edge of class ``j`` whose far end is
+        smallest, other than the one to ``w``, a real one before a leaf
+        (``res`` counts the reserved leaves per class); None when there is
+        none."""
+        cls = self.fc.edge_class
+        partners = [u for u, e in rep_edge.items() if u != w and cls[e] == j]
         if partners:
-            return ("swap", j, min(partners))
+            return ("swap", j, rep_edge[min(partners)])
         if res[j]:
             return ("reserved leaf", j)
         return None
@@ -628,17 +688,35 @@ class SolverState:
                             f"before its owner (position {self.reserved_owner_pos[x]})"
                         )
 
-    def _dump(self, v: int, reps: list[int], bad: set[int], reason: str) -> str:
+    def _dump(self, v: int, rep_edge: dict[int, int], bad: set[int], reason: str) -> str:
+        """The message of a failed repair at owner ``v``.
+
+        When ``$LINARB_DUMP_DIR`` is set, also writes a reproducer there: one
+        JSON file with the message, ``mode``, ``k``, ``delta``, ``t``, ``n``,
+        the input ``edges`` and the sweep ``order``, whose sweep runs into
+        the same failure (see the README).
+        """
         fc = self.fc
         lines = [
             f"repair failed at owner {v}: {reason}",
             f"  degeneracy={self.k} delta={self.delta} t={self.t} mode={self.mode.value}",
-            f"  reserved={reps} bad={sorted(bad)}",
-            f"  reserved colors={[fc.color_of(v, u) for u in reps]}",
+            f"  reserved={list(rep_edge)} bad={sorted(bad)}",
+            f"  reserved colors={[fc.edge_class[e] for e in rep_edge.values()]}",
             f"  owner class degrees={[fc.class_degree(v, j) for j in range(self.t)]}",
             f"  owner leaves={list(self.leaves)}",
         ]
-        return "\n".join(lines)
+        message = "\n".join(lines)
+        dump_dir = os.environ.get("LINARB_DUMP_DIR")
+        if dump_dir:
+            case = dict(message=message, mode=self.mode.value, k=self.k, delta=self.delta,
+                        t=self.t, n=self.g.n, edges=self.g.edges(), order=self.ordering.order)
+            try:
+                fd, _ = tempfile.mkstemp(prefix="linarb-repair-", suffix=".json", dir=dump_dir)
+                with os.fdopen(fd, "w") as out:
+                    json.dump(case, out)
+            except OSError as exc:
+                message += f"\n  reproducer not written: {exc}"
+        return message
 
 
 def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
@@ -649,6 +727,7 @@ def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
     smallest classes with remaining capacity at the parent.
     """
     n = g.n
+    ids = list(range(n))  # one int object per vertex in the keys, as the sweep's
     out: dict[tuple[int, int], int] = {}
     seen = bytearray(n)
     by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
@@ -670,7 +749,7 @@ def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
                     c += 1
                 if c == t:
                     raise InternalContradictionError(f"forest pairing ran out of classes at {x}")
-                out[edge_key(x, y)] = c
+                out[edge_key(ids[x], ids[y])] = c
                 used[c] += 1
                 seen[y] = 1
                 stack.append((y, x, c))
@@ -731,13 +810,12 @@ def _solve(
             )
     t = class_count_for(delta, k, mode)
     if k <= 1:
-        part = _color_forest(g, t)
+        coloring = _color_forest(g, t)
     else:
-        part = SolverState(g, ordering, delta, t, mode, debug_checks, stats).run()
-    # One int object per vertex in the keys: the sweep's keys hold several
-    # per vertex, and reusing them made verify_partition 15-25% slower.
-    ids = list(range(g.n))
-    coloring = {(ids[u], ids[v]): c + 1 for (u, v), c in part.items()}
+        coloring = SolverState(g, ordering, delta, t, mode, debug_checks, stats).run()
+    # Classes are 1-based on output; shifting in place keeps one map alive.
+    for e in coloring:
+        coloring[e] += 1
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     result = DecomposeResult(coloring, t, k, delta, mode, g.n, g.edge_count, isolated, stats)
     if debug_checks:

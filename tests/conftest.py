@@ -10,6 +10,7 @@ from typing import Iterable
 
 from linarb import (
     DegeneracyOrdering,
+    ForestColoring,
     Graph,
     Mode,
     PreconditionError,
@@ -20,6 +21,7 @@ from linarb import (
     max_degree,
     required_max_degree,
 )
+from linarb.coloring import NIL
 from linarb.solver import _color_forest
 from linarb.verify import (
     DEGREE_OVERFLOW,
@@ -114,6 +116,54 @@ def naive_degeneracy(g: Graph) -> tuple[int, list[int]]:
             if u in alive:
                 deg[u] -= 1
     return worst, removal
+
+
+class Pairs:
+    """Edge ids for hand-built coloring states on ``n`` vertices: every
+    vertex pair is an edge, numbered in ascending ``(u, v)`` order."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.ends = list(combinations(range(n), 2))
+        self._ids = {e: i for i, e in enumerate(self.ends)}
+
+    def __call__(self, u: int, v: int) -> int:
+        return self._ids[edge_key(u, v)]
+
+    def coloring(self, t: int) -> ForestColoring:
+        return ForestColoring(self.n, t, len(self.ends))
+
+
+def edge_classes(fc: ForestColoring, ends) -> dict[tuple[int, int], int]:
+    """The colored edges of ``fc`` as an ``{(u, v): class}`` map, where
+    ``ends[e]`` is the pair of edge id ``e``."""
+    return {ends[e]: c for e, c in enumerate(fc.edge_class) if c != NIL}
+
+
+def state_edge_ids(state: SolverState, extra=()) -> dict[tuple[int, int], int]:
+    """The edge id of every ``(u, v)`` pair of a sweep state, in id order.
+
+    Hand-set states may color pairs the graph lacks: each pair of ``extra``
+    that is no edge gets the next id past the graph's, and the coloring's
+    class array grows by one uncolored entry for it.
+    """
+    ids = {key: e for e, key in enumerate(state.edge_keys())}
+    for pair in extra:
+        if pair not in ids:
+            ids[pair] = len(state.fc.edge_class)
+            state.fc.edge_class.append(NIL)
+    return ids
+
+
+def replay_repair_dump(path) -> SolverState:
+    """The sweep state a repair reproducer describes: the dumped graph
+    under the dumped sweep order, degree target, class count and mode.
+    Running it repeats the failure the dump was written for."""
+    with open(path) as f:
+        case = json.load(f)
+    g = Graph.from_edges(case["n"], [tuple(e) for e in case["edges"]])
+    ordering = ordering_for(g, case["order"], case["k"])
+    return SolverState(g, ordering, case["delta"], case["t"], Mode(case["mode"]))
 
 
 def class_adjacency(colors: dict[tuple[int, int], int]) -> dict[int, dict[int, list[int]]]:

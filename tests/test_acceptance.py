@@ -33,8 +33,10 @@ from linarb import (
     verify_partition,
 )
 
+from linarb.coloring import NIL
 from conftest import (
     ACCEPTANCE_LINES,
+    Pairs,
     endpoint_recolor_fixture,
     hall_certificate_check,
     naive_degeneracy,
@@ -268,19 +270,20 @@ def test_criterion_4_light_insertion_never_fails_within_budget():
     while trials < 10_000 and not failures:
         t = rnd.randrange(1, 7)
         n = rnd.randrange(4, 12)
-        fc = ForestColoring(n, t)
+        p = Pairs(n)
+        fc = p.coloring(t)
         for _ in range(rnd.randrange(4 * t)):
             u, v = rnd.sample(range(n), 2)
             j = rnd.randrange(t)
             if (
-                fc.color_of(u, v) is None
+                fc.edge_class[p(u, v)] == NIL
                 and fc.class_degree(u, j) < 2
                 and fc.class_degree(v, j) < 2
                 and not fc.would_close_cycle(j, u, v)
             ):
-                fc.assign(u, v, j)
+                fc.assign(p(u, v), u, v, j)
         x, y = rnd.sample(range(n), 2)
-        if fc.color_of(x, y) is not None:
+        if fc.edge_class[p(x, y)] != NIL:
             continue
         dx = fc.colored_degree(x) + 1
         dy = fc.colored_degree(y) + 1
@@ -288,13 +291,13 @@ def test_criterion_4_light_insertion_never_fails_within_budget():
             continue
         before = {v2: profile(fc, v2) for v2 in range(n)}
         try:
-            j = place_light_edge(fc, x, y)
+            j = place_light_edge(fc, p(x, y), x, y)
         except Exception as exc:
             failures.append(f"trial {trials}: insert refused: {exc}")
             break
         trials += 1
         _ACCUM["light_inserts"] += 1
-        if fc.color_of(x, y) != j:
+        if fc.edge_class[p(x, y)] != j:
             failures.append(f"trial {trials}: edge not colored {j}")
         for v2 in range(n):
             if v2 == y:
@@ -304,7 +307,7 @@ def test_criterion_4_light_insertion_never_fails_within_budget():
                 failures.append(f"trial {trials}: vertex {v2} changed internal classes")
             if v2 != x and row != before[v2]:
                 failures.append(f"trial {trials}: vertex {v2} profile moved")
-        if fc.validate():
+        if fc.validate(p.ends):
             failures.append(f"trial {trials}: state invalid after insert")
     _record(
         4,

@@ -4,7 +4,8 @@ import pytest
 
 from linarb import FeasibilityError, PreconditionError
 from linarb import ForestColoring, edge_key
-from conftest import class_adjacency, connected_in_class
+from linarb.coloring import NIL
+from conftest import Pairs, class_adjacency, connected_in_class, edge_classes
 
 
 def test_edge_key_normalizes():
@@ -13,113 +14,132 @@ def test_edge_key_normalizes():
 
 
 def test_assign_updates_all_views():
-    fc = ForestColoring(5, 3)
-    fc.assign(2, 0, 1)
-    assert fc.color_of(0, 2) == 1
-    assert fc.color_of(2, 0) == 1
+    p = Pairs(5)
+    fc = p.coloring(3)
+    assert list(fc.edge_class) == [NIL] * 10
+    fc.assign(p(0, 2), 2, 0, 1)
+    assert fc.edge_class[p(0, 2)] == 1
+    assert fc.edge_class.count(NIL) == 9
     assert fc.class_degree(0, 1) == 1
     assert fc.class_degree(2, 1) == 1
     assert fc.class_degree(0, 0) == 0
     assert fc.colored_degree(0) == 1
     assert fc.class_neighbors(0, 1) == [2]
     assert [fc.class_degree(0, j) for j in range(3)] == [0, 1, 0]
-    assert fc.validate() == []
+    assert fc.validate(p.ends) == []
+
+
+def test_classes_above_a_byte():
+    # One edge id per class entry, whatever the class count.
+    fc = ForestColoring(2, 301, 1)
+    fc.assign(0, 0, 1, 300)
+    assert fc.edge_class[0] == 300
+    assert fc.validate([(0, 1)]) == []
 
 
 def test_assign_rejections():
-    fc = ForestColoring(6, 2)
+    p = Pairs(6)
+    fc = p.coloring(2)
     with pytest.raises(PreconditionError):
-        fc.assign(1, 1, 0)
+        fc.assign(0, 1, 1, 0)
     with pytest.raises(PreconditionError):
-        fc.assign(0, 1, 2)
-    fc.assign(0, 1, 0)
+        fc.assign(p(0, 1), 0, 1, 2)
+    fc.assign(p(0, 1), 0, 1, 0)
+    with pytest.raises(FeasibilityError, match="already colored"):
+        fc.assign(p(0, 1), 1, 0, 1)
+    fc.assign(p(1, 2), 1, 2, 0)
     with pytest.raises(FeasibilityError):
-        fc.assign(1, 0, 1)
-    fc.assign(1, 2, 0)
-    with pytest.raises(FeasibilityError):
-        fc.assign(1, 3, 0)
+        fc.assign(p(1, 3), 1, 3, 0)
+    assert fc.edge_class[p(1, 3)] == NIL
 
 
 def test_class_degrees_sum_to_colored_degree():
-    fc = ForestColoring(8, 4)
-    fc.assign(0, 1, 0)
-    fc.assign(0, 2, 0)
-    fc.assign(0, 3, 2)
+    p = Pairs(8)
+    fc = p.coloring(4)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(0, 2), 0, 2, 0)
+    fc.assign(p(0, 3), 0, 3, 2)
     row = [fc.class_degree(0, j) for j in range(4)]
     assert row == [2, 0, 1, 0]
     assert sum(row) == fc.colored_degree(0)
 
 
 def test_recolor_moves_and_errors():
-    fc = ForestColoring(4, 3)
-    fc.assign(0, 1, 0)
-    fc.recolor(1, 0, 2)
-    assert fc.color_of(0, 1) == 2
+    p = Pairs(4)
+    fc = p.coloring(3)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.recolor(p(0, 1), 1, 0, 2)
+    assert fc.edge_class[p(0, 1)] == 2
     assert fc.class_degree(0, 0) == 0
     assert fc.class_degree(0, 2) == 1
-    fc.recolor(0, 1, 2)  # no-op
-    assert fc.validate() == []
+    fc.recolor(p(0, 1), 0, 1, 2)  # no-op
+    assert fc.validate(p.ends) == []
+    with pytest.raises(FeasibilityError, match="not colored"):
+        fc.recolor(p(2, 3), 2, 3, 0)
+    fc.assign(p(0, 2), 0, 2, 1)
+    fc.assign(p(0, 3), 0, 3, 1)
     with pytest.raises(FeasibilityError):
-        fc.recolor(2, 3, 0)
-    fc.assign(0, 2, 1)
-    fc.assign(0, 3, 1)
-    with pytest.raises(FeasibilityError):
-        fc.recolor(0, 1, 1)
+        fc.recolor(p(0, 1), 0, 1, 1)
 
 
 def test_swap_exchanges_classes():
-    fc = ForestColoring(5, 3)
-    fc.assign(0, 1, 0)
-    fc.assign(2, 3, 1)
-    fc.swap_colors((0, 1), (2, 3))
-    assert fc.color_of(0, 1) == 1
-    assert fc.color_of(2, 3) == 0
-    fc.swap_colors((0, 1), (2, 3))
-    assert fc.color_of(0, 1) == 0
-    assert fc.color_of(2, 3) == 1
-    assert fc.validate() == []
+    p = Pairs(5)
+    fc = p.coloring(3)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(2, 3), 2, 3, 1)
+    fc.swap_colors(p(0, 1), 0, 1, p(2, 3), 2, 3)
+    assert fc.edge_class[p(0, 1)] == 1
+    assert fc.edge_class[p(2, 3)] == 0
+    fc.swap_colors(p(0, 1), 0, 1, p(2, 3), 2, 3)
+    assert fc.edge_class[p(0, 1)] == 0
+    assert fc.edge_class[p(2, 3)] == 1
+    assert fc.validate(p.ends) == []
 
 
 def test_swap_with_shared_endpoint():
-    fc = ForestColoring(4, 2)
-    fc.assign(0, 1, 0)
-    fc.assign(1, 2, 1)
-    fc.swap_colors((0, 1), (1, 2))
-    assert fc.color_of(0, 1) == 1
-    assert fc.color_of(1, 2) == 0
+    p = Pairs(4)
+    fc = p.coloring(2)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(1, 2), 1, 2, 1)
+    fc.swap_colors(p(0, 1), 0, 1, p(1, 2), 1, 2)
+    assert fc.edge_class[p(0, 1)] == 1
+    assert fc.edge_class[p(1, 2)] == 0
     assert fc.class_degree(1, 0) == 1
     assert fc.class_degree(1, 1) == 1
-    assert fc.validate() == []
+    assert fc.validate(p.ends) == []
 
 
 def test_swap_same_class_or_same_edge_is_noop():
-    fc = ForestColoring(4, 2)
-    fc.assign(0, 1, 0)
-    fc.assign(2, 3, 0)
-    fc.swap_colors((0, 1), (2, 3))
-    assert fc.color_of(0, 1) == 0
-    fc.swap_colors((0, 1), (1, 0))
-    assert fc.color_of(0, 1) == 0
+    p = Pairs(4)
+    fc = p.coloring(2)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(2, 3), 2, 3, 0)
+    fc.swap_colors(p(0, 1), 0, 1, p(2, 3), 2, 3)
+    assert fc.edge_class[p(0, 1)] == 0
+    fc.swap_colors(p(0, 1), 0, 1, p(0, 1), 1, 0)
+    assert fc.edge_class[p(0, 1)] == 0
 
 
 def test_swap_rejects_uncolored_and_overflow():
-    fc = ForestColoring(6, 2)
-    fc.assign(0, 1, 0)
-    with pytest.raises(FeasibilityError):
-        fc.swap_colors((0, 1), (2, 3))
-    fc.assign(0, 2, 0)
-    fc.assign(0, 3, 1)
-    fc.assign(4, 5, 0)
+    p = Pairs(6)
+    fc = p.coloring(2)
+    fc.assign(p(0, 1), 0, 1, 0)
+    with pytest.raises(FeasibilityError, match="must be colored"):
+        fc.swap_colors(p(0, 1), 0, 1, p(2, 3), 2, 3)
+    fc.assign(p(0, 2), 0, 2, 0)
+    fc.assign(p(0, 3), 0, 3, 1)
+    fc.assign(p(4, 5), 4, 5, 0)
     # Moving (4,5) into class 1 is fine, but (0,3) cannot join class 0.
     with pytest.raises(FeasibilityError):
-        fc.swap_colors((0, 3), (4, 5))
+        fc.swap_colors(p(0, 3), 0, 3, p(4, 5), 4, 5)
 
 
 def test_would_close_cycle_and_closure():
-    fc = ForestColoring(5, 2)
-    fc.assign(0, 1, 0)
-    fc.assign(1, 2, 0)
-    fc.assign(2, 3, 0)
+    p = Pairs(5)
+    fc = p.coloring(2)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(1, 2), 1, 2, 0)
+    fc.assign(p(2, 3), 2, 3, 0)
     assert fc.would_close_cycle(0, 0, 3)
     assert fc.would_close_cycle(0, 1, 3)
     assert not fc.would_close_cycle(0, 0, 4)
@@ -129,57 +149,90 @@ def test_would_close_cycle_and_closure():
 
 
 def test_would_close_cycle_tracks_mutations():
-    fc = ForestColoring(6, 2)
-    fc.assign(0, 1, 0)
-    fc.assign(2, 3, 0)
+    p = Pairs(6)
+    fc = p.coloring(2)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(2, 3), 2, 3, 0)
     assert not fc.would_close_cycle(0, 1, 2)
-    fc.assign(1, 2, 0)
+    fc.assign(p(1, 2), 1, 2, 0)
     assert fc.would_close_cycle(0, 0, 3)
-    fc.recolor(1, 2, 1)
+    fc.recolor(p(1, 2), 1, 2, 1)
     assert not fc.would_close_cycle(0, 0, 3)
     assert not fc.would_close_cycle(1, 0, 3)
 
 
 def test_cycle_containing_walks_the_cycle():
-    fc = ForestColoring(6, 2)
+    p = Pairs(6)
+    fc = p.coloring(2)
     for a, b in ((0, 1), (1, 2), (2, 3)):
-        fc.assign(a, b, 0)
-    assert fc.cycle_containing(0, 0, 1) is None
-    fc.assign(3, 0, 0)
-    cyc = fc.cycle_containing(0, 0, 1)
+        fc.assign(p(a, b), a, b, 0)
+    assert fc.cycle_containing(0, p(0, 1), 0, 1) is None
+    fc.assign(p(0, 3), 3, 0, 0)
+    cyc = fc.cycle_containing(0, p(0, 1), 0, 1)
     assert cyc == [0, 1, 2, 3]
-    assert fc.cycle_containing(0, 1, 0) == [1, 0, 3, 2]
-    with pytest.raises(PreconditionError):
-        fc.cycle_containing(1, 0, 1)
+    assert fc.cycle_containing(0, p(0, 1), 1, 0) == [1, 0, 3, 2]
+    with pytest.raises(PreconditionError, match="is not colored 1"):
+        fc.cycle_containing(1, p(0, 1), 0, 1)
+    with pytest.raises(PreconditionError, match="is not colored 0"):
+        fc.cycle_containing(0, p(0, 2), 0, 2)
 
 
 def test_validate_detects_tampering():
-    fc = ForestColoring(4, 2)
-    fc.assign(0, 1, 0)
+    p = Pairs(4)
+    fc = p.coloring(2)
+    fc.assign(p(0, 1), 0, 1, 0)
     fc._cd[0 * 2 + 0] += 1
-    assert any("mismatch" in p for p in fc.validate())
+    assert any("mismatch" in q for q in fc.validate(p.ends))
     # The far end of the path 0-1-2 is 2, not 0's neighbor 1.
-    fc = ForestColoring(3, 1)
-    fc.assign(0, 1, 0)
-    fc.assign(1, 2, 0)
-    assert fc.validate() == []
+    p = Pairs(3)
+    fc = p.coloring(1)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(1, 2), 1, 2, 0)
+    assert fc.validate(p.ends) == []
     fc._nb2[0] = 1
-    assert any("mate mismatch at (0,0)" in p for p in fc.validate())
+    assert any("mate mismatch at (0,0)" in q for q in fc.validate(p.ends))
     # A third class-0 edge at vertex 0, written past assign.
-    fc = ForestColoring(4, 1)
-    fc.assign(0, 1, 0)
-    fc.assign(0, 2, 0)
-    assert fc.validate() == []
-    fc.colors[0, 3] = 0
-    problems = fc.validate()
+    p = Pairs(4)
+    fc = p.coloring(1)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(0, 2), 0, 2, 0)
+    assert fc.validate(p.ends) == []
+    fc.edge_class[p(0, 3)] = 0
+    problems = fc.validate(p.ends)
     assert "vertex 0 has 3 class-0 edges" in problems
     assert "total degree mismatch at 0" in problems
 
 
-def swap_keeps_forest(fc, e1, e2):
+def test_validate_detects_a_class_entry_that_disagrees_with_the_slots():
+    p = Pairs(4)
+    fc = p.coloring(2)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(1, 2), 1, 2, 1)
+    assert fc.validate(p.ends) == []
+    fc.edge_class[p(0, 1)] = 1
+    problems = fc.validate(p.ends)
+    assert "slot mismatch at (0,1)" in problems
+    assert "degree table mismatch at (0,0): 1 stored, 0 actual" in problems
+    # A class entry out of range, and an edge list that misses an id.
+    fc.edge_class[p(0, 1)] = 2
+    assert "edge (0, 1) has class 2 out of range" in fc.validate(p.ends)
+    assert "5 edge ends for 6 edge ids" in fc.validate(p.ends[:5])
+
+
+def test_validate_keeps_its_own_cycle_check():
+    # assign may close a cycle, which the slots hold consistently; the
+    # union-find over the class array still reports it.
+    p = Pairs(3)
+    fc = p.coloring(1)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(1, 2), 1, 2, 0)
+    fc.assign(p(0, 2), 0, 2, 0)
+    assert "class 0 contains a cycle through edge (1, 2)" in fc.validate(p.ends)
+
+
+def swap_keeps_forest(colors, e1, e2):
     """Whether exchanging the classes of e1 and e2 keeps the degree cap and
     adds no cycle, judged on a from-scratch rebuild of the other edges."""
-    colors = fc.colors
     c1, c2 = colors[e1], colors[e2]
     rem = {e: c for e, c in colors.items() if e not in (e1, e2)}
     deg: dict[tuple[int, int], int] = {}
@@ -194,21 +247,21 @@ def swap_keeps_forest(fc, e1, e2):
     return True
 
 
-def can_join(fc, j, u, v):
+def can_join(fc, p, j, u, v):
     """Whether uv may enter class j without a cycle, judged from scratch."""
     return (
         fc.class_degree(u, j) < 2
         and fc.class_degree(v, j) < 2
-        and not connected_in_class(fc.colors, j, u, v)
+        and not connected_in_class(edge_classes(fc, p.ends), j, u, v)
     )
 
 
-def close_and_break_cycle(fc, rnd):
+def close_and_break_cycle(fc, p, rnd):
     """Join the two ends of a class path with assign, then break the cycle
     by recoloring or swapping one of its edges, as the solver's repair does.
     Returns whether a cycle was closed."""
     j = rnd.randrange(fc.t)
-    adj = class_adjacency(fc.colors).get(j, {})
+    adj = class_adjacency(edge_classes(fc, p.ends)).get(j, {})
     ends = sorted(x for x, nbrs in adj.items() if len(nbrs) == 1)
     if not ends:
         return False
@@ -219,85 +272,92 @@ def close_and_break_cycle(fc, rnd):
         prev, v = v, (b if a == prev else a)
     # Skip single-edge paths and ends already adjacent in another class, and
     # keep at least one way out: uv itself must fit some other class.
-    if edge_key(u, v) in fc.colors or 2 in (fc.class_degree(u, j), fc.class_degree(v, j)):
+    if fc.edge_class[p(u, v)] != NIL or 2 in (fc.class_degree(u, j), fc.class_degree(v, j)):
         return False
-    if not any(can_join(fc, k, u, v) for k in range(fc.t) if k != j):
+    if not any(can_join(fc, p, k, u, v) for k in range(fc.t) if k != j):
         return False
     assert fc.would_close_cycle(j, u, v)
-    fc.assign(u, v, j)
-    cycle = fc.cycle_containing(j, u, v)
+    fc.assign(p(u, v), u, v, j)
+    cycle = fc.cycle_containing(j, p(u, v), u, v)
     assert cycle is not None
     for x in range(fc.n):
-        want = connected_in_class(fc.colors, j, v, x)
+        want = connected_in_class(edge_classes(fc, p.ends), j, v, x)
         assert fc.would_close_cycle(j, v, x) == want
         assert fc.would_close_cycle(j, x, v) == want
     edges = [edge_key(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
     e1 = rnd.choice(edges)
-    others = sorted(e for e, c in fc.colors.items() if c != j)
+    colors = edge_classes(fc, p.ends)
+    others = sorted(e for e, c in colors.items() if c != j)
     e2 = rnd.choice(others) if others else None
-    if e2 is not None and rnd.random() < 0.5 and swap_keeps_forest(fc, e1, e2):
-        fc.swap_colors(e1, e2)
+    if e2 is not None and rnd.random() < 0.5 and swap_keeps_forest(colors, e1, e2):
+        fc.swap_colors(p(*e1), *e1, p(*e2), *e2)
     else:
-        moves = [(e, k) for e in edges for k in range(fc.t) if k != j and can_join(fc, k, *e)]
+        moves = [(e, k) for e in edges for k in range(fc.t) if k != j and can_join(fc, p, k, *e)]
         (a, b), k = rnd.choice(moves)
-        fc.recolor(a, b, k)
-    assert not any(fc.color_of(*e) == j and fc.cycle_containing(j, *e) for e in edges)
-    assert fc.validate() == []
+        fc.recolor(p(a, b), a, b, k)
+    assert not any(
+        fc.edge_class[p(*e)] == j and fc.cycle_containing(j, p(*e), *e) for e in edges
+    )
+    assert fc.validate(p.ends) == []
     return True
 
 
 def random_forest_state(seed, n=14, t=4, steps=160):
     """Drive a coloring through random valid assigns/recolors/swaps and
-    closed-then-broken cycles; returns the coloring and the cycle count."""
+    closed-then-broken cycles; returns the coloring, its edge ids and the
+    cycle count."""
     rnd = random.Random(seed)
-    fc = ForestColoring(n, t)
+    p = Pairs(n)
+    fc = p.coloring(t)
+    cls = fc.edge_class
     cycles = 0
     for _ in range(steps):
         op = rnd.random()
+        colored = sorted(edge_classes(fc, p.ends))
         if op < 0.1:
-            cycles += close_and_break_cycle(fc, rnd)
+            cycles += close_and_break_cycle(fc, p, rnd)
         elif op < 0.6:
             u, v = rnd.sample(range(n), 2)
             j = rnd.randrange(t)
-            key = edge_key(u, v)
-            if key in fc.colors:
+            if cls[p(u, v)] != NIL:
                 continue
             if fc.class_degree(u, j) >= 2 or fc.class_degree(v, j) >= 2:
                 continue
             if fc.would_close_cycle(j, u, v):
                 continue
-            fc.assign(u, v, j)
-        elif op < 0.85 and fc.colors:
-            (u, v) = rnd.choice(sorted(fc.colors))
+            fc.assign(p(u, v), u, v, j)
+        elif op < 0.85 and colored:
+            (u, v) = rnd.choice(colored)
             j = rnd.randrange(t)
             if fc.class_degree(u, j) >= 2 or fc.class_degree(v, j) >= 2:
                 continue
-            if fc.color_of(u, v) != j and fc.would_close_cycle(j, u, v):
+            if cls[p(u, v)] != j and fc.would_close_cycle(j, u, v):
                 continue
-            fc.recolor(u, v, j)
-        elif len(fc.colors) >= 2:
-            e1, e2 = rnd.sample(sorted(fc.colors), 2)
-            if fc.colors[e1] != fc.colors[e2] and swap_keeps_forest(fc, e1, e2):
-                fc.swap_colors(e1, e2)
-    return fc, cycles
+            fc.recolor(p(u, v), u, v, j)
+        elif len(colored) >= 2:
+            e1, e2 = rnd.sample(colored, 2)
+            colors = edge_classes(fc, p.ends)
+            if colors[e1] != colors[e2] and swap_keeps_forest(colors, e1, e2):
+                fc.swap_colors(p(*e1), *e1, p(*e2), *e2)
+    return fc, p, cycles
 
 
 def test_random_states_stay_consistent():
     cycles = 0
     for seed in range(12):
-        fc, closed = random_forest_state(seed)
+        fc, p, closed = random_forest_state(seed)
         cycles += closed
-        assert fc.validate() == []
+        assert fc.validate(p.ends) == []
         # Connectivity answers must match a from-scratch rebuild.
         rnd = random.Random(seed + 1000)
         for _ in range(25):
             u, v = rnd.sample(range(fc.n), 2)
             j = rnd.randrange(fc.t)
             assert fc.would_close_cycle(j, u, v) == connected_in_class(
-                dict(fc.colors), j, u, v
+                edge_classes(fc, p.ends), j, u, v
             )
         # Per-vertex views must match a naive rebuild of the class map.
-        adj = class_adjacency(dict(fc.colors))
+        adj = class_adjacency(edge_classes(fc, p.ends))
         for v in range(fc.n):
             for j in range(fc.t):
                 nbrs = sorted(adj.get(j, {}).get(v, []))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import linarb.solver
 from linarb import (
-    ForestColoring,
     Graph,
     InternalContradictionError,
     Mode,
@@ -20,7 +21,9 @@ from linarb import (
     required_max_degree,
     verify_partition,
 )
+from linarb.coloring import NIL
 from conftest import (
+    Pairs,
     complete_graph,
     cycle_graph,
     endpoint_recolor_fixture,
@@ -29,8 +32,10 @@ from conftest import (
     path_partner_swap_fixture,
     pendant_partner_fixture,
     reference_decompose_by_component,
+    replay_repair_dump,
     right_rows,
     star_graph,
+    state_edge_ids,
     unreserved_trade_fixture,
 )
 
@@ -185,8 +190,8 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, overfull):
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
     stage = state._stage_reserved
 
-    def tampered(v, reps, count, rep_set, slots):
-        out = stage(v, reps, count, rep_set, slots)
+    def tampered(v, rep_edge, count, slots):
+        out = stage(v, rep_edge, count, slots)
         state.pad[v] += 1
         if overfull:
             cd, leaves = state.fc._cd, state.leaves
@@ -202,30 +207,33 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, overfull):
 
 
 def test_place_light_edge_prefers_smallest_class():
-    fc = ForestColoring(4, 3)
-    assert place_light_edge(fc, 0, 1) == 0
-    assert place_light_edge(fc, 0, 2) == 1
-    fc.assign(1, 2, 2)
-    assert place_light_edge(fc, 0, 3) == 2
+    p = Pairs(4)
+    fc = p.coloring(3)
+    assert place_light_edge(fc, p(0, 1), 0, 1) == 0
+    assert place_light_edge(fc, p(0, 2), 0, 2) == 1
+    fc.assign(p(1, 2), 1, 2, 2)
+    assert place_light_edge(fc, p(0, 3), 0, 3) == 2
 
 
 def test_place_light_edge_skips_classes_where_y_is_internal():
-    fc = ForestColoring(6, 2)
-    fc.assign(1, 2, 0)
-    fc.assign(1, 3, 0)  # y = 1 is internal in class 0
-    assert place_light_edge(fc, 0, 1) == 1
-    assert fc.color_of(0, 1) == 1
+    p = Pairs(6)
+    fc = p.coloring(2)
+    fc.assign(p(1, 2), 1, 2, 0)
+    fc.assign(p(1, 3), 1, 3, 0)  # y = 1 is internal in class 0
+    assert place_light_edge(fc, p(0, 1), 0, 1) == 1
+    assert fc.edge_class[p(0, 1)] == 1
 
 
 def test_place_light_edge_budget_violation_detected():
-    fc = ForestColoring(8, 2)
-    fc.assign(0, 1, 0)
-    fc.assign(0, 2, 0)
-    fc.assign(0, 3, 1)
-    fc.assign(0, 4, 1)
+    p = Pairs(8)
+    fc = p.coloring(2)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(0, 2), 0, 2, 0)
+    fc.assign(p(0, 3), 0, 3, 1)
+    fc.assign(p(0, 4), 0, 4, 1)
     # x = 0 has degree 4 in 2 classes: 2*5 + 1 > 2*2 + 2.
     with pytest.raises(PreconditionError):
-        place_light_edge(fc, 0, 5)
+        place_light_edge(fc, p(0, 5), 0, 5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,30 +243,31 @@ def test_place_light_edge_feasible_states_never_fail(data):
     and no third vertex's class profile moves."""
     t = data.draw(st.integers(1, 5))
     n = data.draw(st.integers(4, 10))
-    fc = ForestColoring(n, t)
+    p = Pairs(n)
+    fc = p.coloring(t)
     rnd = random.Random(data.draw(st.integers(0, 10**6)))
     for _ in range(rnd.randrange(3 * t)):
         u, v = rnd.sample(range(2, n), 2)
         j = rnd.randrange(t)
         if (
-            fc.color_of(u, v) is None
+            fc.edge_class[p(u, v)] == NIL
             and fc.class_degree(u, j) < 2
             and fc.class_degree(v, j) < 2
             and not fc.would_close_cycle(j, u, v)
         ):
-            fc.assign(u, v, j)
+            fc.assign(p(u, v), u, v, j)
     y = data.draw(st.integers(2, n - 1))
     x = 0  # kept bare so the budget reduces to d(y) <= 2t
     if 2 * 1 + (fc.colored_degree(y) + 1) > 2 * t + 2:
         return
     before = {v: [fc.class_degree(v, j) for j in range(t)] for v in range(n) if v not in (x, y)}
-    j = place_light_edge(fc, x, y)
-    assert fc.color_of(x, y) == j
+    j = place_light_edge(fc, p(x, y), x, y)
+    assert fc.edge_class[p(x, y)] == j
     assert fc.class_degree(x, j) == 1
     assert fc.class_degree(y, j) <= 2
     for v, row in before.items():
         assert [fc.class_degree(v, j) for j in range(t)] == row
-    assert fc.validate() == []
+    assert fc.validate(p.ends) == []
 
 
 # ---------------------------------------------------------------- solver
@@ -465,12 +474,14 @@ def test_reserved_partner_ranks_real_edges_before_leaves():
     found yet reaches a class holding both, so the rule is pinned directly."""
     g, ordering, delta, t = pendant_partner_fixture()
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
-    state.fc.assign(4, 6, 2)
+    e46 = state_edge_ids(state)[4, 6]
+    state.fc.assign(e46, 4, 6, 2)
     res = bytearray([0, 1, 1])  # one reserved leaf in each of classes 1 and 2
-    assert state._reserved_partner(4, [6], res, 0, 2) == ("swap", 2, 6)
-    assert state._reserved_partner(4, [6], res, 0, 1) == ("reserved leaf", 1)
-    assert state._reserved_partner(4, [6], res, 6, 2) == ("reserved leaf", 2)
-    assert state._reserved_partner(4, [6], res, 0, 0) is None
+    rep_edge = {6: e46}
+    assert state._reserved_partner(rep_edge, res, 0, 2) == ("swap", 2, e46)
+    assert state._reserved_partner(rep_edge, res, 0, 1) == ("reserved leaf", 1)
+    assert state._reserved_partner(rep_edge, res, 6, 2) == ("reserved leaf", 2)
+    assert state._reserved_partner(rep_edge, res, 0, 0) is None
 
 
 def test_unreserved_leaf_trade_follows_pendant_order():
@@ -481,12 +492,13 @@ def test_unreserved_leaf_trade_follows_pendant_order():
     and the edge's far end has another edge in its class."""
     g, ordering, delta, t = pendant_partner_fixture()
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
-    state.fc.assign(4, 6, 0)
-    state.fc.assign(5, 6, 0)
+    ids = state_edge_ids(state, [(5, 6)])
+    state.fc.assign(ids[4, 6], 4, 6, 0)
+    state.fc.assign(ids[5, 6], 5, 6, 0)
     state.leaves = bytearray([0, 2, 2])
     res = bytearray(t)
     spare_leaves = [2, 1, 1, 2]
-    move = state._choose_repair_move(4, [6], {6}, [], res, spare_leaves, 6, 0)
+    move = state._choose_repair_move(4, {6: ids[4, 6]}, [], res, spare_leaves, 6, 0)
     assert move == ("spare leaf", 2, 0)
     assert state.stats.repairs_unreserved == 1
 
@@ -504,20 +516,22 @@ def test_leaf_trades_update_the_counts_a_later_iteration_reads(reserved):
     g, ordering, delta, t = pendant_partner_fixture()
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
     fc = state.fc
-    for u, v, j in [(0, 1, 0), (1, 5, 0), (4, 5, 0), (0, 4, 0),
-                    (0, 2, 1), (2, 6, 1), (3, 6, 1), (0, 3, 1),
-                    (1, 4, 1), (2, 5, 2)]:
-        fc.assign(u, v, j)
+    hand_set = [(0, 1, 0), (1, 5, 0), (4, 5, 0), (0, 4, 0),
+                (0, 2, 1), (2, 6, 1), (3, 6, 1), (0, 3, 1),
+                (1, 4, 1), (2, 5, 2)]
+    ids = state_edge_ids(state, [(u, v) for u, v, _ in hand_set])
+    for u, v, j in hand_set:
+        fc.assign(ids[u, v], u, v, j)
     state.leaves = bytearray([0, 0, 2])
     res = bytearray([0, 0, reserved])
-    state._repair(0, [1, 2], {1, 2}, [], res, {1, 2})
-    assert (fc.color_of(0, 1), fc.color_of(0, 2)) == (2, 0)
+    state._repair(0, {1: ids[0, 1], 2: ids[0, 2]}, [], res, {1, 2})
+    assert (fc.edge_class[ids[0, 1]], fc.edge_class[ids[0, 2]]) == (2, 0)
     assert list(state.leaves) == [0, 1, 1]
     assert list(res) == [0, reserved, 0]
     assert state.stats.repair_iterations == 2
     moved = state.stats.repairs_endpoint_free if reserved else state.stats.repairs_unreserved
     assert moved == 2
-    assert fc.validate() == []
+    assert fc.validate(list(ids)) == []
 
 
 def test_pending_headroom_check_fires_on_an_internal_reserved_vertex():
@@ -532,9 +546,10 @@ def test_pending_headroom_check_fires_on_an_internal_reserved_vertex():
     state.process_vertex(0)
     assert state._touched == [2, 0, 1, 3, 4, 5, 6]
     assert state.reserved_owner_pos[5] == 0 and state.reserved_owner_pos[6] == 4
-    assert state.fc.color_of(2, 6) == 1
+    ids = state_edge_ids(state, [(5, 6)])
+    assert state.fc.edge_class[ids[2, 6]] == 1
     state._check_pending_headroom(0)
-    state.fc.assign(5, 6, 1)
+    state.fc.assign(ids[5, 6], 5, 6, 1)
     with pytest.raises(InternalContradictionError, match="reserved vertex 6 became internal"):
         state._check_pending_headroom(0)
     state._check_pending_headroom(4)
@@ -582,12 +597,13 @@ def test_stepwise_sweep_keeps_every_invariant(monkeypatch):
     t = class_count_for(delta, base.k, Mode.MINIMUM)
     state = SolverState(g, base, delta, t, Mode.MINIMUM, debug=True)
     counts = record_leaves(monkeypatch, state)
+    ends = list(state.edge_keys())
     for i in range(g.n):
         state.process_vertex(i)
-        assert state.fc.validate() == []
-    assert len(state.fc.colors) == g.edge_count
+        assert state.fc.validate(ends) == []
+    assert state.fc.edge_class.count(NIL) == 0
     check_leaf_counts(g, delta, state, counts)
-    report = verify_partition(g, {e: c + 1 for e, c in state.fc.colors.items()}, t)
+    report = verify_partition(g, {e: c + 1 for e, c in zip(ends, state.fc.edge_class)}, t)
     assert report.valid
 
 
@@ -599,8 +615,8 @@ def test_padding_stays_implicit_on_a_lifted_hub():
     delta = max_degree(g)
     t = class_count_for(delta, 2, Mode.MINIMUM)
     state = SolverState(g, degeneracy_ordering(g), delta, t, Mode.MINIMUM)
-    coloring = state.run()
     assert state.fc.n == g.n
+    coloring = state.run()
     assert state.stats.pendants_added == expected_pendants(g, delta) > 900_000
     report = verify_partition(g, {e: c + 1 for e, c in coloring.items()}, t)
     assert report.valid and report.optimal
@@ -782,3 +798,119 @@ def test_decompose_computes_one_ordering(monkeypatch):
     assert result.k == 1
     assert calls == [forest]
     check_decomposition(forest, result)
+
+
+# ------------------------------------------------ edge ids and reproducers
+
+# sha256 of the sorted "u v c" lines, each ending in a newline (the CLI's
+# text body), of the fan graph's coloring; recorded from the solver that
+# kept classes in a dict keyed by edge tuples.
+FAN_SHA256 = "10bb892f5faa4f1afa10518f1309af6b72fea8a6083ed1c6fd16dbd6d5ba3672"
+
+
+def fan_graph(n: int) -> Graph:
+    """A path on vertices 0..n-2 plus a hub n-1 joined to all of them."""
+    hub = n - 1
+    path = [(i, i + 1) for i in range(hub - 1)]
+    return Graph.from_edges(n, path + [(i, hub) for i in range(hub)])
+
+
+def lines_sha256(coloring: dict[tuple[int, int], int]) -> str:
+    h = hashlib.sha256()
+    for (u, v), c in sorted(coloring.items()):
+        h.update(f"{u} {v} {c}\n".encode())
+    return h.hexdigest()
+
+
+def test_fan_graph_uses_classes_past_a_byte():
+    """k=2, delta=600 and t=300: the class array holds classes above 255,
+    through decompose and through SolverState.run alike."""
+    g = fan_graph(601)
+    result = decompose(g)
+    assert (result.k, result.delta, result.t) == (2, 600, 300)
+    assert verify_partition(g, result.coloring, result.t).valid
+    assert 300 in result.coloring.values()
+    assert lines_sha256(result.coloring) == FAN_SHA256
+    part = SolverState(g, degeneracy_ordering(g), 600, 300, Mode.MINIMUM).run()
+    shifted = {e: c + 1 for e, c in part.items()}
+    assert verify_partition(g, shifted, 300).valid
+    assert 300 in shifted.values()
+    assert shifted == result.coloring
+
+
+def test_run_counts_uncolored_edges_by_the_sentinel(monkeypatch):
+    """An edge between two degree-1 vertices left uncolored is caught by
+    the class array's sentinel count at the end of run()."""
+    g0 = generate_k_degenerate(n=200, k=2, delta_min=6, seed=3)
+    n0 = g0.n
+    g = Graph.from_edges(n0 + 2, g0.edges() + [(n0, n0 + 1)])
+    base = degeneracy_ordering(g0)
+    ordering = ordering_for(g, base.order + [n0, n0 + 1], base.k)
+    delta = max_degree(g0)
+    t = class_count_for(delta, base.k, Mode.MINIMUM)
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
+    monkeypatch.setattr(state, "_color_isolated_edges", lambda: None)
+    with pytest.raises(InternalContradictionError, match="sweep left 1 edges uncolored"):
+        state.run()
+
+
+def test_edge_keys_list_every_edge_once_in_id_order():
+    g, ordering, delta, t = pendant_partner_fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
+    keys = list(state.edge_keys())
+    assert sorted(keys) == g.edges()
+    assert len(state.fc.edge_class) == len(keys)
+    pos = state.ordering.position
+    first = [min(e, key=pos.__getitem__) for e in keys]
+    assert [pos[v] for v in first] == sorted(pos[v] for v in first)
+    coloring = state.run()
+    assert list(coloring) == keys
+
+
+def test_repair_contradiction_dump_replays(monkeypatch, tmp_path):
+    """With $LINARB_DUMP_DIR set, a failed repair writes the input edges,
+    the mode and the sweep order; sweeping them again fails the same way.
+    The failure is forced by a repair move that changes nothing."""
+
+    def idle(self, v, rep_edge, spare, res, spare_leaves, w, xi):
+        return ("recolor", xi)
+
+    monkeypatch.setattr(SolverState, "_choose_repair_move", idle)
+    monkeypatch.setenv("LINARB_DUMP_DIR", str(tmp_path))
+    g, ordering, delta, t = endpoint_recolor_fixture()
+    with pytest.raises(InternalContradictionError) as first:
+        SolverState(g, ordering, delta, t, Mode.MINIMUM).run()
+    message = str(first.value)
+    assert "did not shrink the cycle set" in message
+    assert "reserved colors=" in message
+    (dump,) = tmp_path.iterdir()
+    case = json.loads(dump.read_text())
+    assert case["message"] == message
+    assert (case["mode"], case["k"], case["delta"], case["t"]) == ("minimum", 2, delta, t)
+    assert [tuple(e) for e in case["edges"]] == g.edges()
+    with pytest.raises(InternalContradictionError) as again:
+        replay_repair_dump(dump).run()
+    assert str(again.value) == message
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_repair_contradiction_without_dump_dir_writes_nothing(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        SolverState, "_choose_repair_move", lambda self, *args: ("recolor", args[-1])
+    )
+    monkeypatch.delenv("LINARB_DUMP_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    g, ordering, delta, t = endpoint_recolor_fixture()
+    with pytest.raises(InternalContradictionError, match="did not shrink"):
+        SolverState(g, ordering, delta, t, Mode.MINIMUM).run()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_repair_contradiction_reports_an_unwritable_dump_dir(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        SolverState, "_choose_repair_move", lambda self, *args: ("recolor", args[-1])
+    )
+    monkeypatch.setenv("LINARB_DUMP_DIR", str(tmp_path / "missing"))
+    g, ordering, delta, t = endpoint_recolor_fixture()
+    with pytest.raises(InternalContradictionError, match="reproducer not written"):
+        SolverState(g, ordering, delta, t, Mode.MINIMUM).run()
