@@ -342,19 +342,15 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             raise InternalContradictionError(
                 "self-check failed: " + "; ".join(v.detail for v in report.violations[:5])
             )
-    if args.stats:
-        head_out = dict(head)
-        if args.format == "json":
-            head_out["stats"] = stats_dict
-            _emit(_partition_json(head_out, g, coloring))
-        else:
-            body = _partition_text(head_out, g, coloring)
-            notes = " ".join(f"{k}={v}" for k, v in sorted(stats_dict.items()))
-            _emit(body + f"\n# stats {notes}")
-    elif args.format == "json":
+    if args.format == "json":
+        if args.stats:
+            head["stats"] = stats_dict
         _emit(_partition_json(head, g, coloring))
     else:
-        _emit(_partition_text(head, g, coloring))
+        body = _partition_text(head, g, coloring)
+        if args.stats:
+            body += "\n# stats " + " ".join(f"{k}={v}" for k, v in sorted(stats_dict.items()))
+        _emit(body)
     return 0
 
 

@@ -15,10 +15,11 @@ The class paths are the only connectivity structure.  At an interior
 vertex the two slots hold its two class neighbors.  At a path end the first
 slot holds its one neighbor and the otherwise unused second slot holds the
 far end of its path (its "mate").  Two vertices are connected in a class
-exactly when they share a path, so for path ends (every cycle check the
-sweep makes) `would_close_cycle` is one slot read.  Joining two paths
-rewires the mates of the two outer ends in O(1); removing an edge walks
-only the path it splits, to re-pair the new ends.
+exactly when they share a path.  Only path ends and untouched vertices
+can take another class edge, so `would_close_cycle` answers for them alone,
+by one slot read.  Joining two paths rewires the mates of the two outer
+ends in O(1); removing an edge walks only the path it splits, to re-pair
+the new ends.
 """
 
 from __future__ import annotations
@@ -229,28 +230,19 @@ class ForestColoring:
     def would_close_cycle(self, j: int, u: int, v: int) -> bool:
         """True iff ``u`` and ``v`` are already connected within class ``j``.
 
-        One slot read when both have class degree at most 1; otherwise a walk
-        from each interior vertex to an end of its path.
+        Only a vertex with at most one class-``j`` edge can take another, so
+        both must be path ends (or untouched), and the answer is one mate
+        read.  Raises :class:`PreconditionError` for a vertex that already
+        has two class-``j`` edges.
         """
         if not 0 <= j < self.t:
             raise PreconditionError(f"class {j} out of range 0..{self.t - 1}")
-        if u == v:
-            return True
         t = self.t
-        cd, nb2 = self._cd, self._nb2
-        ends: list[int] = []
-        for x in (u, v):
-            i = x * t + j
-            if cd[i] == 0:
-                return False
-            if cd[i] == 2:
-                end = self._path_end(j, x, nb2[i])
-                if cd[end * t + j] == 2:  # x lies on a cycle
-                    return x == u and v in self._cycle_through(j, u, end)
-                x = end
-            ends.append(x)
-        a, b = ends
-        return a == b or nb2[a * t + j] == b
+        cd = self._cd
+        iu = u * t + j
+        if cd[iu] == 2 or cd[v * t + j] == 2:
+            raise PreconditionError(f"{u} or {v} already has two class-{j} edges")
+        return u == v or (cd[iu] == 1 and self._nb2[iu] == v)
 
     def cycle_containing(self, j: int, e: int, u: int, v: int) -> list[int] | None:
         """The class-``j`` cycle through the colored edge ``e`` = uv, or None.
@@ -261,10 +253,6 @@ class ForestColoring:
         """
         if self.edge_class[e] != j:
             raise PreconditionError(f"edge {e} ({u}-{v}) is not colored {j}")
-        return self._cycle_through(j, u, v)
-
-    def _cycle_through(self, j: int, u: int, v: int) -> list[int] | None:
-        """:meth:`cycle_containing` for class-``j`` neighbors ``u`` and ``v``."""
         out = [u, v]
         prev, cur = u, v
         limit = self.n + 1

@@ -20,17 +20,22 @@ of the vertex at position ``i``, ascending by id, are
 ``targets[offsets[i]:offsets[i + 1]]``.  Nothing here builds rows of its
 own.
 
+The result names the reserved edges by id, an id being an index into
+``targets``: one flag per edge, set when the edge joins its row's owner to
+one of that owner's representatives.  No per-owner list outlives the call.
+
 A vertex may be padded with phantom leaves: private right-neighbors that
 only it can reserve.  Their ids would follow every real vertex, so each
-owner's phantoms rank after all its real candidates, and only their count
-is tracked.
+owner's phantoms rank after all its real candidates; an owner reserves as
+many of them as ``r`` exceeds its flagged edges.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .degeneracy import DegeneracyOrdering
 from .errors import InternalContradictionError, PreconditionError
@@ -41,18 +46,14 @@ from .graph import Graph
 class SdrAssignment:
     """Disjoint representative sets for every vertex of degree >= d.
 
-    ``reps`` maps each qualifying vertex to its real representatives, sorted
-    by id, and ``phantoms`` to the number of its phantom leaves reserved on
-    top (absent when zero); together they make ``r``.  Vertices below the
-    degree threshold are absent; ``reps_of`` returns ``[]`` for them.
+    ``reserved[e] == 1`` when edge ``e`` (an index into the right-row
+    targets) joins its row's owner to one of its real representatives.  Each
+    owner reserves ``r`` in all: its flagged edges, then phantom leaves for
+    the rest.  Rows of vertices below the degree threshold hold no flag.
     """
 
     r: int
-    reps: dict[int, list[int]]
-    phantoms: dict[int, int] = field(default_factory=dict)
-
-    def reps_of(self, v: int) -> list[int]:
-        return self.reps.get(v, [])
+    reserved: bytearray
 
 
 def compute_sdr(
@@ -86,8 +87,9 @@ def compute_sdr(
         raise PreconditionError(f"need k <= d <= max degree, got k={k}, d={d}, max={delta}")
     r = (d - k) // k
     owners = [v for v in range(g.n) if degree[v] >= d]
+    reserved = bytearray(len(targets))
     if r == 0:
-        return SdrAssignment(r, {v: [] for v in owners})
+        return SdrAssignment(r, reserved)
 
     position = ordering.position
     taken_by: dict[int, int] = {}  # representative vertex -> owner holding it
@@ -113,8 +115,11 @@ def compute_sdr(
             _augment(v, targets, offsets, position, pad, taken_by, assigned, phantoms)
 
     for v in owners:
-        assigned[v].sort()
-    return SdrAssignment(r, assigned, phantoms)
+        i = position[v]
+        lo, hi = offsets[i], offsets[i + 1]
+        for u in assigned[v]:
+            reserved[bisect_left(targets, u, lo, hi)] = 1
+    return SdrAssignment(r, reserved)
 
 
 def _augment(

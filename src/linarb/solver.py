@@ -14,13 +14,16 @@ constructs such a partition:
     isolated ones.  The thresholds are global, so one ordering certifying
     the global k serves every component: there is no per-component pass.
 3.  Reserve ``r = (D - k) // k`` disjoint right-neighbors ("representatives")
-    for every degree-D vertex; reserved vertices keep one unit of headroom in
+    for every degree-D vertex, as flags on the edges to them, the rest of
+    ``r`` as padding leaves; reserved vertices keep one unit of headroom in
     every class until their owner is processed.
 4.  Sweep the ordering.  At each degree-D vertex, first place the
     non-reserved right-edges greedily (each lands in a class untouched at the
     light endpoint), then exhaust the owner's remaining class budget on the
     reserved edges, and finally repair any monochromatic cycle with local
     recoloring/swaps, each of which strictly shrinks the set of cycles.
+    An edge between two degree-1 vertices, a component of its own, takes
+    class 0 after the sweep.
 
 The same sweep with one extra class (``t = ceil((D+1)/2)``) works whenever
 D >= 2k^2 - 2k ("relaxed" mode, matching the classic one-more-class bound).
@@ -33,7 +36,6 @@ import os
 import tempfile
 import time
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -166,10 +168,12 @@ class SolverState:
     Isolated vertices are allowed and skipped: they get no padding and sit
     with the degree-1 vertices behind the sweep.
 
-    Every edge has an id, its index in the right-row table (:attr:`targets`);
-    the few edges between two degree-1 vertices, which no row lists, follow
-    in the order :meth:`_color_isolated_edges` colors them.  The sweep keeps
-    classes by edge id only, in the coloring's class array.
+    Every edge has an id, its index in the right-row table (:attr:`targets`).
+    The rows of the degree-D block come first; the few edges between two
+    degree-1 vertices (K2 components) form the table's tail, each listed
+    once by its earlier endpoint, whose only neighbor it names.  The sweep
+    keeps classes by edge id only, in the coloring's class array, and the
+    representative selection marks the reserved edges by id.
 
     Exposes :meth:`process_vertex` so tests can drive the sweep one position
     at a time; :meth:`run` drives it to completion and returns the coloring
@@ -241,7 +245,9 @@ class SolverState:
         # and read by both the representative selection and the sweep: the
         # row at position i is targets[offsets[i]:offsets[i + 1]], and an
         # index into targets is the id of that edge.  The offsets are only
-        # read, so an array holds them.
+        # read, so an array holds them.  Past the last row, the tail names
+        # the later endpoint of each K2 edge, whose earlier one is its only
+        # neighbor.
         mark = time.perf_counter()
         adj = g._adj
         targets: list[int] = []
@@ -251,6 +257,11 @@ class SolverState:
             row.sort()
             targets += row
             offsets.append(len(targets))
+        if len(targets) < g.edge_count:
+            for v in ones:
+                row = adj[v]
+                if row and len(adj[row[0]]) == 1 and position[row[0]] > position[v]:
+                    targets.append(row[0])
         self.targets = targets
         self.offsets = offsets
         self.sdr: SdrAssignment = compute_sdr(
@@ -268,10 +279,11 @@ class SolverState:
         self.reserved_owner_pos: list[int] = []
         if debug:
             self.reserved_owner_pos = [-1] * n
-            for v, row in self.sdr.reps.items():
-                pv = position[v]
-                for u in row:
-                    self.reserved_owner_pos[u] = pv
+            flags = self.sdr.reserved
+            for i in range(self.n_high):
+                for e in range(offsets[i], offsets[i + 1]):
+                    if flags[e]:
+                        self.reserved_owner_pos[targets[e]] = i
         self._touched: list[int] = []
         # The padding leaves of the owner being swept, per class; replaced at
         # the start of each owner's step and read only during it.
@@ -286,16 +298,18 @@ class SolverState:
         it is built from the class array only after the representatives and
         the coloring tables are released: the state is spent afterwards.
         """
-        # Positions past the degree-D block hold degree-1 vertices, whose
-        # single edge is always colored from the other side, and isolated
-        # vertices: skip them.
+        # Positions past the degree-D block hold isolated and degree-1
+        # vertices, whose edge is colored from its other end, or here for a
+        # K2 edge: alone in its component, it closes no cycle in class 0.
         start = time.perf_counter()
         for i in range(self.n_high):
             self.process_vertex(i)
         fc = self.fc
+        adj, targets = self.g._adj, self.targets
+        for e in range(self.offsets[self.n_high], len(targets)):
+            u = targets[e]
+            fc.assign(e, adj[u][0], u, 0)
         cls = fc.edge_class
-        if len(self.targets) < len(cls):
-            self._color_isolated_edges()
         uncolored = cls.count(NIL)
         if uncolored:
             raise InternalContradictionError(f"sweep left {uncolored} edges uncolored")
@@ -303,29 +317,10 @@ class SolverState:
             problems = fc.validate(list(self.edge_keys()))
             if problems:
                 raise InternalContradictionError("final state invalid: " + "; ".join(problems))
-        del self.sdr, self.fc
+        del self.sdr, self.fc, fc
         out = dict(zip(self.edge_keys(), cls))
         self.stats.sweep_ms += (time.perf_counter() - start) * 1000.0
         return out
-
-    def _isolated_edges(self) -> Iterator[tuple[int, int]]:
-        """The edges whose two endpoints both have degree 1, in sweep order.
-
-        The sweep reaches a degree-1 vertex's edge only from its other end,
-        so an edge that is a component of its own is in no right row.
-        """
-        adj = self.g._adj
-        for v in self.ordering.order[self.n_high:]:
-            row = adj[v]
-            if row and v < row[0] and len(adj[row[0]]) == 1:
-                yield v, row[0]
-
-    def _color_isolated_edges(self) -> None:
-        """Put every edge whose two endpoints both have degree 1 into class 0,
-        under the ids that follow the right-row table.  Alone in its
-        component, such an edge closes no cycle and fills no class."""
-        for e, (v, u) in enumerate(self._isolated_edges(), len(self.targets)):
-            self.fc.assign(e, v, u, 0)
 
     def edge_keys(self) -> Iterator[tuple[int, int]]:
         """Every edge as its ``(u, v)`` pair, ``u < v``, in edge-id order.
@@ -334,16 +329,17 @@ class SolverState:
         rows' own objects, several per vertex, made verify_partition 15-25%
         slower on the map.
         """
-        ids = self.ids
+        ids, adj = self.ids, self.g._adj
         order, targets, offsets = self.ordering.order, self.targets, self.offsets
         for i in range(self.n_high):
             v = ids[order[i]]
             for u in targets[offsets[i]:offsets[i + 1]]:
                 u = ids[u]
                 yield (v, u) if v < u else (u, v)
-        if len(targets) < self.g.edge_count:
-            for v, u in self._isolated_edges():
-                yield ids[v], ids[u]
+        for u in targets[offsets[self.n_high]:]:
+            v = ids[adj[u][0]]
+            u = ids[u]
+            yield (v, u) if v < u else (u, v)
 
     def process_vertex(self, i: int) -> None:
         """Color every right-edge of the vertex at position ``i`` and place
@@ -360,11 +356,18 @@ class SolverState:
         v = self.ordering.order[i]
         lo, hi = self.offsets[i], self.offsets[i + 1]
         targets = self.targets
-        # The reserved edges by far end, and the ids of the other right-edges;
-        # a row and its representatives both ascend by vertex id.
-        rep_edge = {u: bisect_left(targets, u, lo, hi) for u in self.sdr.reps_of(v)}
-        spare = [e for e in range(lo, hi) if targets[e] not in rep_edge]
-        reserved = self.sdr.phantoms.get(v, 0)
+        # The reserved edges by far end, ascending like the row, and the ids
+        # of the other right-edges; reserved leaves make up the rest of r.
+        # One loop: rows are short, and two comprehensions cost 2.6x as much.
+        flags = self.sdr.reserved
+        rep_edge: dict[int, int] = {}
+        spare: list[int] = []
+        for e in range(lo, hi):
+            if flags[e]:
+                rep_edge[targets[e]] = e
+            else:
+                spare.append(e)
+        reserved = self.sdr.r - len(rep_edge)
         if self.debug:
             self._touched = [v] + targets[lo:hi]
         self.leaves = bytearray(self.t)
@@ -723,8 +726,10 @@ def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
     """Pair the edges of a forest into ``ceil(max_degree/2) <= t`` classes.
 
     Any assignment keeping per-vertex class counts at 2 works: subgraphs of a
-    forest are forests, so no cycles can arise.  Children cycle through the
-    smallest classes with remaining capacity at the parent.
+    forest are forests, so no cycles can arise.  Children fill the smallest
+    classes with remaining capacity at the parent, two to a class, one in the
+    parent edge's class ``pc``: the ``i``-th child takes class ``i // 2``
+    below slot ``2 * pc``, and ``(i + 1) // 2`` from there on.
     """
     n = g.n
     ids = list(range(n))  # one int object per vertex in the keys, as the sweep's
@@ -738,19 +743,16 @@ def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
         stack: list[tuple[int, int, int]] = [(root, -1, -1)]
         while stack:
             x, parent, pc = stack.pop()
-            used = [0] * t
-            if pc >= 0:
-                used[pc] = 1
-            c = 0
+            split = 2 * pc if pc >= 0 else n
+            i = 0
             for y in sorted(g.neighbors(x)):
                 if y == parent:
                     continue
-                while c < t and used[c] == 2:
-                    c += 1
-                if c == t:
+                c = i // 2 if i < split else (i + 1) // 2
+                if c >= t:
                     raise InternalContradictionError(f"forest pairing ran out of classes at {x}")
                 out[edge_key(ids[x], ids[y])] = c
-                used[c] += 1
+                i += 1
                 seen[y] = 1
                 stack.append((y, x, c))
     return out

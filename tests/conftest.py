@@ -224,6 +224,29 @@ def right_rows(g: Graph, ordering: DegeneracyOrdering) -> tuple[list[int], list[
     return targets, offsets
 
 
+def owner_reservation(sdr, ordering: DegeneracyOrdering, rows, v: int) -> tuple[list[int], int]:
+    """Owner ``v``'s real representatives, ascending, and its reserved leaf
+    count, read from the SDR's flags over ``v``'s row of the right-row table
+    ``rows`` (a ``(targets, offsets)`` pair, as :func:`right_rows` builds)."""
+    targets, offsets = rows
+    i = ordering.position[v]
+    reps = [targets[e] for e in range(offsets[i], offsets[i + 1]) if sdr.reserved[e]]
+    return reps, sdr.r - len(reps)
+
+
+def flagged_owners(sdr, ordering: DegeneracyOrdering, rows) -> set[int]:
+    """The vertices whose row of ``rows`` holds a reserved flag; the flags
+    must span exactly the table."""
+    targets, offsets = rows
+    assert len(sdr.reserved) == len(targets)
+    order = ordering.order
+    return {
+        order[i]
+        for i in range(len(offsets) - 1)
+        if any(sdr.reserved[offsets[i]:offsets[i + 1]])
+    }
+
+
 def hall_certificate_check(
     g: Graph,
     ordering: DegeneracyOrdering,

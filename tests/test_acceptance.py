@@ -38,8 +38,10 @@ from conftest import (
     ACCEPTANCE_LINES,
     Pairs,
     endpoint_recolor_fixture,
+    flagged_owners,
     hall_certificate_check,
     naive_degeneracy,
+    owner_reservation,
     path_partner_swap_fixture,
     right_rows,
     unreserved_trade_fixture,
@@ -326,15 +328,18 @@ def test_criterion_5_representatives_are_disjoint_and_hall_certified():
         g = generate_k_degenerate(n, k, rnd.randrange(2 * k, 4 * k + 6), seed=570000 + i)
         ordering = degeneracy_ordering(g)
         d = max_degree(g)
-        sdr = compute_sdr(g, ordering, d, *right_rows(g, ordering))
-        owners = sorted(sdr.reps)
+        rows = right_rows(g, ordering)
+        sdr = compute_sdr(g, ordering, d, *rows)
+        owners = [v for v in range(g.n) if g.degree(v) >= d]
         if sdr.r != (d - ordering.k) // ordering.k:
             failures.append(f"i={i}: wrong spare count {sdr.r}")
             break
+        if not flagged_owners(sdr, ordering, rows) <= set(owners):
+            failures.append(f"i={i}: a flag lies outside every owner's row")
         taken: set[int] = set()
         pos = ordering.position
         for v in owners:
-            reps = sdr.reps[v]
+            reps, _ = owner_reservation(sdr, ordering, rows, v)
             if len(reps) != sdr.r:
                 failures.append(f"i={i}: owner {v} got {len(reps)} of {sdr.r}")
             if set(reps) & taken:

@@ -141,9 +141,13 @@ def test_would_close_cycle_and_closure():
     fc.assign(p(1, 2), 1, 2, 0)
     fc.assign(p(2, 3), 2, 3, 0)
     assert fc.would_close_cycle(0, 0, 3)
-    assert fc.would_close_cycle(0, 1, 3)
+    assert fc.would_close_cycle(0, 3, 0)
     assert not fc.would_close_cycle(0, 0, 4)
     assert not fc.would_close_cycle(1, 0, 3)
+    # 1 and 2 are interior to the class-0 path: they take no more edges.
+    for u, v in ((1, 3), (3, 1), (1, 2), (2, 4)):
+        with pytest.raises(PreconditionError, match="two class-0 edges"):
+            fc.would_close_cycle(0, u, v)
     with pytest.raises(PreconditionError):
         fc.would_close_cycle(2, 0, 1)
 
@@ -277,13 +281,11 @@ def close_and_break_cycle(fc, p, rnd):
     if not any(can_join(fc, p, k, u, v) for k in range(fc.t) if k != j):
         return False
     assert fc.would_close_cycle(j, u, v)
+    check_cycle_queries(fc, p, j, u)
     fc.assign(p(u, v), u, v, j)
     cycle = fc.cycle_containing(j, p(u, v), u, v)
     assert cycle is not None
-    for x in range(fc.n):
-        want = connected_in_class(edge_classes(fc, p.ends), j, v, x)
-        assert fc.would_close_cycle(j, v, x) == want
-        assert fc.would_close_cycle(j, x, v) == want
+    check_cycle_queries(fc, p, j, v)
     edges = [edge_key(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
     e1 = rnd.choice(edges)
     colors = edge_classes(fc, p.ends)
@@ -298,8 +300,25 @@ def close_and_break_cycle(fc, p, rnd):
     assert not any(
         fc.edge_class[p(*e)] == j and fc.cycle_containing(j, p(*e), *e) for e in edges
     )
+    check_cycle_queries(fc, p, j, v)
     assert fc.validate(p.ends) == []
     return True
+
+
+def check_cycle_queries(fc, p, j, v):
+    """Ask would_close_cycle about ``v`` and every vertex, both ways round:
+    where both are path ends or untouched in class ``j``, the answer matches
+    a from-scratch rebuild; where either has two class-``j`` edges, it raises."""
+    colors = edge_classes(fc, p.ends)
+    for x in range(fc.n):
+        if 2 in (fc.class_degree(v, j), fc.class_degree(x, j)):
+            for a, b in ((v, x), (x, v)):
+                with pytest.raises(PreconditionError):
+                    fc.would_close_cycle(j, a, b)
+            continue
+        want = connected_in_class(colors, j, v, x)
+        assert fc.would_close_cycle(j, v, x) == want
+        assert fc.would_close_cycle(j, x, v) == want
 
 
 def random_forest_state(seed, n=14, t=4, steps=160):
@@ -343,16 +362,23 @@ def random_forest_state(seed, n=14, t=4, steps=160):
 
 
 def test_random_states_stay_consistent():
-    cycles = 0
+    cycles = ends = interior = 0
     for seed in range(12):
         fc, p, closed = random_forest_state(seed)
         cycles += closed
         assert fc.validate(p.ends) == []
-        # Connectivity answers must match a from-scratch rebuild.
+        # Connectivity answers must match a from-scratch rebuild at path
+        # ends and untouched vertices; an interior vertex is refused.
         rnd = random.Random(seed + 1000)
         for _ in range(25):
             u, v = rnd.sample(range(fc.n), 2)
             j = rnd.randrange(fc.t)
+            if 2 in (fc.class_degree(u, j), fc.class_degree(v, j)):
+                interior += 1
+                with pytest.raises(PreconditionError):
+                    fc.would_close_cycle(j, u, v)
+                continue
+            ends += 1
             assert fc.would_close_cycle(j, u, v) == connected_in_class(
                 edge_classes(fc, p.ends), j, u, v
             )
@@ -364,3 +390,4 @@ def test_random_states_stay_consistent():
                 assert sorted(fc.class_neighbors(v, j)) == nbrs
                 assert fc.class_degree(v, j) == len(nbrs)
     assert cycles >= 12
+    assert ends and interior

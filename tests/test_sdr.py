@@ -14,9 +14,11 @@ from linarb import (
 )
 from conftest import (
     cycle_graph,
+    flagged_owners,
     gfrom,
     hall_certificate_check,
     ordering_for,
+    owner_reservation,
     random_graph,
     right_rows,
     star_graph,
@@ -32,10 +34,12 @@ def check_assignment(g, ordering, d, sdr):
     k = ordering.k
     assert sdr.r == (d - k) // k
     owners = [v for v in range(g.n) if g.degree(v) >= d]
-    assert sorted(sdr.reps) == owners
+    rows = right_rows(g, ordering)
+    assert flagged_owners(sdr, ordering, rows) <= set(owners)
     seen: set[int] = set()
-    for v, reps in sdr.reps.items():
-        assert len(reps) == sdr.r
+    for v in owners:
+        reps, leaves = owner_reservation(sdr, ordering, rows, v)
+        assert (len(reps), leaves) == (sdr.r, 0)
         assert reps == sorted(reps)
         assert set(reps) <= right_neighbors(g, ordering, v)
         for u in reps:
@@ -62,27 +66,29 @@ def test_threshold_range_enforced():
 def test_threshold_equal_to_degeneracy_reserves_nothing():
     g = cycle_graph(6)
     ordering = degeneracy_ordering(g)
-    sdr = compute_sdr(g, ordering, 2, *right_rows(g, ordering))
+    rows = right_rows(g, ordering)
+    sdr = compute_sdr(g, ordering, 2, *rows)
     assert sdr.r == 0
-    assert sorted(sdr.reps) == list(range(6))
-    assert all(reps == [] for reps in sdr.reps.values())
-    assert sdr.reps_of(0) == []
+    assert flagged_owners(sdr, ordering, rows) == set()
+    assert owner_reservation(sdr, ordering, rows, 0) == ([], 0)
 
 
 def test_star_center_reserves_all_but_one_leaf():
     g = star_graph(8)
     ordering = degeneracy_ordering(g)
-    sdr = compute_sdr(g, ordering, 8, *right_rows(g, ordering))
+    rows = right_rows(g, ordering)
+    sdr = compute_sdr(g, ordering, 8, *rows)
     assert sdr.r == 7
-    assert list(sdr.reps) == [0]
+    assert flagged_owners(sdr, ordering, rows) == {0}
     check_assignment(g, ordering, 8, sdr)
 
 
 def test_reps_of_non_owner_is_empty():
     g = star_graph(5)
     ordering = degeneracy_ordering(g)
-    sdr = compute_sdr(g, ordering, 5, *right_rows(g, ordering))
-    assert sdr.reps_of(3) == []
+    rows = right_rows(g, ordering)
+    sdr = compute_sdr(g, ordering, 5, *rows)
+    assert owner_reservation(sdr, ordering, rows, 3)[0] == []
 
 
 def test_greedy_deficit_resolved_by_reassignment():
@@ -100,10 +106,11 @@ def test_greedy_deficit_resolved_by_reassignment():
     for u in range(4, 10):
         g.add_edge(3, u)
     ordering = ordering_for(g, list(range(22)), 2)
-    sdr = compute_sdr(g, ordering, 6, *right_rows(g, ordering))
+    rows = right_rows(g, ordering)
+    sdr = compute_sdr(g, ordering, 6, *rows)
     assert sdr.r == 2
     check_assignment(g, ordering, 6, sdr)
-    assert len(sdr.reps_of(3)) == 2
+    assert len(owner_reservation(sdr, ordering, rows, 3)[0]) == 2
 
 
 def test_deterministic():
@@ -113,7 +120,7 @@ def test_deterministic():
     d = max(ordering.k, max_degree(g) - 1)
     a = compute_sdr(g, ordering, d, *right_rows(g, ordering))
     b = compute_sdr(g, ordering, d, *right_rows(g, ordering))
-    assert a.reps == b.reps
+    assert a.reserved == b.reserved
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,15 +162,19 @@ def test_phantom_padding_matches_explicit_pendants(seed):
     ordering = degeneracy_ordering(g)
     d = max_degree(g) + rnd.randrange(0, 3)
     pad = [d - g.degree(v) if 1 < g.degree(v) < d else 0 for v in range(g.n)]
-    got = compute_sdr(g, ordering, d, *right_rows(g, ordering), pad)
+    rows = right_rows(g, ordering)
+    got = compute_sdr(g, ordering, d, *rows, pad)
     padded, padded_ordering = with_explicit_pendants(g, ordering, pad)
-    want = compute_sdr(padded, padded_ordering, d, *right_rows(padded, padded_ordering))
+    padded_rows = right_rows(padded, padded_ordering)
+    want = compute_sdr(padded, padded_ordering, d, *padded_rows)
     assert got.r == want.r
-    assert sorted(got.reps) == sorted(want.reps)
-    for v, reps in want.reps.items():
+    owners = [v for v in range(padded.n) if padded.degree(v) >= d]
+    assert flagged_owners(got, ordering, rows) <= set(owners)
+    for v in owners:
+        reps, leaves = owner_reservation(want, padded_ordering, padded_rows, v)
+        assert leaves == 0
         real = [u for u in reps if u < g.n]
-        assert got.reps[v] == real
-        assert got.phantoms.get(v, 0) == len(reps) - len(real)
+        assert owner_reservation(got, ordering, rows, v) == (real, len(reps) - len(real))
 
 
 def test_deficit_resolved_through_a_phantom():
@@ -173,13 +184,15 @@ def test_deficit_resolved_through_a_phantom():
     g = gfrom(9, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8)])
     ordering = ordering_for(g, [0, 1, 7, 8, 2, 3, 4, 5, 6], 2)
     pad = [6 - g.degree(v) if g.degree(v) > 1 else 0 for v in range(g.n)]
-    sdr = compute_sdr(g, ordering, 6, *right_rows(g, ordering), pad)
-    assert (sdr.reps_of(0), sdr.phantoms[0]) == ([], 2)
-    assert (sdr.reps_of(1), sdr.phantoms.get(1, 0)) == ([5, 6], 0)
-    assert (sdr.reps_of(2), sdr.phantoms.get(2, 0)) == ([3, 4], 0)
+    rows = right_rows(g, ordering)
+    sdr = compute_sdr(g, ordering, 6, *rows, pad)
+    assert owner_reservation(sdr, ordering, rows, 0) == ([], 2)
+    assert owner_reservation(sdr, ordering, rows, 1) == ([5, 6], 0)
+    assert owner_reservation(sdr, ordering, rows, 2) == ([3, 4], 0)
     padded, padded_ordering = with_explicit_pendants(g, ordering, pad)
     rows = right_rows(padded, padded_ordering)
-    assert compute_sdr(padded, padded_ordering, 6, *rows).reps[2] == [3, 4]
+    sdr = compute_sdr(padded, padded_ordering, 6, *rows)
+    assert owner_reservation(sdr, ordering, rows, 2) == ([3, 4], 0)
 
 
 def test_hall_exhaustive_small():

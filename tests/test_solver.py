@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from linarb import (
     class_count_for,
     decompose,
     degeneracy_ordering,
+    edge_key,
     generate_k_degenerate,
     max_degree,
     place_light_edge,
@@ -85,19 +88,39 @@ def test_solver_state_rejects_unpaddable_inputs():
 @pytest.mark.parametrize("seed", range(12))
 def test_shared_right_rows_match_the_reference(seed):
     """The one right-row table covers the degree-D block of the sweep order,
-    ascending by id, also when the graph's own rows are not."""
+    ascending by id, also when the graph's own rows are not, and lists each
+    K2 edge once in its tail, also when the larger id comes first."""
     rnd = random.Random(seed)
     k = rnd.choice((2, 3))
     base = generate_k_degenerate(rnd.randrange(k + 3, 60), k, 2 * k * k, seed)
     edges = base.edges()
+    pairs = [(base.n + 2 * i, base.n + 2 * i + 1) for i in range(seed % 4)]
+    edges += pairs
     rnd.shuffle(edges)
-    g = Graph.from_edges(base.n, ((v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges))
+    n = base.n + 2 * len(pairs)
+    g = Graph.from_edges(n, ((v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges))
     delta = max_degree(g)
     t = class_count_for(delta, k, Mode.LAC)
-    state = SolverState(g, degeneracy_ordering(g), delta, t, Mode.LAC)
+    ordering = degeneracy_ordering(g)
+    if seed % 2:
+        # Each K2 edge's endpoints in random order at the end; the peeling
+        # order otherwise puts the larger id first.
+        ends = [x for e in pairs for x in (e if rnd.random() < 0.5 else e[::-1])]
+        ordering = ordering_for(g, [v for v in ordering.order if v < base.n] + ends, k)
+    state = SolverState(g, ordering, delta, t, Mode.LAC)
     targets, offsets = right_rows(g, state.ordering)
+    head = offsets[state.n_high]
     assert list(state.offsets) == offsets[:state.n_high + 1]
-    assert state.targets == targets[:offsets[state.n_high]]
+    assert state.targets[:head] == targets[:head]
+    # The reference lists a K2 edge at its earlier endpoint, as the tail does.
+    tail = state.targets[head:]
+    assert tail == targets[head:]
+    assert sorted(edge_key(g.neighbors(u)[0], u) for u in tail) == pairs
+    if not seed % 2:
+        assert all(g.neighbors(u)[0] > u for u in tail)
+    assert len(state.targets) == g.edge_count
+    coloring = state.run()
+    assert all(coloring[e] == 0 for e in pairs)
 
 
 def test_solver_state_sweeps_isolated_vertices():
@@ -838,9 +861,11 @@ def test_fan_graph_uses_classes_past_a_byte():
     assert shifted == result.coloring
 
 
-def test_run_counts_uncolored_edges_by_the_sentinel(monkeypatch):
+def test_run_counts_uncolored_edges_by_the_sentinel():
     """An edge between two degree-1 vertices left uncolored is caught by
-    the class array's sentinel count at the end of run()."""
+    the class array's sentinel count at the end of run(): with the last K2
+    edge cut from the table's tail, no loop reaches its id, and without the
+    count run() would return a map that lacks it."""
     g0 = generate_k_degenerate(n=200, k=2, delta_min=6, seed=3)
     n0 = g0.n
     g = Graph.from_edges(n0 + 2, g0.edges() + [(n0, n0 + 1)])
@@ -849,7 +874,7 @@ def test_run_counts_uncolored_edges_by_the_sentinel(monkeypatch):
     delta = max_degree(g0)
     t = class_count_for(delta, base.k, Mode.MINIMUM)
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
-    monkeypatch.setattr(state, "_color_isolated_edges", lambda: None)
+    assert state.targets.pop() == n0 + 1
     with pytest.raises(InternalContradictionError, match="sweep left 1 edges uncolored"):
         state.run()
 
@@ -865,6 +890,24 @@ def test_edge_keys_list_every_edge_once_in_id_order():
     assert [pos[v] for v in first] == sorted(pos[v] for v in first)
     coloring = state.run()
     assert list(coloring) == keys
+
+
+def test_run_releases_the_coloring_before_building_the_map(monkeypatch):
+    """The output map is the largest structure of a solve, so run() drops
+    the coloring tables and the reservations before it builds the map."""
+    g, ordering, delta, t = pendant_partner_fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
+    alive = weakref.ref(state.fc), weakref.ref(state.sdr)
+    seen = []
+    keys = state.edge_keys
+
+    def edge_keys():
+        seen.append([ref() for ref in alive])
+        return keys()
+
+    monkeypatch.setattr(state, "edge_keys", edge_keys)
+    state.run()
+    assert seen == [[None, None]]
 
 
 def test_repair_contradiction_dump_replays(monkeypatch, tmp_path):
@@ -914,3 +957,84 @@ def test_repair_contradiction_reports_an_unwritable_dump_dir(monkeypatch, tmp_pa
     g, ordering, delta, t = endpoint_recolor_fixture()
     with pytest.raises(InternalContradictionError, match="reproducer not written"):
         SolverState(g, ordering, delta, t, Mode.MINIMUM).run()
+
+
+# ------------------------------------------------------------- forest path
+
+
+def random_forest(rnd: random.Random, n: int) -> Graph:
+    """A forest on ``n`` shuffled vertex ids: each vertex but the first
+    hangs on an earlier one, half the time on one of the first three (which
+    become hubs), or starts a new tree; a few vertices stay isolated."""
+    label = list(range(n))
+    rnd.shuffle(label)
+    edges = []
+    for i in range(1, n):
+        if rnd.random() < 0.1:
+            continue
+        parent = rnd.randrange(min(i, 3)) if rnd.random() < 0.5 else rnd.randrange(i)
+        edges.append((label[parent], label[i]))
+    return Graph.from_edges(n, edges)
+
+
+def caterpillar(rnd: random.Random, spine: int) -> Graph:
+    """A path of ``spine`` vertices, each with a random number of leaves, so
+    children meet a parent edge in every class position."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        for _ in range(rnd.randrange(0, 9)):
+            edges.append((i, n))
+            n += 1
+    return Graph.from_edges(n, edges)
+
+
+def forest_family(name: str) -> list[Graph]:
+    rnd = random.Random(name)
+    if name == "random":
+        return [random_forest(rnd, rnd.randrange(2, 90)) for _ in range(120)]
+    if name == "star":
+        stars = [star_graph(leaves) for leaves in range(1, 41)]
+        # A center in the middle of the id range, and two stars side by side.
+        stars.append(Graph.from_edges(31, [(15, i) for i in range(31) if i != 15]))
+        pair = [(0, i) for i in range(1, 12)] + [(12, i) for i in range(13, 20)]
+        stars.append(Graph.from_edges(20, pair))
+        return stars
+    return [caterpillar(rnd, rnd.randrange(1, 12)) for _ in range(60)]
+
+
+# sha256, per family, of every forest's sorted "u v c" lines, each graph's
+# block headed by its "n m" line; recorded from the forest path that kept a
+# per-vertex array of class loads.  Forests get ceil(D/2) classes in both
+# modes, so both modes must give these digests.
+FOREST_SHA256 = {
+    "random": "a3bebb653a7b8b9437b47972998450311828918790edf1efa01823db181028bf",
+    "star": "6dec9b0422d515e7c65e3b0b32907e23434a7b09b17f49600ee8a8245578d160",
+    "caterpillar": "31fde598a13d04cd15b84a4049064cdae35a486b7c0b146705efd1e6574f6f04",
+}
+
+
+@pytest.mark.parametrize("mode", ["minimum", "lac"])
+@pytest.mark.parametrize("family", sorted(FOREST_SHA256))
+def test_forest_colorings_are_pinned(family, mode):
+    h = hashlib.sha256()
+    for g in forest_family(family):
+        result = decompose(g, mode)
+        assert result.k <= 1
+        check_decomposition(g, result)
+        h.update(f"{g.n} {g.edge_count}\n".encode())
+        for (u, v), c in sorted(result.coloring.items()):
+            h.update(f"{u} {v} {c}\n".encode())
+    assert h.hexdigest() == FOREST_SHA256[family]
+
+
+def test_large_star_decomposes_in_linear_time():
+    """A star with 100,000 leaves needs t = 50,000 classes; a per-vertex
+    table of t class loads made the forest path O(n * t) here."""
+    g = star_graph(100_000)
+    start = time.perf_counter()
+    result = decompose(g)
+    report = verify_partition(g, result.coloring, result.t)
+    elapsed = time.perf_counter() - start
+    assert report.valid and result.t == 50_000
+    assert elapsed < 3.0, f"{elapsed:.2f} s"
