@@ -9,7 +9,6 @@ exhaustive-search oracle, an independent partition verifier, closed-form
 bounds, seeded generators, and a CLI (``linarb --help``).
 """
 
-from .coloring import ForestColoring, edge_key
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
 from .errors import (
     FeasibilityError,
@@ -20,7 +19,6 @@ from .errors import (
 )
 from .graph import Graph, max_degree
 from .oracle import LaBounds, OracleResult, exact_la, la_bounds
-from .sdr import SdrAssignment, compute_sdr
 from .solver import (
     DecomposeResult,
     Mode,
@@ -28,7 +26,6 @@ from .solver import (
     SolveStats,
     class_count_for,
     decompose,
-    place_light_edge,
     required_max_degree,
 )
 from .cli import SplitMix64, generate_k_degenerate, main, parse_edge_list
@@ -40,7 +37,6 @@ __all__ = [
     "DecomposeResult",
     "DegeneracyOrdering",
     "FeasibilityError",
-    "ForestColoring",
     "Graph",
     "GraphError",
     "InternalContradictionError",
@@ -49,24 +45,20 @@ __all__ = [
     "OracleResult",
     "ParseError",
     "PreconditionError",
-    "SdrAssignment",
     "SolveStats",
     "SolverState",
     "SplitMix64",
     "VerificationReport",
     "Violation",
     "class_count_for",
-    "compute_sdr",
     "decompose",
     "degeneracy_ordering",
-    "edge_key",
     "exact_la",
     "generate_k_degenerate",
     "la_bounds",
     "main",
     "max_degree",
     "parse_edge_list",
-    "place_light_edge",
     "required_max_degree",
     "verify_partition",
 ]

@@ -10,9 +10,12 @@ members, so Hall's condition holds with room to spare.
 
 The selection is a maximum flow on the bipartite demand network (source ->
 owner with capacity r, owner -> candidate and candidate -> sink with
-capacity 1).  A greedy smallest-id pass saturates almost all demand; the
-rare leftovers are finished with breadth-first augmenting paths, so the
-result is deterministic and near-linear on typical inputs.
+capacity 1).  A greedy smallest-id pass, owners in id order, saturates
+almost all demand, and breadth-first augmenting paths finish the rest, so
+the result is deterministic.  Each augment rescans its start owner's row,
+so a hub whose id follows its neighbours' ids is quadratic: on a fan (a path
+plus a hub joined to all of it) the path owners take the hub's candidates
+first, and its deficit of about half its degree is filled one scan at a time.
 
 The candidates are read from a right-row table the caller builds once and
 shares with the sweep: one flat list of targets, where the right-neighbors
@@ -20,9 +23,11 @@ of the vertex at position ``i``, ascending by id, are
 ``targets[offsets[i]:offsets[i + 1]]``.  Nothing here builds rows of its
 own.
 
-The result names the reserved edges by id, an id being an index into
-``targets``: one flag per edge, set when the edge joins its row's owner to
-one of that owner's representatives.  No per-owner list outlives the call.
+The matching lives in flat arrays only: the returned flags, one per edge id
+(an index into ``targets``), set when the edge joins its row's owner to one
+of that owner's representatives; the owner holding each vertex, or -1; and
+the phantoms each owner may still take.  An augment flips the flags along
+its path, finding each edge by bisection in its owner's row.
 
 A vertex may be padded with phantom leaves: private right-neighbors that
 only it can reserve.  Their ids would follow every real vertex, so each
@@ -32,6 +37,7 @@ many of them as ``r`` exceeds its flagged edges.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
@@ -92,33 +98,31 @@ def compute_sdr(
         return SdrAssignment(r, reserved)
 
     position = ordering.position
-    taken_by: dict[int, int] = {}  # representative vertex -> owner holding it
-    assigned: dict[int, list[int]] = {v: [] for v in owners}
-    phantoms: dict[int, int] = {}
+    taken_by = array("i", [-1]) * g.n  # the owner holding each vertex, or -1
+    phantoms = array("i", pad)  # the phantoms each owner may still take
 
     # Greedy warm start: each owner grabs its smallest free candidates.
     for v in owners:
-        row = assigned[v]
         i = position[v]
-        for u in targets[offsets[i]:offsets[i + 1]]:
-            if len(row) == r:
-                break
-            if u not in taken_by:
+        need = r
+        for e in range(offsets[i], offsets[i + 1]):
+            u = targets[e]
+            if taken_by[u] < 0:
                 taken_by[u] = v
-                row.append(u)
-        if len(row) < r and pad[v]:
-            phantoms[v] = min(r - len(row), pad[v])
+                reserved[e] = 1
+                need -= 1
+                if not need:
+                    break
+        phantoms[v] -= min(need, phantoms[v])
 
-    # Finish deficits with shortest augmenting paths over the partial matching.
-    for v in owners:
-        while len(assigned[v]) + phantoms.get(v, 0) < r:
-            _augment(v, targets, offsets, position, pad, taken_by, assigned, phantoms)
-
+    # Finish deficits with shortest augmenting paths over the partial
+    # matching.  An augment leaves every owner but its start as full as it
+    # was, so each owner's deficit is still the one the greedy pass left.
     for v in owners:
         i = position[v]
-        lo, hi = offsets[i], offsets[i + 1]
-        for u in assigned[v]:
-            reserved[bisect_left(targets, u, lo, hi)] = 1
+        held = reserved.count(1, offsets[i], offsets[i + 1]) + pad[v] - phantoms[v]
+        for _ in range(r - held):
+            _augment(v, targets, offsets, position, taken_by, phantoms, reserved)
     return SdrAssignment(r, reserved)
 
 
@@ -127,10 +131,9 @@ def _augment(
     targets: list[int],
     offsets: Sequence[int],
     position: Sequence[int],
-    pad: Sequence[int],
-    taken_by: dict[int, int],
-    assigned: dict[int, list[int]],
-    phantoms: dict[int, int],
+    taken_by: array,
+    phantoms: array,
+    reserved: bytearray,
 ) -> None:
     """Reassign along one augmenting path so ``start`` gains a representative.
 
@@ -153,8 +156,8 @@ def _augment(
             if u in parent_owner:
                 continue
             parent_owner[u] = v
-            holder = taken_by.get(u)
-            if holder is None:
+            holder = taken_by[u]
+            if holder < 0:
                 end = u
                 break
             if holder not in seen:
@@ -163,24 +166,27 @@ def _augment(
                 queue.append(holder)
         if end >= 0:
             break
-        if phantoms.get(v, 0) < pad[v]:
+        if phantoms[v]:
             phantom_owner = v
             break
-    if end >= 0:
-        v = parent_owner[end]
-        taken_by[end] = v
-        assigned[v].append(end)
-    elif phantom_owner >= 0:
-        v = phantom_owner
-        phantoms[v] = phantoms.get(v, 0) + 1
-    else:
-        raise InternalContradictionError(
-            "representative demand is infeasible; the ordering does not certify "
-            "the claimed degeneracy"
-        )
-    while v != start:
-        u = via_candidate[v]
-        assigned[v].remove(u)
-        v = parent_owner[u]
+
+    u = end
+    if end < 0:
+        if phantom_owner < 0:
+            raise InternalContradictionError(
+                "representative demand is infeasible; the ordering does not certify "
+                "the claimed degeneracy"
+            )
+        phantoms[phantom_owner] -= 1
+        u = via_candidate.get(phantom_owner, -1)
+    # Flip the path: each candidate on it moves from its holder to the owner
+    # that reached it, up to the start, which was reached through none.
+    while u >= 0:
+        holder, v = taken_by[u], parent_owner[u]
+        if holder >= 0:  # a free candidate has no edge to unflag
+            i = position[holder]
+            reserved[bisect_left(targets, u, offsets[i], offsets[i + 1])] = 0
+        i = position[v]
+        reserved[bisect_left(targets, u, offsets[i], offsets[i + 1])] = 1
         taken_by[u] = v
-        assigned[v].append(u)
+        u = via_candidate.get(v, -1)

@@ -10,18 +10,16 @@ from typing import Iterable
 
 from linarb import (
     DegeneracyOrdering,
-    ForestColoring,
     Graph,
     Mode,
     PreconditionError,
     SolverState,
     class_count_for,
     degeneracy_ordering,
-    edge_key,
     max_degree,
     required_max_degree,
 )
-from linarb.coloring import NIL
+from linarb.coloring import NIL, ForestColoring, edge_key
 from linarb.solver import _color_forest
 from linarb.verify import (
     DEGREE_OVERFLOW,
@@ -68,6 +66,15 @@ def star_graph(leaves: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return gfrom(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def fan_graph(n: int, hub_first: bool = False) -> Graph:
+    """A path on vertices 0..n-2 plus a hub n-1 joined to all of them, or,
+    with ``hub_first``, the same graph relabelled to hub 0 and path 1..n-1."""
+    shift = 1 if hub_first else 0
+    hub = (n - 1 + shift) % n
+    path = [(i + shift, i + 1 + shift) for i in range(n - 2)]
+    return gfrom(n, path + [(i + shift, hub) for i in range(n - 1)])
 
 
 def random_graph(rnd: random.Random, n: int, m: int) -> Graph:

@@ -15,25 +15,24 @@ import time
 import pytest
 
 from linarb import (
-    ForestColoring,
     Graph,
     InternalContradictionError,
     Mode,
     SolverState,
     SplitMix64,
-    compute_sdr,
     decompose,
     degeneracy_ordering,
     exact_la,
     generate_k_degenerate,
     la_bounds,
     max_degree,
-    place_light_edge,
     required_max_degree,
     verify_partition,
 )
 
-from linarb.coloring import NIL
+from linarb.coloring import NIL, ForestColoring
+from linarb.sdr import compute_sdr
+from linarb.solver import place_light_edge
 from conftest import (
     ACCEPTANCE_LINES,
     Pairs,

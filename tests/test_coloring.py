@@ -3,8 +3,7 @@ import random
 import pytest
 
 from linarb import FeasibilityError, PreconditionError
-from linarb import ForestColoring, edge_key
-from linarb.coloring import NIL
+from linarb.coloring import NIL, ForestColoring, edge_key
 from conftest import Pairs, class_adjacency, connected_in_class, edge_classes
 
 

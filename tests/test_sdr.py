@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,14 +7,18 @@ from hypothesis import given, settings, strategies as st
 from linarb import (
     DegeneracyOrdering,
     Graph,
+    Mode,
     PreconditionError,
-    compute_sdr,
+    SolverState,
     degeneracy_ordering,
     generate_k_degenerate,
     max_degree,
+    required_max_degree,
 )
+from linarb.sdr import compute_sdr
 from conftest import (
     cycle_graph,
+    fan_graph,
     flagged_owners,
     gfrom,
     hall_certificate_check,
@@ -91,13 +96,9 @@ def test_reps_of_non_owner_is_empty():
     assert owner_reservation(sdr, ordering, rows, 3)[0] == []
 
 
-def test_greedy_deficit_resolved_by_reassignment():
-    """Three early owners grab the fourth owner's whole candidate pool.
-
-    Owner 3 reaches the greedy pass with every right-neighbor already held,
-    so finishing requires releasing some representative back to an earlier
-    owner that has a spare.  The result must still be a full disjoint family.
-    """
+def three_grab_one_graph() -> Graph:
+    """Owners 0, 1 and 2 each hold two of owner 3's six candidates plus four
+    private ones; all four have degree 6."""
     g = Graph(22)
     for i, a in enumerate((0, 1, 2)):
         lo = 4 + 2 * i
@@ -105,6 +106,17 @@ def test_greedy_deficit_resolved_by_reassignment():
             g.add_edge(a, u)
     for u in range(4, 10):
         g.add_edge(3, u)
+    return g
+
+
+def test_greedy_deficit_resolved_by_reassignment():
+    """Three early owners grab the fourth owner's whole candidate pool.
+
+    Owner 3 reaches the greedy pass with every right-neighbor already held,
+    so finishing requires releasing some representative back to an earlier
+    owner that has a spare.  The result must still be a full disjoint family.
+    """
+    g = three_grab_one_graph()
     ordering = ordering_for(g, list(range(22)), 2)
     rows = right_rows(g, ordering)
     sdr = compute_sdr(g, ordering, 6, *rows)
@@ -177,13 +189,20 @@ def test_phantom_padding_matches_explicit_pendants(seed):
         assert owner_reservation(got, ordering, rows, v) == (real, len(reps) - len(real))
 
 
+def phantom_deficit_case() -> tuple[Graph, DegeneracyOrdering, list[int]]:
+    """Graph, ordering and padding at d = 6 where owners 0 and 1 take all four
+    candidates of the unpadded owner 2."""
+    g = gfrom(9, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8)])
+    ordering = ordering_for(g, [0, 1, 7, 8, 2, 3, 4, 5, 6], 2)
+    pad = [6 - g.degree(v) if g.degree(v) > 1 else 0 for v in range(g.n)]
+    return g, ordering, pad
+
+
 def test_deficit_resolved_through_a_phantom():
     """Owner 2 has no padding, and owners 0 and 1 greedily take all four of
     its candidates; each augmenting path ends at a free phantom of owner 0,
     which releases a real candidate to owner 2."""
-    g = gfrom(9, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8)])
-    ordering = ordering_for(g, [0, 1, 7, 8, 2, 3, 4, 5, 6], 2)
-    pad = [6 - g.degree(v) if g.degree(v) > 1 else 0 for v in range(g.n)]
+    g, ordering, pad = phantom_deficit_case()
     rows = right_rows(g, ordering)
     sdr = compute_sdr(g, ordering, 6, *rows, pad)
     assert owner_reservation(sdr, ordering, rows, 0) == ([], 2)
@@ -195,19 +214,92 @@ def test_deficit_resolved_through_a_phantom():
     assert owner_reservation(sdr, ordering, rows, 2) == ([3, 4], 0)
 
 
+def capped_graph(k: int, seed: int, n: int) -> Graph:
+    """Random graph of degeneracy at most ``k``: vertex i attaches to up to
+    ``k`` earlier vertices whose degree is still below ``2k^2 - k``.  The cap
+    leaves many owners unpadded, so the greedy pass leaves deficits that
+    augmenting paths of every kind must finish."""
+    cap = required_max_degree(k, Mode.MINIMUM)
+    rnd = random.Random(seed)
+    degree = [0] * n
+    edges = []
+    for i in range(1, n):
+        picked: set[int] = set()
+        for _ in range(40):
+            if len(picked) == min(k, i):
+                break
+            c = rnd.randrange(i)
+            if degree[c] < cap:
+                picked.add(c)
+        for c in picked:
+            edges.append((c, i))
+            degree[c] += 1
+            degree[i] += 1
+    return gfrom(n, edges)
+
+
+def padded_flags(g: Graph, k: int) -> bytes:
+    """The reservation flags of the sweep state padding ``g`` to degree
+    ``max(2k^2 - k, max degree)`` in MINIMUM mode."""
+    delta = max(required_max_degree(k, Mode.MINIMUM), max_degree(g))
+    state = SolverState(g, degeneracy_ordering(g), delta, (delta + 1) // 2, Mode.MINIMUM)
+    return bytes(state.sdr.reserved)
+
+
+def unpadded_flags() -> bytes:
+    g = three_grab_one_graph()
+    ordering = ordering_for(g, list(range(22)), 2)
+    return bytes(compute_sdr(g, ordering, 6, *right_rows(g, ordering)).reserved)
+
+
+def phantom_flags() -> bytes:
+    g, ordering, pad = phantom_deficit_case()
+    return bytes(compute_sdr(g, ordering, 6, *right_rows(g, ordering), pad).reserved)
+
+
+# family -> sha256 of the reservation flags.  Between them the families end
+# augmenting paths at a free candidate and at another owner's phantom, and
+# reach paths through two or more intermediate owners.
+FLAG_FAMILIES = {
+    **{
+        f"capped-k{k}-seed{seed}": (lambda k=k, seed=seed: padded_flags(capped_graph(k, seed, 300), k))
+        for k in (2, 3, 4)
+        for seed in range(3)
+    },
+    "fan-hub-last": lambda: padded_flags(fan_graph(300, False), 2),
+    "fan-hub-first": lambda: padded_flags(fan_graph(300, True), 2),
+    "three-grab-one": unpadded_flags,
+    "phantom-deficit": phantom_flags,
+}
+FLAG_SHA256 = {
+    "capped-k2-seed0": "32796adeaa927ffe024b1489970d19faa834197ae962ed1e95b79ca86b74e265",
+    "capped-k2-seed1": "8d0b32500eb9b09ec6e630ebd1a6700d45c3babbc0b9d4df20d01108546e0d5f",
+    "capped-k2-seed2": "e46d9bf50d76c89b36b25057c31d2246e1c9dba2dc187236f63e39f360d3b7ce",
+    "capped-k3-seed0": "d701e8dc74de81f05dddb0de257d0026e97dbc42ce3e0c41c421036f01a2ce56",
+    "capped-k3-seed1": "24094b5073a03d1bd47f230ecee68beae51eb42c5bd7645eff602725df14fc4a",
+    "capped-k3-seed2": "69fd8351714d0333239038c63ca8f7e4815baacfdd742dcea39b94ddf55ef2cf",
+    "capped-k4-seed0": "79efbefab0f3f2348ba830840d6823cf80749ffce4e0c97c2567e39cf9d46dfe",
+    "capped-k4-seed1": "5b86e9115cfcb9850ebe7e473ed96809f4a92f509895c879bd5da36da059201f",
+    "capped-k4-seed2": "412a23d2d2f2eada712f5bc631f005f60fc2d6837a709aefcae69175f27227b4",
+    "fan-hub-first": "504ac7fbb13dbfb3977f059d3bdba34ee6f723e7d233e6fe0e32879788739f93",
+    "fan-hub-last": "21fa7a639690abc6c2b8be139543d55e534bd36864dc61a658eb5c3f47ea5b2c",
+    "phantom-deficit": "02714f457171d580be32a77e6882f07267cdd95304d21491d48ad59f76c9a0c3",
+    "three-grab-one": "aa08a2fe643332cf7aa5665a5f2eb3408322432070129c90a85834fa552b056d",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FLAG_FAMILIES))
+def test_reservation_flags_are_pinned(family):
+    assert hashlib.sha256(FLAG_FAMILIES[family]()).hexdigest() == FLAG_SHA256[family]
+
+
 def test_hall_exhaustive_small():
     g = star_graph(6)
     assert hall_certificate_check(g, degeneracy_ordering(g), 6)
 
 
 def test_hall_sampled_subsets():
-    g = Graph(22)
-    for i, a in enumerate((0, 1, 2)):
-        lo = 4 + 2 * i
-        for u in (lo, lo + 1, 10 + 4 * i, 11 + 4 * i, 12 + 4 * i, 13 + 4 * i):
-            g.add_edge(a, u)
-    for u in range(4, 10):
-        g.add_edge(3, u)
+    g = three_grab_one_graph()
     ordering = ordering_for(g, list(range(22)), 2)
     assert hall_certificate_check(g, ordering, 6)
     assert hall_certificate_check(g, ordering, 6, sample_sets=[[0, 3], [1, 2, 3]])

@@ -17,19 +17,19 @@ from linarb import (
     class_count_for,
     decompose,
     degeneracy_ordering,
-    edge_key,
     generate_k_degenerate,
     max_degree,
-    place_light_edge,
     required_max_degree,
     verify_partition,
 )
-from linarb.coloring import NIL
+from linarb.coloring import NIL, edge_key
+from linarb.solver import place_light_edge
 from conftest import (
     Pairs,
     complete_graph,
     cycle_graph,
     endpoint_recolor_fixture,
+    fan_graph,
     ordering_for,
     path_graph,
     path_partner_swap_fixture,
@@ -526,6 +526,45 @@ def test_unreserved_leaf_trade_follows_pendant_order():
     assert state.stats.repairs_unreserved == 1
 
 
+def test_owner_free_move_takes_a_reserved_leaf_when_the_walk_leaves_the_path():
+    """The owner-free move at class 1, held at the owner only by a reserved
+    leaf: the class-1 walk from w = 6 stops at 5 without reaching owner 4,
+    so the partner is that leaf.  Pinned on a hand-set state: class 2 is
+    untouched at 6 but full at 4, and 6 has a class-0 edge beside 4-6."""
+    g, ordering, delta, t = pendant_partner_fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
+    ids = state_edge_ids(state, [(5, 6)])
+    for u, v, j in [(4, 6, 0), (0, 4, 0), (2, 6, 0), (2, 4, 2), (5, 6, 1)]:
+        state.fc.assign(ids[u, v], u, v, j)
+    state.leaves = bytearray([0, 1, 1])
+    res = bytearray([0, 1, 0])
+    assert state._partner_on_path(4, 6, 1) is None
+    move = state._choose_repair_move(4, {6: ids[4, 6]}, [], res, [2], 6, 0)
+    assert move == ("reserved leaf", 1)
+    assert state.stats.repairs_owner_free == 1
+
+
+def test_owner_free_move_recolors_into_a_class_empty_at_the_owner():
+    """In LAC mode an owner can have a class with no edge and no leaf: owner
+    4 (t = 4) holds 4-6 and its reserved leaf in class 0, 0-4 and 2-4 in
+    class 2, and two spare leaves in class 3.  Class 1 is empty at 4 but
+    taken at w = 6 by 5-6, and the classes untouched at 6 are full at 4, so
+    the owner-free move recolors 4-6 into class 1.  Pinned on a hand-set
+    state."""
+    g, ordering, delta, _ = pendant_partner_fixture()
+    t = class_count_for(delta, 2, Mode.LAC)
+    state = SolverState(g, ordering, delta, t, Mode.LAC)
+    ids = state_edge_ids(state, [(5, 6)])
+    for u, v, j in [(4, 6, 0), (2, 6, 0), (0, 4, 2), (2, 4, 2), (5, 6, 1)]:
+        state.fc.assign(ids[u, v], u, v, j)
+    state.leaves = bytearray([1, 0, 0, 2])
+    res = bytearray([1, 0, 0, 0])
+    move = state._choose_repair_move(4, {6: ids[4, 6]}, [], res, [3, 3], 6, 0)
+    assert move == ("recolor", 1)
+    assert state.stats.repairs_owner_free == 1
+    assert state.stats.repairs_endpoint_free == 0
+
+
 @pytest.mark.parametrize("reserved", [0, 1])
 def test_leaf_trades_update_the_counts_a_later_iteration_reads(reserved):
     """Two leaf trades at one owner: the second move is chosen from the
@@ -829,13 +868,6 @@ def test_decompose_computes_one_ordering(monkeypatch):
 # text body), of the fan graph's coloring; recorded from the solver that
 # kept classes in a dict keyed by edge tuples.
 FAN_SHA256 = "10bb892f5faa4f1afa10518f1309af6b72fea8a6083ed1c6fd16dbd6d5ba3672"
-
-
-def fan_graph(n: int) -> Graph:
-    """A path on vertices 0..n-2 plus a hub n-1 joined to all of them."""
-    hub = n - 1
-    path = [(i, i + 1) for i in range(hub - 1)]
-    return Graph.from_edges(n, path + [(i, hub) for i in range(hub)])
 
 
 def lines_sha256(coloring: dict[tuple[int, int], int]) -> str:
