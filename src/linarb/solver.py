@@ -6,9 +6,9 @@ constructs such a partition:
 
 1.  Pad the graph so every vertex has degree D, 1 or 0.  A padding pendant
     has one edge and touches nothing else, so it only uses up one class slot
-    at its owner, and only while the sweep is at that owner: the sweep keeps
-    an owner's pendants as per-class leaf counts for the length of its step
-    and colors only the input's edges.
+    at its owner, and only while the sweep is at that owner: the sweep
+    colors only the input's edges and places an owner's pendants by sums
+    over its class row, as per-class counts only when a repair needs them.
 2.  Order the vertices of the whole graph so that left-neighborhoods have
     size at most k, with all degree-D vertices before all degree-1 and
     isolated ones.  The thresholds are global, so one ordering certifying
@@ -39,7 +39,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import add
+from itertools import islice
 
 from .coloring import NIL, ForestColoring, edge_key
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
@@ -161,9 +161,58 @@ def place_light_edge(fc: ForestColoring, e: int, x: int, y: int, start: int = 0)
     )
 
 
+def _fit_leaves(row: bytearray, spare: int) -> tuple[int, int, int]:
+    """Fill the open slots of an owner's class ``row`` (its class degrees
+    from some class on) with ``spare`` leaves, lowest class first.  Returns
+    ``(budget, m, left)``: the slots left open (negative if the leaves do
+    not fit); the least ``m`` with ``2m - sum(row[:m]) >= spare``, so that
+    the leaves fill classes ``[0, m)``; and the ``left`` slots, 0 or 1, that
+    class ``m - 1`` keeps.  ``m <- ceil((spare + sum(row[:m])) / 2)`` never
+    passes that ``m`` and moves again only past an occupied class."""
+    m = s = 0
+    while (nxt := (spare + s + 1) // 2) > m:
+        s += sum(row[m:nxt])
+        m = nxt
+    return 2 * row.count(0) + row.count(1) - spare, m, 2 * m - s - spare
+
+
+def _slot_order(row: bytearray, m: int, left: int) -> Iterator[int]:
+    """The slots of ``row`` still open past its spare leaves (``m`` and
+    ``left`` from :func:`_fit_leaves`), in the order the reserved edges and
+    then the reserved leaves take them: each free class from ``m`` on twice,
+    then each half class ascending, ``m - 1`` first when it keeps a slot."""
+    j = row.find(0, m)
+    while j >= 0:
+        yield from (j, j)
+        j = row.find(0, j + 1)
+    if left:
+        yield m - 1
+    j = row.find(1, m)
+    while j >= 0:
+        yield j
+        j = row.find(1, j + 1)
+
+
+def _leaf_rows(
+    t: int, ptr: int, row: bytearray, m: int, left: int, nrep: int, r: int
+) -> tuple[bytearray, bytearray]:
+    """All leaves of an owner and its reserved leaves alone, as counts over
+    its ``t`` classes, for a ``row`` starting at class ``ptr``: the reserved
+    leaves take the slots after the ``nrep`` reserved edges, up to ``r``."""
+    leaves = bytearray(t)
+    leaves[ptr:ptr + m] = bytes(2 - x for x in row[:m])
+    if left:
+        leaves[ptr + m - 1] -= 1
+    res = bytearray(t)
+    for c in islice(_slot_order(row, m, left), nrep, r):
+        res[ptr + c] += 1
+        leaves[ptr + c] += 1
+    return leaves, res
+
+
 class SolverState:
     """Sweep state over one graph, padded implicitly: each owner's padding
-    leaves are per-class counts that live only for its step.
+    leaves are placed by arithmetic over its class row during its step.
 
     Isolated vertices are allowed and skipped: they get no padding and sit
     with the degree-1 vertices behind the sweep.
@@ -285,8 +334,8 @@ class SolverState:
                     if flags[e]:
                         self.reserved_owner_pos[targets[e]] = i
         self._touched: list[int] = []
-        # The padding leaves of the owner being swept, per class; replaced at
-        # the start of each owner's step and read only during it.
+        # The leaves of the owner being repaired, per class: built only when
+        # a reserved edge closes a cycle, for its repair and end-of-step check.
         self.leaves = bytearray(t)
 
     # ------------------------------------------------------------------ sweep
@@ -342,20 +391,23 @@ class SolverState:
             yield (v, u) if v < u else (u, v)
 
     def process_vertex(self, i: int) -> None:
-        """Color every right-edge of the vertex at position ``i`` and place
-        its padding leaves in :attr:`leaves`.
+        """Color every right-edge of the vertex at position ``i`` around its
+        ``pad[v]`` padding leaves; degree-1 vertices are no-ops (their single
+        edge is colored from the other side).
 
-        Degree-1 vertices are no-ops (their single edge is colored from the
-        other side).  A leaf joins no path, so it matters only while it uses
-        up a class at its owner, and every other vertex the step reads lies
-        later in the order, with no leaves yet.  The step ends with
-        :meth:`_check_capacity`.
+        A leaf joins no path, so it matters only while it uses up a class at
+        its owner, and every other vertex the step reads lies later in the
+        order, with no leaves yet.  Sums over the owner's class row place the
+        leaves and the reserved edges (:func:`_fit_leaves`), so the step's
+        Python work follows its degree, not ``t``; leaf rows (:attr:`leaves`,
+        ``res``) are built only for a repair.
         """
         if i >= self.n_high:
             return
+        fc, targets = self.fc, self.targets
+        t, cd, cls, r = fc.t, fc._cd, fc.edge_class, self.sdr.r
         v = self.ordering.order[i]
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        targets = self.targets
         # The reserved edges by far end, ascending like the row, and the ids
         # of the other right-edges; reserved leaves make up the rest of r.
         # One loop: rows are short, and two comprehensions cost 2.6x as much.
@@ -367,35 +419,14 @@ class SolverState:
                 rep_edge[targets[e]] = e
             else:
                 spare.append(e)
-        reserved = self.sdr.r - len(rep_edge)
+        reserved = r - len(rep_edge)
+        if reserved < 0:
+            raise InternalContradictionError(f"owner {v} holds {len(rep_edge)} reserved edges")
         if self.debug:
             self._touched = [v] + targets[lo:hi]
-        self.leaves = bytearray(self.t)
-        slots = self._stage_light(v, spare, self.pad[v] - reserved)
-        res, bad = self._stage_reserved(v, rep_edge, reserved, slots)
-        if bad:
-            self._repair(v, rep_edge, spare, res, bad)
-        self._check_capacity(v)
-        if self.debug:
-            self._check_pending_headroom(i)
-
-    def _stage_light(self, v: int, spare: list[int], count: int) -> list[int]:
-        """Place every non-reserved right-edge of ``v`` (the edge ids
-        ``spare``) with :func:`place_light_edge`, then its ``count`` spare
-        leaves, and return the slots still open at ``v``: each free class
-        twice, then each half class, in ascending class order.
-
-        Classes already full at ``v`` are skipped once for the whole stage
-        (degrees at ``v`` only grow here).  A leaf would enter the lowest
-        class open at ``v``, so the spare leaves fill the open slots in
-        ascending class order.
-        """
-        fc = self.fc
-        t = fc.t
-        cd, leaves = fc._cd, self.leaves
-        targets = self.targets
-        base_v = v * t
-        ptr = 0
+        # Classes full at v are skipped once for the whole stage (degrees at
+        # v only grow here), so every class below ptr stays full.
+        base_v, ptr = v * t, 0
         try:
             for e in spare:
                 while ptr < t and cd[base_v + ptr] == 2:
@@ -405,81 +436,55 @@ class SolverState:
             raise InternalContradictionError(
                 f"{exc}; padding or reservation arithmetic is broken"
             ) from exc
-        slots: list[int] = []
-        half: list[int] = []
-        for j in range(ptr, t):
-            room = 2 - cd[base_v + j]
-            if count:
-                take = min(room, count)
-                leaves[j] = take
-                count -= take
-                room -= take
-            if room == 2:
-                slots += (j, j)
-            elif room == 1:
-                half.append(j)
-        if count:
-            raise InternalContradictionError(f"no open class at vertex {v}")
-        return slots + half
-
-    def _stage_reserved(
-        self, v: int, rep_edge: dict[int, int], count: int, slots: list[int]
-    ) -> tuple[bytearray, set[int]]:
-        """Color the reserved edges of ``v`` (``rep_edge`` maps each far end
-        to its edge id), exhausting its class budget.
-
-        At entry ``v`` has ``D - r`` colored edges and leaves, so its open
-        ``slots`` number ``2*|free| + |half| = 2t - (D - r)``, which is
-        ``r`` or ``r + 1`` in MINIMUM mode (``r+1`` or ``r+2`` in relaxed
-        mode).  The reserved edges, then the ``count`` reserved leaves
-        (whose pendant ids would follow every real vertex), take the slots
-        in order; a leaf needs no cycle check.  Returns the reserved leaves
-        as per-class counts, and the reserved vertices whose new edge closed
-        a cycle.
-        """
-        fc = self.fc
-        cls = fc.edge_class
-        r = len(rep_edge) + count
-        if r != self.sdr.r:
-            raise InternalContradictionError(f"owner {v} holds {r} != r={self.sdr.r} reserved")
-        budget = len(slots)
-        lo, hi = (r, r + 1) if self.mode is Mode.MINIMUM else (r, r + 2)
-        if not lo <= budget <= hi:
+        # With its spare leaves, v holds D - r edges and leaves, so the budget
+        # left, 2t - (D - r) slots, is r or r + 1 (r + 2 in relaxed mode).
+        row = cd[base_v + ptr:base_v + t]
+        budget, m, left = _fit_leaves(row, self.pad[v] - reserved)
+        top = r + 1 if self.mode is Mode.MINIMUM else r + 2
+        if not r <= budget <= top:
             raise InternalContradictionError(
-                f"class budget {budget} at owner {v} outside [{lo}, {hi}]"
+                f"class budget {budget} at owner {v} outside [{r}, {top}]"
             )
         flagged: list[tuple[int, int]] = []
-        for (u, e), c in zip(rep_edge.items(), slots):
+        for (u, e), c in zip(rep_edge.items(), _slot_order(row, m, left)):
+            c += ptr
             if fc.would_close_cycle(c, v, u):
                 flagged.append((u, c))
             fc.assign(e, v, u, c)
-        res = bytearray(fc.t)
-        for c in slots[len(rep_edge):r]:
-            res[c] += 1
-            self.leaves[c] += 1
-        bad: set[int] = set()
-        for u, c in flagged:
-            bad.add(u)
-            # The cycle runs through both class-c edges at v; if the second
-            # one is also reserved, it is on the same cycle.
-            for z in fc.class_neighbors(v, c):
-                if z != u and z in rep_edge and cls[rep_edge[z]] == c:
-                    bad.add(z)
-        return res, bad
+        if flagged:
+            bad = {u for u, _ in flagged}
+            for u, c in flagged:
+                # The cycle runs through both class-c edges at v; if the
+                # second one is also reserved, it is on the same cycle.
+                for z in fc.class_neighbors(v, c):
+                    if z != u and z in rep_edge and cls[rep_edge[z]] == c:
+                        bad.add(z)
+            self.leaves, res = _leaf_rows(t, ptr, row, m, left, len(rep_edge), r)
+            self._repair(v, rep_edge, spare, res, bad)
+        self._check_capacity(v, bool(flagged))
+        if self.debug:
+            self._check_pending_headroom(i)
 
-    def _check_capacity(self, v: int) -> None:
-        """End of an owner's step: ``v`` holds exactly its ``pad[v]`` leaves,
-        and they fit in every class beside its edges.  ForestColoring caps
-        edges alone, so this is the one check that sees the leaves."""
-        t = self.t
-        base_v = v * t
-        leaves = self.leaves
-        loads = list(map(add, self.fc._cd[base_v:base_v + t], leaves))
-        if sum(leaves) != self.pad[v] or max(loads) > 2:
+    def _check_capacity(self, v: int, repaired: bool) -> None:
+        """End of an owner's step: the class row of ``v`` counts all its
+        edges, which with ``pad[v]`` leaves make degree ``D``; after a repair
+        (it moves leaves), :attr:`leaves` holds ``pad[v]`` leaves that fit
+        beside the edges in every class.  ForestColoring caps edges alone,
+        so this is the one check that sees the leaves."""
+        row = self.fc._cd[v * self.t:(v + 1) * self.t]
+        edges = sum(row)
+        if edges + self.pad[v] != self.delta:
             raise InternalContradictionError(
-                f"owner {v} holds {sum(leaves)} leaves for padding {self.pad[v]}, "
-                f"class loads {loads}"
+                f"owner {v} has {edges} colored edges and padding {self.pad[v]}, "
+                f"not degree {self.delta}"
             )
+        if repaired:
+            loads = [d + x for d, x in zip(row, self.leaves)]
+            if sum(self.leaves) != self.pad[v] or max(loads) > 2:
+                raise InternalContradictionError(
+                    f"owner {v} holds {sum(self.leaves)} leaves for padding {self.pad[v]}, "
+                    f"class loads {loads}"
+                )
 
     # ------------------------------------------------------------------ repair
 
@@ -661,17 +666,14 @@ class SolverState:
         if not nbrs:
             return None
         prev, cur = w, nbrs[0]
-        limit = fc.n + 1
-        steps = 0
-        while cur != v:
+        for _ in range(fc.n + 1):
+            if cur == v:
+                return prev
             nxt = fc._next_on_walk(j, cur, prev)
             if nxt == NIL:
                 return None
             prev, cur = cur, nxt
-            steps += 1
-            if steps > limit:  # pragma: no cover - corruption guard
-                raise InternalContradictionError(f"class {j} walk exceeded vertex count")
-        return prev
+        raise InternalContradictionError(f"class {j} walk exceeded vertex count")
 
     # ------------------------------------------------------------------ debug
 
@@ -679,17 +681,14 @@ class SolverState:
         """Every reserved vertex whose owner is still ahead must have class
         degrees <= 1.  Only vertices touched this step can have changed, and
         none of them holds leaves yet."""
-        cd = self.fc._cd
-        t = self.t
+        cd, t = self.fc._cd, self.t
         for x in self._touched:
-            if self.reserved_owner_pos[x] > i:
-                bx = x * t
-                for j in range(t):
-                    if cd[bx + j] > 1:
-                        raise InternalContradictionError(
-                            f"reserved vertex {x} became internal in class {j} "
-                            f"before its owner (position {self.reserved_owner_pos[x]})"
-                        )
+            j = cd.find(2, x * t, (x + 1) * t)
+            if j >= 0 and self.reserved_owner_pos[x] > i:
+                raise InternalContradictionError(
+                    f"reserved vertex {x} became internal in class {j - x * t} "
+                    f"before its owner (position {self.reserved_owner_pos[x]})"
+                )
 
     def _dump(self, v: int, rep_edge: dict[int, int], bad: set[int], reason: str) -> str:
         """The message of a failed repair at owner ``v``.

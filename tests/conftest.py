@@ -508,6 +508,47 @@ def reference_decompose_by_component(
 # escape requires the other two moves.
 
 
+def reference_owner_slots(
+    row, ptr: int, count: int, nrep: int, r: int
+) -> tuple[list[int], list[int], list[int]]:
+    """An owner's slot arithmetic as one loop over its classes, the way the
+    sweep once ran it.  ``row`` holds the owner's class degrees over all
+    classes, ``ptr`` is the first class the stage reads, ``count`` the spare
+    leaves, ``nrep`` the reserved edges and ``r`` the reservation size.
+
+    The spare leaves fill the open slots from ``ptr`` on in ascending class
+    order; the slots still open are each free class twice, then each half
+    class, in ascending order; the reserved edges take the first ``nrep``
+    of them and the reserved leaves ``slots[nrep:r]``.  Returns ``(slots,
+    leaves, res)``: the slot list (its length is the class budget), all
+    leaves per class, and the reserved leaves per class.  Raises
+    ``ValueError`` when the spare leaves do not fit.
+    """
+    t = len(row)
+    leaves = [0] * t
+    slots: list[int] = []
+    half: list[int] = []
+    for j in range(ptr, t):
+        room = 2 - row[j]
+        if count:
+            take = min(room, count)
+            leaves[j] = take
+            count -= take
+            room -= take
+        if room == 2:
+            slots += (j, j)
+        elif room == 1:
+            half.append(j)
+    if count:
+        raise ValueError("no open class")
+    slots += half
+    res = [0] * t
+    for c in slots[nrep:r]:
+        res[c] += 1
+        leaves[c] += 1
+    return slots, leaves, res
+
+
 def ordering_for(g: Graph, order: list[int], k: int) -> DegeneracyOrdering:
     assert sorted(order) == list(range(g.n))
     position = [0] * g.n

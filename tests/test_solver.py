@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
+import sys
 import time
 import weakref
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from linarb import (
     verify_partition,
 )
 from linarb.coloring import NIL, edge_key
-from linarb.solver import place_light_edge
+from linarb.solver import _fit_leaves, _leaf_rows, _slot_order, place_light_edge
 from conftest import (
     Pairs,
     complete_graph,
@@ -35,6 +37,7 @@ from conftest import (
     path_partner_swap_fixture,
     pendant_partner_fixture,
     reference_decompose_by_component,
+    reference_owner_slots,
     replay_repair_dump,
     right_rows,
     star_graph,
@@ -171,15 +174,41 @@ def expected_pendants(g, delta):
 
 
 def record_leaves(monkeypatch, state):
-    """Map each owner to the number of leaves it holds as its step ends."""
+    """Map each owner to the number of leaves its step placed, read from
+    per-class leaf rows: those of ``reference_owner_slots`` on the class row
+    the step fit its leaves into, or those its repair built.  The hooks also
+    check that the reserved edges took the reference's first slots, that
+    the leaves fit beside the edges in every class, and that the end-of-step
+    check passes on each owner and sees the same count."""
     counts = {}
-    check = state._check_capacity
+    fit, check = linarb.solver._fit_leaves, state._check_capacity
+    t, cd, cls = state.t, state.fc._cd, state.fc.edge_class
+    fitted = []
 
-    def recording(v):
-        counts[v] = sum(state.leaves)
-        check(v)
+    def fitting(row, spare):
+        fitted[:] = [bytes(row), spare]
+        return fit(row, spare)
 
-    monkeypatch.setattr(state, "_check_capacity", recording)
+    def checking(v, repaired):
+        i = state.ordering.position[v]
+        rep_edges = [e for e in range(state.offsets[i], state.offsets[i + 1])
+                     if state.sdr.reserved[e]]
+        tail, spare = fitted
+        ptr = t - len(tail)
+        slots, leaves, _ = reference_owner_slots(
+            [2] * ptr + list(tail), ptr, spare, len(rep_edges), state.sdr.r
+        )
+        if repaired:
+            leaves = state.leaves
+        else:
+            assert [cls[e] for e in rep_edges] == slots[:len(rep_edges)]
+        assert max(map(add, cd[v * t:(v + 1) * t], leaves)) <= 2
+        counts[v] = sum(leaves)
+        check(v, repaired)
+        assert state.delta - sum(cd[v * t:(v + 1) * t]) == counts[v]
+
+    monkeypatch.setattr(linarb.solver, "_fit_leaves", fitting)
+    monkeypatch.setattr(state, "_check_capacity", checking)
     return counts
 
 
@@ -204,26 +233,113 @@ def test_pendants_added_counts_the_padding(monkeypatch, k, mode, seed):
     check_leaf_counts(g, result.delta, state, counts)
 
 
-@pytest.mark.parametrize("overfull", [False, True])
-def test_owner_capacity_check_fires_outside_debug(monkeypatch, overfull):
+@pytest.mark.parametrize("debug", [False, True])
+def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
     """ForestColoring caps edges alone, so the end of each owner's step
-    checks the leaves: one leaf short of pad[v], or one leaf too many in a
-    full class, raises even without debug checks."""
+    compares the owner's class row with its padding: ``pad[v]`` one too
+    high or one too low, or one class-row entry off by one, raises with or
+    without debug checks, at owner 2 (no leaves) and at owner 4 (leaves and
+    a repair).  After a repair the built leaf rows are checked too: a leaf
+    moved into a full class raises."""
     g, ordering, delta, t = pendant_partner_fixture()
-    state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
-    stage = state._stage_reserved
 
-    def tampered(v, rep_edge, count, slots):
-        out = stage(v, rep_edge, count, slots)
+    def pad_high(state, v):
         state.pad[v] += 1
-        if overfull:
-            cd, leaves = state.fc._cd, state.leaves
-            leaves[next(j for j in range(t) if cd[v * t + j] + leaves[j] == 2)] += 1
-        return out
 
-    monkeypatch.setattr(state, "_stage_reserved", tampered)
+    def pad_low(state, v):
+        state.pad[v] -= 1
+
+    def row_entry(state, v):
+        cd = state.fc._cd
+        cd[next(i for i in range(v * t, (v + 1) * t) if cd[i])] -= 1
+
+    for tamper in (pad_high, pad_low, row_entry):
+        for position in (0, 4):
+            state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=debug)
+            for i in range(position):
+                state.process_vertex(i)
+            check = state._check_capacity
+
+            def tampered(v, repaired, state=state, check=check, tamper=tamper):
+                tamper(state, v)
+                check(v, repaired)
+
+            monkeypatch.setattr(state, "_check_capacity", tampered)
+            with pytest.raises(InternalContradictionError, match="colored edges and padding"):
+                state.process_vertex(position)
+
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=debug)
+    repair = state._repair
+
+    def overfull(v, *args):
+        repair(v, *args)
+        cd, leaves = state.fc._cd, state.leaves
+        leaves[next(j for j in range(t) if leaves[j])] -= 1
+        leaves[next(j for j in range(t) if cd[v * t + j] + leaves[j] == 2)] += 1
+
+    monkeypatch.setattr(state, "_repair", overfull)
     with pytest.raises(InternalContradictionError, match="leaves for padding"):
-        state.process_vertex(0)
+        state.run()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_slot_arithmetic_matches_the_class_loop(data):
+    """The owner step's row arithmetic against the per-class loop it
+    replaced (``reference_owner_slots``), on random class rows of up to 300
+    classes: the same class budget, the same slot order (the reserved edges
+    take its first ``nrep`` slots), and the same leaf rows."""
+    t = data.draw(st.integers(1, 300), label="t")
+    row = bytearray(x % 3 for x in data.draw(st.binary(min_size=t, max_size=t), label="row"))
+    ptr = data.draw(st.integers(0, t), label="ptr")
+    tail = row[ptr:]
+    spare = data.draw(st.integers(0, 2 * len(tail) + 2), label="spare")
+    budget, m, left = _fit_leaves(tail, spare)
+    try:
+        slots, _, _ = reference_owner_slots(row, ptr, spare, 0, 0)
+    except ValueError:
+        assert budget < 0
+        return
+    assert budget == len(slots)
+    assert [ptr + c for c in _slot_order(tail, m, left)] == slots
+    r = data.draw(st.integers(0, budget + 2), label="r")
+    nrep = data.draw(st.integers(0, r), label="nrep")
+    _, leaves, res = reference_owner_slots(row, ptr, spare, nrep, r)
+    assert _leaf_rows(t, ptr, tail, m, left, nrep, r) == (bytearray(leaves), bytearray(res))
+
+
+def sweep_line_events(delta_min: int) -> int:
+    """The line events that ``SolverState.run`` executes in solver.py on a
+    2000-vertex degeneracy-2 graph whose lifted hub has degree ``delta_min``."""
+    g = generate_k_degenerate(n=2000, k=2, delta_min=delta_min, seed=0)
+    base = degeneracy_ordering(g)
+    delta = max_degree(g)
+    state = SolverState(g, base, delta, class_count_for(delta, 2, Mode.MINIMUM), Mode.MINIMUM)
+    events = 0
+
+    def on_line(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename == linarb.solver.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        state.run()
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_sweep_line_count_does_not_follow_the_class_count():
+    """Quadrupling the hub's degree, and so t, on the same 2000 vertices
+    adds only the hub's 300 edges; the solver's Python lines must not grow
+    with t.  A step that walked every class per owner ran 3.6x the lines."""
+    assert sweep_line_events(400) < 1.3 * sweep_line_events(100)
 
 
 # -------------------------------------------------------- light placement
@@ -967,6 +1083,27 @@ def test_repair_contradiction_dump_replays(monkeypatch, tmp_path):
         replay_repair_dump(dump).run()
     assert str(again.value) == message
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_repair_contradiction_dump_lists_the_owner_leaves(monkeypatch):
+    """The same idle move at owner 4 of ``pendant_partner_fixture``, which
+    holds two spare leaves in class 0 and a reserved leaf in class 2: the
+    message's leaf line shows the rows built for that owner's repair."""
+    monkeypatch.setattr(
+        SolverState, "_choose_repair_move", lambda self, *args: ("recolor", args[-1])
+    )
+    monkeypatch.delenv("LINARB_DUMP_DIR", raising=False)
+    g, ordering, delta, t = pendant_partner_fixture()
+    with pytest.raises(InternalContradictionError) as failed:
+        SolverState(g, ordering, delta, t, Mode.MINIMUM).run()
+    assert str(failed.value) == (
+        "repair failed at owner 4: move ('recolor', 1) did not shrink the cycle set\n"
+        "  degeneracy=2 delta=6 t=3 mode=minimum\n"
+        "  reserved=[6] bad=[6]\n"
+        "  reserved colors=[1]\n"
+        "  owner class degrees=[0, 2, 1]\n"
+        "  owner leaves=[2, 0, 1]"
+    )
 
 
 def test_repair_contradiction_without_dump_dir_writes_nothing(monkeypatch, tmp_path):
