@@ -37,32 +37,42 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
 
     The peeling queue is a lazy heap of single ints ``degree * n + id``,
     which pop in (current degree, id) order without a tuple per entry;
-    stale entries are skipped on pop.
+    stale entries are skipped on pop.  Its live entries are exactly the
+    unremoved vertices of degree at most ``level``; any other vertex has a
+    key of at least ``(level + 1) * n``, so each live pop is the global
+    minimum.  When the heap runs dry, ``level`` rises to the least degree
+    left; a rise to L scans the at most 2m / L unremoved vertices, so all
+    rises scan at most n + 2m * H(k).  The last level is ``k``.
     """
     n = g.n
     if n == 0:
         return DegeneracyOrdering([], [], 0)
     adj = g._adj
     deg = [len(row) for row in adj]
-    heap = [d * n + v for v, d in enumerate(deg)]
-    heapq.heapify(heap)
     removed = bytearray(n)
     removal: list[int] = []
-    k = 0
-    while heap:
-        d, v = divmod(heapq.heappop(heap), n)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = 1
-        removal.append(v)
-        if d > k:
-            k = d
-        for u in adj[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, deg[u] * n + u)
+    rest: list[int] | range = range(n)  # the unremoved vertices at the last rise
+    heap: list[int] = []
+    level = -1
+    while True:
+        while heap:
+            d, v = divmod(heapq.heappop(heap), n)
+            if removed[v] or d != deg[v]:
+                continue
+            removed[v] = 1
+            removal.append(v)
+            for u in adj[v]:
+                if not removed[u]:
+                    deg[u] = du = deg[u] - 1
+                    if du <= level:
+                        heapq.heappush(heap, du * n + u)
+        rest = [v for v in rest if not removed[v]]
+        if not rest:
+            break
+        level = min([deg[v] for v in rest])
+        heap = [level * n + v for v in rest if deg[v] == level]  # ascending: a heap
     order = removal[::-1]
     position = [0] * n
     for i, v in enumerate(order):
         position[v] = i
-    return DegeneracyOrdering(order, position, k)
+    return DegeneracyOrdering(order, position, level)

@@ -74,9 +74,13 @@ class Graph:
         key = (u, v) if u < v else (v, u)
         if key in self._edges:
             raise GraphError(f"duplicate edge {key}")
+        try:  # both rows before any mutation: a float id passes the range check
+            ru, rv = self._adj[u], self._adj[v]
+        except TypeError:
+            raise GraphError(f"vertex ids must be ints, got {u!r} and {v!r}") from None
         self._edges.add(key)
-        self._adj[u].append(v)
-        self._adj[v].append(u)
+        ru.append(v)
+        rv.append(u)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)

@@ -102,6 +102,7 @@ def compute_sdr(
     phantoms = array("i", pad)  # the phantoms each owner may still take
 
     # Greedy warm start: each owner grabs its smallest free candidates.
+    short: list[tuple[int, int]] = []  # (owner, deficit) it left, in id order
     for v in owners:
         i = position[v]
         need = r
@@ -113,15 +114,15 @@ def compute_sdr(
                 need -= 1
                 if not need:
                     break
+        if need > phantoms[v]:
+            short.append((v, need - phantoms[v]))
         phantoms[v] -= min(need, phantoms[v])
 
-    # Finish deficits with shortest augmenting paths over the partial
-    # matching.  An augment leaves every owner but its start as full as it
-    # was, so each owner's deficit is still the one the greedy pass left.
-    for v in owners:
-        i = position[v]
-        held = reserved.count(1, offsets[i], offsets[i + 1]) + pad[v] - phantoms[v]
-        for _ in range(r - held):
+    # Finish the listed deficits with shortest augmenting paths.  An augment
+    # leaves every owner but its start as full as it was, so each deficit is
+    # still the one the greedy pass left and no other owner falls short.
+    for v, deficit in short:
+        for _ in range(deficit):
             _augment(v, targets, offsets, position, taken_by, phantoms, reserved)
     return SdrAssignment(r, reserved)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from itertools import combinations
 from typing import Iterable
 
@@ -14,12 +15,14 @@ from linarb import (
     Mode,
     PreconditionError,
     SolverState,
+    SplitMix64,
     class_count_for,
     degeneracy_ordering,
     max_degree,
     required_max_degree,
 )
 from linarb.coloring import NIL, ForestColoring, edge_key
+from linarb.sdr import _augment
 from linarb.solver import _color_forest
 from linarb.verify import (
     DEGREE_OVERFLOW,
@@ -80,6 +83,35 @@ def fan_graph(n: int, hub_first: bool = False) -> Graph:
 def random_graph(rnd: random.Random, n: int, m: int) -> Graph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return gfrom(n, rnd.sample(pairs, min(m, len(pairs))))
+
+
+def scale_graph() -> Graph:
+    """100000-vertex graph of degeneracy 2 with every degree capped at 8 and
+    one vertex lifted to exactly 8, reproducible from a fixed stream."""
+    rng = SplitMix64(20260819)
+    n = 100_000
+    adj: list[list[int]] = [[] for _ in range(n)]
+    edges: set[tuple[int, int]] = set()
+    for i in range(1, n):
+        want = min(2, i)
+        picked: set[int] = set()
+        guard = 0
+        while len(picked) < want and guard < 40:
+            c = rng.below(i)
+            guard += 1
+            if c in picked or len(adj[c]) >= 8:
+                continue
+            picked.add(c)
+        for c in sorted(picked):
+            edges.add((c, i))
+            adj[c].append(i)
+            adj[i].append(c)
+    while len(adj[0]) < 8:
+        w = len(adj)
+        adj.append([0])
+        adj[0].append(w)
+        edges.add((0, w))
+    return Graph._from_parts(adj, edges)
 
 
 # ------------------------------------------------- independent re-checks
@@ -495,6 +527,52 @@ def reference_decompose_by_component(
         for (a, b), c in part.items():
             coloring[edge_key(comp[a], comp[b])] = c + 1
     return coloring, t, k, delta
+
+
+def reference_augment_starts(
+    g: Graph,
+    ordering: DegeneracyOrdering,
+    d: int,
+    targets: list[int],
+    offsets,
+    pad=None,
+) -> tuple[list[int], bytearray]:
+    """``compute_sdr`` as it ran before its greedy pass listed the owners it
+    left short: after that pass every owner's deficit was recounted from its
+    flags and its phantoms, and each owner with one was augmented in id
+    order.  Returns the start owner of every ``_augment`` call, in call
+    order, and the reservation flags."""
+    k = ordering.k
+    pad = pad if pad is not None else [0] * g.n
+    degree = [len(row) + p for row, p in zip(g._adj, pad)]
+    r = (d - k) // k
+    owners = [v for v in range(g.n) if degree[v] >= d]
+    reserved = bytearray(len(targets))
+    starts: list[int] = []
+    if r == 0:
+        return starts, reserved
+    position = ordering.position
+    taken_by = array("i", [-1]) * g.n
+    phantoms = array("i", pad)
+    for v in owners:
+        i = position[v]
+        need = r
+        for e in range(offsets[i], offsets[i + 1]):
+            u = targets[e]
+            if taken_by[u] < 0:
+                taken_by[u] = v
+                reserved[e] = 1
+                need -= 1
+                if not need:
+                    break
+        phantoms[v] -= min(need, phantoms[v])
+    for v in owners:
+        i = position[v]
+        held = reserved.count(1, offsets[i], offsets[i + 1]) + pad[v] - phantoms[v]
+        for _ in range(r - held):
+            starts.append(v)
+            _augment(v, targets, offsets, position, taken_by, phantoms, reserved)
+    return starts, reserved
 
 
 # -------------------------------------------- repair-forcing constructions

@@ -19,7 +19,6 @@ from linarb import (
     InternalContradictionError,
     Mode,
     SolverState,
-    SplitMix64,
     decompose,
     degeneracy_ordering,
     exact_la,
@@ -43,6 +42,7 @@ from conftest import (
     owner_reservation,
     path_partner_swap_fixture,
     right_rows,
+    scale_graph,
     unreserved_trade_fixture,
 )
 
@@ -428,37 +428,8 @@ def test_criterion_7_repair_loop_progress_audit():
     )
 
 
-def _scale_graph() -> Graph:
-    """100000-vertex graph of degeneracy 2 with every degree capped at 8 and
-    one vertex lifted to exactly 8, reproducible from a fixed stream."""
-    rng = SplitMix64(20260819)
-    n = 100_000
-    adj: list[list[int]] = [[] for _ in range(n)]
-    edges: set[tuple[int, int]] = set()
-    for i in range(1, n):
-        want = min(2, i)
-        picked: set[int] = set()
-        guard = 0
-        while len(picked) < want and guard < 40:
-            c = rng.below(i)
-            guard += 1
-            if c in picked or len(adj[c]) >= 8:
-                continue
-            picked.add(c)
-        for c in sorted(picked):
-            edges.add((c, i))
-            adj[c].append(i)
-            adj[i].append(c)
-    while len(adj[0]) < 8:
-        w = len(adj)
-        adj.append([0])
-        adj[0].append(w)
-        edges.add((0, w))
-    return Graph._from_parts(adj, edges)
-
-
 def test_criterion_8_hundred_thousand_vertices_within_budget():
-    g = _scale_graph()
+    g = scale_graph()
     assert g.n >= 100_000
     assert max_degree(g) == 8
     started = time.perf_counter()

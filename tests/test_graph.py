@@ -76,6 +76,18 @@ def test_vertex_out_of_range_rejected():
         g.neighbors(5)
 
 
+@pytest.mark.parametrize("u, v", [(0, 1.0), (1.0, 0), (0, 1.5), (2.5, 1)])
+def test_non_int_vertex_rejected_before_any_mutation(u, v):
+    # A float id inside the range passes the range check; the edge set and
+    # the rows must still be untouched when the error is raised.
+    g = gfrom(3, [(1, 2)])
+    with pytest.raises(GraphError):
+        g.add_edge(u, v)
+    assert g.edge_count == 1
+    assert g.edges() == [(1, 2)]
+    assert [g.neighbors(x) for x in range(3)] == [[], [2], [1]]
+
+
 def test_max_degree_star():
     assert max_degree(star_graph(7)) == 7
     assert max_degree(path_graph(2)) == 1

@@ -15,6 +15,8 @@ from linarb import (
     max_degree,
     required_max_degree,
 )
+import linarb.sdr
+import linarb.solver
 from linarb.sdr import compute_sdr
 from conftest import (
     cycle_graph,
@@ -25,6 +27,7 @@ from conftest import (
     ordering_for,
     owner_reservation,
     random_graph,
+    reference_augment_starts,
     right_rows,
     star_graph,
 )
@@ -291,6 +294,77 @@ FLAG_SHA256 = {
 @pytest.mark.parametrize("family", sorted(FLAG_FAMILIES))
 def test_reservation_flags_are_pinned(family):
     assert hashlib.sha256(FLAG_FAMILIES[family]()).hexdigest() == FLAG_SHA256[family]
+
+
+def random_sdr_call(seed: int):
+    """A random graph at a random threshold, padded on odd seeds: its slack
+    is wide, so it checks that no owner is augmented when none is short."""
+    rnd = random.Random(seed)
+    n = rnd.randrange(10, 60)
+    g = random_graph(rnd, n, rnd.randrange(n, 3 * n))
+    ordering = degeneracy_ordering(g)
+    d = rnd.randint(min(2 * ordering.k, max_degree(g)), max_degree(g))
+    pad = [rnd.randrange(3) for _ in range(n)] if seed % 2 else None
+    return lambda: compute_sdr(g, ordering, d, *right_rows(g, ordering), pad)
+
+
+def unpadded_fan_call(hub_first: bool):
+    g = fan_graph(300, hub_first)
+    ordering = degeneracy_ordering(g)
+    return lambda: compute_sdr(g, ordering, 299, *right_rows(g, ordering))
+
+
+AUGMENT_CASES = {
+    **FLAG_FAMILIES,
+    **{f"random-seed{seed}": random_sdr_call(seed) for seed in range(20)},
+    **{
+        f"random-capped-seed{seed}": (
+            lambda seed=seed: padded_flags(capped_graph(2, 100 + seed, 60 + 7 * seed), 2)
+        )
+        for seed in range(20)
+    },
+    "fan-hub-last-unpadded": unpadded_fan_call(False),
+    "fan-hub-first-unpadded": unpadded_fan_call(True),
+}
+# The cases that start at least one augment; the others start none.
+AUGMENTING = {
+    "capped-k2-seed0",
+    "capped-k2-seed1",
+    "capped-k2-seed2",
+    "capped-k3-seed2",
+    "fan-hub-last",
+    "phantom-deficit",
+    "three-grab-one",
+    *(f"random-capped-seed{seed}" for seed in range(20)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUGMENT_CASES))
+def test_augments_start_where_the_recount_started_them(case, monkeypatch):
+    """The owners the greedy pass lists as short are augmented in the order,
+    and as often, as a recount of every owner's flags after that pass would
+    augment them; the flags agree too."""
+    seen: dict = {}
+    real_sdr, real_augment = linarb.sdr.compute_sdr, linarb.sdr._augment
+
+    def augment(start, *rest):
+        seen["starts"].append(start)
+        real_augment(start, *rest)
+
+    def sdr(*args):
+        seen["args"], seen["starts"] = args, []
+        got = real_sdr(*args)
+        seen["flags"] = got.reserved
+        return got
+
+    monkeypatch.setattr(linarb.sdr, "_augment", augment)
+    monkeypatch.setattr(linarb.solver, "compute_sdr", sdr)
+    monkeypatch.setitem(globals(), "compute_sdr", sdr)
+    AUGMENT_CASES[case]()
+    want_starts, want_flags = reference_augment_starts(*seen["args"])
+    assert seen["starts"] == want_starts
+    assert seen["flags"] == want_flags
+    assert bool(want_starts) == (case in AUGMENTING)
 
 
 def test_hall_exhaustive_small():
