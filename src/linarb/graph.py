@@ -25,9 +25,12 @@ class Graph:
     __slots__ = ("_adj", "_edges")
 
     def __init__(self, n: int = 0) -> None:
+        try:
+            self._adj: list[list[int]] = [[] for _ in range(n)]
+        except TypeError:
+            raise GraphError(f"vertex count must be an int, got {n!r}") from None
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        self._adj: list[list[int]] = [[] for _ in range(n)]
         self._edges: set[tuple[int, int]] = set()
 
     @classmethod
@@ -62,40 +65,39 @@ class Graph:
         self._adj.append([])
         return len(self._adj) - 1
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < len(self._adj):
-            raise GraphError(f"unknown vertex id {v} (graph has {len(self._adj)} vertices)")
+    def _row(self, v: int) -> list[int]:
+        """The adjacency row of the vertex id ``v``.  The row is read inside
+        the ``try``: a float id passes the range check but not the index."""
+        try:
+            if 0 <= v < len(self._adj):
+                return self._adj[v]
+        except TypeError:
+            raise GraphError(f"vertex ids must be ints, got {v!r}") from None
+        raise GraphError(f"unknown vertex id {v} (graph has {len(self._adj)} vertices)")
 
     def add_edge(self, u: int, v: int) -> None:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        ru, rv = self._row(u), self._row(v)  # both before any mutation
         if u == v:
             raise GraphError(f"self-loop at vertex {u} is not allowed")
         key = (u, v) if u < v else (v, u)
         if key in self._edges:
             raise GraphError(f"duplicate edge {key}")
-        try:  # both rows before any mutation: a float id passes the range check
-            ru, rv = self._adj[u], self._adj[v]
-        except TypeError:
-            raise GraphError(f"vertex ids must be ints, got {u!r} and {v!r}") from None
         self._edges.add(key)
         ru.append(v)
         rv.append(u)
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self._row(u)
+        self._row(v)
         key = (u, v) if u < v else (v, u)
         return key in self._edges
 
     def neighbors(self, v: int) -> list[int]:
         """Return the adjacency list of ``v``.  Callers must not mutate it."""
-        self._check_vertex(v)
-        return self._adj[v]
+        return self._row(v)
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._adj[v])
+        return len(self._row(v))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.edge_count})"

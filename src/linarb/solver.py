@@ -8,7 +8,8 @@ constructs such a partition:
     has one edge and touches nothing else, so it only uses up one class slot
     at its owner, and only while the sweep is at that owner: the sweep
     colors only the input's edges and places an owner's pendants by sums
-    over its class row, as per-class counts only when a repair needs them.
+    over its class row, as lists of their classes only when a repair needs
+    them.
 2.  Order the vertices of the whole graph so that left-neighborhoods have
     size at most k, with all degree-D vertices before all degree-1 and
     isolated ones.  The thresholds are global, so one ordering certifying
@@ -194,25 +195,24 @@ def _slot_order(row: bytearray, m: int, left: int) -> Iterator[int]:
 
 
 def _leaf_rows(
-    t: int, ptr: int, row: bytearray, m: int, left: int, nrep: int, r: int
-) -> tuple[bytearray, bytearray]:
-    """All leaves of an owner and its reserved leaves alone, as counts over
-    its ``t`` classes, for a ``row`` starting at class ``ptr``: the reserved
-    leaves take the slots after the ``nrep`` reserved edges, up to ``r``."""
-    leaves = bytearray(t)
-    leaves[ptr:ptr + m] = bytes(2 - x for x in row[:m])
+    ptr: int, row: bytearray, m: int, left: int, nrep: int, r: int
+) -> tuple[list[int], list[int]]:
+    """The classes of an owner's spare leaves, in pendant order, which is
+    ascending, and of its reserved leaves, for a ``row`` starting at class
+    ``ptr``: the spare leaves fill classes ``[ptr, ptr + m)`` but the
+    ``left`` slot, and the reserved leaves take the slots after the ``nrep``
+    reserved edges, up to ``r``."""
+    spare = [ptr + c for c in range(m) for _ in range(2 - row[c])]
     if left:
-        leaves[ptr + m - 1] -= 1
-    res = bytearray(t)
-    for c in islice(_slot_order(row, m, left), nrep, r):
-        res[ptr + c] += 1
-        leaves[ptr + c] += 1
-    return leaves, res
+        spare.pop()
+    return spare, [ptr + c for c in islice(_slot_order(row, m, left), nrep, r)]
 
 
 class SolverState:
     """Sweep state over one graph, padded implicitly: each owner's padding
-    leaves are placed by arithmetic over its class row during its step.
+    leaves are placed by arithmetic over its class row during its step.  A
+    repair needs their classes, and reads them from two lists,
+    :attr:`spare_leaves` and :attr:`reserved_leaves`.
 
     Isolated vertices are allowed and skipped: they get no padding and sit
     with the degree-1 vertices behind the sweep.
@@ -334,9 +334,11 @@ class SolverState:
                     if flags[e]:
                         self.reserved_owner_pos[targets[e]] = i
         self._touched: list[int] = []
-        # The leaves of the owner being repaired, per class: built only when
-        # a reserved edge closes a cycle, for its repair and end-of-step check.
-        self.leaves = bytearray(t)
+        # The classes of the leaves of the owner being repaired, its spare
+        # leaves in pendant order and its reserved leaves: built only when a
+        # reserved edge closes a cycle, for its repair and end-of-step check.
+        self.spare_leaves: list[int] = []
+        self.reserved_leaves: list[int] = []
 
     # ------------------------------------------------------------------ sweep
 
@@ -399,13 +401,14 @@ class SolverState:
         its owner, and every other vertex the step reads lies later in the
         order, with no leaves yet.  Sums over the owner's class row place the
         leaves and the reserved edges (:func:`_fit_leaves`), so the step's
-        Python work follows its degree, not ``t``; leaf rows (:attr:`leaves`,
-        ``res``) are built only for a repair.
+        Python work follows its degree, not ``t``; the leaves' classes
+        (:attr:`spare_leaves`, :attr:`reserved_leaves`) are listed only when
+        a reserved edge closes a cycle, for the repair.
         """
         if i >= self.n_high:
             return
         fc, targets = self.fc, self.targets
-        t, cd, cls, r = fc.t, fc._cd, fc.edge_class, self.sdr.r
+        t, cd, r = fc.t, fc._cd, self.sdr.r
         v = self.ordering.order[i]
         lo, hi = self.offsets[i], self.offsets[i + 1]
         # The reserved edges by far end, ascending like the row, and the ids
@@ -445,30 +448,24 @@ class SolverState:
             raise InternalContradictionError(
                 f"class budget {budget} at owner {v} outside [{r}, {top}]"
             )
-        flagged: list[tuple[int, int]] = []
+        closed = False
         for (u, e), c in zip(rep_edge.items(), _slot_order(row, m, left)):
             c += ptr
-            if fc.would_close_cycle(c, v, u):
-                flagged.append((u, c))
+            closed |= fc.would_close_cycle(c, v, u)
             fc.assign(e, v, u, c)
-        if flagged:
-            bad = {u for u, _ in flagged}
-            for u, c in flagged:
-                # The cycle runs through both class-c edges at v; if the
-                # second one is also reserved, it is on the same cycle.
-                for z in fc.class_neighbors(v, c):
-                    if z != u and z in rep_edge and cls[rep_edge[z]] == c:
-                        bad.add(z)
-            self.leaves, res = _leaf_rows(t, ptr, row, m, left, len(rep_edge), r)
-            self._repair(v, rep_edge, spare, res, bad)
-        self._check_capacity(v, bool(flagged))
+        if closed:
+            self.spare_leaves, self.reserved_leaves = _leaf_rows(
+                ptr, row, m, left, len(rep_edge), r
+            )
+            self._repair(v, rep_edge, spare)
+        self._check_capacity(v, closed)
         if self.debug:
             self._check_pending_headroom(i)
 
     def _check_capacity(self, v: int, repaired: bool) -> None:
         """End of an owner's step: the class row of ``v`` counts all its
         edges, which with ``pad[v]`` leaves make degree ``D``; after a repair
-        (it moves leaves), :attr:`leaves` holds ``pad[v]`` leaves that fit
+        (it moves leaves), the two leaf lists hold ``pad[v]`` leaves that fit
         beside the edges in every class.  ForestColoring caps edges alone,
         so this is the one check that sees the leaves."""
         row = self.fc._cd[v * self.t:(v + 1) * self.t]
@@ -479,100 +476,81 @@ class SolverState:
                 f"not degree {self.delta}"
             )
         if repaired:
-            loads = [d + x for d, x in zip(row, self.leaves)]
-            if sum(self.leaves) != self.pad[v] or max(loads) > 2:
+            leaves = self._leaf_counts()
+            loads = [d + x for d, x in zip(row, leaves)]
+            if sum(leaves) != self.pad[v] or max(loads) > 2:
                 raise InternalContradictionError(
-                    f"owner {v} holds {sum(self.leaves)} leaves for padding {self.pad[v]}, "
+                    f"owner {v} holds {sum(leaves)} leaves for padding {self.pad[v]}, "
                     f"class loads {loads}"
                 )
 
+    def _leaf_counts(self) -> list[int]:
+        """The leaves of the owner being repaired, counted per class."""
+        counts = [0] * self.t
+        for j in self.spare_leaves + self.reserved_leaves:
+            counts[j] += 1
+        return counts
+
     # ------------------------------------------------------------------ repair
 
-    def _repair(
-        self,
-        v: int,
-        rep_edge: dict[int, int],
-        spare: list[int],
-        res: bytearray,
-        bad: set[int],
-    ) -> None:
+    def _repair(self, v: int, rep_edge: dict[int, int], spare: list[int]) -> None:
         """Drive the set of cycle-carrying reserved edges to empty.
 
         ``rep_edge`` maps the far end of each reserved edge of ``v`` to its
-        edge id, ``spare`` lists the ids of the other right-edges, and
-        ``bad`` holds the far ends of the reserved edges on a cycle.
+        edge id, and ``spare`` lists the ids of the other right-edges.  The
+        set holds the far ends of the reserved edges on a cycle, computed by
+        one test before the first move and after each move.
 
         Each iteration recolors or swaps one reserved edge of ``v`` (in one
         case trading with a non-reserved edge) and must strictly shrink the
-        bad set; the iteration count is hard-capped at ``r + 1``.  A swap
-        partner may be a leaf of ``v``: trading with one recolors vw into
-        the leaf's class and moves the leaf to vw's old class in
-        :attr:`leaves`, and in ``res`` for a reserved leaf.  The spare leaves
-        are listed here in pendant order, which the unreserved trade's
-        tie-break follows, and the list is updated as they move.
+        set, which starts with at most ``r`` members.  A swap partner may be
+        a leaf of ``v``: trading with one recolors vw into the leaf's class
+        and rewrites that leaf's entry, in :attr:`reserved_leaves` or
+        :attr:`spare_leaves`, to vw's old class.  The spare leaves are
+        listed in pendant order, which the unreserved trade's tie-break
+        follows.
         """
         fc = self.fc
         cls = fc.edge_class
         targets = self.targets
-        leaves = self.leaves
-        # The spare leaves filled the lowest open classes in order, and only
-        # a repair moves them, so their classes are the counts left after
-        # the reserved leaves, expanded in ascending order.
-        spare_leaves = [j for j in range(fc.t) for _ in range(leaves[j] - res[j])]
-        cap = self.sdr.r + 1
-        iters = 0
+
+        def on_cycle() -> set[int]:
+            return {
+                u for u, e in rep_edge.items() if fc.cycle_containing(cls[e], e, v, u) is not None
+            }
+
+        bad = on_cycle()
         while bad:
-            iters += 1
             self.stats.repair_iterations += 1
-            if iters > cap:
-                raise InternalContradictionError(self._dump(v, rep_edge, bad, "iteration cap hit"))
             w = min(bad)
             ew = rep_edge[w]
             xi = cls[ew]
-            cycle = fc.cycle_containing(xi, ew, v, w)
-            if cycle is None:
-                raise InternalContradictionError(
-                    self._dump(v, rep_edge, bad, "tracked cycle vanished")
-                )
-            move = self._choose_repair_move(v, rep_edge, spare, res, spare_leaves, w, xi)
+            move = self._choose_repair_move(v, rep_edge, spare, w, xi)
             kind = move[0]
-            if kind == "recolor":
-                fc.recolor(ew, v, w, move[1])
-            elif kind == "swap":
+            if kind == "swap":
                 e = move[2]
                 fc.swap_colors(ew, v, w, e, v, targets[e])
             else:
-                j = move[1]
-                fc.recolor(ew, v, w, j)
-                leaves[j] -= 1
-                leaves[xi] += 1
-                if kind == "reserved leaf":
-                    res[j] -= 1
-                    res[xi] += 1
-                else:
-                    spare_leaves[move[2]] = xi
-            new_bad = {
-                u for u, e in rep_edge.items() if fc.cycle_containing(cls[e], e, v, u) is not None
-            }
+                fc.recolor(ew, v, w, move[1])
+            if kind == "reserved leaf":
+                leaves = self.reserved_leaves
+                leaves[leaves.index(move[1])] = xi
+            elif kind == "spare leaf":
+                self.spare_leaves[move[2]] = xi
+            new_bad = on_cycle()
             if len(new_bad) >= len(bad):
                 reason = f"move {move[:2]} did not shrink the cycle set"
                 raise InternalContradictionError(self._dump(v, rep_edge, new_bad, reason))
             bad = new_bad
 
     def _choose_repair_move(
-        self,
-        v: int,
-        rep_edge: dict[int, int],
-        spare: list[int],
-        res: bytearray,
-        spare_leaves: list[int],
-        w: int,
-        xi: int,
+        self, v: int, rep_edge: dict[int, int], spare: list[int], w: int, xi: int
     ) -> tuple:
         """Pick the move that frees the reserved edge vw from its cycle.
 
-        Degrees are examined net of the reserved edges and leaves at ``v``
-        (the state the budget argument reasons about).  Preference order:
+        Degrees at ``v`` count its edges and its :attr:`spare_leaves` but
+        not its reserved edges and leaves (the state the budget argument
+        reasons about).  Preference order:
 
         1. a class where ``w`` is untouched and ``v`` is not internal:
            recolor vw there, or swap with the reserved edge already holding
@@ -587,36 +565,37 @@ class SolverState:
         Among partners a leaf ranks after every real vertex, as the id of
         its pendant would.  A move returns as ``("recolor", j)``, or as
         ``("swap", j, e)`` with the partner's edge id ``e``.  A trade with a
-        reserved leaf of class ``j`` is returned as ``("reserved leaf", j)``,
-        and one with the spare leaf at index ``i`` of ``spare_leaves`` as
-        ``("spare leaf", j, i)``.
+        reserved leaf of class ``j`` (one in :attr:`reserved_leaves`) is
+        returned as ``("reserved leaf", j)``, and one with the spare leaf at
+        index ``i`` of :attr:`spare_leaves` as ``("spare leaf", j, i)``.
         """
         fc = self.fc
         t = fc.t
-        cd, cls, leaves = fc._cd, fc.edge_class, self.leaves
+        cd, cls = fc._cd, fc.edge_class
         base_v = v * t
-        rep_count = list(res)
+        net_v = list(cd[base_v:base_v + t])
+        for j in self.spare_leaves:
+            net_v[j] += 1
         for e in rep_edge.values():
-            rep_count[cls[e]] += 1
-        net_v = [cd[base_v + j] + leaves[j] - rep_count[j] for j in range(t)]
+            net_v[cls[e]] -= 1
 
         for j in range(t):
             wd = fc.class_degree(w, j) - (1 if j == xi else 0)
             if wd == 0 and net_v[j] != 2:
                 self.stats.repairs_endpoint_free += 1
-                return self._reserved_partner(rep_edge, res, w, j) or ("recolor", j)
+                return self._reserved_partner(rep_edge, w, j) or ("recolor", j)
 
         for j in range(t):
             if net_v[j] == 0 and j != xi:
                 self.stats.repairs_owner_free += 1
-                if rep_count[j] == 0:
-                    # No edge at v carries j at all (only reachable with the
-                    # relaxed budget): vw can simply move there, leaving v a
-                    # leaf of class j, which cannot lie on a cycle.
+                if cd[base_v + j] == 0 and j not in self.reserved_leaves:
+                    # No edge or leaf at v carries j at all (only reachable
+                    # with the relaxed budget): vw can simply move there,
+                    # leaving v a leaf of class j, which cannot lie on a cycle.
                     return ("recolor", j)
                 u = self._partner_on_path(v, w, j)
                 if u is None:
-                    return self._reserved_partner(rep_edge, res, w, j)
+                    return self._reserved_partner(rep_edge, w, j)
                 if u not in rep_edge or cls[rep_edge[u]] != j:
                     reason = f"path partner {u} is not reserved in class {j}"
                     raise InternalContradictionError(self._dump(v, rep_edge, {w}, reason))
@@ -634,7 +613,7 @@ class SolverState:
             if eta != NIL and eta != xi:
                 self.stats.repairs_unreserved += 1
                 return ("swap", eta, e)
-        for i, eta in enumerate(spare_leaves):
+        for i, eta in enumerate(self.spare_leaves):
             if eta != xi:
                 self.stats.repairs_unreserved += 1
                 return ("spare leaf", eta, i)
@@ -642,18 +621,15 @@ class SolverState:
             self._dump(v, rep_edge, {w}, "no unreserved right-edge outside the cycle class")
         )
 
-    def _reserved_partner(
-        self, rep_edge: dict[int, int], res: bytearray, w: int, j: int
-    ) -> tuple | None:
+    def _reserved_partner(self, rep_edge: dict[int, int], w: int, j: int) -> tuple | None:
         """The swap with the reserved edge of class ``j`` whose far end is
-        smallest, other than the one to ``w``, a real one before a leaf
-        (``res`` counts the reserved leaves per class); None when there is
-        none."""
+        smallest, other than the one to ``w``, a real one before a leaf of
+        :attr:`reserved_leaves`; None when there is none."""
         cls = self.fc.edge_class
         partners = [u for u, e in rep_edge.items() if u != w and cls[e] == j]
         if partners:
             return ("swap", j, rep_edge[min(partners)])
-        if res[j]:
+        if j in self.reserved_leaves:
             return ("reserved leaf", j)
         return None
 
@@ -705,7 +681,7 @@ class SolverState:
             f"  reserved={list(rep_edge)} bad={sorted(bad)}",
             f"  reserved colors={[fc.edge_class[e] for e in rep_edge.values()]}",
             f"  owner class degrees={[fc.class_degree(v, j) for j in range(self.t)]}",
-            f"  owner leaves={list(self.leaves)}",
+            f"  owner leaves={self._leaf_counts()}",
         ]
         message = "\n".join(lines)
         dump_dir = os.environ.get("LINARB_DUMP_DIR")

@@ -114,6 +114,39 @@ def scale_graph() -> Graph:
     return Graph._from_parts(adj, edges)
 
 
+def capped_instance(k: int, target: int, n: int, rnd: random.Random) -> Graph:
+    """Random graph of degeneracy exactly ``k`` and maximum degree exactly
+    ``target``: standard attachment, but only to vertices still below the
+    cap, then leaves lift one vertex to the cap."""
+    g = Graph(n)
+    deg = [0] * n
+    for i in range(1, n):
+        for c in rnd.sample([c for c in range(i) if deg[c] < target], min(k, i)):
+            g.add_edge(c, i)
+            deg[c] += 1
+            deg[i] += 1
+    while deg[0] < target:
+        w = g.add_vertex()
+        g.add_edge(0, w)
+        deg[0] += 1
+    return g
+
+
+def random_peel_ordering(g: Graph, k: int, rnd: random.Random) -> DegeneracyOrdering:
+    """A random ordering certifying degeneracy ``k``: peel a vertex drawn
+    uniformly from those with at most ``k`` neighbors left, and reverse."""
+    deg = [len(row) for row in g._adj]
+    alive = set(range(g.n))
+    peeled = []
+    while alive:
+        v = rnd.choice(sorted(u for u in alive if deg[u] <= k))
+        alive.remove(v)
+        peeled.append(v)
+        for u in g._adj[v]:
+            deg[u] -= 1
+    return ordering_for(g, peeled[::-1], k)
+
+
 # ------------------------------------------------- independent re-checks
 
 

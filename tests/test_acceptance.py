@@ -35,6 +35,7 @@ from linarb.solver import place_light_edge
 from conftest import (
     ACCEPTANCE_LINES,
     Pairs,
+    capped_instance,
     endpoint_recolor_fixture,
     flagged_owners,
     hall_certificate_check,
@@ -77,24 +78,6 @@ def _connected(g: Graph) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
-
-
-def _capped_instance(k: int, target: int, n: int, rnd: random.Random) -> Graph:
-    """Random graph of degeneracy exactly ``k`` and maximum degree exactly
-    ``target``: standard attachment, but only to vertices still below the
-    cap, then leaves lift one vertex to the cap."""
-    g = Graph(n)
-    deg = [0] * n
-    for i in range(1, n):
-        for c in rnd.sample([c for c in range(i) if deg[c] < target], min(k, i)):
-            g.add_edge(c, i)
-            deg[c] += 1
-            deg[i] += 1
-    while deg[0] < target:
-        w = g.add_vertex()
-        g.add_edge(0, w)
-        deg[0] += 1
-    return g
 
 
 def test_criterion_1_minimum_mode_hits_the_floor_everywhere(monkeypatch):
@@ -161,7 +144,7 @@ def test_criterion_2_relaxed_mode_inside_the_degree_gap(monkeypatch):
         for i in range(per_k):
             rnd = random.Random(52000 + 997 * k + i)
             target = window[i % len(window)]
-            g = _capped_instance(k, target, rnd.randrange(3 * k, n_hi + 1), rnd)
+            g = capped_instance(k, target, rnd.randrange(3 * k, n_hi + 1), rnd)
             try:
                 assert max_degree(g) == target
                 assert naive_degeneracy(g)[0] == k

@@ -88,6 +88,24 @@ def test_non_int_vertex_rejected_before_any_mutation(u, v):
     assert [g.neighbors(x) for x in range(3)] == [[], [2], [1]]
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: g.neighbors(1.0),
+    lambda g: g.degree(1.0),
+    lambda g: g.has_edge(0, 1.0),
+    lambda g: g.has_edge(1.0, 0),
+    lambda g: g.degree("1"),
+    lambda g: Graph(2.5),
+    lambda g: Graph("3"),
+], ids=["neighbors", "degree", "has_edge_v", "has_edge_u", "degree_str", "n_float", "n_str"])
+def test_non_int_vertex_rejected_by_every_query(call):
+    # A float id inside the range passes the range check, fails as a row
+    # index (TypeError), and as an edge key (0, 1.0) == (0, 1) would make
+    # has_edge answer True; a non-int count fails in range().
+    g = gfrom(3, [(0, 1)])
+    with pytest.raises(GraphError):
+        call(g)
+
+
 def test_max_degree_star():
     assert max_degree(star_graph(7)) == 7
     assert max_degree(path_graph(2)) == 1

@@ -28,6 +28,7 @@ from linarb.coloring import NIL, edge_key
 from linarb.solver import _fit_leaves, _leaf_rows, _slot_order, place_light_edge
 from conftest import (
     Pairs,
+    capped_instance,
     complete_graph,
     cycle_graph,
     endpoint_recolor_fixture,
@@ -36,6 +37,7 @@ from conftest import (
     path_graph,
     path_partner_swap_fixture,
     pendant_partner_fixture,
+    random_peel_ordering,
     reference_decompose_by_component,
     reference_owner_slots,
     replay_repair_dump,
@@ -173,13 +175,27 @@ def expected_pendants(g, delta):
     return sum(delta - g.degree(v) for v in range(g.n) if 1 < g.degree(v) < delta)
 
 
+def class_counts(classes, t):
+    """The entries of a list of classes, counted per class."""
+    counts = [0] * t
+    for j in classes:
+        counts[j] += 1
+    return counts
+
+
+def leaf_counts(state):
+    """The leaves of the owner under repair, per class, from both lists."""
+    return class_counts(state.spare_leaves + state.reserved_leaves, state.t)
+
+
 def record_leaves(monkeypatch, state):
     """Map each owner to the number of leaves its step placed, read from
     per-class leaf rows: those of ``reference_owner_slots`` on the class row
-    the step fit its leaves into, or those its repair built.  The hooks also
-    check that the reserved edges took the reference's first slots, that
-    the leaves fit beside the edges in every class, and that the end-of-step
-    check passes on each owner and sees the same count."""
+    the step fit its leaves into, or the counts of the leaf lists its repair
+    built.  The hooks also check that the reserved edges took the
+    reference's first slots, that the leaves fit beside the edges in every
+    class, and that the end-of-step check passes on each owner and sees the
+    same count."""
     counts = {}
     fit, check = linarb.solver._fit_leaves, state._check_capacity
     t, cd, cls = state.t, state.fc._cd, state.fc.edge_class
@@ -199,7 +215,7 @@ def record_leaves(monkeypatch, state):
             [2] * ptr + list(tail), ptr, spare, len(rep_edges), state.sdr.r
         )
         if repaired:
-            leaves = state.leaves
+            leaves = leaf_counts(state)
         else:
             assert [cls[e] for e in rep_edges] == slots[:len(rep_edges)]
         assert max(map(add, cd[v * t:(v + 1) * t], leaves)) <= 2
@@ -239,7 +255,7 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
     compares the owner's class row with its padding: ``pad[v]`` one too
     high or one too low, or one class-row entry off by one, raises with or
     without debug checks, at owner 2 (no leaves) and at owner 4 (leaves and
-    a repair).  After a repair the built leaf rows are checked too: a leaf
+    a repair).  After a repair the built leaf lists are checked too: a leaf
     moved into a full class raises."""
     g, ordering, delta, t = pendant_partner_fixture()
 
@@ -273,9 +289,12 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
 
     def overfull(v, *args):
         repair(v, *args)
-        cd, leaves = state.fc._cd, state.leaves
-        leaves[next(j for j in range(t) if leaves[j])] -= 1
-        leaves[next(j for j in range(t) if cd[v * t + j] + leaves[j] == 2)] += 1
+        cd, counts = state.fc._cd, leaf_counts(state)
+        low = next(j for j in range(t) if counts[j])
+        counts[low] -= 1
+        full = next(j for j in range(t) if cd[v * t + j] + counts[j] == 2)
+        leaves = state.spare_leaves if low in state.spare_leaves else state.reserved_leaves
+        leaves[leaves.index(low)] = full
 
     monkeypatch.setattr(state, "_repair", overfull)
     with pytest.raises(InternalContradictionError, match="leaves for padding"):
@@ -288,7 +307,8 @@ def test_slot_arithmetic_matches_the_class_loop(data):
     """The owner step's row arithmetic against the per-class loop it
     replaced (``reference_owner_slots``), on random class rows of up to 300
     classes: the same class budget, the same slot order (the reserved edges
-    take its first ``nrep`` slots), and the same leaf rows."""
+    take its first ``nrep`` slots), and the same leaves per class, with the
+    spare leaves listed in ascending order."""
     t = data.draw(st.integers(1, 300), label="t")
     row = bytearray(x % 3 for x in data.draw(st.binary(min_size=t, max_size=t), label="row"))
     ptr = data.draw(st.integers(0, t), label="ptr")
@@ -305,7 +325,10 @@ def test_slot_arithmetic_matches_the_class_loop(data):
     r = data.draw(st.integers(0, budget + 2), label="r")
     nrep = data.draw(st.integers(0, r), label="nrep")
     _, leaves, res = reference_owner_slots(row, ptr, spare, nrep, r)
-    assert _leaf_rows(t, ptr, tail, m, left, nrep, r) == (bytearray(leaves), bytearray(res))
+    spare_leaves, reserved_leaves = _leaf_rows(ptr, tail, m, left, nrep, r)
+    assert spare_leaves == sorted(spare_leaves)
+    assert class_counts(reserved_leaves, t) == res
+    assert class_counts(spare_leaves + reserved_leaves, t) == leaves
 
 
 def sweep_line_events(delta_min: int) -> int:
@@ -615,12 +638,12 @@ def test_reserved_partner_ranks_real_edges_before_leaves():
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
     e46 = state_edge_ids(state)[4, 6]
     state.fc.assign(e46, 4, 6, 2)
-    res = bytearray([0, 1, 1])  # one reserved leaf in each of classes 1 and 2
+    state.reserved_leaves = [1, 2]  # one reserved leaf in each of classes 1 and 2
     rep_edge = {6: e46}
-    assert state._reserved_partner(rep_edge, res, 0, 2) == ("swap", 2, e46)
-    assert state._reserved_partner(rep_edge, res, 0, 1) == ("reserved leaf", 1)
-    assert state._reserved_partner(rep_edge, res, 6, 2) == ("reserved leaf", 2)
-    assert state._reserved_partner(rep_edge, res, 0, 0) is None
+    assert state._reserved_partner(rep_edge, 0, 2) == ("swap", 2, e46)
+    assert state._reserved_partner(rep_edge, 0, 1) == ("reserved leaf", 1)
+    assert state._reserved_partner(rep_edge, 6, 2) == ("reserved leaf", 2)
+    assert state._reserved_partner(rep_edge, 0, 0) is None
 
 
 def test_unreserved_leaf_trade_follows_pendant_order():
@@ -634,10 +657,8 @@ def test_unreserved_leaf_trade_follows_pendant_order():
     ids = state_edge_ids(state, [(5, 6)])
     state.fc.assign(ids[4, 6], 4, 6, 0)
     state.fc.assign(ids[5, 6], 5, 6, 0)
-    state.leaves = bytearray([0, 2, 2])
-    res = bytearray(t)
-    spare_leaves = [2, 1, 1, 2]
-    move = state._choose_repair_move(4, {6: ids[4, 6]}, [], res, spare_leaves, 6, 0)
+    state.spare_leaves = [2, 1, 1, 2]
+    move = state._choose_repair_move(4, {6: ids[4, 6]}, [], 6, 0)
     assert move == ("spare leaf", 2, 0)
     assert state.stats.repairs_unreserved == 1
 
@@ -652,10 +673,9 @@ def test_owner_free_move_takes_a_reserved_leaf_when_the_walk_leaves_the_path():
     ids = state_edge_ids(state, [(5, 6)])
     for u, v, j in [(4, 6, 0), (0, 4, 0), (2, 6, 0), (2, 4, 2), (5, 6, 1)]:
         state.fc.assign(ids[u, v], u, v, j)
-    state.leaves = bytearray([0, 1, 1])
-    res = bytearray([0, 1, 0])
+    state.spare_leaves, state.reserved_leaves = [2], [1]
     assert state._partner_on_path(4, 6, 1) is None
-    move = state._choose_repair_move(4, {6: ids[4, 6]}, [], res, [2], 6, 0)
+    move = state._choose_repair_move(4, {6: ids[4, 6]}, [], 6, 0)
     assert move == ("reserved leaf", 1)
     assert state.stats.repairs_owner_free == 1
 
@@ -673,9 +693,8 @@ def test_owner_free_move_recolors_into_a_class_empty_at_the_owner():
     ids = state_edge_ids(state, [(5, 6)])
     for u, v, j in [(4, 6, 0), (2, 6, 0), (0, 4, 2), (2, 4, 2), (5, 6, 1)]:
         state.fc.assign(ids[u, v], u, v, j)
-    state.leaves = bytearray([1, 0, 0, 2])
-    res = bytearray([1, 0, 0, 0])
-    move = state._choose_repair_move(4, {6: ids[4, 6]}, [], res, [3, 3], 6, 0)
+    state.spare_leaves, state.reserved_leaves = [3, 3], [0]
+    move = state._choose_repair_move(4, {6: ids[4, 6]}, [], 6, 0)
     assert move == ("recolor", 1)
     assert state.stats.repairs_owner_free == 1
     assert state.stats.repairs_endpoint_free == 0
@@ -689,7 +708,7 @@ def test_leaf_trades_update_the_counts_a_later_iteration_reads(reserved):
     leaves in class 2, the first of them reserved when ``reserved`` is 1.
     Each trade moves a leaf into the cycle edge's old class, so the second
     trade takes the leaf that moved to class 0: the first spare leaf in
-    pendant order, or the reserved leaf ``res`` now counts there.  Pinned
+    pendant order, or the reserved leaf now listed there.  Pinned
     on a hand-set state, as no sweep found yet trades twice at one owner."""
     g, ordering, delta, t = pendant_partner_fixture()
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
@@ -700,12 +719,11 @@ def test_leaf_trades_update_the_counts_a_later_iteration_reads(reserved):
     ids = state_edge_ids(state, [(u, v) for u, v, _ in hand_set])
     for u, v, j in hand_set:
         fc.assign(ids[u, v], u, v, j)
-    state.leaves = bytearray([0, 0, 2])
-    res = bytearray([0, 0, reserved])
-    state._repair(0, {1: ids[0, 1], 2: ids[0, 2]}, [], res, {1, 2})
+    state.spare_leaves, state.reserved_leaves = [2] * (2 - reserved), [2] * reserved
+    state._repair(0, {1: ids[0, 1], 2: ids[0, 2]}, [])
     assert (fc.edge_class[ids[0, 1]], fc.edge_class[ids[0, 2]]) == (2, 0)
-    assert list(state.leaves) == [0, 1, 1]
-    assert list(res) == [0, reserved, 0]
+    assert leaf_counts(state) == [0, 1, 1]
+    assert class_counts(state.reserved_leaves, t) == [0, reserved, 0]
     assert state.stats.repair_iterations == 2
     moved = state.stats.repairs_endpoint_free if reserved else state.stats.repairs_unreserved
     assert moved == 2
@@ -755,6 +773,32 @@ def test_tiled_fixture_copies_match_the_single_copy():
     assert state.stats.repair_iterations == copies
     report = verify_partition(g, {e: c + 1 for e, c in coloring.items()}, t)
     assert report.valid, report.violations[:3]
+
+
+def test_repairs_under_random_orderings_are_pinned():
+    """Byte-identity pin for the repair path: capped degeneracy-2 graphs
+    grown from 10-19 vertices, at the threshold degree of each mode, swept
+    under seeded random peel orders.  The sha256 of the colorings and the summed repair
+    counters were recorded before the repair state became two leaf lists;
+    the family repairs 186 times, three of them by an unreserved trade."""
+    digest = hashlib.sha256()
+    counters = [0, 0, 0, 0]
+    for seed in range(2500):
+        rnd = random.Random(seed)
+        mode = (Mode.MINIMUM, Mode.LAC)[seed % 2]
+        delta = required_max_degree(2, mode)
+        g = capped_instance(2, delta, rnd.randrange(10, 20), rnd)
+        ordering = random_peel_ordering(g, 2, rnd)
+        state = SolverState(g, ordering, delta, class_count_for(delta, 2, mode), mode)
+        coloring = state.run()
+        digest.update("".join(f"{u} {v} {c}\n" for (u, v), c in sorted(coloring.items())).encode())
+        stats = state.stats
+        for i, count in enumerate((stats.repair_iterations, stats.repairs_endpoint_free,
+                                   stats.repairs_owner_free, stats.repairs_unreserved)):
+            counters[i] += count
+    assert (counters, digest.hexdigest()) == (
+        [186, 183, 0, 3], "6623fa419b484d165ba744d7e27fcd99516bf74531554ecf6caf0ded03e83881"
+    )
 
 
 def test_solver_state_rejects_forests_and_thin_graphs():
@@ -1063,7 +1107,7 @@ def test_repair_contradiction_dump_replays(monkeypatch, tmp_path):
     the mode and the sweep order; sweeping them again fails the same way.
     The failure is forced by a repair move that changes nothing."""
 
-    def idle(self, v, rep_edge, spare, res, spare_leaves, w, xi):
+    def idle(self, v, rep_edge, spare, w, xi):
         return ("recolor", xi)
 
     monkeypatch.setattr(SolverState, "_choose_repair_move", idle)
