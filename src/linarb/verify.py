@@ -1,8 +1,10 @@
 """Independent validation of a linear-forest edge partition.
 
-Deliberately shares no state with the solver: degrees are recounted from
-scratch and each class is cycle-checked with its own path-end table, so a
-solver bug cannot hide behind its own bookkeeping.
+Deliberately shares no state with the solver: each class is checked from
+scratch in one walk over its own path-end table, which catches a third edge
+at a vertex as well as a closed cycle, so a solver bug cannot hide behind
+its own bookkeeping.  Degrees are counted only to itemize the overflows of
+a class in which the walk found a third edge.
 
 The check runs in O(n + m) time and memory, whatever the class count: it
 touches only the classes the partition uses, and sorts only the entries it
@@ -22,6 +24,9 @@ UNCOLORED_EDGE = "UNCOLORED_EDGE"
 DEGREE_OVERFLOW = "DEGREE_OVERFLOW"
 MONOCHROMATIC_CYCLE = "MONOCHROMATIC_CYCLE"
 UNKNOWN_EDGE = "UNKNOWN_EDGE"
+
+# What ``_cycle`` returns for a class in which some vertex has a third edge.
+_THIRD_EDGE = object()
 
 
 @dataclass(frozen=True)
@@ -125,14 +130,16 @@ def _sorted_entries(entries: list) -> list:
         return sorted(entries, key=repr)
 
 
-def _cycle(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
+def _cycle(pairs: list[tuple[int, int]]):
     """Smallest vertex on a cycle of the edge set ``pairs``, and that
-    cycle's length; None for a linear forest.
+    cycle's length; None for a linear forest, and ``_THIRD_EDGE`` as soon as
+    some vertex has a third edge in ``pairs``.
 
-    Every vertex must have at most two edges in ``pairs``.  Each path end
-    keeps the other end of its path (an isolated vertex is its own end), so
-    an edge closes a cycle exactly when it joins the two ends of one path.
-    Only then are the closed cycles walked.
+    One walk over the edges: each path end keeps the other end of its path
+    (an isolated vertex is its own end, and is absent), and a vertex with
+    two edges keeps -1, so an edge at a -1 vertex is a third edge there.
+    An edge closes a cycle exactly when it joins the two ends of one path.
+    Only when no vertex overflows are the closed cycles walked.
     """
     end: dict[int, int] = {}
     get = end.get
@@ -141,8 +148,13 @@ def _cycle(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
         a = get(u, u)
         if a == v:
             closing.append(u)
+            end[u] = end[v] = -1
             continue
         b = get(v, v)
+        if a < 0 or b < 0:
+            return _THIRD_EDGE
+        # u and v turn interior, unless isolated: then they are a or b.
+        end[u] = end[v] = -1
         end[a] = b
         end[b] = a
     if not closing:
@@ -179,13 +191,21 @@ def verify_partition(
     every other entry (a key that is not an edge of ``g``, or a class that
     is not in range), degree overflows, and monochromatic cycles are each
     reported; the report lists every violation found, not just the first.
+    An iterable ``coloring`` may name a key more than once: its first entry
+    is judged as in a map, and every later one is an unknown entry too.
     Violations come in this order: unknown entries by key (by ``repr`` when
-    their keys cannot be compared), uncolored edges, overflows by (vertex,
-    class), then per class without an overflow the cycle through its
-    smallest vertex that lies on one.
+    their keys cannot be compared), repeated entries in the order given,
+    uncolored edges, overflows by (vertex, class), then per class without
+    an overflow the cycle through its smallest vertex that lies on one.
     """
+    repeats = []
     if not isinstance(coloring, dict):
-        coloring = dict(coloring)
+        entries, coloring = coloring, {}
+        for e, c in entries:
+            if e in coloring:
+                repeats.append((e, c))
+            else:
+                coloring[e] = c
     edges = g._edges
     groups, rejected, colored = _group(coloring, edges, class_count)
 
@@ -195,6 +215,9 @@ def verify_partition(
             detail = f"edge {e} assigned class {c!r} outside 1..{class_count}"
         else:
             detail = f"colored edge {e} is not an edge of the graph"
+        violations.append(Violation(UNKNOWN_EDGE, detail, edge=e))
+    for e, c in repeats:
+        detail = f"edge {e} is colored more than once (again with class {c!r})"
         violations.append(Violation(UNKNOWN_EDGE, detail, edge=e))
 
     if sum(map(len, groups.values())) < len(edges):
@@ -207,13 +230,13 @@ def verify_partition(
     cycles: list[tuple[int, int, int]] = []
     for c in sorted(groups):
         pairs = groups[c]
-        degree = Counter(chain.from_iterable(pairs))
-        if max(degree.values(), default=0) > 2:
+        found = _cycle(pairs)
+        if found is _THIRD_EDGE:
+            # Degrees are counted only to itemize the overflows.
+            degree = Counter(chain.from_iterable(pairs))
             overflows += [(x, c, d) for x, d in degree.items() if d > 2]
-        else:
-            found = _cycle(pairs)
-            if found is not None:
-                cycles.append((c, *found))
+        elif found is not None:
+            cycles.append((c, *found))
 
     overflows.sort()
     for x, c, d in overflows:

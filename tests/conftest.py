@@ -405,12 +405,15 @@ def reference_verify_partition(
     class_count: int,
 ) -> VerificationReport:
     """The dict-based verifier ``linarb.verify_partition`` replaced, kept as
-    the oracle its array-based successor is checked against.  Its changes
-    since: keys that are not pairs, or cannot be ordered against each other,
-    are reported instead of raising, and the domain is exact: a key must be
-    a ``tuple`` of two ``int`` objects and a class an ``int``, tested by
-    exact type, so a ``bool``, ``IntEnum`` or namedtuple is rejected, and
-    only such a key colors the edge it names.
+    the oracle its successor (one walk per class over a dict of path ends)
+    is checked against.  Its changes since: keys that are not pairs, or
+    cannot be ordered against each other, are reported instead of raising;
+    the domain is exact: a key must be a ``tuple`` of two ``int`` objects
+    and a class an ``int``, tested by exact type, so a ``bool``, ``IntEnum``
+    or namedtuple is rejected, and only such a key colors the edge it names;
+    and an iterable ``coloring`` that names a key more than once has its
+    first entry judged and each later one reported as an unknown edge,
+    after the other unknown entries, in the order given.
 
     Check ``coloring`` as a partition of E(g) into ``class_count`` linear forests.
 
@@ -420,8 +423,15 @@ def reference_verify_partition(
     overflows, and monochromatic cycles are each reported; the report lists
     every violation found, not just the first.
     """
+    repeats = []
     if not isinstance(coloring, dict):
-        coloring = dict(coloring)
+        first: dict = {}
+        for e, c in coloring:
+            if e in first:
+                repeats.append((e, c))
+            else:
+                first[e] = c
+        coloring = first
     violations: list[Violation] = []
     per_class_adj: list[dict[int, list[int]]] = [dict() for _ in range(class_count)]
     degree_in_class: dict[tuple[int, int], int] = {}
@@ -462,6 +472,15 @@ def reference_verify_partition(
         adj.setdefault(v, []).append(u)
         degree_in_class[(u, c)] = degree_in_class.get((u, c), 0) + 1
         degree_in_class[(v, c)] = degree_in_class.get((v, c), 0) + 1
+
+    for e, c in repeats:
+        violations.append(
+            Violation(
+                UNKNOWN_EDGE,
+                f"edge {e} is colored more than once (again with class {c!r})",
+                edge=e,
+            )
+        )
 
     for u, v in g.edges():
         if (u, v) not in colored:

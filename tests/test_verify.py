@@ -117,6 +117,45 @@ def test_accepts_iterable_of_pairs():
     assert report.valid
 
 
+def test_repeated_entry_in_iterable_is_reported():
+    # dict() would keep the last entry and let the partition pass
+    g = path_graph(3)
+    report = verify_partition(g, [((0, 1), 1), ((1, 2), 1), ((0, 1), 2)], 2)
+    assert not report.valid
+    assert [(v.kind, v.edge) for v in report.violations] == [(UNKNOWN_EDGE, (0, 1))]
+    assert "more than once" in report.violations[0].detail
+    # the first entry is judged: here it overflows vertex 1's class 1
+    g = gfrom(4, [(0, 1), (1, 2), (1, 3)])
+    entries = [((0, 1), 2), ((1, 2), 1), ((1, 3), 1), ((0, 1), 1), ((0, 1), 1)]
+    report = verify_partition(g, entries, 2)
+    assert [(v.kind, v.edge) for v in report.violations] == [(UNKNOWN_EDGE, (0, 1))] * 2
+    report = verify_partition(g, entries[::-1], 2)
+    assert kinds(report) == [DEGREE_OVERFLOW, UNKNOWN_EDGE]
+
+
+def test_degrees_are_counted_only_for_an_overflowing_class(monkeypatch):
+    calls = []
+    real = linarb.verify.Counter
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linarb.verify, "Counter", counting)
+    for k in (2, 3):
+        g = generate_k_degenerate(n=60, k=k, delta_min=2 * k * k - k, seed=k)
+        result = decompose(g)
+        assert result.t > 1
+        assert verify_partition(g, result.coloring, result.t).valid
+    assert calls == []
+    g = star_graph(4)
+    report = verify_partition(g, {e: 1 for e in g.edges()}, 1)
+    assert len(calls) == 1
+    assert [(v.kind, v.vertex, v.detail) for v in report.violations] == [
+        (DEGREE_OVERFLOW, 0, "vertex 0 has 4 edges in class 1")
+    ]
+
+
 def test_report_round_trips_to_dict():
     g = path_graph(3)
     report = verify_partition(g, {(0, 1): 1}, 1)
@@ -271,6 +310,31 @@ def fixed_cases():
     # a class index far past the class count (the reference allocates one
     # dict per class, so a huge class count is left to the CLI test)
     yield star4, {(0, 1): 10**12, (0, 2): 1}, 2
+    # the one-pass walk: a third edge at a triangle vertex, given before
+    # and after the edge that closes the triangle, at either end of an edge
+    tri_pend = gfrom(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    yield tri_pend, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 2): 1}, 1
+    yield tri_pend, {(0, 1): 1, (1, 2): 1, (0, 2): 1, (2, 3): 1}, 1
+    yield tri_pend, [((0, 2), 1), ((0, 1), 1), ((1, 2), 1), ((2, 3), 1)], 1
+    pend_tri = gfrom(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    yield pend_tri, {(1, 2): 1, (2, 3): 1, (1, 3): 1, (0, 1): 1}, 1
+    yield pend_tri, {(1, 2): 1, (2, 3): 1, (0, 1): 1, (1, 3): 1}, 1
+    # a third edge at the middle of a path, whichever edge comes last
+    spur = gfrom(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    yield spur, {e: 1 for e in spur.edges()}, 1
+    yield spur, {(2, 5): 1, (0, 1): 1, (3, 4): 1, (1, 2): 1, (2, 3): 1}, 1
+    # an overflow and a separate cycle in one class, either one first
+    star_tri = gfrom(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6)])
+    yield star_tri, {e: 1 for e in star_tri.edges()}, 1
+    yield star_tri, {e: 1 for e in reversed(star_tri.edges())}, 1
+    # two classes, only one overflowing: the other's cycle is still reported
+    yield star_tri, {e: 1 + (e[0] >= 4) for e in star_tri.edges()}, 2
+    yield star_tri, {e: 2 - (e[0] >= 4) for e in star_tri.edges()}, 2
+    yield star_tri, {(0, 1): 1, (0, 2): 1, (0, 3): 1, (4, 5): 2, (5, 6): 2, (4, 6): 1}, 2
+    # repeated entries of an iterable coloring
+    yield path_graph(3), [((0, 1), 1), ((1, 2), 1), ((0, 1), 2)], 2
+    yield path_graph(3), [((0, 1), 5), ((1, 2), 1), ((0, 1), 5), ((1, 2), "x")], 2
+    yield star4, [((0, 2), 1), ((False, 1), 1), ((0, 1), 1), ((0, 3), 1), ((9, 9), 1)] * 2, 2
 
 
 @pytest.mark.parametrize("case", range(len(list(fixed_cases()))))
