@@ -169,7 +169,8 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
         lo = min(u, v)
         hi = max(u, v)
         if lo < 0:
-            raise ParseError(line_no, f"vertex id {lo if not dimacs else lo + 1} is negative")
+            bad = f"{lo + 1} is below 1: DIMACS ids start at 1" if dimacs else f"{lo} is negative"
+            raise ParseError(line_no, f"vertex id {bad}")
         if n_declared is not None and hi >= n_declared:
             raise ParseError(
                 line_no,

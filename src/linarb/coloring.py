@@ -18,14 +18,15 @@ far end of its path (its "mate").  Two vertices are connected in a class
 exactly when they share a path.  Only path ends and untouched vertices
 can take another class edge, so `would_close_cycle` answers for them alone,
 by one slot read.  Joining two paths rewires the mates of the two outer
-ends in O(1); removing an edge walks only the path it splits, to re-pair
-the new ends.
+ends in O(1); removing an edge walks each piece it leaves to re-pair its
+ends.  That walk, :meth:`ForestColoring.walk`, is the one loop that steps
+along a class path.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import FeasibilityError, PreconditionError
 
@@ -66,38 +67,26 @@ class ForestColoring:
         """Total number of colored edges at ``v``."""
         return self._total[v]
 
-    def class_neighbors(self, v: int, j: int) -> list[int]:
-        """The at-most-two neighbors of ``v`` along class-``j`` edges."""
-        i = v * self.t + j
-        d = self._cd[i]
-        if d == 0:
-            return []
-        if d == 1:
-            return [self._nb1[i]]
-        return [self._nb1[i], self._nb2[i]]
-
     # ------------------------------------------------------------------ paths
 
-    def _next_on_walk(self, j: int, cur: int, prev: int) -> int:
-        """Step along class ``j`` from ``cur``, not back to its neighbor
-        ``prev``; NIL at a path end."""
-        i = cur * self.t + j
-        if self._cd[i] < 2:
-            return NIL
-        a = self._nb1[i]
-        return a if a != prev else self._nb2[i]
-
-    def _path_end(self, j: int, x: int, prev: int) -> int:
-        """Walk class ``j`` from ``x``, first away from its neighbor ``prev``.
-
-        Returns the path end reached, or, when the walk comes round a cycle,
-        the last vertex before ``x`` again (which has class degree 2).
-        """
+    def walk(self, j: int, x: int, prev: int = NIL) -> Iterator[int]:
+        """Yield the vertices after ``x`` along class ``j``, leaving ``x`` away
+        from its neighbor ``prev`` (or along its one edge, if ``prev`` is NIL),
+        up to the path's end or, round a cycle, the last vertex before ``x``."""
+        t, cd, nb1, nb2 = self.t, self._cd, self._nb1, self._nb2
         cur = x
         for _ in range(self.n):
-            nxt = self._next_on_walk(j, cur, prev)
-            if nxt == NIL or nxt == x:
-                return cur
+            i = cur * t + j
+            a = nb1[i]
+            if cd[i] == 2:
+                nxt = a if a != prev else nb2[i]
+            elif cd[i] == 1 and a != prev:
+                nxt = a
+            else:
+                return
+            if nxt == x:
+                return
+            yield nxt
             prev, cur = cur, nxt
         raise FeasibilityError(f"class {j} walk exceeded vertex count")  # pragma: no cover
 
@@ -136,26 +125,19 @@ class ForestColoring:
         pieces it leaves."""
         t = self.t
         cd, nb1, nb2 = self._cd, self._nb1, self._nb2
-        iu = u * t + j
-        iv = v * t + j
-        # The far end of each piece; NIL when the piece is a lone vertex.
-        eu = ev = NIL
-        if cd[iu] == 2 and cd[iv] == 2:
-            eu = self._path_end(j, u, v)  # v itself when uv lies on a cycle
-            ev = u if eu == v else nb2[eu * t + j]
-        elif cd[iu] == 2:
-            eu = nb2[iv]
-        elif cd[iv] == 2:
-            ev = nb2[iu]
-        for i, x in ((iu, v), (iv, u)):
-            if nb1[i] == x:
+        for x, y in ((u, v), (v, u)):
+            i = x * t + j
+            if nb1[i] == y:
                 nb1[i] = nb2[i] if cd[i] == 2 else NIL
             nb2[i] = NIL
             cd[i] -= 1
-        for x, e in ((u, eu), (v, ev)):
-            if e != NIL:
-                nb2[x * t + j] = e
-                nb2[e * t + j] = x
+        # On a cycle the two new ends find each other, in one walk.
+        for x in (u, v):
+            if cd[x * t + j] == 1 and nb2[x * t + j] == NIL:
+                for end in self.walk(j, x):
+                    pass
+                nb2[x * t + j] = end
+                nb2[end * t + j] = x
 
     # ------------------------------------------------------------------ mutation
 
@@ -248,24 +230,13 @@ class ForestColoring:
         """The class-``j`` cycle through the colored edge ``e`` = uv, or None.
 
         Returned as a vertex sequence starting ``[u, v, ...]`` whose last
-        vertex is again adjacent to ``u`` in class ``j``.  Walks the class
-        directly; degree <= 2 makes the continuation unique.
+        vertex is again adjacent to ``u`` in class ``j``: the walk from ``v``
+        away from ``u``, which ends at ``u`` exactly on a cycle.
         """
         if self.edge_class[e] != j:
             raise PreconditionError(f"edge {e} ({u}-{v}) is not colored {j}")
-        out = [u, v]
-        prev, cur = u, v
-        limit = self.n + 1
-        while True:
-            nxt = self._next_on_walk(j, cur, prev)
-            if nxt == NIL:
-                return None
-            if nxt == u:
-                return out
-            out.append(nxt)
-            prev, cur = cur, nxt
-            if len(out) > limit:  # pragma: no cover - corruption guard
-                raise FeasibilityError(f"class {j} walk exceeded vertex count")
+        rest = list(self.walk(j, v, u))
+        return [u, v] + rest[:-1] if rest and rest[-1] == u else None
 
     # ------------------------------------------------------------------ validation
 

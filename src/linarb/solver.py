@@ -222,7 +222,9 @@ class SolverState:
     degree-1 vertices (K2 components) form the table's tail, each listed
     once by its earlier endpoint, whose only neighbor it names.  The sweep
     keeps classes by edge id only, in the coloring's class array, and the
-    representative selection marks the reserved edges by id.
+    representative selection marks the reserved edges by id.  Since
+    ``k >= 2`` and ``target_delta >= 2k^2 - 2k``, each owner reserves
+    ``r = (target_delta - k) // k >= 2k - 3 >= 1`` edges.
 
     Exposes :meth:`process_vertex` so tests can drive the sweep one position
     at a time; :meth:`run` drives it to completion and returns the coloring
@@ -317,10 +319,6 @@ class SolverState:
             g, self.ordering, target_delta, targets, offsets, pad
         )
         self.stats.sdr_ms += (time.perf_counter() - mark) * 1000.0
-        if self.sdr.r < 1:
-            raise InternalContradictionError(
-                f"degree threshold admitted r={self.sdr.r}; arithmetic is broken"
-            )
         self.fc = ForestColoring(n, t, g.edge_count)
         # Debug only: owner position per reserved vertex (-1 when never
         # reserved); a vertex is "pending" while its owner lies ahead of the
@@ -637,19 +635,12 @@ class SolverState:
         """Walk class ``j`` from ``w``; if the walk reaches ``v``, return the
         vertex right before it, else None.  ``w`` has at most one class-``j``
         edge, so the walk direction is unique."""
-        fc = self.fc
-        nbrs = fc.class_neighbors(w, j)
-        if not nbrs:
-            return None
-        prev, cur = w, nbrs[0]
-        for _ in range(fc.n + 1):
-            if cur == v:
+        prev = w
+        for x in self.fc.walk(j, w):
+            if x == v:
                 return prev
-            nxt = fc._next_on_walk(j, cur, prev)
-            if nxt == NIL:
-                return None
-            prev, cur = cur, nxt
-        raise InternalContradictionError(f"class {j} walk exceeded vertex count")
+            prev = x
+        return None
 
     # ------------------------------------------------------------------ debug
 

@@ -207,6 +207,11 @@ def test_parse_rejects_negative_id():
         parse_edge_list("-1 2\n")
 
 
+def test_parse_dimacs_rejects_id_zero_as_below_one():
+    with pytest.raises(ParseError, match="line 2: vertex id 0 is below 1: DIMACS ids start at 1"):
+        parse_edge_list("p edge 3 1\ne 0 1", dimacs=True)
+
+
 def test_parse_rejects_id_outside_declared_count():
     with pytest.raises(ParseError, match="outside the declared"):
         parse_edge_list("p 3 1\n0 5\n")

@@ -23,7 +23,6 @@ def test_assign_updates_all_views():
     assert fc.class_degree(2, 1) == 1
     assert fc.class_degree(0, 0) == 0
     assert fc.colored_degree(0) == 1
-    assert fc.class_neighbors(0, 1) == [2]
     assert [fc.class_degree(0, j) for j in range(3)] == [0, 1, 0]
     assert fc.validate(p.ends) == []
 
@@ -178,6 +177,68 @@ def test_cycle_containing_walks_the_cycle():
         fc.cycle_containing(1, p(0, 1), 0, 1)
     with pytest.raises(PreconditionError, match="is not colored 0"):
         fc.cycle_containing(0, p(0, 2), 0, 2)
+
+
+def colored_path(vertices, cycle=False, n=6, t=2):
+    """A coloring whose class 0 is the path through ``vertices`` in order,
+    closed back to the first vertex when ``cycle`` is set."""
+    p = Pairs(n)
+    fc = p.coloring(t)
+    steps = list(zip(vertices, vertices[1:]))
+    if cycle:
+        steps.append((vertices[-1], vertices[0]))
+    for a, b in steps:
+        fc.assign(p(a, b), a, b, 0)
+    return fc, p
+
+
+def mates(fc, j):
+    """The stored mate of every class-``j`` path end."""
+    return {v: fc._nb2[v * fc.t + j] for v in range(fc.n) if fc.class_degree(v, j) == 1}
+
+
+def test_walk_along_a_path():
+    fc, _ = colored_path([0, 1, 2, 3])
+    assert list(fc.walk(0, 0)) == [1, 2, 3]
+    assert list(fc.walk(0, 3)) == [2, 1, 0]
+    assert list(fc.walk(0, 0, 1)) == []
+    # From an interior vertex, each way.
+    assert list(fc.walk(0, 1, 0)) == [2, 3]
+    assert list(fc.walk(0, 1, 2)) == [0]
+    assert list(fc.walk(0, 2, 1)) == [3]
+    assert list(fc.walk(0, 2, 3)) == [1, 0]
+    # An untouched vertex, or a class the path is not in, yields nothing.
+    assert list(fc.walk(0, 5)) == []
+    assert list(fc.walk(1, 0)) == []
+
+
+def test_walk_round_a_cycle_stops_before_its_start():
+    fc, _ = colored_path([0, 1, 2, 3], cycle=True)
+    assert list(fc.walk(0, 0, 3)) == [1, 2, 3]
+    assert list(fc.walk(0, 0, 1)) == [3, 2, 1]
+    assert list(fc.walk(0, 2, 1)) == [3, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "vertices, cycle, cut, want",
+    [
+        ([0, 1], False, (0, 1), {}),  # both ends
+        ([0, 1, 2, 3], False, (0, 1), {1: 3, 3: 1}),  # one end, then interior
+        ([0, 1, 2, 3], False, (1, 0), {1: 3, 3: 1}),  # interior, then one end
+        ([0, 1, 2, 3], False, (3, 2), {0: 2, 2: 0}),
+        ([0, 1, 2, 3, 4], False, (1, 2), {0: 1, 1: 0, 2: 4, 4: 2}),  # both interior
+        ([0, 1, 2, 3, 4], False, (2, 1), {0: 1, 1: 0, 2: 4, 4: 2}),
+        ([0, 1, 2, 3], True, (1, 2), {1: 2, 2: 1}),  # on a cycle
+        ([0, 1, 2, 3], True, (0, 3), {0: 3, 3: 0}),
+    ],
+)
+def test_cut_pairs_the_new_ends(vertices, cycle, cut, want):
+    fc, p = colored_path(vertices, cycle)
+    u, v = cut
+    fc.recolor(p(u, v), u, v, 1)
+    assert mates(fc, 0) == want
+    assert mates(fc, 1) == {u: v, v: u}
+    assert fc.validate(p.ends) == []
 
 
 def test_validate_detects_tampering():
@@ -386,7 +447,6 @@ def test_random_states_stay_consistent():
         for v in range(fc.n):
             for j in range(fc.t):
                 nbrs = sorted(adj.get(j, {}).get(v, []))
-                assert sorted(fc.class_neighbors(v, j)) == nbrs
                 assert fc.class_degree(v, j) == len(nbrs)
     assert cycles >= 12
     assert ends and interior

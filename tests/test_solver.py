@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import random
@@ -5,6 +6,7 @@ import sys
 import time
 import weakref
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1251,3 +1253,11 @@ def test_large_star_decomposes_in_linear_time():
     elapsed = time.perf_counter() - start
     assert report.valid and result.t == 50_000
     assert elapsed < 3.0, f"{elapsed:.2f} s"
+
+
+def test_solver_reads_no_path_slot_of_the_coloring():
+    """The sweep asks the coloring where a class path goes only through
+    ``ForestColoring.walk``; it never steps along the slots itself."""
+    tree = ast.parse(Path(linarb.solver.__file__).read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert used.isdisjoint({"_nb1", "_nb2", "_next_on_walk", "_path_end", "class_neighbors"})
