@@ -164,8 +164,6 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
         if dimacs:
             u -= 1
             v -= 1
-        if u == v:
-            raise ParseError(line_no, f"self-loop at vertex {u if not dimacs else u + 1}")
         lo = min(u, v)
         hi = max(u, v)
         if lo < 0:
@@ -177,6 +175,8 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
                 f"vertex id {hi if not dimacs else hi + 1} outside the declared "
                 f"{n_declared} vertices",
             )
+        if u == v:
+            raise ParseError(line_no, f"self-loop at vertex {u if not dimacs else u + 1}")
         if (lo, hi) in found:
             raise ParseError(
                 line_no, f"edge {lo}-{hi} already given on line {found[(lo, hi)]}"

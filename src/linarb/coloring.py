@@ -20,7 +20,9 @@ can take another class edge, so `would_close_cycle` answers for them alone,
 by one slot read.  Joining two paths rewires the mates of the two outer
 ends in O(1); removing an edge walks each piece it leaves to re-pair its
 ends.  That walk, :meth:`ForestColoring.walk`, is the one loop that steps
-along a class path.
+along a class path.  Other modules read class degrees only through
+:meth:`ForestColoring.row`, and the sweep's light-edge primitive,
+:func:`place_light_edge`, lives here beside the table it scans.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator, Sequence
 
-from .errors import FeasibilityError, PreconditionError
+from .errors import FeasibilityError, InternalContradictionError, PreconditionError
 
 # An empty slot, or the class of an uncolored edge.
 NIL = -1
@@ -59,13 +61,9 @@ class ForestColoring:
 
     # ------------------------------------------------------------------ queries
 
-    def class_degree(self, v: int, j: int) -> int:
-        """Number of class-``j`` edges at ``v``."""
-        return self._cd[v * self.t + j]
-
-    def colored_degree(self, v: int) -> int:
-        """Total number of colored edges at ``v``."""
-        return self._total[v]
+    def row(self, v: int) -> bytearray:
+        """A copy of ``v``'s class degrees, one byte per class."""
+        return self._cd[v * self.t:(v + 1) * self.t]
 
     # ------------------------------------------------------------------ paths
 
@@ -315,3 +313,35 @@ class ForestColoring:
             if self._total[v] != total[v]:
                 problems.append(f"total degree mismatch at {v}")
         return problems
+
+
+def place_light_edge(fc: ForestColoring, e: int, x: int, y: int, start: int = 0) -> int:
+    """Color the uncolored edge ``e`` = xy into a class untouched at ``x``
+    where ``y`` is not yet internal, returning the (smallest) class index used.
+
+    Such a class exists whenever ``2*d(x) + d(y) <= 2*t + 2``, with degrees
+    counting xy itself: summing ``2*d(x, j) + d(y, j)`` over all ``t``
+    classes gives at most ``2t - 1``, so some class scores at most 1.  Only
+    ``y`` can become internal in its class, and no cycle can form because
+    ``x`` enters the class as a fresh vertex.  The sweep places light edges
+    before the owner ``y`` gets its padding leaves, and ``x`` gets its own
+    later still, so colored edges are all these degrees need to count.
+
+    Classes below ``start`` are skipped; a caller passes the first class
+    not yet full at ``y``, which changes nothing but the scan length.
+    """
+    t, cd, total = fc.t, fc._cd, fc._total
+    dx = total[x] + 1
+    dy = total[y] + 1
+    if 2 * dx + dy > 2 * t + 2:
+        raise PreconditionError(
+            f"edge {x}-{y} violates 2*d(x)+d(y) <= 2t+2: 2*{dx}+{dy} > {2 * t + 2}"
+        )
+    bx, by = x * t, y * t
+    for j in range(start, t):
+        if cd[bx + j] == 0 and cd[by + j] <= 1:
+            fc.assign(e, x, y, j)
+            return j
+    raise InternalContradictionError(
+        f"no class for edge {x}-{y} although 2*{dx}+{dy} <= {2 * t + 2}"
+    )

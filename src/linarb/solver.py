@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 
-from .coloring import NIL, ForestColoring, edge_key
+from .coloring import NIL, ForestColoring, edge_key, place_light_edge
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
 from .errors import InternalContradictionError, PreconditionError
 from .graph import Graph, max_degree
@@ -117,49 +117,6 @@ class DecomposeResult:
     m: int
     isolated: list[int] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
-
-
-def place_light_edge(fc: ForestColoring, e: int, x: int, y: int, start: int = 0) -> int:
-    """Color the uncolored edge ``e`` = xy into a class untouched at ``x``
-    where ``y`` is not yet internal, returning the (smallest) class index used.
-
-    Such a class exists whenever ``2*d(x) + d(y) <= 2*t + 2``, with degrees
-    counting xy itself: summing ``2*d(x, j) + d(y, j)`` over all ``t``
-    classes gives at most ``2t - 1``, so some class scores at most 1.  Only
-    ``y`` can become internal in its class, and no cycle can form because
-    ``x`` enters the class as a fresh vertex.  The sweep places light edges
-    before the owner ``y`` gets its padding leaves, and ``x`` gets its own
-    later still, so colored edges are all these degrees need to count.
-
-    Classes below ``start`` are skipped; a caller passes the first class
-    not yet full at ``y``, which changes nothing but the scan length.  An
-    ``x`` with no colored edge is untouched everywhere, so only ``y``'s row
-    is scanned for it.
-    """
-    t = fc.t
-    cd = fc._cd
-    total = fc._total
-    dx = total[x] + 1
-    dy = total[y] + 1
-    if 2 * dx + dy > 2 * t + 2:
-        raise PreconditionError(
-            f"edge {x}-{y} violates 2*d(x)+d(y) <= 2t+2: 2*{dx}+{dy} > {2 * t + 2}"
-        )
-    by = y * t
-    if dx == 1:
-        for j in range(start, t):
-            if cd[by + j] <= 1:
-                fc.assign(e, x, y, j)
-                return j
-    else:
-        bx = x * t
-        for j in range(start, t):
-            if cd[bx + j] == 0 and cd[by + j] <= 1:
-                fc.assign(e, x, y, j)
-                return j
-    raise InternalContradictionError(
-        f"no class for edge {x}-{y} although 2*{dx}+{dy} <= {2 * t + 2}"
-    )
 
 
 def _fit_leaves(row: bytearray, spare: int) -> tuple[int, int, int]:
@@ -406,7 +363,7 @@ class SolverState:
         if i >= self.n_high:
             return
         fc, targets = self.fc, self.targets
-        t, cd, r = fc.t, fc._cd, self.sdr.r
+        t, r = fc.t, self.sdr.r
         v = self.ordering.order[i]
         lo, hi = self.offsets[i], self.offsets[i + 1]
         # The reserved edges by far end, ascending like the row, and the ids
@@ -426,20 +383,21 @@ class SolverState:
         if self.debug:
             self._touched = [v] + targets[lo:hi]
         # Classes full at v are skipped once for the whole stage (degrees at
-        # v only grow here), so every class below ptr stays full.
-        base_v, ptr = v * t, 0
+        # v only grow here), so every class below ptr stays full.  row keeps
+        # v's class degrees in step with the placements.
+        row, ptr = fc.row(v), 0
         try:
             for e in spare:
-                while ptr < t and cd[base_v + ptr] == 2:
+                while ptr < t and row[ptr] == 2:
                     ptr += 1
-                place_light_edge(fc, e, targets[e], v, ptr)
+                row[place_light_edge(fc, e, targets[e], v, ptr)] += 1
         except PreconditionError as exc:
             raise InternalContradictionError(
                 f"{exc}; padding or reservation arithmetic is broken"
             ) from exc
         # With its spare leaves, v holds D - r edges and leaves, so the budget
         # left, 2t - (D - r) slots, is r or r + 1 (r + 2 in relaxed mode).
-        row = cd[base_v + ptr:base_v + t]
+        row = row[ptr:]
         budget, m, left = _fit_leaves(row, self.pad[v] - reserved)
         top = r + 1 if self.mode is Mode.MINIMUM else r + 2
         if not r <= budget <= top:
@@ -466,7 +424,7 @@ class SolverState:
         (it moves leaves), the two leaf lists hold ``pad[v]`` leaves that fit
         beside the edges in every class.  ForestColoring caps edges alone,
         so this is the one check that sees the leaves."""
-        row = self.fc._cd[v * self.t:(v + 1) * self.t]
+        row = self.fc.row(v)
         edges = sum(row)
         if edges + self.pad[v] != self.delta:
             raise InternalContradictionError(
@@ -568,25 +526,25 @@ class SolverState:
         index ``i`` of :attr:`spare_leaves` as ``("spare leaf", j, i)``.
         """
         fc = self.fc
-        t = fc.t
-        cd, cls = fc._cd, fc.edge_class
-        base_v = v * t
-        net_v = list(cd[base_v:base_v + t])
+        t, cls = fc.t, fc.edge_class
+        row = fc.row(v)
+        net_v = list(row)
         for j in self.spare_leaves:
             net_v[j] += 1
         for e in rep_edge.values():
             net_v[cls[e]] -= 1
+        row_w = fc.row(w)
+        row_w[xi] -= 1
 
         for j in range(t):
-            wd = fc.class_degree(w, j) - (1 if j == xi else 0)
-            if wd == 0 and net_v[j] != 2:
+            if row_w[j] == 0 and net_v[j] != 2:
                 self.stats.repairs_endpoint_free += 1
                 return self._reserved_partner(rep_edge, w, j) or ("recolor", j)
 
         for j in range(t):
             if net_v[j] == 0 and j != xi:
                 self.stats.repairs_owner_free += 1
-                if cd[base_v + j] == 0 and j not in self.reserved_leaves:
+                if row[j] == 0 and j not in self.reserved_leaves:
                     # No edge or leaf at v carries j at all (only reachable
                     # with the relaxed budget): vw can simply move there,
                     # leaving v a leaf of class j, which cannot lie on a cycle.
@@ -648,12 +606,11 @@ class SolverState:
         """Every reserved vertex whose owner is still ahead must have class
         degrees <= 1.  Only vertices touched this step can have changed, and
         none of them holds leaves yet."""
-        cd, t = self.fc._cd, self.t
         for x in self._touched:
-            j = cd.find(2, x * t, (x + 1) * t)
+            j = self.fc.row(x).find(2)
             if j >= 0 and self.reserved_owner_pos[x] > i:
                 raise InternalContradictionError(
-                    f"reserved vertex {x} became internal in class {j - x * t} "
+                    f"reserved vertex {x} became internal in class {j} "
                     f"before its owner (position {self.reserved_owner_pos[x]})"
                 )
 
@@ -671,7 +628,7 @@ class SolverState:
             f"  degeneracy={self.k} delta={self.delta} t={self.t} mode={self.mode.value}",
             f"  reserved={list(rep_edge)} bad={sorted(bad)}",
             f"  reserved colors={[fc.edge_class[e] for e in rep_edge.values()]}",
-            f"  owner class degrees={[fc.class_degree(v, j) for j in range(self.t)]}",
+            f"  owner class degrees={list(fc.row(v))}",
             f"  owner leaves={self._leaf_counts()}",
         ]
         message = "\n".join(lines)

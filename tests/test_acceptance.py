@@ -239,7 +239,7 @@ def test_criterion_3_exact_oracle_agrees_with_bounds_and_solver():
 
 def profile(fc: ForestColoring, v: int) -> list[int]:
     """The class degrees of ``v``, one per class."""
-    return [fc.class_degree(v, j) for j in range(fc.t)]
+    return [fc.row(v)[j] for j in range(fc.t)]
 
 
 def internal(row: list[int]) -> list[int]:
@@ -261,16 +261,16 @@ def test_criterion_4_light_insertion_never_fails_within_budget():
             j = rnd.randrange(t)
             if (
                 fc.edge_class[p(u, v)] == NIL
-                and fc.class_degree(u, j) < 2
-                and fc.class_degree(v, j) < 2
+                and fc.row(u)[j] < 2
+                and fc.row(v)[j] < 2
                 and not fc.would_close_cycle(j, u, v)
             ):
                 fc.assign(p(u, v), u, v, j)
         x, y = rnd.sample(range(n), 2)
         if fc.edge_class[p(x, y)] != NIL:
             continue
-        dx = fc.colored_degree(x) + 1
-        dy = fc.colored_degree(y) + 1
+        dx = fc._total[x] + 1
+        dy = fc._total[y] + 1
         if 2 * dx + dy > 2 * t + 2:
             continue
         before = {v2: profile(fc, v2) for v2 in range(n)}

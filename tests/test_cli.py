@@ -197,6 +197,15 @@ def test_parse_rejects_self_loop():
         parse_edge_list("0 1\n2 2\n")
 
 
+def test_parse_checks_the_id_range_before_a_self_loop():
+    with pytest.raises(ParseError, match="vertex id 0 is below 1"):
+        parse_edge_list("p edge 2 1\ne 0 0\n", dimacs=True)
+    with pytest.raises(ParseError, match="vertex id -1 is negative"):
+        parse_edge_list("-1 -1\n")
+    with pytest.raises(ParseError, match="vertex id 5 outside the declared 3 vertices"):
+        parse_edge_list("p 3 1\n5 5\n")
+
+
 def test_parse_rejects_duplicate_edge_and_names_first_line():
     with pytest.raises(ParseError, match="line 1"):
         parse_edge_list("0 1\n1 0\n")

@@ -19,11 +19,11 @@ def test_assign_updates_all_views():
     fc.assign(p(0, 2), 2, 0, 1)
     assert fc.edge_class[p(0, 2)] == 1
     assert fc.edge_class.count(NIL) == 9
-    assert fc.class_degree(0, 1) == 1
-    assert fc.class_degree(2, 1) == 1
-    assert fc.class_degree(0, 0) == 0
-    assert fc.colored_degree(0) == 1
-    assert [fc.class_degree(0, j) for j in range(3)] == [0, 1, 0]
+    assert fc.row(0)[1] == 1
+    assert fc.row(2)[1] == 1
+    assert fc.row(0)[0] == 0
+    assert fc._total[0] == 1
+    assert [fc.row(0)[j] for j in range(3)] == [0, 1, 0]
     assert fc.validate(p.ends) == []
 
 
@@ -57,9 +57,25 @@ def test_class_degrees_sum_to_colored_degree():
     fc.assign(p(0, 1), 0, 1, 0)
     fc.assign(p(0, 2), 0, 2, 0)
     fc.assign(p(0, 3), 0, 3, 2)
-    row = [fc.class_degree(0, j) for j in range(4)]
+    row = [fc.row(0)[j] for j in range(4)]
     assert row == [2, 0, 1, 0]
-    assert sum(row) == fc.colored_degree(0)
+    assert sum(row) == fc._total[0]
+
+
+def test_row_is_a_copy():
+    """Writing into a row changes nothing in the coloring: the sweep keeps
+    its owner's row in step with its placements by hand."""
+    p = Pairs(5)
+    fc = p.coloring(3)
+    fc.assign(p(0, 1), 0, 1, 0)
+    fc.assign(p(0, 2), 0, 2, 2)
+    row = fc.row(0)
+    assert row == bytearray([1, 0, 1])
+    row[0] += 1
+    row[1] = 2
+    assert fc.validate(p.ends) == []
+    assert fc.row(0) == bytearray([1, 0, 1])
+    assert fc.row(4) == bytearray(3)
 
 
 def test_recolor_moves_and_errors():
@@ -68,8 +84,8 @@ def test_recolor_moves_and_errors():
     fc.assign(p(0, 1), 0, 1, 0)
     fc.recolor(p(0, 1), 1, 0, 2)
     assert fc.edge_class[p(0, 1)] == 2
-    assert fc.class_degree(0, 0) == 0
-    assert fc.class_degree(0, 2) == 1
+    assert fc.row(0)[0] == 0
+    assert fc.row(0)[2] == 1
     fc.recolor(p(0, 1), 0, 1, 2)  # no-op
     assert fc.validate(p.ends) == []
     with pytest.raises(FeasibilityError, match="not colored"):
@@ -102,8 +118,8 @@ def test_swap_with_shared_endpoint():
     fc.swap_colors(p(0, 1), 0, 1, p(1, 2), 1, 2)
     assert fc.edge_class[p(0, 1)] == 1
     assert fc.edge_class[p(1, 2)] == 0
-    assert fc.class_degree(1, 0) == 1
-    assert fc.class_degree(1, 1) == 1
+    assert fc.row(1)[0] == 1
+    assert fc.row(1)[1] == 1
     assert fc.validate(p.ends) == []
 
 
@@ -194,7 +210,7 @@ def colored_path(vertices, cycle=False, n=6, t=2):
 
 def mates(fc, j):
     """The stored mate of every class-``j`` path end."""
-    return {v: fc._nb2[v * fc.t + j] for v in range(fc.n) if fc.class_degree(v, j) == 1}
+    return {v: fc._nb2[v * fc.t + j] for v in range(fc.n) if fc.row(v)[j] == 1}
 
 
 def test_walk_along_a_path():
@@ -314,8 +330,8 @@ def swap_keeps_forest(colors, e1, e2):
 def can_join(fc, p, j, u, v):
     """Whether uv may enter class j without a cycle, judged from scratch."""
     return (
-        fc.class_degree(u, j) < 2
-        and fc.class_degree(v, j) < 2
+        fc.row(u)[j] < 2
+        and fc.row(v)[j] < 2
         and not connected_in_class(edge_classes(fc, p.ends), j, u, v)
     )
 
@@ -336,7 +352,7 @@ def close_and_break_cycle(fc, p, rnd):
         prev, v = v, (b if a == prev else a)
     # Skip single-edge paths and ends already adjacent in another class, and
     # keep at least one way out: uv itself must fit some other class.
-    if fc.edge_class[p(u, v)] != NIL or 2 in (fc.class_degree(u, j), fc.class_degree(v, j)):
+    if fc.edge_class[p(u, v)] != NIL or 2 in (fc.row(u)[j], fc.row(v)[j]):
         return False
     if not any(can_join(fc, p, k, u, v) for k in range(fc.t) if k != j):
         return False
@@ -371,7 +387,7 @@ def check_cycle_queries(fc, p, j, v):
     a from-scratch rebuild; where either has two class-``j`` edges, it raises."""
     colors = edge_classes(fc, p.ends)
     for x in range(fc.n):
-        if 2 in (fc.class_degree(v, j), fc.class_degree(x, j)):
+        if 2 in (fc.row(v)[j], fc.row(x)[j]):
             for a, b in ((v, x), (x, v)):
                 with pytest.raises(PreconditionError):
                     fc.would_close_cycle(j, a, b)
@@ -400,7 +416,7 @@ def random_forest_state(seed, n=14, t=4, steps=160):
             j = rnd.randrange(t)
             if cls[p(u, v)] != NIL:
                 continue
-            if fc.class_degree(u, j) >= 2 or fc.class_degree(v, j) >= 2:
+            if fc.row(u)[j] >= 2 or fc.row(v)[j] >= 2:
                 continue
             if fc.would_close_cycle(j, u, v):
                 continue
@@ -408,7 +424,7 @@ def random_forest_state(seed, n=14, t=4, steps=160):
         elif op < 0.85 and colored:
             (u, v) = rnd.choice(colored)
             j = rnd.randrange(t)
-            if fc.class_degree(u, j) >= 2 or fc.class_degree(v, j) >= 2:
+            if fc.row(u)[j] >= 2 or fc.row(v)[j] >= 2:
                 continue
             if cls[p(u, v)] != j and fc.would_close_cycle(j, u, v):
                 continue
@@ -433,7 +449,7 @@ def test_random_states_stay_consistent():
         for _ in range(25):
             u, v = rnd.sample(range(fc.n), 2)
             j = rnd.randrange(fc.t)
-            if 2 in (fc.class_degree(u, j), fc.class_degree(v, j)):
+            if 2 in (fc.row(u)[j], fc.row(v)[j]):
                 interior += 1
                 with pytest.raises(PreconditionError):
                     fc.would_close_cycle(j, u, v)
@@ -447,6 +463,6 @@ def test_random_states_stay_consistent():
         for v in range(fc.n):
             for j in range(fc.t):
                 nbrs = sorted(adj.get(j, {}).get(v, []))
-                assert fc.class_degree(v, j) == len(nbrs)
+                assert fc.row(v)[j] == len(nbrs)
     assert cycles >= 12
     assert ends and interior

@@ -403,34 +403,42 @@ def test_place_light_edge_budget_violation_detected():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_place_light_edge_feasible_states_never_fail(data):
-    """Random states meeting 2*d(x) + d(y) <= 2t + 2 always accept the edge,
-    and no third vertex's class profile moves."""
+    """Random states meeting 2*d(x) + d(y) <= 2t + 2 always accept the edge
+    in the smallest class untouched at x where y is not internal, and no
+    third vertex's class profile moves.  x is bare in half the examples and
+    has colored edges in the other half."""
     t = data.draw(st.integers(1, 5))
     n = data.draw(st.integers(4, 10))
     p = Pairs(n)
     fc = p.coloring(t)
     rnd = random.Random(data.draw(st.integers(0, 10**6)))
-    for _ in range(rnd.randrange(3 * t)):
-        u, v = rnd.sample(range(2, n), 2)
+    touched = data.draw(st.booleans())
+    y = data.draw(st.integers(2, n - 1))
+    x = 1 if touched else 0  # vertex 0 stays bare
+    for _ in range(rnd.randrange(3 * t) + (2 * t if touched else 0)):
+        u, v = rnd.sample(range(1 if touched else 2, n), 2)
         j = rnd.randrange(t)
         if (
             fc.edge_class[p(u, v)] == NIL
-            and fc.class_degree(u, j) < 2
-            and fc.class_degree(v, j) < 2
+            and (u, v) not in ((x, y), (y, x))
+            and fc.row(u)[j] < 2
+            and fc.row(v)[j] < 2
             and not fc.would_close_cycle(j, u, v)
         ):
             fc.assign(p(u, v), u, v, j)
-    y = data.draw(st.integers(2, n - 1))
-    x = 0  # kept bare so the budget reduces to d(y) <= 2t
-    if 2 * 1 + (fc.colored_degree(y) + 1) > 2 * t + 2:
+    if touched and fc._total[x] == 0:
         return
-    before = {v: [fc.class_degree(v, j) for j in range(t)] for v in range(n) if v not in (x, y)}
+    if 2 * (fc._total[x] + 1) + (fc._total[y] + 1) > 2 * t + 2:
+        return
+    row_x, row_y = fc.row(x), fc.row(y)
+    before = {v: [fc.row(v)[j] for j in range(t)] for v in range(n) if v not in (x, y)}
     j = place_light_edge(fc, p(x, y), x, y)
+    assert j == min(c for c in range(t) if row_x[c] == 0 and row_y[c] <= 1)
     assert fc.edge_class[p(x, y)] == j
-    assert fc.class_degree(x, j) == 1
-    assert fc.class_degree(y, j) <= 2
+    assert fc.row(x)[j] == 1
+    assert fc.row(y)[j] <= 2
     for v, row in before.items():
-        assert [fc.class_degree(v, j) for j in range(t)] == row
+        assert [fc.row(v)[j] for j in range(t)] == row
     assert fc.validate(p.ends) == []
 
 
@@ -1255,9 +1263,13 @@ def test_large_star_decomposes_in_linear_time():
     assert elapsed < 3.0, f"{elapsed:.2f} s"
 
 
-def test_solver_reads_no_path_slot_of_the_coloring():
+def test_solver_reads_no_table_of_the_coloring():
     """The sweep asks the coloring where a class path goes only through
-    ``ForestColoring.walk``; it never steps along the slots itself."""
+    ``ForestColoring.walk``, and reads class degrees only through
+    ``ForestColoring.row``; it never indexes the tables itself."""
     tree = ast.parse(Path(linarb.solver.__file__).read_text())
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert used.isdisjoint({"_nb1", "_nb2", "_next_on_walk", "_path_end", "class_neighbors"})
+    assert used.isdisjoint({
+        "_nb1", "_nb2", "_next_on_walk", "_path_end", "class_neighbors",
+        "_cd", "_total", "class_degree", "colored_degree",
+    })
