@@ -17,10 +17,13 @@ slot holds its one neighbor and the otherwise unused second slot holds the
 far end of its path (its "mate").  Two vertices are connected in a class
 exactly when they share a path.  Only path ends and untouched vertices
 can take another class edge, so `would_close_cycle` answers for them alone,
-by one slot read.  Joining two paths rewires the mates of the two outer
-ends in O(1); removing an edge walks each piece it leaves to re-pair its
-ends.  That walk, :meth:`ForestColoring.walk`, is the one loop that steps
-along a class path.  Other modules read class degrees only through
+by one slot read.  :meth:`ForestColoring.assign` is the one placement call:
+it links the edge in place, rewiring the mates of the two outer ends in
+O(1), and returns whether it closed a cycle (its ends were mates).
+Removing an edge walks each piece it leaves to re-pair its ends, and a
+recolor or a swap is such a cut followed by ``assign``.  That walk,
+:meth:`ForestColoring.walk`, is the one loop that steps along a class
+path.  Other modules read class degrees only through
 :meth:`ForestColoring.row`, and the sweep's light-edge primitive,
 :func:`place_light_edge`, lives here beside the table it scans.
 """
@@ -88,39 +91,9 @@ class ForestColoring:
             prev, cur = cur, nxt
         raise FeasibilityError(f"class {j} walk exceeded vertex count")  # pragma: no cover
 
-    def _link(self, u: int, v: int, j: int) -> None:
-        """Add uv to the class-``j`` slots and pair the outer ends of the
-        joined path.  Both degrees must be below 2."""
-        t = self.t
-        cd, nb1, nb2 = self._cd, self._nb1, self._nb2
-        iu = u * t + j
-        iv = v * t + j
-        # a and b are the far ends of the paths through u and v.
-        if cd[iu]:
-            a = nb2[iu]
-            nb2[iu] = v
-        else:
-            a = u
-            nb1[iu] = v
-        if cd[iv]:
-            b = nb2[iv]
-            nb2[iv] = u
-        else:
-            b = v
-            nb1[iv] = u
-        cd[iu] += 1
-        cd[iv] += 1
-        # Closing a cycle (a == v, b == u) leaves no end to re-pair.
-        ia = a * t + j
-        ib = b * t + j
-        if cd[ia] == 1:
-            nb2[ia] = b
-        if cd[ib] == 1:
-            nb2[ib] = a
-
-    def _cut(self, u: int, v: int, j: int) -> None:
-        """Remove uv from the class-``j`` slots and pair the ends of the two
-        pieces it leaves."""
+    def _cut(self, e: int, u: int, v: int, j: int) -> None:
+        """Uncolor the class-``j`` edge ``e`` = uv: remove it from the slots,
+        pair the ends of the two pieces it leaves and drop both totals."""
         t = self.t
         cd, nb1, nb2 = self._cd, self._nb1, self._nb2
         for x, y in ((u, v), (v, u)):
@@ -136,54 +109,85 @@ class ForestColoring:
                     pass
                 nb2[x * t + j] = end
                 nb2[end * t + j] = x
+        self._total[u] -= 1
+        self._total[v] -= 1
+        self.edge_class[e] = NIL
 
     # ------------------------------------------------------------------ mutation
 
-    def assign(self, e: int, u: int, v: int, j: int) -> None:
-        """Color the uncolored edge ``e`` = uv with class ``j``.
+    def assign(self, e: int, u: int, v: int, j: int) -> bool:
+        """Color the uncolored edge ``e`` = uv with class ``j``, linking it
+        into the class paths in place, and return whether it closed a cycle.
 
         Rejects the call if either endpoint already has two class-``j``
-        edges.  The assignment may close a cycle in class ``j``; callers that
-        care must check :meth:`would_close_cycle` first and repair afterwards.
+        edges.  The edge closes a cycle exactly when ``u`` and ``v`` were the
+        two ends of one class path, which :meth:`would_close_cycle` reports
+        before the call; the caller repairs that cycle afterwards.
         """
+        t = self.t
         if u == v:
             raise PreconditionError(f"self-loop at {u}")
-        if not 0 <= j < self.t:
-            raise PreconditionError(f"class {j} out of range 0..{self.t - 1}")
+        if not 0 <= j < t:
+            raise PreconditionError(f"class {j} out of range 0..{t - 1}")
         if self.edge_class[e] != NIL:
             raise FeasibilityError(f"edge {e} ({u}-{v}) is already colored")
-        t = self.t
-        cd = self._cd
-        if cd[u * t + j] >= 2 or cd[v * t + j] >= 2:
+        cd, nb1, nb2 = self._cd, self._nb1, self._nb2
+        iu = u * t + j
+        iv = v * t + j
+        du = cd[iu]
+        dv = cd[iv]
+        if du >= 2 or dv >= 2:
             raise FeasibilityError(f"assigning {u}-{v} to class {j} would exceed degree 2")
-        self._link(u, v, j)
+        # a and b are the far ends of the paths through u and v.
+        if du:
+            a = nb2[iu]
+            nb2[iu] = v
+        else:
+            a = u
+            nb1[iu] = v
+        if dv:
+            b = nb2[iv]
+            nb2[iv] = u
+        else:
+            b = v
+            nb1[iv] = u
+        cd[iu] = du + 1
+        cd[iv] = dv + 1
+        # Two paths join into one whose ends a and b are mates; on a cycle
+        # (a == v, b == u) no end is left to pair.
+        if a != v:
+            nb2[a * t + j] = b
+            nb2[b * t + j] = a
         self._total[u] += 1
         self._total[v] += 1
         self.edge_class[e] = j
+        return a == v
 
     def recolor(self, e: int, u: int, v: int, j_new: int) -> None:
         """Move the colored edge ``e`` = uv to class ``j_new`` (no-op if
-        already there)."""
-        if not 0 <= j_new < self.t:
-            raise PreconditionError(f"class {j_new} out of range 0..{self.t - 1}")
+        already there): a cut and an :meth:`assign`, made only once both
+        ends have room in ``j_new``."""
+        t = self.t
+        if not 0 <= j_new < t:
+            raise PreconditionError(f"class {j_new} out of range 0..{t - 1}")
         j_old = self.edge_class[e]
         if j_old == NIL:
             raise FeasibilityError(f"edge {e} ({u}-{v}) is not colored")
         if j_old == j_new:
             return
-        if self._full(u, j_new) or self._full(v, j_new):
+        if self._cd[u * t + j_new] >= 2 or self._cd[v * t + j_new] >= 2:
             raise FeasibilityError(f"recoloring {u}-{v} to class {j_new} would exceed degree 2")
-        self._cut(u, v, j_old)
-        self._link(u, v, j_new)
-        self.edge_class[e] = j_new
+        self._cut(e, u, v, j_old)
+        self.assign(e, u, v, j_new)
 
     def swap_colors(self, e1: int, u1: int, v1: int, e2: int, u2: int, v2: int) -> None:
         """Exchange the classes of the colored edges ``e1`` = u1v1 and
         ``e2`` = u2v2 atomically.
 
-        Both removals happen before either re-insertion, so a shared endpoint
+        Both cuts happen before either :meth:`assign`, so a shared endpoint
         never sees a transient degree overflow.  Swapping edges of the same
-        class is a no-op; swapping twice restores the original coloring.
+        class is a no-op; swapping twice restores the original coloring.  An
+        overflow raises from ``assign``, unrolled: it is a caller bug.
         """
         cls = self.edge_class
         c1 = cls[e1]
@@ -192,18 +196,10 @@ class ForestColoring:
             raise FeasibilityError(f"both edges must be colored: {e1}={c1}, {e2}={c2}")
         if c1 == c2:
             return
-        self._cut(u1, v1, c1)
-        self._cut(u2, v2, c2)
-        for a, b, j in ((u1, v1, c2), (u2, v2, c1)):
-            if self._full(a, j) or self._full(b, j):
-                # Roll back is not attempted: this indicates a caller bug.
-                raise FeasibilityError(f"swap would push degree above 2 at class {j}")
-            self._link(a, b, j)
-        cls[e1] = c2
-        cls[e2] = c1
-
-    def _full(self, v: int, j: int) -> bool:
-        return self._cd[v * self.t + j] >= 2
+        self._cut(e1, u1, v1, c1)
+        self._cut(e2, u2, v2, c2)
+        self.assign(e1, u1, v1, c2)
+        self.assign(e2, u2, v2, c1)
 
     # ------------------------------------------------------------------ connectivity
 

@@ -35,9 +35,20 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on ``0 .. n-1`` with ``edges`` added in order.  A new
+        canonical pair, a tuple of exact ints ``u < v``, becomes the graph's
+        own key as given; any other edge goes through :meth:`add_edge`."""
         g = cls(n)
-        for u, v in edges:
-            g.add_edge(u, v)
+        adj, keys = g._adj, g._edges
+        for e in edges:
+            u, v = e
+            if (type(e) is tuple and type(u) is int and type(v) is int
+                    and 0 <= u < v < n and e not in keys):
+                keys.add(e)
+                adj[u].append(v)
+                adj[v].append(u)
+            else:
+                g.add_edge(u, v)
         return g
 
     @classmethod

@@ -407,8 +407,7 @@ class SolverState:
         closed = False
         for (u, e), c in zip(rep_edge.items(), _slot_order(row, m, left)):
             c += ptr
-            closed |= fc.would_close_cycle(c, v, u)
-            fc.assign(e, v, u, c)
+            closed |= fc.assign(e, v, u, c)
         if closed:
             self.spare_leaves, self.reserved_leaves = _leaf_rows(
                 ptr, row, m, left, len(rep_edge), r

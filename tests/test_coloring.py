@@ -51,6 +51,16 @@ def test_assign_rejections():
     assert fc.edge_class[p(1, 3)] == NIL
 
 
+def test_assign_reports_the_cycle_it_closes():
+    p = Pairs(4)
+    fc = p.coloring(2)
+    assert fc.assign(p(0, 1), 0, 1, 0) is False
+    assert fc.assign(p(1, 2), 1, 2, 0) is False
+    assert fc.assign(p(0, 2), 0, 2, 0) is True
+    assert fc.assign(p(2, 3), 2, 3, 1) is False
+    assert fc.cycle_containing(0, p(0, 2), 0, 2) == [0, 2, 1]
+
+
 def test_class_degrees_sum_to_colored_degree():
     p = Pairs(8)
     fc = p.coloring(4)
@@ -358,7 +368,7 @@ def close_and_break_cycle(fc, p, rnd):
         return False
     assert fc.would_close_cycle(j, u, v)
     check_cycle_queries(fc, p, j, u)
-    fc.assign(p(u, v), u, v, j)
+    assert fc.assign(p(u, v), u, v, j) is True
     cycle = fc.cycle_containing(j, p(u, v), u, v)
     assert cycle is not None
     check_cycle_queries(fc, p, j, v)
@@ -397,6 +407,21 @@ def check_cycle_queries(fc, p, j, v):
         assert fc.would_close_cycle(j, x, v) == want
 
 
+def check_assign_returns(fc, p):
+    """Make every assign on ``fc``, the direct calls and those that recolor
+    and swap_colors make, assert that it returns whether its ends were
+    connected in the class just before the call."""
+    assign = fc.assign
+
+    def checked(e, u, v, j):
+        want = connected_in_class(edge_classes(fc, p.ends), j, u, v)
+        got = assign(e, u, v, j)
+        assert got is want
+        return got
+
+    fc.assign = checked
+
+
 def random_forest_state(seed, n=14, t=4, steps=160):
     """Drive a coloring through random valid assigns/recolors/swaps and
     closed-then-broken cycles; returns the coloring, its edge ids and the
@@ -404,6 +429,7 @@ def random_forest_state(seed, n=14, t=4, steps=160):
     rnd = random.Random(seed)
     p = Pairs(n)
     fc = p.coloring(t)
+    check_assign_returns(fc, p)
     cls = fc.edge_class
     cycles = 0
     for _ in range(steps):
@@ -420,7 +446,7 @@ def random_forest_state(seed, n=14, t=4, steps=160):
                 continue
             if fc.would_close_cycle(j, u, v):
                 continue
-            fc.assign(p(u, v), u, v, j)
+            assert fc.assign(p(u, v), u, v, j) is False
         elif op < 0.85 and colored:
             (u, v) = rnd.choice(colored)
             j = rnd.randrange(t)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,6 +106,70 @@ def test_non_int_vertex_rejected_by_every_query(call):
     g = gfrom(3, [(0, 1)])
     with pytest.raises(GraphError):
         call(g)
+
+
+def mixed_edges(rnd: random.Random, n: int) -> list:
+    """Distinct edges in every form ``add_edge`` takes: canonical tuples,
+    reversed pairs, lists and bool ids; half the time also forms it
+    refuses: float and out-of-range ids, self-loops and repeats of earlier
+    edges, either way round."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bad = rnd.random() < 0.5
+    edges: list = []
+    for u, v in rnd.sample(pairs, rnd.randrange(1, len(pairs) + 1)):
+        kind = rnd.randrange(4)
+        if bad and rnd.random() < 0.15:
+            kind = rnd.randrange(4, 8)
+        if kind == 0:
+            e = (u, v)
+        elif kind == 1:
+            e = (v, u)
+        elif kind == 2:
+            e = [u, v] if rnd.random() < 0.5 else [v, u]
+        elif kind == 3:
+            e = (bool(u), v) if u <= 1 else (u, v)
+        elif kind == 4:
+            e = (float(u), v) if rnd.random() < 0.5 else (u, float(v))
+        elif kind == 5:
+            e = (u, rnd.choice([n, n + 3, -1]))
+        elif kind == 6:
+            e = (u, u)
+        else:
+            if not edges:
+                edges.append((v, u) if rnd.random() < 0.5 else (u, v))
+            a, b = rnd.choice(edges)
+            e = (b, a) if rnd.random() < 0.5 else (a, b)
+        edges.append(e)
+    return edges
+
+
+def built_or_error(build):
+    try:
+        g = build()
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return repr(g._adj), repr(sorted(g._edges))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_from_edges_matches_add_edge_one_by_one(seed):
+    # from_edges keys canonical exact-int pairs itself and sends every other
+    # edge through add_edge: the rows, the keys (bool ids included) and the
+    # first error must be those of adding the edges one at a time.
+    rnd = random.Random(seed)
+    n = rnd.randrange(2, 7)
+    edges = mixed_edges(rnd, n)
+    want = built_or_error(lambda: gfrom(n, edges))
+    assert built_or_error(lambda: Graph.from_edges(n, edges)) == want
+    assert built_or_error(lambda: Graph.from_edges(n, (e for e in edges))) == want
+
+
+def test_from_edges_keeps_a_canonical_pair_as_its_key():
+    e, rev, lst = (0, 1), (2, 1), [0, 2]
+    g = Graph.from_edges(3, [e, rev, lst])
+    assert any(k is e for k in g._edges)
+    assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert [g.neighbors(x) for x in range(3)] == [[1, 2], [0, 2], [1, 0]]
 
 
 def test_max_degree_star():

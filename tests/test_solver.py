@@ -200,7 +200,7 @@ def record_leaves(monkeypatch, state):
     same count."""
     counts = {}
     fit, check = linarb.solver._fit_leaves, state._check_capacity
-    t, cd, cls = state.t, state.fc._cd, state.fc.edge_class
+    t, cls = state.t, state.fc.edge_class
     fitted = []
 
     def fitting(row, spare):
@@ -220,10 +220,10 @@ def record_leaves(monkeypatch, state):
             leaves = leaf_counts(state)
         else:
             assert [cls[e] for e in rep_edges] == slots[:len(rep_edges)]
-        assert max(map(add, cd[v * t:(v + 1) * t], leaves)) <= 2
+        assert max(map(add, state.fc.row(v), leaves)) <= 2
         counts[v] = sum(leaves)
         check(v, repaired)
-        assert state.delta - sum(cd[v * t:(v + 1) * t]) == counts[v]
+        assert state.delta - sum(state.fc.row(v)) == counts[v]
 
     monkeypatch.setattr(linarb.solver, "_fit_leaves", fitting)
     monkeypatch.setattr(state, "_check_capacity", checking)
@@ -291,10 +291,10 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
 
     def overfull(v, *args):
         repair(v, *args)
-        cd, counts = state.fc._cd, leaf_counts(state)
+        row, counts = state.fc.row(v), leaf_counts(state)
         low = next(j for j in range(t) if counts[j])
         counts[low] -= 1
-        full = next(j for j in range(t) if cd[v * t + j] + counts[j] == 2)
+        full = next(j for j in range(t) if row[j] + counts[j] == 2)
         leaves = state.spare_leaves if low in state.spare_leaves else state.reserved_leaves
         leaves[leaves.index(low)] = full
 
