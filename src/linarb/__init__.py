@@ -7,18 +7,17 @@ D >= 2k^2 - k, :func:`decompose` splits the edge set into exactly
 ``D >= 2k^2 - 2k`` using one extra class.  The package also ships an exact
 exhaustive-search oracle, an independent partition verifier, closed-form
 bounds, seeded generators, and a CLI (``linarb --help``).
+
+Importing the package loads the solver and the verifier only.  The CLI's
+names and the oracle's load on first access (PEP 562).
 """
 
+from importlib import import_module
+
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
-from .errors import (
-    FeasibilityError,
-    GraphError,
-    InternalContradictionError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import (FeasibilityError, GraphError, InternalContradictionError, ParseError,
+                     PreconditionError)
 from .graph import Graph, max_degree
-from .oracle import LaBounds, OracleResult, exact_la, la_bounds
 from .solver import (
     DecomposeResult,
     Mode,
@@ -28,10 +27,24 @@ from .solver import (
     decompose,
     required_max_degree,
 )
-from .cli import SplitMix64, generate_k_degenerate, main, parse_edge_list
 from .verify import VerificationReport, Violation, verify_partition
 
 __version__ = "0.1.0"
+
+# Public names of the submodules that the solver does not need.
+_LAZY = {
+    **dict.fromkeys(["SplitMix64", "generate_k_degenerate", "main", "parse_edge_list"], "cli"),
+    **dict.fromkeys(["LaBounds", "OracleResult", "exact_la", "la_bounds"], "oracle"),
+}
+
+
+def __getattr__(name: str):
+    """Import a lazy name's submodule on first access and cache the name."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
 
 __all__ = [
     "DecomposeResult",

@@ -14,7 +14,6 @@ import sys
 import time
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import asdict
 
 from .degeneracy import degeneracy_ordering
 from .errors import (
@@ -333,7 +332,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             "n": result.n,
             "m": result.m,
         }
-        stats_dict = asdict(result.stats)
+        stats_dict = dict(vars(result.stats))
         t = result.t
 
     if args.verify_after:

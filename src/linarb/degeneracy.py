@@ -9,12 +9,10 @@ k is the degeneracy.  The orderings produced here certify the exact value.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .graph import Graph
 
 
-@dataclass
 class DegeneracyOrdering:
     """A vertex ordering together with the degeneracy it certifies.
 
@@ -23,9 +21,10 @@ class DegeneracyOrdering:
     ``k`` neighbors at earlier positions, and some vertex meets the bound.
     """
 
-    order: list[int]
-    position: list[int]
-    k: int
+    __slots__ = ("order", "position", "k")
+
+    def __init__(self, order: list[int], position: list[int], k: int) -> None:
+        self.order, self.position, self.k = order, position, k
 
 
 def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:

@@ -78,8 +78,11 @@ class Graph:
 
     def _row(self, v: int) -> list[int]:
         """The adjacency row of the vertex id ``v``.  The row is read inside
-        the ``try``: a float id passes the range check but not the index."""
+        the ``try``: a float id passes the range check but not the index.  A
+        ``bool`` id would pass both, so it is turned away first."""
         try:
+            if type(v) is bool:
+                raise TypeError
             if 0 <= v < len(self._adj):
                 return self._adj[v]
         except TypeError:

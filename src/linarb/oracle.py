@@ -7,7 +7,7 @@ shares no machinery with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .degeneracy import degeneracy_ordering
 from .errors import PreconditionError
@@ -16,8 +16,7 @@ from .graph import Graph, max_degree
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     """``la`` is the exact linear arboricity and ``witness`` an optimal
     partition (1-based classes), unless ``complete`` is False because the
     node budget ran out, in which case both are None."""
@@ -132,8 +131,7 @@ def exact_la(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     )
 
 
-@dataclass(frozen=True)
-class LaBounds:
+class LaBounds(NamedTuple):
     """Closed-form bracket on the linear arboricity.
 
     ``lower`` always holds.  ``upper`` holds whenever ``upper_proven`` is

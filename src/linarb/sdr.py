@@ -41,14 +41,12 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .degeneracy import DegeneracyOrdering
 from .errors import InternalContradictionError, PreconditionError
 from .graph import Graph
 
 
-@dataclass
 class SdrAssignment:
     """Disjoint representative sets for every vertex of degree >= d.
 
@@ -58,8 +56,10 @@ class SdrAssignment:
     the rest.  Rows of vertices below the degree threshold hold no flag.
     """
 
-    r: int
-    reserved: bytearray
+    __slots__ = ("r", "reserved", "__weakref__")
+
+    def __init__(self, r: int, reserved: bytearray) -> None:
+        self.r, self.reserved = r, reserved
 
 
 def compute_sdr(

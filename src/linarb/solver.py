@@ -32,15 +32,13 @@ D >= 2k^2 - 2k ("relaxed" mode, matching the classic one-more-class bound).
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import time
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
+from typing import NamedTuple
 
 from .coloring import NIL, ForestColoring, edge_key, place_light_edge
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
@@ -78,7 +76,6 @@ def class_count_for(delta: int, k: int, mode: Mode) -> int:
     return delta // 2 + 1
 
 
-@dataclass
 class SolveStats:
     """Counters and coarse stage timers of one decompose call.
 
@@ -88,19 +85,19 @@ class SolveStats:
     the sweep share.
     """
 
-    pendants_added: int = 0
-    repair_iterations: int = 0
-    repairs_endpoint_free: int = 0
-    repairs_owner_free: int = 0
-    repairs_unreserved: int = 0
-    order_ms: float = 0.0
-    sdr_ms: float = 0.0
-    sweep_ms: float = 0.0
-    wall_ms: float = 0.0
+    def __init__(self) -> None:
+        self.pendants_added = 0
+        self.repair_iterations = 0
+        self.repairs_endpoint_free = 0
+        self.repairs_owner_free = 0
+        self.repairs_unreserved = 0
+        self.order_ms = 0.0
+        self.sdr_ms = 0.0
+        self.sweep_ms = 0.0
+        self.wall_ms = 0.0
 
 
-@dataclass
-class DecomposeResult:
+class DecomposeResult(NamedTuple):
     """A complete edge coloring plus the parameters that shaped it.
 
     ``coloring`` maps each edge (canonical ``(u, v)``, ``u < v``) to a class
@@ -115,8 +112,8 @@ class DecomposeResult:
     mode: Mode
     n: int
     m: int
-    isolated: list[int] = field(default_factory=list)
-    stats: SolveStats = field(default_factory=SolveStats)
+    isolated: list[int]
+    stats: SolveStats
 
 
 def _fit_leaves(row: bytearray, spare: int) -> tuple[int, int, int]:
@@ -619,7 +616,8 @@ class SolverState:
         When ``$LINARB_DUMP_DIR`` is set, also writes a reproducer there: one
         JSON file with the message, ``mode``, ``k``, ``delta``, ``t``, ``n``,
         the input ``edges`` and the sweep ``order``, whose sweep runs into
-        the same failure (see the README).
+        the same failure (see the README).  ``json`` and ``tempfile`` are
+        imported here, their only user, so that a solve does not load them.
         """
         fc = self.fc
         lines = [
@@ -633,6 +631,8 @@ class SolverState:
         message = "\n".join(lines)
         dump_dir = os.environ.get("LINARB_DUMP_DIR")
         if dump_dir:
+            import json
+            import tempfile
             case = dict(message=message, mode=self.mode.value, k=self.k, delta=self.delta,
                         t=self.t, n=self.g.n, edges=self.g.edges(), order=self.ordering.order)
             try:

@@ -14,9 +14,8 @@ reports.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph, max_degree
 
@@ -29,8 +28,7 @@ UNKNOWN_EDGE = "UNKNOWN_EDGE"
 _THIRD_EDGE = object()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
     edge: tuple[int, int] | None = None
@@ -50,8 +48,7 @@ class Violation:
         return d
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking one candidate partition.
 
     ``valid`` means every edge is colored with a class in ``1..class_count``,
@@ -64,7 +61,7 @@ class VerificationReport:
     optimal: bool
     class_count: int
     lower_bound: int
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation]
 
     def as_dict(self) -> dict:
         return {

@@ -108,6 +108,24 @@ def test_non_int_vertex_rejected_by_every_query(call):
         call(g)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: g.add_edge(True, 2),
+    lambda g: g.add_edge(2, False),
+    lambda g: g.has_edge(True, 2),
+    lambda g: g.neighbors(True),
+    lambda g: g.degree(False),
+    lambda g: Graph.from_edges(4, [(True, 2), (0, 2), (2, 3)]),
+], ids=["add_edge_u", "add_edge_v", "has_edge", "neighbors", "degree", "from_edges"])
+def test_bool_vertex_rejected(call):
+    # True == 1 passes the range check and indexes row 1, so a bool id
+    # would be stored as a key and a row entry of its own.
+    g = gfrom(4, [(1, 2)])
+    with pytest.raises(GraphError, match="must be ints"):
+        call(g)
+    assert g.edges() == [(1, 2)]
+    assert [g.neighbors(x) for x in range(4)] == [[], [2], [1], []]
+
+
 def mixed_edges(rnd: random.Random, n: int) -> list:
     """Distinct edges in every form ``add_edge`` takes: canonical tuples,
     reversed pairs, lists and bool ids; half the time also forms it
