@@ -9,8 +9,6 @@ from pathlib import Path
 import pytest
 
 import linarb
-import linarb.cli
-import linarb.oracle
 from linarb.verify import UNKNOWN_EDGE, Violation
 
 PACKAGE = Path(linarb.__file__).resolve().parent
@@ -79,13 +77,6 @@ def test_every_public_name_is_its_submodule_object(name):
     assert getattr(home, name) is value
 
 
-def test_lazy_names_resolve_to_the_cli_and_the_oracle():
-    assert linarb.main is linarb.cli.main
-    assert linarb.parse_edge_list is linarb.cli.parse_edge_list
-    assert linarb.exact_la is linarb.oracle.exact_la
-    assert linarb.LaBounds is linarb.oracle.LaBounds
-
-
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from linarb import *", namespace)
@@ -97,7 +88,6 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="nope"):
         linarb.nope  # noqa: B018
-    assert not hasattr(linarb, "cli_main")
 
 
 def test_violation_is_hashable_and_immutable():
@@ -107,4 +97,3 @@ def test_violation_is_hashable_and_immutable():
     assert len({a, b}) == 1
     with pytest.raises(AttributeError):
         a.detail = "y"
-    assert a.as_dict() == {"kind": UNKNOWN_EDGE, "detail": "x", "edge": [0, 1]}
