@@ -16,10 +16,11 @@ vertex the two slots hold its two class neighbors.  At a path end the first
 slot holds its one neighbor and the otherwise unused second slot holds the
 far end of its path (its "mate").  Two vertices are connected in a class
 exactly when they share a path.  Only path ends and untouched vertices
-can take another class edge, so `would_close_cycle` answers for them alone,
-by one slot read.  :meth:`ForestColoring.assign` is the one placement call:
-it links the edge in place, rewiring the mates of the two outer ends in
-O(1), and returns whether it closed a cycle (its ends were mates).
+can take another class edge, so the cycle test is one slot read, and it is
+made by the placement itself: :meth:`ForestColoring.assign`, the one
+placement call, links the edge in place, rewiring the mates of the two
+outer ends in O(1), and returns whether it closed a cycle (its ends were
+mates).
 Removing an edge walks each piece it leaves to re-pair its ends, and a
 recolor or a swap is such a cut followed by ``assign``.  That walk,
 :meth:`ForestColoring.walk`, is the one loop that steps along a class
@@ -31,7 +32,7 @@ path.  Other modules read class degrees only through
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from .errors import FeasibilityError, InternalContradictionError, PreconditionError
 
@@ -121,8 +122,8 @@ class ForestColoring:
 
         Rejects the call if either endpoint already has two class-``j``
         edges.  The edge closes a cycle exactly when ``u`` and ``v`` were the
-        two ends of one class path, which :meth:`would_close_cycle` reports
-        before the call; the caller repairs that cycle afterwards.
+        two ends of one class path; the return value is the one test for
+        that, and the caller repairs the cycle afterwards.
         """
         t = self.t
         if u == v:
@@ -203,23 +204,6 @@ class ForestColoring:
 
     # ------------------------------------------------------------------ connectivity
 
-    def would_close_cycle(self, j: int, u: int, v: int) -> bool:
-        """True iff ``u`` and ``v`` are already connected within class ``j``.
-
-        Only a vertex with at most one class-``j`` edge can take another, so
-        both must be path ends (or untouched), and the answer is one mate
-        read.  Raises :class:`PreconditionError` for a vertex that already
-        has two class-``j`` edges.
-        """
-        if not 0 <= j < self.t:
-            raise PreconditionError(f"class {j} out of range 0..{self.t - 1}")
-        t = self.t
-        cd = self._cd
-        iu = u * t + j
-        if cd[iu] == 2 or cd[v * t + j] == 2:
-            raise PreconditionError(f"{u} or {v} already has two class-{j} edges")
-        return u == v or (cd[iu] == 1 and self._nb2[iu] == v)
-
     def cycle_containing(self, j: int, e: int, u: int, v: int) -> list[int] | None:
         """The class-``j`` cycle through the colored edge ``e`` = uv, or None.
 
@@ -231,84 +215,6 @@ class ForestColoring:
             raise PreconditionError(f"edge {e} ({u}-{v}) is not colored {j}")
         rest = list(self.walk(j, v, u))
         return [u, v] + rest[:-1] if rest and rest[-1] == u else None
-
-    # ------------------------------------------------------------------ validation
-
-    def validate(self, ends: Sequence[tuple[int, int]]) -> list[str]:
-        """Full-state consistency scan; returns human-readable problems.
-
-        ``ends[e]`` is the ``(u, v)`` pair, ``u < v``, of edge id ``e``.
-        Recomputes degrees, neighbors and totals from the class array, walks
-        every class path from scratch to check the mate stored at each end,
-        checks the degree cap, and checks every class for cycles with a
-        local union-find.  Intended for tests and debug assertions, not hot paths.
-        """
-        problems: list[str] = []
-        n, t = self.n, self.t
-        cls = self.edge_class
-        if len(ends) != len(cls):
-            problems.append(f"{len(ends)} edge ends for {len(cls)} edge ids")
-        adj: dict[tuple[int, int], list[int]] = {}
-        total = [0] * n
-        parent = array("i", range(n * t))  # over (vertex, class) cells
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, v), j in zip(ends, cls):
-            if j == NIL:
-                continue
-            if not (0 <= u < n and 0 <= v < n and u < v):
-                problems.append(f"bad edge key {(u, v)}")
-                continue
-            if not 0 <= j < t:
-                problems.append(f"edge {(u, v)} has class {j} out of range")
-                continue
-            total[u] += 1
-            total[v] += 1
-            adj.setdefault((u, j), []).append(v)
-            adj.setdefault((v, j), []).append(u)
-            ru, rv = find(u * t + j), find(v * t + j)
-            if ru == rv:
-                problems.append(f"class {j} contains a cycle through edge {(u, v)}")
-            else:
-                parent[ru] = rv
-
-        def far_end(v: int, j: int) -> int:
-            prev, cur = v, adj[v, j][0]
-            while len(adj[cur, j]) == 2:
-                a, b = adj[cur, j]
-                prev, cur = cur, (b if a == prev else a)
-            return cur
-
-        for v in range(n):
-            for j in range(t):
-                i = v * t + j
-                nbrs = adj.get((v, j), [])
-                want = len(nbrs)
-                if want > 2:
-                    problems.append(f"vertex {v} has {want} class-{j} edges")
-                if self._cd[i] != min(want, 255):
-                    problems.append(
-                        f"degree table mismatch at ({v},{j}): "
-                        f"{self._cd[i]} stored, {want} actual"
-                    )
-                slots = [self._nb1[i], self._nb2[i]]
-                if want == 1:
-                    mate = far_end(v, j)
-                    if slots[1] != mate:
-                        problems.append(
-                            f"mate mismatch at ({v},{j}): {slots[1]} stored, {mate} actual"
-                        )
-                    slots = slots[:1]
-                if sorted(x for x in slots if x != NIL) != sorted(nbrs):
-                    problems.append(f"slot mismatch at ({v},{j})")
-            if self._total[v] != total[v]:
-                problems.append(f"total degree mismatch at {v}")
-        return problems
 
 
 def place_light_edge(fc: ForestColoring, e: int, x: int, y: int, start: int = 0) -> int:

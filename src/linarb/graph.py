@@ -71,11 +71,6 @@ class Graph:
         """Return the edges as sorted canonical ``(u, v)`` pairs with ``u < v``."""
         return sorted(self._edges)
 
-    def add_vertex(self) -> int:
-        """Append an isolated vertex and return its id."""
-        self._adj.append([])
-        return len(self._adj) - 1
-
     def _row(self, v: int) -> list[int]:
         """The adjacency row of the vertex id ``v``.  The row is read inside
         the ``try``: a float id passes the range check but not the index.  A
@@ -99,12 +94,6 @@ class Graph:
         self._edges.add(key)
         ru.append(v)
         rv.append(u)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._row(u)
-        self._row(v)
-        key = (u, v) if u < v else (v, u)
-        return key in self._edges
 
     def neighbors(self, v: int) -> list[int]:
         """Return the adjacency list of ``v``.  Callers must not mutate it."""

@@ -7,7 +7,7 @@ import json
 import random
 from array import array
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from linarb import (
     DegeneracyOrdering,
@@ -118,18 +118,15 @@ def capped_instance(k: int, target: int, n: int, rnd: random.Random) -> Graph:
     """Random graph of degeneracy exactly ``k`` and maximum degree exactly
     ``target``: standard attachment, but only to vertices still below the
     cap, then leaves lift one vertex to the cap."""
-    g = Graph(n)
+    edges = []
     deg = [0] * n
     for i in range(1, n):
         for c in rnd.sample([c for c in range(i) if deg[c] < target], min(k, i)):
-            g.add_edge(c, i)
+            edges.append((c, i))
             deg[c] += 1
             deg[i] += 1
-    while deg[0] < target:
-        w = g.add_vertex()
-        g.add_edge(0, w)
-        deg[0] += 1
-    return g
+    leaves = range(n, n + target - deg[0])
+    return Graph.from_edges(n + len(leaves), edges + [(0, w) for w in leaves])
 
 
 def random_peel_ordering(g: Graph, k: int, rnd: random.Random) -> DegeneracyOrdering:
@@ -210,6 +207,106 @@ def edge_classes(fc: ForestColoring, ends) -> dict[tuple[int, int], int]:
     """The colored edges of ``fc`` as an ``{(u, v): class}`` map, where
     ``ends[e]`` is the pair of edge id ``e``."""
     return {ends[e]: c for e, c in enumerate(fc.edge_class) if c != NIL}
+
+
+# ------------------------------------------------- the coloring's tables
+#
+# The only test code that reads ForestColoring's per-(vertex, class) tables
+# (`_cd`, `_nb1`, `_nb2`) and its `_total` array, cell ``v * t + j``: a change
+# of storage touches coloring.py and these three helpers.
+
+
+def coloring_problems(fc: ForestColoring, ends: Sequence[tuple[int, int]]) -> list[str]:
+    """Full-state consistency scan of ``fc``; returns human-readable problems.
+
+    ``ends[e]`` is the ``(u, v)`` pair, ``u < v``, of edge id ``e``.
+    Recomputes degrees, neighbors and totals from the class array, walks
+    every class path from scratch to check the mate stored at each end,
+    checks the degree cap, and checks every class for cycles with a local
+    union-find.
+    """
+    problems: list[str] = []
+    n, t = fc.n, fc.t
+    cls = fc.edge_class
+    if len(ends) != len(cls):
+        problems.append(f"{len(ends)} edge ends for {len(cls)} edge ids")
+    adj: dict[tuple[int, int], list[int]] = {}
+    total = [0] * n
+    parent = array("i", range(n * t))  # over (vertex, class) cells
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (u, v), j in zip(ends, cls):
+        if j == NIL:
+            continue
+        if not (0 <= u < n and 0 <= v < n and u < v):
+            problems.append(f"bad edge key {(u, v)}")
+            continue
+        if not 0 <= j < t:
+            problems.append(f"edge {(u, v)} has class {j} out of range")
+            continue
+        total[u] += 1
+        total[v] += 1
+        adj.setdefault((u, j), []).append(v)
+        adj.setdefault((v, j), []).append(u)
+        ru, rv = find(u * t + j), find(v * t + j)
+        if ru == rv:
+            problems.append(f"class {j} contains a cycle through edge {(u, v)}")
+        else:
+            parent[ru] = rv
+
+    def far_end(v: int, j: int) -> int:
+        prev, cur = v, adj[v, j][0]
+        while len(adj[cur, j]) == 2:
+            a, b = adj[cur, j]
+            prev, cur = cur, (b if a == prev else a)
+        return cur
+
+    for v in range(n):
+        for j in range(t):
+            i = v * t + j
+            nbrs = adj.get((v, j), [])
+            want = len(nbrs)
+            if want > 2:
+                problems.append(f"vertex {v} has {want} class-{j} edges")
+            if fc._cd[i] != min(want, 255):
+                problems.append(
+                    f"degree table mismatch at ({v},{j}): "
+                    f"{fc._cd[i]} stored, {want} actual"
+                )
+            slots = [fc._nb1[i], fc._nb2[i]]
+            if want == 1:
+                mate = far_end(v, j)
+                if slots[1] != mate:
+                    problems.append(
+                        f"mate mismatch at ({v},{j}): {slots[1]} stored, {mate} actual"
+                    )
+                slots = slots[:1]
+            if sorted(x for x in slots if x != NIL) != sorted(nbrs):
+                problems.append(f"slot mismatch at ({v},{j})")
+        if fc._total[v] != total[v]:
+            problems.append(f"total degree mismatch at {v}")
+    return problems
+
+
+def mates(fc: ForestColoring, j: int) -> dict[int, int]:
+    """The stored mate of every class-``j`` path end."""
+    return {v: fc._nb2[v * fc.t + j] for v in range(fc.n) if fc.row(v)[j] == 1}
+
+
+def write_cell(fc: ForestColoring, v: int, j: int, *, degree=None, mate=None) -> None:
+    """Overwrite the stored class-``j`` degree, or the second slot (the mate
+    at a path end), of ``v``, past every check of the coloring: the one way
+    a test tampers with its tables."""
+    i = v * fc.t + j
+    if degree is not None:
+        fc._cd[i] = degree
+    if mate is not None:
+        fc._nb2[i] = mate
 
 
 def state_edge_ids(state: SolverState, extra=()) -> dict[tuple[int, int], int]:
@@ -449,7 +546,7 @@ def reference_verify_partition(
             and type(e[0]) is int
             and type(e[1]) is int
             and 0 <= e[0] < e[1] < g.n
-            and g.has_edge(e[0], e[1])
+            and e[1] in g.neighbors(e[0])
         )
         if not ok_edge:
             violations.append(

@@ -36,6 +36,7 @@ from conftest import (
     ACCEPTANCE_LINES,
     Pairs,
     capped_instance,
+    coloring_problems,
     endpoint_recolor_fixture,
     flagged_owners,
     hall_certificate_check,
@@ -263,14 +264,14 @@ def test_criterion_4_light_insertion_never_fails_within_budget():
                 fc.edge_class[p(u, v)] == NIL
                 and fc.row(u)[j] < 2
                 and fc.row(v)[j] < 2
-                and not fc.would_close_cycle(j, u, v)
+                and v not in fc.walk(j, u)
             ):
                 fc.assign(p(u, v), u, v, j)
         x, y = rnd.sample(range(n), 2)
         if fc.edge_class[p(x, y)] != NIL:
             continue
-        dx = fc._total[x] + 1
-        dy = fc._total[y] + 1
+        dx = sum(fc.row(x)) + 1
+        dy = sum(fc.row(y)) + 1
         if 2 * dx + dy > 2 * t + 2:
             continue
         before = {v2: profile(fc, v2) for v2 in range(n)}
@@ -291,7 +292,7 @@ def test_criterion_4_light_insertion_never_fails_within_budget():
                 failures.append(f"trial {trials}: vertex {v2} changed internal classes")
             if v2 != x and row != before[v2]:
                 failures.append(f"trial {trials}: vertex {v2} profile moved")
-        if fc.validate(p.ends):
+        if coloring_problems(fc, p.ends):
             failures.append(f"trial {trials}: state invalid after insert")
     _record(
         4,
@@ -327,7 +328,7 @@ def test_criterion_5_representatives_are_disjoint_and_hall_certified():
             if set(reps) & taken:
                 failures.append(f"i={i}: owner {v} shares a representative")
             taken.update(reps)
-            if any(pos[w] <= pos[v] or not g.has_edge(v, w) for w in reps):
+            if any(pos[w] <= pos[v] or w not in g.neighbors(v) for w in reps):
                 failures.append(f"i={i}: owner {v} has a non-right-neighbor")
         subsets = [
             rnd.sample(owners, rnd.randrange(1, len(owners) + 1)) for _ in range(50)

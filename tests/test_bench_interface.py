@@ -15,8 +15,12 @@ from linarb import Mode, SolverState, decompose, degeneracy_ordering, generate_k
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# Layers deleted before these tests existed; their hooks read as absent.
-ABSENT = {"linarb.solver:connected_components", "linarb.solver:regularize"}
+# Layers deleted from the package; their hooks read as absent.
+ABSENT = {
+    "linarb.solver:connected_components",
+    "linarb.solver:regularize",
+    "linarb.coloring:ForestColoring.would_close_cycle",
+}
 
 
 def _hook_tables():
@@ -42,7 +46,6 @@ def test_every_benchmark_hook_resolves():
     names = {p for _, p, _ in timed + counted}
     assert {
         "SolverState.run",
-        "ForestColoring.would_close_cycle",
         "ForestColoring.assign",
         "ForestColoring.recolor",
         "ForestColoring.swap_colors",

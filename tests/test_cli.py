@@ -16,10 +16,12 @@ import linarb.oracle
 import linarb.solver
 from linarb import (
     Graph,
+    InternalContradictionError,
     Mode,
     ParseError,
     PreconditionError,
     SplitMix64,
+    decompose,
     degeneracy_ordering,
     generate_k_degenerate,
     main,
@@ -408,6 +410,40 @@ def test_cli_decompose_emits_nothing_off_the_edge_set(monkeypatch, fmt, fault, m
                              stdin_text=GAP_TEXT)
     assert (code, out) == (2, "")
     assert err.startswith("internal error:") and message in err
+
+
+# A five-cycle with four leaves on vertex 0: degeneracy 2 at maximum degree
+# 6, which minimum mode takes with t = 3.
+CYCLE_HUB_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8)]
+
+
+def cyclic_sweep(monkeypatch):
+    """Make every sweep return a map whose class 0 is the whole five-cycle
+    of ``CYCLE_HUB_EDGES``, with every class degree within 2."""
+    def cyclic_run(state):
+        return {e: 0 if e[1] <= 4 else (e[1] - 5) // 2 + 1 for e in CYCLE_HUB_EDGES}
+
+    monkeypatch.setattr(linarb.solver.SolverState, "run", cyclic_run)
+
+
+def test_debug_solve_ends_with_the_independent_verifier(monkeypatch):
+    """A debug solve's one end check is verify_partition: a sweep map with a
+    cycle in one class raises from ``decompose``; without debug checks it
+    is returned as it is."""
+    cyclic_sweep(monkeypatch)
+    g = Graph.from_edges(9, CYCLE_HUB_EDGES)
+    assert decompose(g, debug_checks=False).coloring[3, 4] == 1
+    with pytest.raises(InternalContradictionError,
+                       match="decompose produced an invalid partition: .*cycle"):
+        decompose(g, debug_checks=True)
+
+
+def test_cli_debug_assertions_exit_two_on_a_cyclic_sweep(monkeypatch):
+    cyclic_sweep(monkeypatch)
+    text = "".join(f"{u} {v}\n" for u, v in CYCLE_HUB_EDGES)
+    code, out, err = run_cli(["decompose", "-", "--debug-assertions"], stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: decompose produced an invalid partition")
 
 
 # ------------------------------------------------------------------- commands

@@ -4,7 +4,15 @@ import pytest
 
 from linarb import FeasibilityError, PreconditionError
 from linarb.coloring import NIL, ForestColoring, edge_key
-from conftest import Pairs, class_adjacency, connected_in_class, edge_classes
+from conftest import (
+    Pairs,
+    class_adjacency,
+    coloring_problems,
+    connected_in_class,
+    edge_classes,
+    mates,
+    write_cell,
+)
 
 
 def test_edge_key_normalizes():
@@ -22,9 +30,8 @@ def test_assign_updates_all_views():
     assert fc.row(0)[1] == 1
     assert fc.row(2)[1] == 1
     assert fc.row(0)[0] == 0
-    assert fc._total[0] == 1
     assert [fc.row(0)[j] for j in range(3)] == [0, 1, 0]
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
 
 
 def test_classes_above_a_byte():
@@ -32,7 +39,7 @@ def test_classes_above_a_byte():
     fc = ForestColoring(2, 301, 1)
     fc.assign(0, 0, 1, 300)
     assert fc.edge_class[0] == 300
-    assert fc.validate([(0, 1)]) == []
+    assert coloring_problems(fc, [(0, 1)]) == []
 
 
 def test_assign_rejections():
@@ -69,7 +76,7 @@ def test_class_degrees_sum_to_colored_degree():
     fc.assign(p(0, 3), 0, 3, 2)
     row = [fc.row(0)[j] for j in range(4)]
     assert row == [2, 0, 1, 0]
-    assert sum(row) == fc._total[0]
+    assert coloring_problems(fc, p.ends) == []
 
 
 def test_row_is_a_copy():
@@ -83,7 +90,7 @@ def test_row_is_a_copy():
     assert row == bytearray([1, 0, 1])
     row[0] += 1
     row[1] = 2
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
     assert fc.row(0) == bytearray([1, 0, 1])
     assert fc.row(4) == bytearray(3)
 
@@ -97,7 +104,7 @@ def test_recolor_moves_and_errors():
     assert fc.row(0)[0] == 0
     assert fc.row(0)[2] == 1
     fc.recolor(p(0, 1), 0, 1, 2)  # no-op
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
     with pytest.raises(FeasibilityError, match="not colored"):
         fc.recolor(p(2, 3), 2, 3, 0)
     fc.assign(p(0, 2), 0, 2, 1)
@@ -117,7 +124,7 @@ def test_swap_exchanges_classes():
     fc.swap_colors(p(0, 1), 0, 1, p(2, 3), 2, 3)
     assert fc.edge_class[p(0, 1)] == 0
     assert fc.edge_class[p(2, 3)] == 1
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
 
 
 def test_swap_with_shared_endpoint():
@@ -130,7 +137,7 @@ def test_swap_with_shared_endpoint():
     assert fc.edge_class[p(1, 2)] == 0
     assert fc.row(1)[0] == 1
     assert fc.row(1)[1] == 1
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
 
 
 def test_swap_same_class_or_same_edge_is_noop():
@@ -159,21 +166,20 @@ def test_swap_rejects_uncolored_and_overflow():
 
 
 def test_would_close_cycle_and_closure():
+    """An edge would close a class cycle exactly when its ends are the two
+    ends of one class path, which the coloring stores as mates."""
     p = Pairs(5)
     fc = p.coloring(2)
     fc.assign(p(0, 1), 0, 1, 0)
     fc.assign(p(1, 2), 1, 2, 0)
     fc.assign(p(2, 3), 2, 3, 0)
-    assert fc.would_close_cycle(0, 0, 3)
-    assert fc.would_close_cycle(0, 3, 0)
-    assert not fc.would_close_cycle(0, 0, 4)
-    assert not fc.would_close_cycle(1, 0, 3)
+    assert mates(fc, 0) == {0: 3, 3: 0}
+    assert mates(fc, 1) == {}
     # 1 and 2 are interior to the class-0 path: they take no more edges.
-    for u, v in ((1, 3), (3, 1), (1, 2), (2, 4)):
-        with pytest.raises(PreconditionError, match="two class-0 edges"):
-            fc.would_close_cycle(0, u, v)
-    with pytest.raises(PreconditionError):
-        fc.would_close_cycle(2, 0, 1)
+    assert fc.row(1)[0] == fc.row(2)[0] == 2
+    for v in range(5):
+        check_cycle_queries(fc, p, 0, v)
+        check_cycle_queries(fc, p, 1, v)
 
 
 def test_would_close_cycle_tracks_mutations():
@@ -181,12 +187,15 @@ def test_would_close_cycle_tracks_mutations():
     fc = p.coloring(2)
     fc.assign(p(0, 1), 0, 1, 0)
     fc.assign(p(2, 3), 2, 3, 0)
-    assert not fc.would_close_cycle(0, 1, 2)
+    assert mates(fc, 0) == {0: 1, 1: 0, 2: 3, 3: 2}
     fc.assign(p(1, 2), 1, 2, 0)
-    assert fc.would_close_cycle(0, 0, 3)
+    assert mates(fc, 0) == {0: 3, 3: 0}
     fc.recolor(p(1, 2), 1, 2, 1)
-    assert not fc.would_close_cycle(0, 0, 3)
-    assert not fc.would_close_cycle(1, 0, 3)
+    assert mates(fc, 0) == {0: 1, 1: 0, 2: 3, 3: 2}
+    assert mates(fc, 1) == {1: 2, 2: 1}
+    for v in range(6):
+        check_cycle_queries(fc, p, 0, v)
+        check_cycle_queries(fc, p, 1, v)
 
 
 def test_cycle_containing_walks_the_cycle():
@@ -216,11 +225,6 @@ def colored_path(vertices, cycle=False, n=6, t=2):
     for a, b in steps:
         fc.assign(p(a, b), a, b, 0)
     return fc, p
-
-
-def mates(fc, j):
-    """The stored mate of every class-``j`` path end."""
-    return {v: fc._nb2[v * fc.t + j] for v in range(fc.n) if fc.row(v)[j] == 1}
 
 
 def test_walk_along_a_path():
@@ -264,31 +268,31 @@ def test_cut_pairs_the_new_ends(vertices, cycle, cut, want):
     fc.recolor(p(u, v), u, v, 1)
     assert mates(fc, 0) == want
     assert mates(fc, 1) == {u: v, v: u}
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
 
 
 def test_validate_detects_tampering():
     p = Pairs(4)
     fc = p.coloring(2)
     fc.assign(p(0, 1), 0, 1, 0)
-    fc._cd[0 * 2 + 0] += 1
-    assert any("mismatch" in q for q in fc.validate(p.ends))
+    write_cell(fc, 0, 0, degree=fc.row(0)[0] + 1)
+    assert any("mismatch" in q for q in coloring_problems(fc, p.ends))
     # The far end of the path 0-1-2 is 2, not 0's neighbor 1.
     p = Pairs(3)
     fc = p.coloring(1)
     fc.assign(p(0, 1), 0, 1, 0)
     fc.assign(p(1, 2), 1, 2, 0)
-    assert fc.validate(p.ends) == []
-    fc._nb2[0] = 1
-    assert any("mate mismatch at (0,0)" in q for q in fc.validate(p.ends))
+    assert coloring_problems(fc, p.ends) == []
+    write_cell(fc, 0, 0, mate=1)
+    assert any("mate mismatch at (0,0)" in q for q in coloring_problems(fc, p.ends))
     # A third class-0 edge at vertex 0, written past assign.
     p = Pairs(4)
     fc = p.coloring(1)
     fc.assign(p(0, 1), 0, 1, 0)
     fc.assign(p(0, 2), 0, 2, 0)
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
     fc.edge_class[p(0, 3)] = 0
-    problems = fc.validate(p.ends)
+    problems = coloring_problems(fc, p.ends)
     assert "vertex 0 has 3 class-0 edges" in problems
     assert "total degree mismatch at 0" in problems
 
@@ -298,15 +302,15 @@ def test_validate_detects_a_class_entry_that_disagrees_with_the_slots():
     fc = p.coloring(2)
     fc.assign(p(0, 1), 0, 1, 0)
     fc.assign(p(1, 2), 1, 2, 1)
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
     fc.edge_class[p(0, 1)] = 1
-    problems = fc.validate(p.ends)
+    problems = coloring_problems(fc, p.ends)
     assert "slot mismatch at (0,1)" in problems
     assert "degree table mismatch at (0,0): 1 stored, 0 actual" in problems
     # A class entry out of range, and an edge list that misses an id.
     fc.edge_class[p(0, 1)] = 2
-    assert "edge (0, 1) has class 2 out of range" in fc.validate(p.ends)
-    assert "5 edge ends for 6 edge ids" in fc.validate(p.ends[:5])
+    assert "edge (0, 1) has class 2 out of range" in coloring_problems(fc, p.ends)
+    assert "5 edge ends for 6 edge ids" in coloring_problems(fc, p.ends[:5])
 
 
 def test_validate_keeps_its_own_cycle_check():
@@ -317,7 +321,7 @@ def test_validate_keeps_its_own_cycle_check():
     fc.assign(p(0, 1), 0, 1, 0)
     fc.assign(p(1, 2), 1, 2, 0)
     fc.assign(p(0, 2), 0, 2, 0)
-    assert "class 0 contains a cycle through edge (1, 2)" in fc.validate(p.ends)
+    assert "class 0 contains a cycle through edge (1, 2)" in coloring_problems(fc, p.ends)
 
 
 def swap_keeps_forest(colors, e1, e2):
@@ -366,7 +370,7 @@ def close_and_break_cycle(fc, p, rnd):
         return False
     if not any(can_join(fc, p, k, u, v) for k in range(fc.t) if k != j):
         return False
-    assert fc.would_close_cycle(j, u, v)
+    assert mates(fc, j)[u] == v
     check_cycle_queries(fc, p, j, u)
     assert fc.assign(p(u, v), u, v, j) is True
     cycle = fc.cycle_containing(j, p(u, v), u, v)
@@ -387,24 +391,28 @@ def close_and_break_cycle(fc, p, rnd):
         fc.edge_class[p(*e)] == j and fc.cycle_containing(j, p(*e), *e) for e in edges
     )
     check_cycle_queries(fc, p, j, v)
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
     return True
 
 
+def joined(mate, a, b):
+    """Whether an edge ab would close a cycle, read from the stored
+    ``mate`` map of one class: ``a`` is ``b`` or ``b`` is its mate."""
+    return a == b or mate.get(a) == b
+
+
 def check_cycle_queries(fc, p, j, v):
-    """Ask would_close_cycle about ``v`` and every vertex, both ways round:
-    where both are path ends or untouched in class ``j``, the answer matches
-    a from-scratch rebuild; where either has two class-``j`` edges, it raises."""
+    """Compare the stored class-``j`` mates of ``v`` and every vertex, both
+    ways round, with a from-scratch rebuild: where both are path ends or
+    untouched, ``x`` is ``v``'s mate exactly when the two are connected."""
     colors = edge_classes(fc, p.ends)
+    mate = mates(fc, j)
     for x in range(fc.n):
         if 2 in (fc.row(v)[j], fc.row(x)[j]):
-            for a, b in ((v, x), (x, v)):
-                with pytest.raises(PreconditionError):
-                    fc.would_close_cycle(j, a, b)
             continue
         want = connected_in_class(colors, j, v, x)
-        assert fc.would_close_cycle(j, v, x) == want
-        assert fc.would_close_cycle(j, x, v) == want
+        assert joined(mate, v, x) == want
+        assert joined(mate, x, v) == want
 
 
 def check_assign_returns(fc, p):
@@ -444,7 +452,7 @@ def random_forest_state(seed, n=14, t=4, steps=160):
                 continue
             if fc.row(u)[j] >= 2 or fc.row(v)[j] >= 2:
                 continue
-            if fc.would_close_cycle(j, u, v):
+            if v in fc.walk(j, u):
                 continue
             assert fc.assign(p(u, v), u, v, j) is False
         elif op < 0.85 and colored:
@@ -452,7 +460,7 @@ def random_forest_state(seed, n=14, t=4, steps=160):
             j = rnd.randrange(t)
             if fc.row(u)[j] >= 2 or fc.row(v)[j] >= 2:
                 continue
-            if cls[p(u, v)] != j and fc.would_close_cycle(j, u, v):
+            if cls[p(u, v)] != j and v in fc.walk(j, u):
                 continue
             fc.recolor(p(u, v), u, v, j)
         elif len(colored) >= 2:
@@ -468,20 +476,18 @@ def test_random_states_stay_consistent():
     for seed in range(12):
         fc, p, closed = random_forest_state(seed)
         cycles += closed
-        assert fc.validate(p.ends) == []
-        # Connectivity answers must match a from-scratch rebuild at path
-        # ends and untouched vertices; an interior vertex is refused.
+        assert coloring_problems(fc, p.ends) == []
+        # The stored mates must match a from-scratch rebuild at path ends
+        # and untouched vertices; an interior vertex has no mate to check.
         rnd = random.Random(seed + 1000)
         for _ in range(25):
             u, v = rnd.sample(range(fc.n), 2)
             j = rnd.randrange(fc.t)
             if 2 in (fc.row(u)[j], fc.row(v)[j]):
                 interior += 1
-                with pytest.raises(PreconditionError):
-                    fc.would_close_cycle(j, u, v)
                 continue
             ends += 1
-            assert fc.would_close_cycle(j, u, v) == connected_in_class(
+            assert joined(mates(fc, j), u, v) == connected_in_class(
                 edge_classes(fc, p.ends), j, u, v
             )
         # Per-vertex views must match a naive rebuild of the class map.

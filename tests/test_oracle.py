@@ -130,12 +130,9 @@ def test_bounds_empty():
 def test_small_dense_case_unproven_band():
     # Degeneracy 4 at maximum degree 7: below both thresholds, degree 7 is
     # outside the proven small-degree list, so the upper bound is a belief.
-    g = complete_graph(5)
-    for v in range(5):
-        w = g.add_vertex()
-        g.add_edge(v, w)
-        g.add_edge((v + 1) % 5, w)
-        g.add_edge((v + 2) % 5, w)
+    g = gfrom(10, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [
+        (u % 5, 5 + v) for v in range(5) for u in (v, v + 1, v + 2)
+    ])
     b = la_bounds(g)
     assert b.lower == 4
     assert b.upper == 4

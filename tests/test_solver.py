@@ -31,10 +31,12 @@ from linarb.solver import _fit_leaves, _leaf_rows, _slot_order, place_light_edge
 from conftest import (
     Pairs,
     capped_instance,
+    coloring_problems,
     complete_graph,
     cycle_graph,
     endpoint_recolor_fixture,
     fan_graph,
+    gfrom,
     ordering_for,
     path_graph,
     path_partner_swap_fixture,
@@ -47,6 +49,7 @@ from conftest import (
     star_graph,
     state_edge_ids,
     unreserved_trade_fixture,
+    write_cell,
 )
 
 
@@ -268,8 +271,9 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
         state.pad[v] -= 1
 
     def row_entry(state, v):
-        cd = state.fc._cd
-        cd[next(i for i in range(v * t, (v + 1) * t) if cd[i])] -= 1
+        row = state.fc.row(v)
+        j = next(j for j in range(t) if row[j])
+        write_cell(state.fc, v, j, degree=row[j] - 1)
 
     for tamper in (pad_high, pad_low, row_entry):
         for position in (0, 4):
@@ -423,12 +427,13 @@ def test_place_light_edge_feasible_states_never_fail(data):
             and (u, v) not in ((x, y), (y, x))
             and fc.row(u)[j] < 2
             and fc.row(v)[j] < 2
-            and not fc.would_close_cycle(j, u, v)
+            and v not in fc.walk(j, u)
         ):
             fc.assign(p(u, v), u, v, j)
-    if touched and fc._total[x] == 0:
+    dx, dy = sum(fc.row(x)), sum(fc.row(y))
+    if touched and dx == 0:
         return
-    if 2 * (fc._total[x] + 1) + (fc._total[y] + 1) > 2 * t + 2:
+    if 2 * (dx + 1) + (dy + 1) > 2 * t + 2:
         return
     row_x, row_y = fc.row(x), fc.row(y)
     before = {v: [fc.row(v)[j] for j in range(t)] for v in range(n) if v not in (x, y)}
@@ -439,7 +444,7 @@ def test_place_light_edge_feasible_states_never_fail(data):
     assert fc.row(y)[j] <= 2
     for v, row in before.items():
         assert [fc.row(v)[j] for j in range(t)] == row
-    assert fc.validate(p.ends) == []
+    assert coloring_problems(fc, p.ends) == []
 
 
 # ---------------------------------------------------------------- solver
@@ -483,8 +488,7 @@ def test_empty_graph_and_isolated_vertices():
     assert result.t == 0
     assert result.coloring == {}
     assert result.isolated == [0, 1, 2]
-    g = path_graph(3)
-    g.add_vertex()
+    g = gfrom(4, [(0, 1), (1, 2)])
     result = decompose(g)
     assert result.isolated == [3]
     check_decomposition(g, result)
@@ -500,11 +504,7 @@ def test_dense_small_graph_rejected_with_actionable_message():
 def test_lac_threshold_is_lower():
     # Degeneracy 2 at maximum degree 4: below the 6 needed for MINIMUM,
     # exactly at the 4 needed for LAC.
-    g = cycle_graph(5)
-    for u in (0, 1):
-        w = g.add_vertex()
-        g.add_edge(u, w)
-        g.add_edge(u, g.add_vertex())
+    g = gfrom(9, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (0, 6), (1, 7), (1, 8)])
     assert max_degree(g) == 4
     with pytest.raises(PreconditionError):
         decompose(g, Mode.MINIMUM)
@@ -737,7 +737,7 @@ def test_leaf_trades_update_the_counts_a_later_iteration_reads(reserved):
     assert state.stats.repair_iterations == 2
     moved = state.stats.repairs_endpoint_free if reserved else state.stats.repairs_unreserved
     assert moved == 2
-    assert fc.validate(list(ids)) == []
+    assert coloring_problems(fc, list(ids)) == []
 
 
 def test_pending_headroom_check_fires_on_an_internal_reserved_vertex():
@@ -832,7 +832,7 @@ def test_stepwise_sweep_keeps_every_invariant(monkeypatch):
     ends = list(state.edge_keys())
     for i in range(g.n):
         state.process_vertex(i)
-        assert state.fc.validate(ends) == []
+        assert coloring_problems(state.fc, ends) == []
     assert state.fc.edge_class.count(NIL) == 0
     check_leaf_counts(g, delta, state, counts)
     report = verify_partition(g, {e: c + 1 for e, c in zip(ends, state.fc.edge_class)}, t)
@@ -1266,10 +1266,25 @@ def test_large_star_decomposes_in_linear_time():
 def test_solver_reads_no_table_of_the_coloring():
     """The sweep asks the coloring where a class path goes only through
     ``ForestColoring.walk``, and reads class degrees only through
-    ``ForestColoring.row``; it never indexes the tables itself."""
-    tree = ast.parse(Path(linarb.solver.__file__).read_text())
-    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert used.isdisjoint({
-        "_nb1", "_nb2", "_next_on_walk", "_path_end", "class_neighbors",
-        "_cd", "_total", "class_degree", "colored_degree",
-    })
+    ``ForestColoring.row``; it never indexes the tables itself.  Outside
+    ``coloring.py``, no module of the package and no test module but
+    ``conftest.py`` names a table, and nothing defines or names a method
+    deleted from the coloring or the graph, so a change of storage stays
+    inside ``coloring.py`` and that helper."""
+    tables = {"_cd", "_nb1", "_nb2", "_total"}
+    gone = {
+        "_next_on_walk", "_path_end", "class_neighbors", "class_degree",
+        "colored_degree", "validate", "would_close_cycle", "add_vertex", "has_edge",
+    }
+    package = Path(linarb.solver.__file__).parent
+    tests = Path(__file__).parent
+    files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
+    assert package / "solver.py" in files and Path(__file__) in files
+    for f in files:
+        tree = ast.parse(f.read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        if f.name in ("coloring.py", "conftest.py"):
+            used -= tables
+        assert not (defined | used) & gone, (f.name, sorted((defined | used) & gone))
+        assert not used & tables, (f.name, sorted(used & tables))
