@@ -743,6 +743,6 @@ def _solve(
         if not report.valid:
             raise InternalContradictionError(
                 "decompose produced an invalid partition: "
-                + "; ".join(str(x) for x in report.violations[:5])
+                + "; ".join(x.detail for x in report.violations[:5])
             )
     return result

@@ -3,6 +3,7 @@ the hand-built graphs that force the solver's rarer repair moves."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from array import array
@@ -207,6 +208,22 @@ def edge_classes(fc: ForestColoring, ends) -> dict[tuple[int, int], int]:
     """The colored edges of ``fc`` as an ``{(u, v): class}`` map, where
     ``ends[e]`` is the pair of edge id ``e``."""
     return {ends[e]: c for e, c in enumerate(fc.edge_class) if c != NIL}
+
+
+def unreachable_after(fn) -> int:
+    """Run ``fn()`` with the cyclic garbage collector off and return
+    the number of objects a full collection then finds unreachable: the
+    garbage ``fn`` left in reference cycles.  The collector's state is
+    restored."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ------------------------------------------------- the coloring's tables

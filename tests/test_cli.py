@@ -1,6 +1,7 @@
 """Tests for the PRNG, the graph generator, edge-list parsing, and the CLI."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -30,7 +31,12 @@ from linarb import (
     required_max_degree,
 )
 
-from conftest import naive_degeneracy, reference_partition_output
+from conftest import (
+    capped_instance,
+    naive_degeneracy,
+    reference_partition_output,
+    unreachable_after,
+)
 
 
 def run_cli(argv, stdin_text=None):
@@ -444,6 +450,52 @@ def test_cli_debug_assertions_exit_two_on_a_cyclic_sweep(monkeypatch):
     code, out, err = run_cli(["decompose", "-", "--debug-assertions"], stdin_text=text)
     assert (code, out) == (2, "")
     assert err.startswith("internal error: decompose produced an invalid partition")
+    assert "contains a cycle" in err and "Violation(" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    """``main`` turns the cyclic collector off for one command only: after
+    exit codes 0, 1 and 2 and after an unexpected exception, the collector
+    is on or off as it was before the call."""
+    def boom(args):
+        raise RuntimeError("boom")
+
+    cyclic_sweep(monkeypatch)
+    cycle_text = "".join(f"{u} {v}\n" for u, v in CYCLE_HUB_EDGES)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, text, want in (
+            (["bounds", "-"], K4_TEXT, 0),
+            (["bounds", "-"], "0 x\n", 1),
+            (["decompose", "-", "--debug-assertions"], cycle_text, 2),
+        ):
+            assert run_cli(argv, stdin_text=text)[0] == want
+            assert gc.isenabled() is enabled
+        monkeypatch.setattr(linarb.cli, "_cmd_bounds", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_cli(["bounds", "-"], stdin_text=K4_TEXT)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "json", "--stats"]])
+def test_cli_cyclic_garbage_does_not_grow_with_the_input(tmp_path, extra):
+    """With the collector off, a command leaves the same cyclic garbage (its
+    argument parser's) at n and at 2n: none of it comes from the graph."""
+    def decompose_file(path):
+        code, _, err = run_cli(["decompose", str(path), "--verify-after", *extra])
+        assert (code, err) == (0, "")
+
+    found = []
+    for n in (2000, 4000):
+        g = capped_instance(2, 8, n, random.Random(5))
+        path = tmp_path / f"g{n}.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+        found.append(unreachable_after(lambda: decompose_file(path)))
+    assert found[0] == found[1], found
 
 
 # ------------------------------------------------------------------- commands

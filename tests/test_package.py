@@ -62,6 +62,28 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in names, path.name
 
 
+def test_only_the_cli_touches_the_garbage_collector():
+    """A library call leaves its caller's process state alone: only
+    ``cli.py``, whose ``main`` owns the process for one command, imports
+    ``gc`` or names it, as a name or as a string."""
+    touching = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module or ""}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Constant):
+                names = {node.value}
+            else:
+                continue
+            if "gc" in names:
+                touching.add(path.name)
+    assert touching == {"cli.py"}
+
+
 def test_module_cli_runs_without_a_warning():
     done = run_python("-m", "linarb.cli", "--help")
     assert done.returncode == 0

@@ -48,6 +48,7 @@ from conftest import (
     right_rows,
     star_graph,
     state_edge_ids,
+    unreachable_after,
     unreserved_trade_fixture,
     write_cell,
 )
@@ -625,6 +626,24 @@ def test_repair_by_recoloring_to_endpoint_free_class():
     state = run_fixture(endpoint_recolor_fixture)
     assert state.stats.repairs_endpoint_free == 1
     assert state.stats.repair_iterations == 1
+
+
+def test_solves_repairs_and_debug_checks_leave_no_cyclic_garbage():
+    """The CLI runs each command with the cyclic collector off.  That is
+    safe because a solve and its verification, a repair and a debug solve
+    create no reference cycles, so reference counting frees all of it."""
+    g = capped_instance(2, 8, 2000, random.Random(3))
+
+    def solve_and_verify():
+        result = decompose(g)
+        assert verify_partition(g, result.coloring, result.t).valid
+
+    def repair():
+        assert run_fixture(endpoint_recolor_fixture).stats.repair_iterations == 1
+
+    assert unreachable_after(solve_and_verify) == 0
+    assert unreachable_after(repair) == 0
+    assert unreachable_after(lambda: decompose(g, debug_checks=True)) == 0
 
 
 def test_repair_by_swapping_with_a_reserved_pendant():
