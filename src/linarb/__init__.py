@@ -15,8 +15,7 @@ names and the oracle's load on first access (PEP 562).
 from importlib import import_module
 
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
-from .errors import (FeasibilityError, GraphError, InternalContradictionError, ParseError,
-                     PreconditionError)
+from .errors import GraphError, InternalContradictionError, ParseError, PreconditionError
 from .graph import Graph, max_degree
 from .solver import (
     DecomposeResult,
@@ -49,7 +48,6 @@ def __getattr__(name: str):
 __all__ = [
     "DecomposeResult",
     "DegeneracyOrdering",
-    "FeasibilityError",
     "Graph",
     "GraphError",
     "InternalContradictionError",

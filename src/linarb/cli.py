@@ -17,13 +17,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 
 from .degeneracy import degeneracy_ordering
-from .errors import (
-    FeasibilityError,
-    GraphError,
-    InternalContradictionError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import GraphError, InternalContradictionError, ParseError, PreconditionError
 from .graph import Graph, max_degree
 from .oracle import DEFAULT_NODE_BUDGET, exact_la, la_bounds
 from .solver import Mode, _solve, decompose, required_max_degree
@@ -279,7 +273,6 @@ def _parse_coloring(text: str) -> tuple[dict[tuple[int, int], int], int]:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = parse_edge_list(_read_input(args.input), dimacs=args.dimacs)
-    debug = True if args.debug_assertions else None
     ordering = None
     if args.mode == "auto":
         delta = max_degree(g)
@@ -309,32 +302,17 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 "give the graph a higher maximum degree or fewer edges"
             )
         coloring = found.witness or {}
-        head = {
-            "t": found.la,
-            "k": k,
-            "delta": delta,
-            "mode": "exact",
-            "n": g.n,
-            "m": g.edge_count,
-        }
+        t = found.la
         stats_dict: dict = {"nodes_explored": found.nodes_explored}
-        t = found.la or 0
     else:
         if ordering is None:
-            result = decompose(g, mode, debug_checks=debug)
+            result = decompose(g, mode, debug_checks=args.debug_assertions)
         else:
-            result = _solve(g, ordering, mode, debug, start)
-        coloring = result.coloring
-        head = {
-            "t": result.t,
-            "k": result.k,
-            "delta": result.delta,
-            "mode": result.mode.value,
-            "n": result.n,
-            "m": result.m,
-        }
+            result = _solve(g, ordering, mode, args.debug_assertions, start)
+        coloring, t, k, delta = result.coloring, result.t, result.k, result.delta
         stats_dict = dict(vars(result.stats))
-        t = result.t
+    head = {"t": t, "k": k, "delta": delta, "mode": "exact" if mode is None else mode.value,
+            "n": g.n, "m": g.edge_count}
 
     if args.verify_after:
         report = verify_partition(g, coloring, t)
@@ -460,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--debug-assertions",
         action="store_true",
-        help="enable internal invariant scans (also via LINARB_DEBUG_ASSERT=1)",
+        help="enable internal invariant scans and a final self-check of the output",
     )
     p.add_argument("--stats", action="store_true", help="include solver counters and timing")
     p.set_defaults(func=_cmd_decompose)
@@ -507,10 +485,10 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (ParseError, GraphError, PreconditionError, OSError) as exc:
+    except (ParseError, GraphError, PreconditionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InternalContradictionError, FeasibilityError) as exc:
+    except InternalContradictionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     finally:

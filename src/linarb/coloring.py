@@ -34,7 +34,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator
 
-from .errors import FeasibilityError, InternalContradictionError, PreconditionError
+from .errors import InternalContradictionError
 
 # An empty slot, or the class of an uncolored edge.
 NIL = -1
@@ -50,7 +50,7 @@ class ForestColoring:
 
     def __init__(self, n: int, t: int, m: int) -> None:
         if n < 0 or t < 0 or m < 0:
-            raise PreconditionError(f"need n, t, m >= 0, got n={n}, t={t}, m={m}")
+            raise InternalContradictionError(f"need n, t, m >= 0, got n={n}, t={t}, m={m}")
         self.n = n
         self.t = t
         # The class of each edge id, NIL while uncolored.  Classes reach
@@ -59,9 +59,9 @@ class ForestColoring:
         # Dense (vertex, class) tables: degree byte plus two slots, which hold
         # both class neighbors at degree 2 and (neighbor, mate) at degree 1.
         self._cd = bytearray(n * t)
-        self._nb1 = array("i", [NIL]) * (n * t) if n * t else array("i")
-        self._nb2 = array("i", [NIL]) * (n * t) if n * t else array("i")
-        self._total = array("i", [0]) * n if n else array("i")
+        self._nb1 = array("i", [NIL]) * (n * t)
+        self._nb2 = array("i", [NIL]) * (n * t)
+        self._total = array("i", [0]) * n
 
     # ------------------------------------------------------------------ queries
 
@@ -90,7 +90,9 @@ class ForestColoring:
                 return
             yield nxt
             prev, cur = cur, nxt
-        raise FeasibilityError(f"class {j} walk exceeded vertex count")  # pragma: no cover
+        raise InternalContradictionError(  # pragma: no cover
+            f"class {j} walk exceeded vertex count"
+        )
 
     def _cut(self, e: int, u: int, v: int, j: int) -> None:
         """Uncolor the class-``j`` edge ``e`` = uv: remove it from the slots,
@@ -127,18 +129,20 @@ class ForestColoring:
         """
         t = self.t
         if u == v:
-            raise PreconditionError(f"self-loop at {u}")
+            raise InternalContradictionError(f"self-loop at {u}")
         if not 0 <= j < t:
-            raise PreconditionError(f"class {j} out of range 0..{t - 1}")
+            raise InternalContradictionError(f"class {j} out of range 0..{t - 1}")
         if self.edge_class[e] != NIL:
-            raise FeasibilityError(f"edge {e} ({u}-{v}) is already colored")
+            raise InternalContradictionError(f"edge {e} ({u}-{v}) is already colored")
         cd, nb1, nb2 = self._cd, self._nb1, self._nb2
         iu = u * t + j
         iv = v * t + j
         du = cd[iu]
         dv = cd[iv]
         if du >= 2 or dv >= 2:
-            raise FeasibilityError(f"assigning {u}-{v} to class {j} would exceed degree 2")
+            raise InternalContradictionError(
+                f"assigning {u}-{v} to class {j} would exceed degree 2"
+            )
         # a and b are the far ends of the paths through u and v.
         if du:
             a = nb2[iu]
@@ -170,14 +174,16 @@ class ForestColoring:
         ends have room in ``j_new``."""
         t = self.t
         if not 0 <= j_new < t:
-            raise PreconditionError(f"class {j_new} out of range 0..{t - 1}")
+            raise InternalContradictionError(f"class {j_new} out of range 0..{t - 1}")
         j_old = self.edge_class[e]
         if j_old == NIL:
-            raise FeasibilityError(f"edge {e} ({u}-{v}) is not colored")
+            raise InternalContradictionError(f"edge {e} ({u}-{v}) is not colored")
         if j_old == j_new:
             return
         if self._cd[u * t + j_new] >= 2 or self._cd[v * t + j_new] >= 2:
-            raise FeasibilityError(f"recoloring {u}-{v} to class {j_new} would exceed degree 2")
+            raise InternalContradictionError(
+                f"recoloring {u}-{v} to class {j_new} would exceed degree 2"
+            )
         self._cut(e, u, v, j_old)
         self.assign(e, u, v, j_new)
 
@@ -194,7 +200,7 @@ class ForestColoring:
         c1 = cls[e1]
         c2 = cls[e2]
         if c1 == NIL or c2 == NIL:
-            raise FeasibilityError(f"both edges must be colored: {e1}={c1}, {e2}={c2}")
+            raise InternalContradictionError(f"both edges must be colored: {e1}={c1}, {e2}={c2}")
         if c1 == c2:
             return
         self._cut(e1, u1, v1, c1)
@@ -212,7 +218,7 @@ class ForestColoring:
         away from ``u``, which ends at ``u`` exactly on a cycle.
         """
         if self.edge_class[e] != j:
-            raise PreconditionError(f"edge {e} ({u}-{v}) is not colored {j}")
+            raise InternalContradictionError(f"edge {e} ({u}-{v}) is not colored {j}")
         rest = list(self.walk(j, v, u))
         return [u, v] + rest[:-1] if rest and rest[-1] == u else None
 
@@ -236,7 +242,7 @@ def place_light_edge(fc: ForestColoring, e: int, x: int, y: int, start: int = 0)
     dx = total[x] + 1
     dy = total[y] + 1
     if 2 * dx + dy > 2 * t + 2:
-        raise PreconditionError(
+        raise InternalContradictionError(
             f"edge {x}-{y} violates 2*d(x)+d(y) <= 2t+2: 2*{dx}+{dy} > {2 * t + 2}"
         )
     bx, by = x * t, y * t

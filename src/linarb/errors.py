@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 The split mirrors the CLI exit codes: user-facing input problems
-(`GraphError`, `ParseError`, `PreconditionError`) map to exit code 1,
-while `FeasibilityError` and `InternalContradictionError` signal a broken
-internal state and map to exit code 2.
+(`GraphError`, `ParseError`, `PreconditionError`) map to exit code 1.
+`InternalContradictionError`, the one type for a broken internal state,
+solver or coloring table alike, maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class ParseError(ValueError):
 
 class PreconditionError(ValueError):
     """A documented precondition does not hold for the given input."""
-
-
-class FeasibilityError(RuntimeError):
-    """A coloring mutation would leave the structure in an illegal state."""
 
 
 class InternalContradictionError(RuntimeError):

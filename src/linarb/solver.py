@@ -198,10 +198,11 @@ class SolverState:
         k = base_ordering.k
         if k < 2:
             raise PreconditionError("sweep requires degeneracy >= 2; forests are paired directly")
-        if target_delta < required_max_degree(k, mode):
+        need = required_max_degree(k, mode)
+        if target_delta < need:
             raise PreconditionError(
-                f"mode {mode.value} needs maximum degree >= {required_max_degree(k, mode)} "
-                f"at degeneracy {k}, got {target_delta}"
+                f"{mode.value} mode requires maximum degree >= {need} at degeneracy {k}; "
+                f"graph has {target_delta}"
             )
         self.g = g
         self.k = k
@@ -379,15 +380,10 @@ class SolverState:
         # v only grow here), so every class below ptr stays full.  row keeps
         # v's class degrees in step with the placements.
         row, ptr = fc.row(v), 0
-        try:
-            for e in spare:
-                while ptr < t and row[ptr] == 2:
-                    ptr += 1
-                row[place_light_edge(fc, e, targets[e], v, ptr)] += 1
-        except PreconditionError as exc:
-            raise InternalContradictionError(
-                f"{exc}; padding or reservation arithmetic is broken"
-            ) from exc
+        for e in spare:
+            while ptr < t and row[ptr] == 2:
+                ptr += 1
+            row[place_light_edge(fc, e, targets[e], v, ptr)] += 1
         # With its spare leaves, v holds D - r edges and leaves, so the budget
         # left, 2t - (D - r) slots, is r or r + 1 (r + 2 in relaxed mode).
         row = row[ptr:]
@@ -680,7 +676,7 @@ def decompose(
     g: Graph,
     mode: Mode | str = Mode.MINIMUM,
     *,
-    debug_checks: bool | None = None,
+    debug_checks: bool = False,
 ) -> DecomposeResult:
     """Partition the edges of ``g`` into ``t`` linear forests.
 
@@ -693,8 +689,7 @@ def decompose(
     Isolated vertices are ignored and reported.
 
     ``debug_checks`` enables expensive internal invariant scans plus a final
-    independent verification; it defaults to the ``LINARB_DEBUG_ASSERT=1``
-    environment switch.
+    independent verification.
 
     Raises :class:`PreconditionError` when the degree threshold fails, and
     :class:`InternalContradictionError` only on an implementation bug.
@@ -708,7 +703,7 @@ def _solve(
     g: Graph,
     ordering: DegeneracyOrdering,
     mode: Mode,
-    debug_checks: bool | None,
+    debug_checks: bool,
     start: float,
 ) -> DecomposeResult:
     """:func:`decompose` given a degeneracy ordering of ``g`` the caller
@@ -716,18 +711,9 @@ def _solve(
     ordering was computed, so ``order_ms`` and ``wall_ms`` still cover it."""
     stats = SolveStats()
     stats.order_ms = (time.perf_counter() - start) * 1000.0
-    if debug_checks is None:
-        debug_checks = os.environ.get("LINARB_DEBUG_ASSERT") == "1"
     isolated = [v for v, row in enumerate(g._adj) if not row]
     delta = max_degree(g)
     k = ordering.k
-    if k >= 2:
-        need = required_max_degree(k, mode)
-        if delta < need:
-            raise PreconditionError(
-                f"{mode.value} mode requires maximum degree >= {need} at degeneracy {k}; "
-                f"graph has {delta}"
-            )
     t = class_count_for(delta, k, mode)
     if k <= 1:
         coloring = _color_forest(g, t)

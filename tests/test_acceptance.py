@@ -81,8 +81,7 @@ def _connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def test_criterion_1_minimum_mode_hits_the_floor_everywhere(monkeypatch):
-    monkeypatch.setenv("LINARB_DEBUG_ASSERT", "1")
+def test_criterion_1_minimum_mode_hits_the_floor_everywhere():
     started = time.perf_counter()
     failures: list[str] = []
     worst = 0.0
@@ -106,7 +105,7 @@ def test_criterion_1_minimum_mode_hits_the_floor_everywhere(monkeypatch):
                 continue
             tick = time.perf_counter()
             try:
-                result = decompose(g, Mode.MINIMUM)
+                result = decompose(g, Mode.MINIMUM, debug_checks=True)
                 _ACCUM["debug_decomposes"] += 1
                 _ACCUM["repair_runs"].append((result.k, result.stats))
                 report = verify_partition(g, result.coloring, result.t)
@@ -134,8 +133,7 @@ def test_criterion_1_minimum_mode_hits_the_floor_everywhere(monkeypatch):
     )
 
 
-def test_criterion_2_relaxed_mode_inside_the_degree_gap(monkeypatch):
-    monkeypatch.setenv("LINARB_DEBUG_ASSERT", "1")
+def test_criterion_2_relaxed_mode_inside_the_degree_gap():
     failures: list[str] = []
     per_k = 100
     for k, n_hi in ((2, 60), (3, 60)):
@@ -149,7 +147,7 @@ def test_criterion_2_relaxed_mode_inside_the_degree_gap(monkeypatch):
             try:
                 assert max_degree(g) == target
                 assert naive_degeneracy(g)[0] == k
-                result = decompose(g, Mode.LAC)
+                result = decompose(g, Mode.LAC, debug_checks=True)
                 _ACCUM["debug_decomposes"] += 1
                 _ACCUM["repair_runs"].append((result.k, result.stats))
                 report = verify_partition(g, result.coloring, result.t)

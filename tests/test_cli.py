@@ -444,6 +444,15 @@ def test_debug_solve_ends_with_the_independent_verifier(monkeypatch):
         decompose(g, debug_checks=True)
 
 
+def test_no_environment_variable_turns_the_debug_checks_on(monkeypatch):
+    """``debug_checks`` is the one switch: a solve without it returns the
+    cyclic sweep map whatever the environment holds."""
+    cyclic_sweep(monkeypatch)
+    monkeypatch.setenv("LINARB_DEBUG_ASSERT", "1")
+    g = Graph.from_edges(9, CYCLE_HUB_EDGES)
+    assert decompose(g).coloring[3, 4] == 1
+
+
 def test_cli_debug_assertions_exit_two_on_a_cyclic_sweep(monkeypatch):
     cyclic_sweep(monkeypatch)
     text = "".join(f"{u} {v}\n" for u, v in CYCLE_HUB_EDGES)
@@ -867,6 +876,23 @@ def test_cli_missing_file_exits_one():
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("where", ["input", "classes"])
+def test_cli_input_that_is_not_utf8_exits_one(tmp_path, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n\xff\n")
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text(STAR6_TEXT)
+    if where == "input":
+        argv = ["decompose", str(bad)]
+    else:
+        argv = ["verify", str(graph_file), "--classes", str(bad)]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    assert "Traceback" not in err
 
 
 def test_cli_stdin_dash_reads_standard_input():

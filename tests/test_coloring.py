@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from linarb import FeasibilityError, PreconditionError
+from linarb import InternalContradictionError
 from linarb.coloring import NIL, ForestColoring, edge_key
 from conftest import (
     Pairs,
@@ -42,18 +42,36 @@ def test_classes_above_a_byte():
     assert coloring_problems(fc, [(0, 1)]) == []
 
 
+@pytest.mark.parametrize("n, t, m", [(0, 3, 0), (4, 0, 2), (0, 0, 0)])
+def test_empty_tables(n, t, m):
+    # No vertex or no class: every table is empty, and any placement is
+    # out of range.
+    fc = ForestColoring(n, t, m)
+    assert list(fc.edge_class) == [NIL] * m
+    assert coloring_problems(fc, [(0, 1)] * m) == []
+    assert all(fc.row(v) == bytearray() for v in range(n))
+    if m:
+        with pytest.raises(InternalContradictionError, match="out of range"):
+            fc.assign(0, 0, 1, 0)
+
+
+def test_negative_sizes_rejected():
+    with pytest.raises(InternalContradictionError, match="need n, t, m >= 0"):
+        ForestColoring(2, -1, 0)
+
+
 def test_assign_rejections():
     p = Pairs(6)
     fc = p.coloring(2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InternalContradictionError):
         fc.assign(0, 1, 1, 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InternalContradictionError):
         fc.assign(p(0, 1), 0, 1, 2)
     fc.assign(p(0, 1), 0, 1, 0)
-    with pytest.raises(FeasibilityError, match="already colored"):
+    with pytest.raises(InternalContradictionError, match="already colored"):
         fc.assign(p(0, 1), 1, 0, 1)
     fc.assign(p(1, 2), 1, 2, 0)
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(InternalContradictionError):
         fc.assign(p(1, 3), 1, 3, 0)
     assert fc.edge_class[p(1, 3)] == NIL
 
@@ -105,11 +123,11 @@ def test_recolor_moves_and_errors():
     assert fc.row(0)[2] == 1
     fc.recolor(p(0, 1), 0, 1, 2)  # no-op
     assert coloring_problems(fc, p.ends) == []
-    with pytest.raises(FeasibilityError, match="not colored"):
+    with pytest.raises(InternalContradictionError, match="not colored"):
         fc.recolor(p(2, 3), 2, 3, 0)
     fc.assign(p(0, 2), 0, 2, 1)
     fc.assign(p(0, 3), 0, 3, 1)
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(InternalContradictionError):
         fc.recolor(p(0, 1), 0, 1, 1)
 
 
@@ -155,13 +173,13 @@ def test_swap_rejects_uncolored_and_overflow():
     p = Pairs(6)
     fc = p.coloring(2)
     fc.assign(p(0, 1), 0, 1, 0)
-    with pytest.raises(FeasibilityError, match="must be colored"):
+    with pytest.raises(InternalContradictionError, match="must be colored"):
         fc.swap_colors(p(0, 1), 0, 1, p(2, 3), 2, 3)
     fc.assign(p(0, 2), 0, 2, 0)
     fc.assign(p(0, 3), 0, 3, 1)
     fc.assign(p(4, 5), 4, 5, 0)
     # Moving (4,5) into class 1 is fine, but (0,3) cannot join class 0.
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(InternalContradictionError):
         fc.swap_colors(p(0, 3), 0, 3, p(4, 5), 4, 5)
 
 
@@ -208,9 +226,9 @@ def test_cycle_containing_walks_the_cycle():
     cyc = fc.cycle_containing(0, p(0, 1), 0, 1)
     assert cyc == [0, 1, 2, 3]
     assert fc.cycle_containing(0, p(0, 1), 1, 0) == [1, 0, 3, 2]
-    with pytest.raises(PreconditionError, match="is not colored 1"):
+    with pytest.raises(InternalContradictionError, match="is not colored 1"):
         fc.cycle_containing(1, p(0, 1), 0, 1)
-    with pytest.raises(PreconditionError, match="is not colored 0"):
+    with pytest.raises(InternalContradictionError, match="is not colored 0"):
         fc.cycle_containing(0, p(0, 2), 0, 2)
 
 

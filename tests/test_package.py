@@ -84,6 +84,36 @@ def test_only_the_cli_touches_the_garbage_collector():
     assert touching == {"cli.py"}
 
 
+def test_coloring_raises_only_internal_contradictions():
+    """Only the solver builds a ``ForestColoring``, so a call it rejects is
+    a solver bug: every raise in ``coloring.py`` is the one fault type."""
+    raised = set()
+    for node in ast.walk(ast.parse((PACKAGE / "coloring.py").read_text())):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(ast.unparse(exc) if exc is not None else "raise")
+    assert raised == {"InternalContradictionError"}
+
+
+def test_the_environment_is_read_only_for_the_dump_dir():
+    """No environment variable changes what a library call computes: the
+    one variable the package reads names where a failed repair writes its
+    reproducer.  Any other read of ``environ`` or ``getenv`` fails here."""
+    keys, uses = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv"):
+                uses += 1
+            elif isinstance(node, ast.Name) and node.id in ("environ", "environb", "getenv"):
+                uses += 1
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "get" and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "environ"):
+                keys.append((path.name, ast.literal_eval(node.args[0])))
+    assert keys == [("solver.py", "LINARB_DUMP_DIR")]
+    assert uses == len(keys)
+
+
 def test_module_cli_runs_without_a_warning():
     done = run_python("-m", "linarb.cli", "--help")
     assert done.returncode == 0

@@ -401,7 +401,7 @@ def test_place_light_edge_budget_violation_detected():
     fc.assign(p(0, 3), 0, 3, 1)
     fc.assign(p(0, 4), 0, 4, 1)
     # x = 0 has degree 4 in 2 classes: 2*5 + 1 > 2*2 + 2.
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InternalContradictionError, match="violates"):
         place_light_edge(fc, p(0, 5), 0, 5)
 
 
