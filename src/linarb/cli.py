@@ -13,8 +13,10 @@ import gc
 import json
 import sys
 import time
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
+from itertools import islice
 
 from .degeneracy import degeneracy_ordering
 from .errors import GraphError, InternalContradictionError, ParseError, PreconditionError
@@ -198,8 +200,11 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
 
 
 def _read_input(path: str) -> str:
+    """The text of ``path``, or of standard input for ``-``, decoded as strict
+    UTF-8 either way, so the same bytes read the same from a pipe or a file
+    whatever the locale."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -210,36 +215,53 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _classes(g: Graph, coloring: dict[tuple[int, int], int]) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(u, w, class)`` for every edge of ``g`` in ascending order.
+# Lines of ``u w c`` per write of the text output: the output is never held
+# whole, so the emit's memory does not grow with the edge count.
+_CHUNK_LINES = 4096
 
-    The walk follows the ascending rows of a parsed graph, so the map is
-    never sorted.  The map's keys must be exactly the graph's edges;
-    anything else is a solver bug and raises InternalContradictionError
-    before the caller has written a line.
+
+def _ascending_edges(g: Graph) -> Iterator[tuple[int, int]]:
+    """Every edge ``(u, w)``, ``u < w``, of a graph with ascending rows, in
+    ascending order, as the output lists them: the map is never sorted."""
+    for u, row in enumerate(g._adj):
+        for w in row[bisect_right(row, u):]:
+            yield u, w
+
+
+def _classes(g: Graph, coloring: dict[tuple[int, int], int]) -> array:
+    """The class of every edge of ``g``, in :func:`_ascending_edges` order.
+
+    The map's keys must be exactly the graph's edges; anything else is a
+    solver bug and raises InternalContradictionError.  The lookups all run
+    here, so the caller has written nothing when that happens.
     """
     if len(coloring) != g.edge_count:
         raise InternalContradictionError(
             f"partition has {len(coloring)} entries for {g.edge_count} edges"
         )
-    for u, row in enumerate(g._adj):
-        for w in row[bisect_right(row, u):]:
-            try:
-                c = coloring[u, w]
-            except KeyError:
-                raise InternalContradictionError(f"partition misses edge {u}-{w}") from None
-            yield u, w, c
+    try:
+        return array("i", map(coloring.__getitem__, _ascending_edges(g)))
+    except KeyError as exc:
+        u, w = exc.args[0]
+        raise InternalContradictionError(f"partition misses edge {u}-{w}") from None
 
 
-def _partition_text(head: dict, g: Graph, coloring: dict[tuple[int, int], int]) -> str:
-    parts = [f"# {' '.join(f'{k}={v}' for k, v in head.items())}"]
-    parts.extend(f"{u} {w} {c}" for u, w, c in _classes(g, coloring))
-    return "\n".join(parts)
+def _write_partition_text(head: dict, g: Graph, classes: array, stats: dict | None) -> None:
+    """Write the text output: the header, one ``u w c`` line per edge in
+    :data:`_CHUNK_LINES` chunks, and the ``# stats`` line when ``stats`` is
+    given."""
+    write = sys.stdout.write
+    write(f"# {' '.join(f'{k}={v}' for k, v in head.items())}\n")
+    lines = zip(_ascending_edges(g), classes)
+    while chunk := "".join(f"{u} {w} {c}\n" for (u, w), c in islice(lines, _CHUNK_LINES)):
+        write(chunk)
+    if stats is not None:
+        write(f"# stats {' '.join(f'{k}={v}' for k, v in sorted(stats.items()))}\n")
 
 
-def _partition_json(head: dict, g: Graph, coloring: dict[tuple[int, int], int]) -> str:
+def _partition_json(head: dict, g: Graph, classes: array) -> str:
     payload = dict(head)
-    payload["classes"] = [[u, w, c] for u, w, c in _classes(g, coloring)]
+    payload["classes"] = [[u, w, c] for (u, w), c in zip(_ascending_edges(g), classes)]
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -321,15 +343,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             raise InternalContradictionError(
                 "self-check failed: " + "; ".join(v.detail for v in report.violations[:5])
             )
+    classes = _classes(g, coloring)
     if args.format == "json":
         if args.stats:
             head["stats"] = stats_dict
-        _emit(_partition_json(head, g, coloring))
+        _emit(_partition_json(head, g, classes))
     else:
-        body = _partition_text(head, g, coloring)
-        if args.stats:
-            body += "\n# stats " + " ".join(f"{k}={v}" for k, v in sorted(stats_dict.items()))
-        _emit(body)
+        _write_partition_text(head, g, classes, stats_dict if args.stats else None)
     return 0
 
 

@@ -182,7 +182,7 @@ class SolverState:
 
     Exposes :meth:`process_vertex` so tests can drive the sweep one position
     at a time; :meth:`run` drives it to completion and returns the coloring
-    of the graph's edges (still 0-based classes).
+    of the graph's edges (0-based classes unless asked otherwise).
     """
 
     def __init__(
@@ -223,29 +223,36 @@ class SolverState:
             raise PreconditionError(
                 f"target degree {target_delta} is below maximum degree {delta}"
             )
-        pad = [target_delta - len(row) if len(row) > 1 else 0 for row in g._adj]
+        adj = g._adj
+        pad = [target_delta - len(row) if len(row) > 1 else 0 for row in adj]
         self.pad = pad
         self.stats.pendants_added += sum(pad)
 
-        # Reorder: degree-D vertices first (stable), then degree-1 and
-        # isolated vertices.  Left-degrees only shrink, so the ordering still
+        # Degree-D vertices first (stable), then degree-1 and isolated
+        # vertices.  Left-degrees only shrink, so the ordering still
         # certifies degeneracy k, and every degree-1 vertex trails every
         # degree-D vertex as the sweep requires.  Padding pendants would
-        # trail both.
-        highs: list[int] = []
-        ones: list[int] = []
-        for v in base_ordering.order:
-            (ones if len(g._adj[v]) <= 1 else highs).append(v)
-        order = highs + ones
-        # One int object per vertex id, shared by the positions and the
-        # output map's keys (see edge_keys).
+        # trail both.  A peel removes low degrees first, so its order is
+        # usually partitioned already and is kept as it is.
+        n_high = n - sum(len(row) <= 1 for row in adj)
+        # One int object per vertex id, shared by any positions built here
+        # and the output map's keys (see edge_keys).
         ids = list(range(n))
-        position = [0] * n
-        for i, v in zip(ids, order):
-            position[v] = i
+        order = base_ordering.order
+        if all(len(adj[v]) > 1 for v in islice(order, n_high)):
+            self.ordering = base_ordering
+        else:
+            highs: list[int] = []
+            ones: list[int] = []
+            for v in order:
+                (ones if len(adj[v]) <= 1 else highs).append(v)
+            order = highs + ones
+            position = [0] * n
+            for i, v in zip(ids, order):
+                position[v] = i
+            self.ordering = DegeneracyOrdering(order, position, k)
         self.ids = ids
-        self.ordering = DegeneracyOrdering(order, position, k)
-        self.n_high = len(highs)
+        self.n_high = n_high
 
         # The right rows of the degree-D block, ascending by id, built once
         # and read by both the representative selection and the sweep: the
@@ -255,16 +262,16 @@ class SolverState:
         # the later endpoint of each K2 edge, whose earlier one is its only
         # neighbor.
         mark = time.perf_counter()
-        adj = g._adj
+        position = self.ordering.position
         targets: list[int] = []
         offsets = array("i", [0])
-        for i, v in enumerate(highs):
+        for i, v in enumerate(islice(order, n_high)):
             row = [u for u in adj[v] if position[u] > i]
             row.sort()
             targets += row
             offsets.append(len(targets))
         if len(targets) < g.edge_count:
-            for v in ones:
+            for v in islice(order, n_high, None):
                 row = adj[v]
                 if row and len(adj[row[0]]) == 1 and position[row[0]] > position[v]:
                     targets.append(row[0])
@@ -295,19 +302,21 @@ class SolverState:
 
     # ------------------------------------------------------------------ sweep
 
-    def run(self) -> dict[tuple[int, int], int]:
-        """Sweep to completion and return ``{(u, v): class}``, 0-based.
+    def run(self, first: int = 0) -> dict[tuple[int, int], int]:
+        """Sweep to completion and return ``{(u, v): class}``, with classes
+        counted from ``first``: 0-based by default, 1-based as
+        :func:`decompose` reports them with ``first=1``.
 
         The map, in edge-id order, is the largest structure of a solve, so
         it is built from the class array only after the representatives and
-        the coloring tables are released: the state is spent afterwards.
+        the coloring tables are released, and with its final classes, so
+        that no second pass rewrites it: the state is spent afterwards.
         """
         # Positions past the degree-D block hold isolated and degree-1
         # vertices, whose edge is colored from its other end, or here for a
         # K2 edge: alone in its component, it closes no cycle in class 0.
         start = time.perf_counter()
-        for i in range(self.n_high):
-            self.process_vertex(i)
+        self._sweep(range(self.n_high))
         fc = self.fc
         adj, targets = self.g._adj, self.targets
         for e in range(self.offsets[self.n_high], len(targets)):
@@ -318,7 +327,7 @@ class SolverState:
         if uncolored:
             raise InternalContradictionError(f"sweep left {uncolored} edges uncolored")
         del self.sdr, self.fc, fc
-        out = dict(zip(self.edge_keys(), cls))
+        out = dict(zip(self.edge_keys(), map(first.__add__, cls) if first else cls))
         self.stats.sweep_ms += (time.perf_counter() - start) * 1000.0
         return out
 
@@ -343,8 +352,9 @@ class SolverState:
 
     def process_vertex(self, i: int) -> None:
         """Color every right-edge of the vertex at position ``i`` around its
-        ``pad[v]`` padding leaves; degree-1 vertices are no-ops (their single
-        edge is colored from the other side).
+        ``pad[v]`` padding leaves; positions past the degree-D block are
+        no-ops (a degree-1 vertex's edge is colored from the other side).
+        The step is :meth:`_sweep`'s, over the one position.
 
         A leaf joins no path, so it matters only while it uses up a class at
         its owner, and every other vertex the step reads lies later in the
@@ -354,57 +364,64 @@ class SolverState:
         (:attr:`spare_leaves`, :attr:`reserved_leaves`) are listed only when
         a reserved edge closes a cycle, for the repair.
         """
-        if i >= self.n_high:
-            return
-        fc, targets = self.fc, self.targets
-        t, r = fc.t, self.sdr.r
-        v = self.ordering.order[i]
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        # The reserved edges by far end, ascending like the row, and the ids
-        # of the other right-edges; reserved leaves make up the rest of r.
-        # One loop: rows are short, and two comprehensions cost 2.6x as much.
-        flags = self.sdr.reserved
-        rep_edge: dict[int, int] = {}
-        spare: list[int] = []
-        for e in range(lo, hi):
-            if flags[e]:
-                rep_edge[targets[e]] = e
-            else:
-                spare.append(e)
-        reserved = r - len(rep_edge)
-        if reserved < 0:
-            raise InternalContradictionError(f"owner {v} holds {len(rep_edge)} reserved edges")
-        if self.debug:
-            self._touched = [v] + targets[lo:hi]
-        # Classes full at v are skipped once for the whole stage (degrees at
-        # v only grow here), so every class below ptr stays full.  row keeps
-        # v's class degrees in step with the placements.
-        row, ptr = fc.row(v), 0
-        for e in spare:
-            while ptr < t and row[ptr] == 2:
-                ptr += 1
-            row[place_light_edge(fc, e, targets[e], v, ptr)] += 1
-        # With its spare leaves, v holds D - r edges and leaves, so the budget
-        # left, 2t - (D - r) slots, is r or r + 1 (r + 2 in relaxed mode).
-        row = row[ptr:]
-        budget, m, left = _fit_leaves(row, self.pad[v] - reserved)
+        self._sweep(range(i, min(i + 1, self.n_high)))
+
+    def _sweep(self, positions: range) -> None:
+        """Run the owner step of :meth:`process_vertex` at each of
+        ``positions``, all inside the degree-D block, reading the tables of
+        the solve once for all of them."""
+        fc, targets, offsets = self.fc, self.targets, self.offsets
+        order, pad, flags = self.ordering.order, self.pad, self.sdr.reserved
+        t, r, debug = fc.t, self.sdr.r, self.debug
         top = r + 1 if self.mode is Mode.MINIMUM else r + 2
-        if not r <= budget <= top:
-            raise InternalContradictionError(
-                f"class budget {budget} at owner {v} outside [{r}, {top}]"
-            )
-        closed = False
-        for (u, e), c in zip(rep_edge.items(), _slot_order(row, m, left)):
-            c += ptr
-            closed |= fc.assign(e, v, u, c)
-        if closed:
-            self.spare_leaves, self.reserved_leaves = _leaf_rows(
-                ptr, row, m, left, len(rep_edge), r
-            )
-            self._repair(v, rep_edge, spare)
-        self._check_capacity(v, closed)
-        if self.debug:
-            self._check_pending_headroom(i)
+        for i in positions:
+            v = order[i]
+            lo, hi = offsets[i], offsets[i + 1]
+            # The reserved edges by far end, ascending like the row, and the
+            # ids of the other right-edges; reserved leaves make up the rest
+            # of r.  One loop: rows are short, and two comprehensions cost
+            # 2.6x as much.
+            rep_edge: dict[int, int] = {}
+            spare: list[int] = []
+            for e in range(lo, hi):
+                if flags[e]:
+                    rep_edge[targets[e]] = e
+                else:
+                    spare.append(e)
+            reserved = r - len(rep_edge)
+            if reserved < 0:
+                raise InternalContradictionError(f"owner {v} holds {len(rep_edge)} reserved edges")
+            if debug:
+                self._touched = [v] + targets[lo:hi]
+            # Classes full at v are skipped once for the whole stage (degrees
+            # at v only grow here), so every class below ptr stays full.  row
+            # keeps v's class degrees in step with the placements.
+            row, ptr = fc.row(v), 0
+            for e in spare:
+                while ptr < t and row[ptr] == 2:
+                    ptr += 1
+                row[place_light_edge(fc, e, targets[e], v, ptr)] += 1
+            # With its spare leaves, v holds D - r edges and leaves, so the
+            # budget left, 2t - (D - r) slots, is r or r + 1 (r + 2 in
+            # relaxed mode).
+            row = row[ptr:]
+            budget, m, left = _fit_leaves(row, pad[v] - reserved)
+            if not r <= budget <= top:
+                raise InternalContradictionError(
+                    f"class budget {budget} at owner {v} outside [{r}, {top}]"
+                )
+            closed = False
+            for (u, e), c in zip(rep_edge.items(), _slot_order(row, m, left)):
+                c += ptr
+                closed |= fc.assign(e, v, u, c)
+            if closed:
+                self.spare_leaves, self.reserved_leaves = _leaf_rows(
+                    ptr, row, m, left, len(rep_edge), r
+                )
+                self._repair(v, rep_edge, spare)
+            self._check_capacity(v, closed)
+            if debug:
+                self._check_pending_headroom(i)
 
     def _check_capacity(self, v: int, repaired: bool) -> None:
         """End of an owner's step: the class row of ``v`` counts all its
@@ -637,7 +654,8 @@ class SolverState:
 
 
 def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
-    """Pair the edges of a forest into ``ceil(max_degree/2) <= t`` classes.
+    """Pair the edges of a forest into ``ceil(max_degree/2) <= t`` classes,
+    numbered from 1 as :func:`decompose` reports them.
 
     Any assignment keeping per-vertex class counts at 2 works: subgraphs of a
     forest are forests, so no cycles can arise.  Children fill the smallest
@@ -665,7 +683,7 @@ def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
                 c = i // 2 if i < split else (i + 1) // 2
                 if c >= t:
                     raise InternalContradictionError(f"forest pairing ran out of classes at {x}")
-                out[edge_key(ids[x], ids[y])] = c
+                out[edge_key(ids[x], ids[y])] = c + 1
                 i += 1
                 seen[y] = 1
                 stack.append((y, x, c))
@@ -718,10 +736,7 @@ def _solve(
     if k <= 1:
         coloring = _color_forest(g, t)
     else:
-        coloring = SolverState(g, ordering, delta, t, mode, debug_checks, stats).run()
-    # Classes are 1-based on output; shifting in place keeps one map alive.
-    for e in coloring:
-        coloring[e] += 1
+        coloring = SolverState(g, ordering, delta, t, mode, debug_checks, stats).run(first=1)
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     result = DecomposeResult(coloring, t, k, delta, mode, g.n, g.edge_count, isolated, stats)
     if debug_checks:

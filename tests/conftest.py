@@ -689,9 +689,9 @@ def reference_decompose_by_component(
         if base.k <= 1:
             part = _color_forest(sub, t)
         else:
-            part = SolverState(sub, base, delta, t, mode).run()
+            part = {e: c + 1 for e, c in SolverState(sub, base, delta, t, mode).run().items()}
         for (a, b), c in part.items():
-            coloring[edge_key(comp[a], comp[b])] = c + 1
+            coloring[edge_key(comp[a], comp[b])] = c
     return coloring, t, k, delta
 
 

@@ -56,9 +56,9 @@ def test_decompose_runs_the_traced_sweep_once(monkeypatch):
     calls = []
     run = SolverState.run
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         calls.append(self)
-        return run(self)
+        return run(self, *args, **kwargs)
 
     monkeypatch.setattr(linarb.solver.SolverState, "run", counting)
     g = generate_k_degenerate(n=300, k=2, delta_min=7, seed=5)

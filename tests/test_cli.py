@@ -5,8 +5,12 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +48,7 @@ def run_cli(argv, stdin_text=None):
     err = io.StringIO()
     old_stdin = sys.stdin
     if stdin_text is not None:
-        sys.stdin = io.StringIO(stdin_text)
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -389,6 +393,63 @@ def test_cli_auto_renderings_match_the_sorted_reference(monkeypatch, text, mode,
     assert out == reference_partition_output(head, coloring, fmt, stats)
 
 
+CHUNK = linarb.cli._CHUNK_LINES
+
+
+def graph_of_size(m, rnd):
+    """A graph of exactly ``m`` edges: a path, beside a 2-degenerate graph
+    that the sweep solves once ``m`` leaves room for one."""
+    pairs = list(generate_k_degenerate(100, 2, 8, rnd.randrange(2**32)).edges()) if m > 400 else []
+    start, path = 1 + max((w for _, w in pairs), default=-1), m - len(pairs)
+    pairs += [(start + i, start + i + 1) for i in range(path)]
+    return Graph.from_edges(start + path + 1, pairs)
+
+
+@pytest.mark.parametrize("extra", [[], ["--stats"]], ids=["plain", "stats"])
+@pytest.mark.parametrize("m", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+def test_cli_text_output_across_chunk_boundaries(monkeypatch, m, extra):
+    """The text output, written in chunks of ``_CHUNK_LINES`` lines, is the
+    sorted rendering of the map byte for byte, whether the last chunk is
+    full, one line short or one line over."""
+    rnd = random.Random(m)
+    _, _, text = edge_file(rnd, graph_of_size(m, rnd), "header")
+    results = record(monkeypatch, "decompose")
+    code, out, err = run_cli(["decompose", "-", "--mode", "lac", *extra], stdin_text=text)
+    assert code == 0 and err == ""
+    (result,) = results
+    assert result.m == m and (result.k == 2) == (m > 400)
+    head = {"t": result.t, "k": result.k, "delta": result.delta, "mode": "lac",
+            "n": result.n, "m": m}
+    stats = vars(result.stats) if extra else None
+    assert out == reference_partition_output(head, result.coloring, "text", stats)
+
+
+class _Discard:
+    """A stdout that keeps nothing, so only the writer's own memory counts."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_cli_text_writer_memory_does_not_grow_with_the_edge_count():
+    """The emit holds one chunk at a time: its traced peak at 4m edges
+    exceeds the one at m edges by less than the class array itself grows."""
+    peaks, sizes = [], []
+    for m in (5 * CHUNK, 20 * CHUNK):
+        g = Graph.from_edges(m + 1, [(i, i + 1) for i in range(m)])
+        classes = linarb.cli._classes(g, {(i, i + 1): 1 + i % 2 for i in range(m)})
+        head = {"t": 1, "k": 1, "delta": 2, "mode": "minimum", "n": g.n, "m": m}
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                linarb.cli._write_partition_text(head, g, classes, None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(len(classes) * classes.itemsize)
+    assert peaks[1] - peaks[0] < sizes[1] - sizes[0], (peaks, sizes)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "fault, message",
@@ -424,10 +485,10 @@ CYCLE_HUB_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (0, 6), (0, 7
 
 
 def cyclic_sweep(monkeypatch):
-    """Make every sweep return a map whose class 0 is the whole five-cycle
-    of ``CYCLE_HUB_EDGES``, with every class degree within 2."""
-    def cyclic_run(state):
-        return {e: 0 if e[1] <= 4 else (e[1] - 5) // 2 + 1 for e in CYCLE_HUB_EDGES}
+    """Make every sweep return a map whose class ``first`` is the whole
+    five-cycle of ``CYCLE_HUB_EDGES``, with every class degree within 2."""
+    def cyclic_run(state, first=0):
+        return {e: first + (0 if e[1] <= 4 else (e[1] - 5) // 2 + 1) for e in CYCLE_HUB_EDGES}
 
     monkeypatch.setattr(linarb.solver.SolverState, "run", cyclic_run)
 
@@ -893,6 +954,25 @@ def test_cli_input_that_is_not_utf8_exits_one(tmp_path, where):
     assert out == ""
     assert err.startswith("error: ") and "can't decode byte 0xff" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [b"0 1\n\xff\n", b"# \xff\n0 1\n"], ids=["edge", "comment"])
+def test_cli_stdin_and_a_file_decode_bytes_alike_under_a_c_locale(tmp_path, data):
+    """Standard input is strict UTF-8 as a file is, whatever the locale: a
+    0xff byte gives exit 1 and the same error line from a pipe or a file,
+    in a comment as on an edge line."""
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    src = str(Path(linarb.cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHON", "LANG"))}
+    env.update(LC_ALL="C", PYTHONPATH=src)
+    cli = [sys.executable, "-m", "linarb.cli", "decompose"]
+    piped = subprocess.run([*cli, "-"], input=data, capture_output=True, env=env, timeout=60)
+    read = subprocess.run([*cli, str(path)], capture_output=True, env=env, timeout=60)
+    assert piped.returncode == read.returncode == 1
+    assert piped.stdout == read.stdout == b""
+    assert piped.stderr == read.stderr
+    assert piped.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_cli_stdin_dash_reads_standard_input():

@@ -1029,6 +1029,51 @@ def test_whole_graph_sweep_on_mixed_components(
     check_decomposition(g, result)
 
 
+def caterpillar_beside(g: Graph, rnd: random.Random) -> Graph:
+    """``g`` with a caterpillar beside it: a spine of ids below its leaves,
+    each spine vertex of degree at most 4.  A spine vertex drops to degree 1
+    in the peel while leaves of larger id remain, so the peel puts a leaf
+    before a vertex of degree 2 or more."""
+    pairs = list(g.edges())
+    spine = list(range(g.n, g.n + 12))
+    pairs += list(zip(spine, spine[1:]))
+    leaf = spine[-1] + 1
+    for x in spine:
+        for _ in range(rnd.randint(x in (spine[0], spine[-1]), 2)):
+            pairs.append((x, leaf))
+            leaf += 1
+    return Graph.from_edges(leaf, pairs)
+
+
+@pytest.mark.parametrize("leafy", [False, True], ids=["generated", "leaf-heavy"])
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_keeps_a_partitioned_peel_and_maps_from_first(seed, k, mode, leafy):
+    """The state sweeps the peel's own ordering object exactly when it
+    already lists every vertex of degree 2 or more first, and otherwise the
+    stable partition of it; either way the map, keys in order, is the one
+    the partitioned order gives, and ``first`` only shifts its classes."""
+    rnd = random.Random(seed)
+    g = generate_k_degenerate(rnd.randrange(40, 120), k,
+                              required_max_degree(k, mode) + rnd.randrange(3), seed)
+    if leafy:
+        g = caterpillar_beside(g, rnd)
+    base = degeneracy_ordering(g)
+    delta = max_degree(g)
+    t = class_count_for(delta, k, mode)
+    order = sorted(base.order, key=lambda v: g.degree(v) <= 1)
+    want = ordering_for(g, order, k)
+    state = SolverState(g, base, delta, t, mode)
+    assert (state.ordering is base) == (order == base.order) == (not leafy)
+    assert (state.ordering.order, state.ordering.position) == (want.order, want.position)
+    zero = state.run()
+    one = SolverState(g, want, delta, t, mode).run(first=1)
+    assert list(one.items()) == [(e, c + 1) for e, c in zero.items()]
+    assert list(decompose(g, mode).coloring.items()) == list(one.items())
+    assert verify_partition(g, one, t).valid
+
+
 def test_decompose_computes_one_ordering(monkeypatch):
     calls = []
 
