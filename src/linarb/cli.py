@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator
-from itertools import islice
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
+from typing import TextIO
 
 from .degeneracy import degeneracy_ordering
 from .errors import GraphError, InternalContradictionError, ParseError, PreconditionError
@@ -209,15 +211,19 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-# Lines of ``u w c`` per write of the text output: the output is never held
-# whole, so the emit's memory does not grow with the edge count.
+# Lines per write: no output is held whole, so a command's emit memory does
+# not grow with the edge count.
 _CHUNK_LINES = 4096
+
+
+def _write(lines: Iterable[str], out: TextIO | None = None) -> None:
+    """Write each of ``lines`` with a newline, :data:`_CHUNK_LINES` lines per
+    write, to ``out``, or to ``sys.stdout`` as it is at the call."""
+    write = (sys.stdout if out is None else out).write
+    lines = iter(lines)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        chunk.append("")
+        write("\n".join(chunk))
 
 
 def _ascending_edges(g: Graph) -> Iterator[tuple[int, int]]:
@@ -246,23 +252,30 @@ def _classes(g: Graph, coloring: dict[tuple[int, int], int]) -> array:
         raise InternalContradictionError(f"partition misses edge {u}-{w}") from None
 
 
-def _write_partition_text(head: dict, g: Graph, classes: array, stats: dict | None) -> None:
-    """Write the text output: the header, one ``u w c`` line per edge in
-    :data:`_CHUNK_LINES` chunks, and the ``# stats`` line when ``stats`` is
-    given."""
-    write = sys.stdout.write
-    write(f"# {' '.join(f'{k}={v}' for k, v in head.items())}\n")
-    lines = zip(_ascending_edges(g), classes)
-    while chunk := "".join(f"{u} {w} {c}\n" for (u, w), c in islice(lines, _CHUNK_LINES)):
-        write(chunk)
-    if stats is not None:
-        write(f"# stats {' '.join(f'{k}={v}' for k, v in sorted(stats.items()))}\n")
+def _write_case(exc: InternalContradictionError, g: Graph, args: argparse.Namespace) -> None:
+    """With ``$LINARB_DUMP_DIR`` set, write the failed run's input there as a
+    plain edge list whose ``#`` lines hold the message and the command that
+    replays it, and end the message with the file's path."""
+    dump_dir = os.environ.get("LINARB_DUMP_DIR")
+    if not dump_dir:
+        return
+    import shlex
+    import tempfile
 
-
-def _partition_json(head: dict, g: Graph, classes: array) -> str:
-    payload = dict(head)
-    payload["classes"] = [[u, w, c] for (u, w), c in zip(_ascending_edges(g), classes)]
-    return json.dumps(payload, indent=2, sort_keys=True)
+    message = str(exc)
+    flags = "".join(f" --{flag}" for flag in ("verify-after", "debug-assertions")
+                    if getattr(args, flag.replace("-", "_")))
+    try:
+        fd, path = tempfile.mkstemp(prefix="linarb-case-", suffix=".txt", dir=dump_dir)
+        replay = f"# replay: linarb decompose {shlex.quote(path)} --mode {args.mode}{flags}"
+        with open(fd, "w", encoding="utf-8") as out:
+            _write(chain((f"# {line}" for line in message.splitlines()),
+                         [replay, f"p {g.n} {g.edge_count}"],
+                         (f"{u} {w}" for u, w in _ascending_edges(g))), out)
+        note = f"reproducer: {path}"
+    except OSError as err:
+        note = f"reproducer not written: {err}"
+    exc.args = (f"{message}\n  {note}",)
 
 
 def _parse_coloring(text: str) -> tuple[dict[tuple[int, int], int], int]:
@@ -295,61 +308,69 @@ def _parse_coloring(text: str) -> tuple[dict[tuple[int, int], int], int]:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = parse_edge_list(_read_input(args.input), dimacs=args.dimacs)
-    ordering = None
-    if args.mode == "auto":
-        delta = max_degree(g)
-        start = time.perf_counter()
-        ordering = degeneracy_ordering(g)
-        k = ordering.k
-        if k <= 1 or delta >= required_max_degree(k, Mode.MINIMUM):
-            mode: Mode | None = Mode.MINIMUM
-        elif delta >= required_max_degree(k, Mode.LAC):
-            mode = Mode.LAC
-        elif g.edge_count <= 20:
-            mode = None
+    try:
+        ordering = None
+        if args.mode == "auto":
+            delta = max_degree(g)
+            start = time.perf_counter()
+            ordering = degeneracy_ordering(g)
+            k = ordering.k
+            if k <= 1 or delta >= required_max_degree(k, Mode.MINIMUM):
+                mode: Mode | None = Mode.MINIMUM
+            elif delta >= required_max_degree(k, Mode.LAC):
+                mode = Mode.LAC
+            elif g.edge_count <= 20:
+                mode = None
+            else:
+                raise PreconditionError(
+                    f"auto mode: maximum degree {delta} is below the relaxed threshold "
+                    f"{required_max_degree(k, Mode.LAC)} for degeneracy {k}, and "
+                    f"{g.edge_count} edges is too many for exhaustive search"
+                )
         else:
-            raise PreconditionError(
-                f"auto mode: maximum degree {delta} is below the relaxed threshold "
-                f"{required_max_degree(k, Mode.LAC)} for degeneracy {k}, and "
-                f"{g.edge_count} edges is too many for exhaustive search"
-            )
-    else:
-        mode = Mode(args.mode)
+            mode = Mode(args.mode)
 
-    if mode is None:
-        found = exact_la(g)
-        if not found.complete:
-            raise PreconditionError(
-                "auto mode: exhaustive search ran out of budget; "
-                "give the graph a higher maximum degree or fewer edges"
-            )
-        coloring = found.witness or {}
-        t = found.la
-        stats_dict: dict = {"nodes_explored": found.nodes_explored}
-    else:
-        if ordering is None:
-            result = decompose(g, mode, debug_checks=args.debug_assertions)
+        if mode is None:
+            found = exact_la(g)
+            if not found.complete:
+                raise PreconditionError(
+                    "auto mode: exhaustive search ran out of budget; "
+                    "give the graph a higher maximum degree or fewer edges"
+                )
+            coloring = found.witness or {}
+            t = found.la
+            stats_dict: dict = {"nodes_explored": found.nodes_explored}
         else:
-            result = _solve(g, ordering, mode, args.debug_assertions, start)
-        coloring, t, k, delta = result.coloring, result.t, result.k, result.delta
-        stats_dict = dict(vars(result.stats))
-    head = {"t": t, "k": k, "delta": delta, "mode": "exact" if mode is None else mode.value,
-            "n": g.n, "m": g.edge_count}
+            if ordering is None:
+                result = decompose(g, mode, debug_checks=args.debug_assertions)
+            else:
+                result = _solve(g, ordering, mode, args.debug_assertions, start)
+            coloring, t, k, delta = result.coloring, result.t, result.k, result.delta
+            stats_dict = dict(vars(result.stats))
+        head = {"t": t, "k": k, "delta": delta, "mode": "exact" if mode is None else mode.value,
+                "n": g.n, "m": g.edge_count}
 
-    if args.verify_after:
-        report = verify_partition(g, coloring, t)
-        head["verified"] = report.valid
-        if not report.valid:
-            raise InternalContradictionError(
-                "self-check failed: " + "; ".join(v.detail for v in report.violations[:5])
-            )
-    classes = _classes(g, coloring)
+        if args.verify_after:
+            report = verify_partition(g, coloring, t)
+            head["verified"] = report.valid
+            if not report.valid:
+                raise InternalContradictionError(
+                    "self-check failed: " + "; ".join(v.detail for v in report.violations[:5])
+                )
+        classes = _classes(g, coloring)
+    except InternalContradictionError as exc:
+        _write_case(exc, g, args)
+        raise
     if args.format == "json":
         if args.stats:
             head["stats"] = stats_dict
-        _emit(_partition_json(head, g, classes))
+        head["classes"] = [[u, w, c] for (u, w), c in zip(_ascending_edges(g), classes)]
+        _write([json.dumps(head, indent=2, sort_keys=True)])
     else:
-        _write_partition_text(head, g, classes, stats_dict if args.stats else None)
+        stats = [f"# stats {' '.join(f'{k}={v}' for k, v in sorted(stats_dict.items()))}"]
+        _write(chain([f"# {' '.join(f'{k}={v}' for k, v in head.items())}"],
+                     (f"{u} {w} {c}" for (u, w), c in zip(_ascending_edges(g), classes)),
+                     stats if args.stats else []))
     return 0
 
 
@@ -367,13 +388,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 else None
             ),
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
+        _write([json.dumps(payload, indent=2, sort_keys=True)])
     else:
         head = f"# la={found.la} complete={str(found.complete).lower()} nodes={found.nodes_explored}"
         lines = [head]
         if found.witness:
             lines.extend(f"{u} {v} {c}" for (u, v), c in sorted(found.witness.items()))
-        _emit("\n".join(lines))
+        _write(lines)
     return 0 if found.complete else 1
 
 
@@ -383,7 +404,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     t = args.t if args.t is not None else high
     report = verify_partition(g, coloring, t)
     if args.format == "json":
-        _emit(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        _write([json.dumps(report.as_dict(), indent=2, sort_keys=True)])
     else:
         lines = [
             f"valid: {str(report.valid).lower()}",
@@ -392,18 +413,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"lower_bound: {report.lower_bound}",
         ]
         lines.extend(f"violation: [{v.kind}] {v.detail}" for v in report.violations)
-        _emit("\n".join(lines))
+        _write(lines)
     return 0 if report.valid else 1
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     g = generate_k_degenerate(args.n, args.k, args.delta_min, args.seed)
-    lines = [
-        f"# generated n={args.n} k={args.k} delta_min={args.delta_min} seed={args.seed}",
-        f"p {g.n} {g.edge_count}",
-    ]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    _emit("\n".join(lines))
+    head = [f"# generated n={args.n} k={args.k} delta_min={args.delta_min} seed={args.seed}",
+            f"p {g.n} {g.edge_count}"]
+    _write(chain(head, (f"{u} {v}" for u, v in _ascending_edges(g))))
     return 0
 
 
@@ -418,10 +436,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "upper_proven": b.upper_proven,
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
+        _write([json.dumps(payload, indent=2, sort_keys=True)])
     else:
-        _emit("\n".join(f"{key}={str(val).lower() if isinstance(val, bool) else val}"
-                        for key, val in payload.items()))
+        _write(f"{key}={str(val).lower() if isinstance(val, bool) else val}"
+               for key, val in payload.items())
     return 0
 
 

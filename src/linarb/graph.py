@@ -16,10 +16,10 @@ class Graph:
     """Mutable undirected simple graph.
 
     Adjacency lists preserve insertion order, which keeps every algorithm in
-    this package deterministic for a fixed construction sequence.  A graph
-    from :func:`linarb.cli.parse_edge_list` is built from its sorted edges,
-    so every row is ascending; the CLI's partition output relies on this to
-    print the edges in order without sorting the map.
+    this package deterministic for a fixed construction sequence.  The
+    graphs of :func:`linarb.cli.parse_edge_list` (built from sorted edges)
+    and :func:`linarb.cli.generate_k_degenerate` have ascending rows, which
+    the CLI relies on to write any edge list in order without sorting.
     """
 
     __slots__ = ("_adj", "_edges")

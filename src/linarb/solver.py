@@ -32,7 +32,6 @@ D >= 2k^2 - 2k ("relaxed" mode, matching the classic one-more-class bound).
 
 from __future__ import annotations
 
-import os
 import time
 from array import array
 from collections.abc import Iterator
@@ -620,37 +619,17 @@ class SolverState:
                 )
 
     def _dump(self, v: int, rep_edge: dict[int, int], bad: set[int], reason: str) -> str:
-        """The message of a failed repair at owner ``v``.
-
-        When ``$LINARB_DUMP_DIR`` is set, also writes a reproducer there: one
-        JSON file with the message, ``mode``, ``k``, ``delta``, ``t``, ``n``,
-        the input ``edges`` and the sweep ``order``, whose sweep runs into
-        the same failure (see the README).  ``json`` and ``tempfile`` are
-        imported here, their only user, so that a solve does not load them.
-        """
+        """The message of a failed repair at owner ``v``: the reason, the
+        solve's parameters and the owner's reservations, classes and leaves."""
         fc = self.fc
-        lines = [
+        return "\n".join([
             f"repair failed at owner {v}: {reason}",
             f"  degeneracy={self.k} delta={self.delta} t={self.t} mode={self.mode.value}",
             f"  reserved={list(rep_edge)} bad={sorted(bad)}",
             f"  reserved colors={[fc.edge_class[e] for e in rep_edge.values()]}",
             f"  owner class degrees={list(fc.row(v))}",
             f"  owner leaves={self._leaf_counts()}",
-        ]
-        message = "\n".join(lines)
-        dump_dir = os.environ.get("LINARB_DUMP_DIR")
-        if dump_dir:
-            import json
-            import tempfile
-            case = dict(message=message, mode=self.mode.value, k=self.k, delta=self.delta,
-                        t=self.t, n=self.g.n, edges=self.g.edges(), order=self.ordering.order)
-            try:
-                fd, _ = tempfile.mkstemp(prefix="linarb-repair-", suffix=".json", dir=dump_dir)
-                with os.fdopen(fd, "w") as out:
-                    json.dump(case, out)
-            except OSError as exc:
-                message += f"\n  reproducer not written: {exc}"
-        return message
+        ])
 
 
 def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:

@@ -341,17 +341,6 @@ def state_edge_ids(state: SolverState, extra=()) -> dict[tuple[int, int], int]:
     return ids
 
 
-def replay_repair_dump(path) -> SolverState:
-    """The sweep state a repair reproducer describes: the dumped graph
-    under the dumped sweep order, degree target, class count and mode.
-    Running it repeats the failure the dump was written for."""
-    with open(path) as f:
-        case = json.load(f)
-    g = Graph.from_edges(case["n"], [tuple(e) for e in case["edges"]])
-    ordering = ordering_for(g, case["order"], case["k"])
-    return SolverState(g, ordering, case["delta"], case["t"], Mode(case["mode"]))
-
-
 def class_adjacency(colors: dict[tuple[int, int], int]) -> dict[int, dict[int, list[int]]]:
     """Per-class adjacency rebuilt from scratch out of an edge->class map."""
     out: dict[int, dict[int, list[int]]] = {}

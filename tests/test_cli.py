@@ -4,9 +4,11 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -164,6 +166,21 @@ def test_generator_rejects_bad_parameters():
 def test_generator_degeneracy_never_exceeds_k(n, k, seed):
     g = generate_k_degenerate(n, k, seed=seed)
     assert naive_degeneracy(g)[0] <= k
+
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_generator_rows_are_ascending(n, k, delta_min, seed):
+    """``generate`` lists the edges by walking the rows, so they must be
+    ascending, boosted hub included, as a parsed graph's are."""
+    g = generate_k_degenerate(n, k, delta_min, seed)
+    assert all(row == sorted(row) for row in g._adj)
 
 
 # -------------------------------------------------------------------- parsing
@@ -432,17 +449,22 @@ class _Discard:
 
 
 def test_cli_text_writer_memory_does_not_grow_with_the_edge_count():
-    """The emit holds one chunk at a time: its traced peak at 4m edges
-    exceeds the one at m edges by less than the class array itself grows."""
+    """The writer holds one chunk at a time: its traced peak on the text
+    output of 4m edges exceeds the one at m edges by less than the class
+    array itself grows."""
     peaks, sizes = [], []
     for m in (5 * CHUNK, 20 * CHUNK):
         g = Graph.from_edges(m + 1, [(i, i + 1) for i in range(m)])
         classes = linarb.cli._classes(g, {(i, i + 1): 1 + i % 2 for i in range(m)})
         head = {"t": 1, "k": 1, "delta": 2, "mode": "minimum", "n": g.n, "m": m}
+        lines = itertools.chain(
+            [f"# {' '.join(f'{k}={v}' for k, v in head.items())}"],
+            (f"{u} {w} {c}" for (u, w), c in zip(linarb.cli._ascending_edges(g), classes)),
+        )
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(_Discard()):
-                linarb.cli._write_partition_text(head, g, classes, None)
+                linarb.cli._write(lines)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -523,6 +545,106 @@ def test_cli_debug_assertions_exit_two_on_a_cyclic_sweep(monkeypatch):
     assert "contains a cycle" in err and "Violation(" not in err
 
 
+def test_cli_verify_after_exits_two_on_an_invalid_map(monkeypatch):
+    """``--verify-after`` runs the verifier on the map before a line is
+    written: a cyclic class is an internal contradiction, exit 2."""
+    cyclic_sweep(monkeypatch)
+    text = "".join(f"{u} {v}\n" for u, v in CYCLE_HUB_EDGES)
+    code, out, err = run_cli(["decompose", "-", "--verify-after"], stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: self-check failed:")
+    assert "contains a cycle" in err
+
+
+def _refuse_light_edge(monkeypatch):
+    def refuse(fc, e, x, y, start=0):
+        raise InternalContradictionError(f"light edge {x}-{y} refused")
+
+    monkeypatch.setattr(linarb.solver, "place_light_edge", refuse)
+
+
+def _drop_an_edge(monkeypatch):
+    real = linarb.cli.decompose
+
+    def dropping(g, mode, **kwargs):
+        result = real(g, mode, **kwargs)
+        del result.coloring[min(result.coloring)]
+        return result
+
+    monkeypatch.setattr(linarb.cli, "decompose", dropping)
+
+
+CYCLE_HUB_TEXT = "".join(f"{u} {v}\n" for u, v in CYCLE_HUB_EDGES)
+CYCLE_HUB_DIMACS = f"p edge 9 {len(CYCLE_HUB_EDGES)}\n" + "".join(
+    f"e {u + 1} {v + 1}\n" for u, v in CYCLE_HUB_EDGES
+)
+GENERATED_TEXT = "".join(f"{u} {v}\n" for u, v in generate_k_degenerate(40, 2, 8, 3).edges())
+
+# Every way ``linarb decompose`` can reach an internal contradiction, each
+# forced by a patch: (patch, input, extra arguments, start of the message).
+FORCED_SITES = {
+    "debug-end-check": (cyclic_sweep, CYCLE_HUB_TEXT, ["--debug-assertions"],
+                        "decompose produced an invalid partition"),
+    "sweep": (_refuse_light_edge, GENERATED_TEXT, ["--mode", "lac"], "light edge"),
+    "forest": (lambda mp: mp.setattr(linarb.solver, "class_count_for", lambda *args: 1),
+               STAR6_TEXT, [], "forest pairing ran out of classes at 0"),
+    "classes": (_drop_an_edge, GAP_TEXT, ["--mode", "lac"], "partition has 6 entries"),
+    "verify-after": (cyclic_sweep, CYCLE_HUB_DIMACS, ["--dimacs", "--verify-after"],
+                     "self-check failed:"),
+}
+
+
+@pytest.mark.parametrize("site", FORCED_SITES)
+def test_cli_contradiction_leaves_one_replayable_case(monkeypatch, tmp_path, site):
+    """With ``$LINARB_DUMP_DIR`` set, a contradiction under ``decompose``
+    writes one case file: the input as a plain edge list, whose replay line
+    runs into the same message, its path quoted for a shell.  The message's
+    last line names the file."""
+    patch, text, extra, start = FORCED_SITES[site]
+    patch(monkeypatch)
+    dump = tmp_path / "dump dir"
+    dump.mkdir()
+    monkeypatch.setenv("LINARB_DUMP_DIR", str(dump))
+    code, out, err = run_cli(["decompose", "-", *extra], stdin_text=text)
+    assert (code, out) == (2, "")
+    first = err.splitlines()[0]
+    assert first.startswith(f"internal error: {start}")
+    (case,) = dump.iterdir()
+    assert err.splitlines()[-1] == f"  reproducer: {case}"
+    written = parse_edge_list(case.read_text())
+    given = parse_edge_list(text, dimacs="--dimacs" in extra)
+    assert (written.n, written.edges()) == (given.n, given.edges())
+    (replay,) = [line for line in case.read_text().splitlines() if line.startswith("# replay: ")]
+    argv = shlex.split(replay)[3:]
+    assert argv[:2] == ["decompose", str(case)]
+    monkeypatch.delenv("LINARB_DUMP_DIR")
+    code, out, again = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert again.splitlines()[0] == first
+    assert list(dump.iterdir()) == [case]
+
+
+@pytest.mark.parametrize("site", FORCED_SITES)
+def test_cli_contradiction_without_dump_dir_writes_nothing(monkeypatch, tmp_path, site):
+    patch, text, extra, start = FORCED_SITES[site]
+    patch(monkeypatch)
+    monkeypatch.delenv("LINARB_DUMP_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["decompose", "-", *extra], stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"internal error: {start}") and "reproducer" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_contradiction_reports_an_unwritable_dump_dir(monkeypatch, tmp_path):
+    cyclic_sweep(monkeypatch)
+    monkeypatch.setenv("LINARB_DUMP_DIR", str(tmp_path / "missing"))
+    code, out, err = run_cli(["decompose", "-", "--debug-assertions"], stdin_text=CYCLE_HUB_TEXT)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("  reproducer not written: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_cli_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
     """``main`` turns the cyclic collector off for one command only: after
@@ -582,6 +704,42 @@ def test_cli_generate_output_shape():
     assert len(lines) == 23
     g = parse_edge_list(out)
     assert g.n == 12 and g.edge_count == 21
+
+
+@pytest.mark.parametrize(
+    "n, k, delta_min, seed",
+    [(1, 1, 0, 0), (1, 2, 4, 3), (12, 2, 6, 7), (10, 1, 12, 3), (50, 3, 40, 1),
+     (300, 2, 0, 4), (200, 4, 0, 9), (3000, 2, 0, 2)],
+)
+def test_cli_generate_matches_the_sorted_reference(n, k, delta_min, seed):
+    """The streamed output is the one built from ``g.edges()`` and joined
+    whole, byte for byte; 3000 vertices make 5999 lines, past one chunk."""
+    g = generate_k_degenerate(n, k, delta_min, seed)
+    want = [f"# generated n={n} k={k} delta_min={delta_min} seed={seed}",
+            f"p {g.n} {g.edge_count}"]
+    want.extend(f"{u} {v}" for u, v in g.edges())
+    argv = ["generate", "--n", str(n), "--k", str(k), "--delta-min", str(delta_min),
+            "--seed", str(seed)]
+    assert run_cli(argv) == (0, "\n".join(want) + "\n", "")
+
+
+@pytest.mark.parametrize("n", [50_000, 200_000])
+def test_cli_generate_memory_does_not_grow_with_the_edge_count(monkeypatch, n):
+    """With the graph handed in and the output discarded, the traced peak of
+    ``generate`` stays under 1 MB at 99,997 and 399,997 edges: the lines go
+    out one chunk at a time, never as one list or string."""
+    g = generate_k_degenerate(n, 2)
+    assert g.edge_count == 2 * n - 3
+    monkeypatch.setattr(linarb.cli, "generate_k_degenerate", lambda *args: g)
+    args = linarb.cli.build_parser().parse_args(["generate", "--n", str(n), "--k", "2"])
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert linarb.cli._cmd_generate(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_cli_generate_feeds_decompose():

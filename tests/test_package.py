@@ -40,14 +40,14 @@ def test_import_loads_neither_the_cli_nor_the_oracle():
     added = modules_added_by("import linarb")
     assert {"linarb", "linarb.solver", "linarb.verify"} <= added
     assert added.isdisjoint({
-        "linarb.cli", "linarb.oracle", "argparse", "json", "dataclasses", "inspect",
+        "linarb.cli", "linarb.oracle", "argparse", "json", "dataclasses", "inspect", "tempfile",
     })
 
 
 def test_cli_import_loads_no_dataclasses():
     added = modules_added_by("import linarb.cli")
     assert "linarb.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect"})
+    assert added.isdisjoint({"dataclasses", "inspect", "tempfile"})
 
 
 def test_no_module_imports_dataclasses():
@@ -84,6 +84,24 @@ def test_only_the_cli_touches_the_garbage_collector():
     assert touching == {"cli.py"}
 
 
+def test_only_the_cli_imports_os_tempfile_or_json():
+    """The library writes no file and reads no environment: only ``cli.py``,
+    which owns every byte a command writes, imports ``os``, ``tempfile`` or
+    ``json``."""
+    importing = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {(node.module or "").partition(".")[0]}
+            else:
+                continue
+            for name in names & {"os", "tempfile", "json"}:
+                importing.setdefault(name, set()).add(path.name)
+    assert importing == {"os": {"cli.py"}, "tempfile": {"cli.py"}, "json": {"cli.py"}}
+
+
 def test_coloring_raises_only_internal_contradictions():
     """Only the solver builds a ``ForestColoring``, so a call it rejects is
     a solver bug: every raise in ``coloring.py`` is the one fault type."""
@@ -97,8 +115,9 @@ def test_coloring_raises_only_internal_contradictions():
 
 def test_the_environment_is_read_only_for_the_dump_dir():
     """No environment variable changes what a library call computes: the
-    one variable the package reads names where a failed repair writes its
-    reproducer.  Any other read of ``environ`` or ``getenv`` fails here."""
+    one variable the package reads, in the CLI, names where a failed
+    ``decompose`` writes its reproducer.  Any other read of ``environ`` or
+    ``getenv`` fails here."""
     keys, uses = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -110,7 +129,7 @@ def test_the_environment_is_read_only_for_the_dump_dir():
                   and node.func.attr == "get" and isinstance(node.func.value, ast.Attribute)
                   and node.func.value.attr == "environ"):
                 keys.append((path.name, ast.literal_eval(node.args[0])))
-    assert keys == [("solver.py", "LINARB_DUMP_DIR")]
+    assert keys == [("cli.py", "LINARB_DUMP_DIR")]
     assert uses == len(keys)
 
 

@@ -1,6 +1,5 @@
 import ast
 import hashlib
-import json
 import random
 import sys
 import time
@@ -44,7 +43,6 @@ from conftest import (
     random_peel_ordering,
     reference_decompose_by_component,
     reference_owner_slots,
-    replay_repair_dump,
     right_rows,
     star_graph,
     state_edge_ids,
@@ -1176,33 +1174,6 @@ def test_run_releases_the_coloring_before_building_the_map(monkeypatch):
     assert seen == [[None, None]]
 
 
-def test_repair_contradiction_dump_replays(monkeypatch, tmp_path):
-    """With $LINARB_DUMP_DIR set, a failed repair writes the input edges,
-    the mode and the sweep order; sweeping them again fails the same way.
-    The failure is forced by a repair move that changes nothing."""
-
-    def idle(self, v, rep_edge, spare, w, xi):
-        return ("recolor", xi)
-
-    monkeypatch.setattr(SolverState, "_choose_repair_move", idle)
-    monkeypatch.setenv("LINARB_DUMP_DIR", str(tmp_path))
-    g, ordering, delta, t = endpoint_recolor_fixture()
-    with pytest.raises(InternalContradictionError) as first:
-        SolverState(g, ordering, delta, t, Mode.MINIMUM).run()
-    message = str(first.value)
-    assert "did not shrink the cycle set" in message
-    assert "reserved colors=" in message
-    (dump,) = tmp_path.iterdir()
-    case = json.loads(dump.read_text())
-    assert case["message"] == message
-    assert (case["mode"], case["k"], case["delta"], case["t"]) == ("minimum", 2, delta, t)
-    assert [tuple(e) for e in case["edges"]] == g.edges()
-    with pytest.raises(InternalContradictionError) as again:
-        replay_repair_dump(dump).run()
-    assert str(again.value) == message
-    assert len(list(tmp_path.iterdir())) == 2
-
-
 def test_repair_contradiction_dump_lists_the_owner_leaves(monkeypatch):
     """The same idle move at owner 4 of ``pendant_partner_fixture``, which
     holds two spare leaves in class 0 and a reserved leaf in class 2: the
@@ -1234,16 +1205,6 @@ def test_repair_contradiction_without_dump_dir_writes_nothing(monkeypatch, tmp_p
     with pytest.raises(InternalContradictionError, match="did not shrink"):
         SolverState(g, ordering, delta, t, Mode.MINIMUM).run()
     assert list(tmp_path.iterdir()) == []
-
-
-def test_repair_contradiction_reports_an_unwritable_dump_dir(monkeypatch, tmp_path):
-    monkeypatch.setattr(
-        SolverState, "_choose_repair_move", lambda self, *args: ("recolor", args[-1])
-    )
-    monkeypatch.setenv("LINARB_DUMP_DIR", str(tmp_path / "missing"))
-    g, ordering, delta, t = endpoint_recolor_fixture()
-    with pytest.raises(InternalContradictionError, match="reproducer not written"):
-        SolverState(g, ordering, delta, t, Mode.MINIMUM).run()
 
 
 # ------------------------------------------------------------- forest path
