@@ -40,11 +40,6 @@ from .errors import InternalContradictionError
 NIL = -1
 
 
-def edge_key(u: int, v: int) -> tuple[int, int]:
-    """Canonical dictionary key for the undirected edge uv."""
-    return (u, v) if u < v else (v, u)
-
-
 class ForestColoring:
     """Edge id -> class assignment with per-vertex class degrees capped at 2."""
 
@@ -74,7 +69,8 @@ class ForestColoring:
     def walk(self, j: int, x: int, prev: int = NIL) -> Iterator[int]:
         """Yield the vertices after ``x`` along class ``j``, leaving ``x`` away
         from its neighbor ``prev`` (or along its one edge, if ``prev`` is NIL),
-        up to the path's end or, round a cycle, the last vertex before ``x``."""
+        up to the path's end or, round a cycle, the last vertex before ``x``:
+        a class-``j`` edge xy lies on a cycle exactly when ``y`` is yielded."""
         t, cd, nb1, nb2 = self.t, self._cd, self._nb1, self._nb2
         cur = x
         for _ in range(self.n):
@@ -207,20 +203,6 @@ class ForestColoring:
         self._cut(e2, u2, v2, c2)
         self.assign(e1, u1, v1, c2)
         self.assign(e2, u2, v2, c1)
-
-    # ------------------------------------------------------------------ connectivity
-
-    def cycle_containing(self, j: int, e: int, u: int, v: int) -> list[int] | None:
-        """The class-``j`` cycle through the colored edge ``e`` = uv, or None.
-
-        Returned as a vertex sequence starting ``[u, v, ...]`` whose last
-        vertex is again adjacent to ``u`` in class ``j``: the walk from ``v``
-        away from ``u``, which ends at ``u`` exactly on a cycle.
-        """
-        if self.edge_class[e] != j:
-            raise InternalContradictionError(f"edge {e} ({u}-{v}) is not colored {j}")
-        rest = list(self.walk(j, v, u))
-        return [u, v] + rest[:-1] if rest and rest[-1] == u else None
 
 
 def place_light_edge(fc: ForestColoring, e: int, x: int, y: int, start: int = 0) -> int:

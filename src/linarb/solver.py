@@ -39,7 +39,7 @@ from enum import Enum
 from itertools import islice
 from typing import NamedTuple
 
-from .coloring import NIL, ForestColoring, edge_key, place_light_edge
+from .coloring import NIL, ForestColoring, place_light_edge
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
 from .errors import InternalContradictionError, PreconditionError
 from .graph import Graph, max_degree
@@ -108,10 +108,6 @@ class DecomposeResult(NamedTuple):
     t: int
     k: int
     delta: int
-    mode: Mode
-    n: int
-    m: int
-    isolated: list[int]
     stats: SolveStats
 
 
@@ -179,9 +175,10 @@ class SolverState:
     ``k >= 2`` and ``target_delta >= 2k^2 - 2k``, each owner reserves
     ``r = (target_delta - k) // k >= 2k - 3 >= 1`` edges.
 
-    Exposes :meth:`process_vertex` so tests can drive the sweep one position
-    at a time; :meth:`run` drives it to completion and returns the coloring
-    of the graph's edges (0-based classes unless asked otherwise).
+    ``t`` must be ``class_count_for(target_delta, k, mode)``, the budget the
+    sweep's argument counts on.  :meth:`run` drives the sweep to completion
+    and returns the coloring of the graph's edges (0-based classes unless
+    asked otherwise).
     """
 
     def __init__(
@@ -202,6 +199,11 @@ class SolverState:
             raise PreconditionError(
                 f"{mode.value} mode requires maximum degree >= {need} at degeneracy {k}; "
                 f"graph has {target_delta}"
+            )
+        want = class_count_for(target_delta, k, mode)
+        if t != want:
+            raise PreconditionError(
+                f"{mode.value} mode at maximum degree {target_delta} needs {want} classes, got {t}"
             )
         self.g = g
         self.k = k
@@ -349,26 +351,20 @@ class SolverState:
             u = ids[u]
             yield (v, u) if v < u else (u, v)
 
-    def process_vertex(self, i: int) -> None:
-        """Color every right-edge of the vertex at position ``i`` around its
-        ``pad[v]`` padding leaves; positions past the degree-D block are
-        no-ops (a degree-1 vertex's edge is colored from the other side).
-        The step is :meth:`_sweep`'s, over the one position.
+    def _sweep(self, positions: range) -> None:
+        """At each of ``positions``, all inside the degree-D block, color
+        every right-edge of the owner there around its ``pad[v]`` padding
+        leaves, reading the tables of the solve once for all of them.  (A
+        degree-1 vertex's edge is colored from the other side.)
 
         A leaf joins no path, so it matters only while it uses up a class at
-        its owner, and every other vertex the step reads lies later in the
+        its owner, and every other vertex a step reads lies later in the
         order, with no leaves yet.  Sums over the owner's class row place the
-        leaves and the reserved edges (:func:`_fit_leaves`), so the step's
+        leaves and the reserved edges (:func:`_fit_leaves`), so a step's
         Python work follows its degree, not ``t``; the leaves' classes
         (:attr:`spare_leaves`, :attr:`reserved_leaves`) are listed only when
         a reserved edge closes a cycle, for the repair.
         """
-        self._sweep(range(i, min(i + 1, self.n_high)))
-
-    def _sweep(self, positions: range) -> None:
-        """Run the owner step of :meth:`process_vertex` at each of
-        ``positions``, all inside the degree-D block, reading the tables of
-        the solve once for all of them."""
         fc, targets, offsets = self.fc, self.targets, self.offsets
         order, pad, flags = self.ordering.order, self.pad, self.sdr.reserved
         t, r, debug = fc.t, self.sdr.r, self.debug
@@ -475,9 +471,7 @@ class SolverState:
         targets = self.targets
 
         def on_cycle() -> set[int]:
-            return {
-                u for u, e in rep_edge.items() if fc.cycle_containing(cls[e], e, v, u) is not None
-            }
+            return {u for u, e in rep_edge.items() if v in fc.walk(cls[e], u, v)}
 
         bad = on_cycle()
         while bad:
@@ -662,7 +656,7 @@ def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
                 c = i // 2 if i < split else (i + 1) // 2
                 if c >= t:
                     raise InternalContradictionError(f"forest pairing ran out of classes at {x}")
-                out[edge_key(ids[x], ids[y])] = c + 1
+                out[(ids[x], ids[y]) if x < y else (ids[y], ids[x])] = c + 1
                 i += 1
                 seen[y] = 1
                 stack.append((y, x, c))
@@ -683,7 +677,7 @@ def decompose(
     threshold.  One degeneracy ordering of the whole graph drives one sweep:
     the thresholds are global, so an ordering certifying the global ``k``
     meets the paper's Hall and budget argument on every component at once.
-    Isolated vertices are ignored and reported.
+    Isolated vertices have no edge to color and are skipped.
 
     ``debug_checks`` enables expensive internal invariant scans plus a final
     independent verification.
@@ -708,7 +702,6 @@ def _solve(
     ordering was computed, so ``order_ms`` and ``wall_ms`` still cover it."""
     stats = SolveStats()
     stats.order_ms = (time.perf_counter() - start) * 1000.0
-    isolated = [v for v, row in enumerate(g._adj) if not row]
     delta = max_degree(g)
     k = ordering.k
     t = class_count_for(delta, k, mode)
@@ -717,7 +710,7 @@ def _solve(
     else:
         coloring = SolverState(g, ordering, delta, t, mode, debug_checks, stats).run(first=1)
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
-    result = DecomposeResult(coloring, t, k, delta, mode, g.n, g.edge_count, isolated, stats)
+    result = DecomposeResult(coloring, t, k, delta, stats)
     if debug_checks:
         report = verify_partition(g, coloring, t)
         if not report.valid:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .graph import Graph, max_degree
 
@@ -176,7 +176,7 @@ def _cycle(pairs: list[tuple[int, int]]):
 
 def verify_partition(
     g: Graph,
-    coloring: dict[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]],
+    coloring: dict[tuple[int, int], int],
     class_count: int,
 ) -> VerificationReport:
     """Check ``coloring`` as a partition of E(g) into ``class_count`` linear forests.
@@ -188,21 +188,11 @@ def verify_partition(
     every other entry (a key that is not an edge of ``g``, or a class that
     is not in range), degree overflows, and monochromatic cycles are each
     reported; the report lists every violation found, not just the first.
-    An iterable ``coloring`` may name a key more than once: its first entry
-    is judged as in a map, and every later one is an unknown entry too.
     Violations come in this order: unknown entries by key (by ``repr`` when
-    their keys cannot be compared), repeated entries in the order given,
-    uncolored edges, overflows by (vertex, class), then per class without
-    an overflow the cycle through its smallest vertex that lies on one.
+    their keys cannot be compared), uncolored edges, overflows by (vertex,
+    class), then per class without an overflow the cycle through its
+    smallest vertex that lies on one.
     """
-    repeats = []
-    if not isinstance(coloring, dict):
-        entries, coloring = coloring, {}
-        for e, c in entries:
-            if e in coloring:
-                repeats.append((e, c))
-            else:
-                coloring[e] = c
     edges = g._edges
     groups, rejected, colored = _group(coloring, edges, class_count)
 
@@ -212,9 +202,6 @@ def verify_partition(
             detail = f"edge {e} assigned class {c!r} outside 1..{class_count}"
         else:
             detail = f"colored edge {e} is not an edge of the graph"
-        violations.append(Violation(UNKNOWN_EDGE, detail, edge=e))
-    for e, c in repeats:
-        detail = f"edge {e} is colored more than once (again with class {c!r})"
         violations.append(Violation(UNKNOWN_EDGE, detail, edge=e))
 
     if sum(map(len, groups.values())) < len(edges):

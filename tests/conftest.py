@@ -8,11 +8,12 @@ import json
 import random
 from array import array
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from linarb import (
     DegeneracyOrdering,
     Graph,
+    InternalContradictionError,
     Mode,
     PreconditionError,
     SolverState,
@@ -22,7 +23,7 @@ from linarb import (
     max_degree,
     required_max_degree,
 )
-from linarb.coloring import NIL, ForestColoring, edge_key
+from linarb.coloring import NIL, ForestColoring
 from linarb.sdr import _augment
 from linarb.solver import _color_forest
 from linarb.verify import (
@@ -188,6 +189,11 @@ def naive_degeneracy(g: Graph) -> tuple[int, list[int]]:
     return worst, removal
 
 
+def edge_key(u: int, v: int) -> tuple[int, int]:
+    """Canonical dictionary key for the undirected edge uv."""
+    return (u, v) if u < v else (v, u)
+
+
 class Pairs:
     """Edge ids for hand-built coloring states on ``n`` vertices: every
     vertex pair is an edge, numbered in ascending ``(u, v)`` order."""
@@ -308,6 +314,20 @@ def coloring_problems(fc: ForestColoring, ends: Sequence[tuple[int, int]]) -> li
         if fc._total[v] != total[v]:
             problems.append(f"total degree mismatch at {v}")
     return problems
+
+
+def reference_cycle_containing(
+    fc: ForestColoring, j: int, e: int, u: int, v: int
+) -> list[int] | None:
+    """``ForestColoring.cycle_containing``, which the solver's repair used
+    before it tested ``v in fc.walk(j, u, v)`` instead, kept as the reference
+    that test is checked against: the class-``j`` cycle through the colored
+    edge ``e`` = uv as a vertex sequence ``[u, v, ...]``, or None.  The walk
+    from ``v`` away from ``u`` ends at ``u`` exactly on a cycle."""
+    if fc.edge_class[e] != j:
+        raise InternalContradictionError(f"edge {e} ({u}-{v}) is not colored {j}")
+    rest = list(fc.walk(j, v, u))
+    return [u, v] + rest[:-1] if rest and rest[-1] == u else None
 
 
 def mates(fc: ForestColoring, j: int) -> dict[int, int]:
@@ -504,7 +524,7 @@ def _reference_class_cycle(vertices: list[int], adj: dict[int, list[int]]) -> li
 
 def reference_verify_partition(
     g: Graph,
-    coloring: dict[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]],
+    coloring: dict[tuple[int, int], int],
     class_count: int,
 ) -> VerificationReport:
     """The dict-based verifier ``linarb.verify_partition`` replaced, kept as
@@ -513,10 +533,7 @@ def reference_verify_partition(
     cannot be ordered against each other, are reported instead of raising;
     the domain is exact: a key must be a ``tuple`` of two ``int`` objects
     and a class an ``int``, tested by exact type, so a ``bool``, ``IntEnum``
-    or namedtuple is rejected, and only such a key colors the edge it names;
-    and an iterable ``coloring`` that names a key more than once has its
-    first entry judged and each later one reported as an unknown edge,
-    after the other unknown entries, in the order given.
+    or namedtuple is rejected, and only such a key colors the edge it names.
 
     Check ``coloring`` as a partition of E(g) into ``class_count`` linear forests.
 
@@ -526,15 +543,6 @@ def reference_verify_partition(
     overflows, and monochromatic cycles are each reported; the report lists
     every violation found, not just the first.
     """
-    repeats = []
-    if not isinstance(coloring, dict):
-        first: dict = {}
-        for e, c in coloring:
-            if e in first:
-                repeats.append((e, c))
-            else:
-                first[e] = c
-        coloring = first
     violations: list[Violation] = []
     per_class_adj: list[dict[int, list[int]]] = [dict() for _ in range(class_count)]
     degree_in_class: dict[tuple[int, int], int] = {}
@@ -575,15 +583,6 @@ def reference_verify_partition(
         adj.setdefault(v, []).append(u)
         degree_in_class[(u, c)] = degree_in_class.get((u, c), 0) + 1
         degree_in_class[(v, c)] = degree_in_class.get((v, c), 0) + 1
-
-    for e, c in repeats:
-        violations.append(
-            Violation(
-                UNKNOWN_EDGE,
-                f"edge {e} is colored more than once (again with class {c!r})",
-                edge=e,
-            )
-        )
 
     for u, v in g.edges():
         if (u, v) not in colored:

@@ -3,21 +3,27 @@ import random
 import pytest
 
 from linarb import InternalContradictionError
-from linarb.coloring import NIL, ForestColoring, edge_key
+from linarb.coloring import NIL, ForestColoring
+from linarb.solver import _color_forest
 from conftest import (
     Pairs,
     class_adjacency,
     coloring_problems,
     connected_in_class,
     edge_classes,
+    edge_key,
+    gfrom,
     mates,
+    reference_cycle_containing,
     write_cell,
 )
 
 
 def test_edge_key_normalizes():
-    assert edge_key(3, 1) == (1, 3)
-    assert edge_key(1, 3) == (1, 3)
+    """The forest pairing keys each edge as ``(u, v)`` with ``u < v``,
+    whichever way round the graph lists it."""
+    g = gfrom(6, [(3, 1), (1, 0), (5, 1), (2, 4), (4, 3)])
+    assert sorted(_color_forest(g, 2)) == [(0, 1), (1, 3), (1, 5), (2, 4), (3, 4)]
 
 
 def test_assign_updates_all_views():
@@ -83,7 +89,7 @@ def test_assign_reports_the_cycle_it_closes():
     assert fc.assign(p(1, 2), 1, 2, 0) is False
     assert fc.assign(p(0, 2), 0, 2, 0) is True
     assert fc.assign(p(2, 3), 2, 3, 1) is False
-    assert fc.cycle_containing(0, p(0, 2), 0, 2) == [0, 2, 1]
+    assert list(fc.walk(0, 0, 2)) == [1, 2]
 
 
 def test_class_degrees_sum_to_colored_degree():
@@ -217,19 +223,24 @@ def test_would_close_cycle_tracks_mutations():
 
 
 def test_cycle_containing_walks_the_cycle():
+    """The repair's cycle test, ``v in fc.walk(j, u, v)`` for a class-``j``
+    edge uv, beside the reference it replaced: off a cycle the walk stops
+    at the path's end on ``u``'s side, round one it ends at ``v``."""
     p = Pairs(6)
     fc = p.coloring(2)
     for a, b in ((0, 1), (1, 2), (2, 3)):
         fc.assign(p(a, b), a, b, 0)
-    assert fc.cycle_containing(0, p(0, 1), 0, 1) is None
+    assert list(fc.walk(0, 0, 1)) == [] and list(fc.walk(0, 1, 0)) == [2, 3]
+    assert reference_cycle_containing(fc, 0, p(0, 1), 0, 1) is None
     fc.assign(p(0, 3), 3, 0, 0)
-    cyc = fc.cycle_containing(0, p(0, 1), 0, 1)
-    assert cyc == [0, 1, 2, 3]
-    assert fc.cycle_containing(0, p(0, 1), 1, 0) == [1, 0, 3, 2]
+    assert list(fc.walk(0, 0, 1)) == [3, 2, 1]
+    assert list(fc.walk(0, 1, 0)) == [2, 3, 0]
+    assert reference_cycle_containing(fc, 0, p(0, 1), 0, 1) == [0, 1, 2, 3]
+    assert reference_cycle_containing(fc, 0, p(0, 1), 1, 0) == [1, 0, 3, 2]
     with pytest.raises(InternalContradictionError, match="is not colored 1"):
-        fc.cycle_containing(1, p(0, 1), 0, 1)
+        reference_cycle_containing(fc, 1, p(0, 1), 0, 1)
     with pytest.raises(InternalContradictionError, match="is not colored 0"):
-        fc.cycle_containing(0, p(0, 2), 0, 2)
+        reference_cycle_containing(fc, 0, p(0, 2), 0, 2)
 
 
 def colored_path(vertices, cycle=False, n=6, t=2):
@@ -391,7 +402,8 @@ def close_and_break_cycle(fc, p, rnd):
     assert mates(fc, j)[u] == v
     check_cycle_queries(fc, p, j, u)
     assert fc.assign(p(u, v), u, v, j) is True
-    cycle = fc.cycle_containing(j, p(u, v), u, v)
+    assert check_cycle_tests(fc, p) >= 6
+    cycle = reference_cycle_containing(fc, j, p(u, v), u, v)
     assert cycle is not None
     check_cycle_queries(fc, p, j, v)
     edges = [edge_key(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
@@ -406,8 +418,10 @@ def close_and_break_cycle(fc, p, rnd):
         (a, b), k = rnd.choice(moves)
         fc.recolor(p(a, b), a, b, k)
     assert not any(
-        fc.edge_class[p(*e)] == j and fc.cycle_containing(j, p(*e), *e) for e in edges
+        fc.edge_class[p(*e)] == j and reference_cycle_containing(fc, j, p(*e), *e)
+        for e in edges
     )
+    assert check_cycle_tests(fc, p) == 0
     check_cycle_queries(fc, p, j, v)
     assert coloring_problems(fc, p.ends) == []
     return True
@@ -431,6 +445,20 @@ def check_cycle_queries(fc, p, j, v):
         want = connected_in_class(colors, j, v, x)
         assert joined(mate, v, x) == want
         assert joined(mate, x, v) == want
+
+
+def check_cycle_tests(fc, p):
+    """On every colored edge uv, both ways round, the repair's cycle test
+    ``v in fc.walk(j, u, v)`` agrees with the reference cycle query.
+    Returns how many of these (edge, direction) pairs lie on a cycle."""
+    found = 0
+    for e, j in enumerate(fc.edge_class):
+        if j != NIL:
+            for u, v in (p.ends[e], p.ends[e][::-1]):
+                want = reference_cycle_containing(fc, j, e, u, v) is not None
+                assert (v in fc.walk(j, u, v)) is want
+                found += want
+    return found
 
 
 def check_assign_returns(fc, p):
@@ -486,6 +514,7 @@ def random_forest_state(seed, n=14, t=4, steps=160):
             colors = edge_classes(fc, p.ends)
             if colors[e1] != colors[e2] and swap_keeps_forest(colors, e1, e2):
                 fc.swap_colors(p(*e1), *e1, p(*e2), *e2)
+        assert check_cycle_tests(fc, p) == 0
     return fc, p, cycles
 
 

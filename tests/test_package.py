@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,3 +169,13 @@ def test_violation_is_hashable_and_immutable():
     assert len({a, b}) == 1
     with pytest.raises(AttributeError):
         a.detail = "y"
+
+
+def test_the_library_keeps_only_the_surface_its_callers_use():
+    """A decompose result carries what the CLI reads, and the names cut from
+    the library (the coloring's cycle query and edge key, the solver's
+    one-position step) appear nowhere in it."""
+    assert linarb.DecomposeResult._fields == ("coloring", "t", "k", "delta", "stats")
+    for f in sorted(Path(linarb.__file__).parent.glob("*.py")):
+        words = set(re.findall(r"\w+", f.read_text()))
+        assert not {"cycle_containing", "process_vertex", "edge_key"} & words, f.name

@@ -25,7 +25,7 @@ from linarb import (
     required_max_degree,
     verify_partition,
 )
-from linarb.coloring import NIL, edge_key
+from linarb.coloring import NIL
 from linarb.solver import _fit_leaves, _leaf_rows, _slot_order, place_light_edge
 from conftest import (
     Pairs,
@@ -33,6 +33,7 @@ from conftest import (
     coloring_problems,
     complete_graph,
     cycle_graph,
+    edge_key,
     endpoint_recolor_fixture,
     fan_graph,
     gfrom,
@@ -92,6 +93,21 @@ def test_solver_state_rejects_unpaddable_inputs():
     g = generate_k_degenerate(n=30, k=2, delta_min=8, seed=4)
     with pytest.raises(PreconditionError, match="below maximum degree"):
         SolverState(g, degeneracy_ordering(g), 7, 4, Mode.MINIMUM)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_solver_state_rejects_a_class_count_off_the_mode(mode, shift):
+    """A class count other than ``class_count_for`` is the caller's error:
+    it is a PreconditionError before the sweep, not a class-budget
+    contradiction at the first owner."""
+    g = generate_k_degenerate(n=300, k=2, delta_min=7, seed=5)
+    ordering = degeneracy_ordering(g)
+    delta = max_degree(g)
+    t = class_count_for(delta, ordering.k, mode)
+    with pytest.raises(PreconditionError, match=f"needs {t} classes, got {t + shift}$"):
+        SolverState(g, ordering, delta, t + shift, mode)
+    assert len(SolverState(g, ordering, delta, t, mode).run()) == g.edge_count
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -277,8 +293,7 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
     for tamper in (pad_high, pad_low, row_entry):
         for position in (0, 4):
             state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=debug)
-            for i in range(position):
-                state.process_vertex(i)
+            state._sweep(range(position))
             check = state._check_capacity
 
             def tampered(v, repaired, state=state, check=check, tamper=tamper):
@@ -287,7 +302,7 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
 
             monkeypatch.setattr(state, "_check_capacity", tampered)
             with pytest.raises(InternalContradictionError, match="colored edges and padding"):
-                state.process_vertex(position)
+                state._sweep(range(position, position + 1))
 
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=debug)
     repair = state._repair
@@ -452,7 +467,6 @@ def test_place_light_edge_feasible_states_never_fail(data):
 def check_decomposition(g, result):
     report = verify_partition(g, result.coloring, result.t)
     assert report.valid, report.violations[:3]
-    assert result.m == g.edge_count
     assert len(result.coloring) == g.edge_count
     return report
 
@@ -486,10 +500,9 @@ def test_empty_graph_and_isolated_vertices():
     result = decompose(Graph(3))
     assert result.t == 0
     assert result.coloring == {}
-    assert result.isolated == [0, 1, 2]
     g = gfrom(4, [(0, 1), (1, 2)])
     result = decompose(g)
-    assert result.isolated == [3]
+    assert result.coloring == {(0, 1): 1, (1, 2): 1}
     check_decomposition(g, result)
 
 
@@ -766,7 +779,7 @@ def test_pending_headroom_check_fires_on_an_internal_reserved_vertex():
     vertex 2, whose step this is, so only 6 is pending."""
     g, ordering, delta, t = pendant_partner_fixture()
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=True)
-    state.process_vertex(0)
+    state._sweep(range(1))
     assert state._touched == [2, 0, 1, 3, 4, 5, 6]
     assert state.reserved_owner_pos[5] == 0 and state.reserved_owner_pos[6] == 4
     ids = state_edge_ids(state, [(5, 6)])
@@ -847,8 +860,8 @@ def test_stepwise_sweep_keeps_every_invariant(monkeypatch):
     state = SolverState(g, base, delta, t, Mode.MINIMUM, debug=True)
     counts = record_leaves(monkeypatch, state)
     ends = list(state.edge_keys())
-    for i in range(g.n):
-        state.process_vertex(i)
+    for i in range(state.n_high):
+        state._sweep(range(i, i + 1))
         assert coloring_problems(state.fc, ends) == []
     assert state.fc.edge_class.count(NIL) == 0
     check_leaf_counts(g, delta, state, counts)
@@ -1023,7 +1036,6 @@ def test_whole_graph_sweep_on_mixed_components(
     result = decompose(g, mode)
     _, t, k_ref, delta_ref = reference_decompose_by_component(g, mode)
     assert (result.t, result.k, result.delta) == (t, k_ref, delta_ref)
-    assert result.isolated == [v for v in range(g.n) if g.degree(v) == 0]
     check_decomposition(g, result)
 
 
@@ -1294,12 +1306,13 @@ def test_solver_reads_no_table_of_the_coloring():
     ``ForestColoring.row``; it never indexes the tables itself.  Outside
     ``coloring.py``, no module of the package and no test module but
     ``conftest.py`` names a table, and nothing defines or names a method
-    deleted from the coloring or the graph, so a change of storage stays
-    inside ``coloring.py`` and that helper."""
+    deleted from the coloring, the graph or the solver, so a change of
+    storage stays inside ``coloring.py`` and that helper."""
     tables = {"_cd", "_nb1", "_nb2", "_total"}
     gone = {
         "_next_on_walk", "_path_end", "class_neighbors", "class_degree",
         "colored_degree", "validate", "would_close_cycle", "add_vertex", "has_edge",
+        "cycle_containing", "process_vertex",
     }
     package = Path(linarb.solver.__file__).parent
     tests = Path(__file__).parent
