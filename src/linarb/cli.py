@@ -101,6 +101,15 @@ def generate_k_degenerate(n: int, k: int, delta_min: int = 0, seed: int = 0) -> 
     return Graph._from_parts(adj, edges)
 
 
+def _decimal(tok: str) -> int:
+    """``int(tok)`` for ASCII decimal digits after an optional minus sign;
+    ``int`` alone also takes a plus sign, ``_`` separators and non-ASCII
+    digits.  Raises ``ValueError`` on any other token."""
+    if tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit()):
+        return int(tok)
+    raise ValueError(tok)
+
+
 def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
     """Parse an edge list into a Graph, reporting errors with line numbers.
 
@@ -112,8 +121,9 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
     DIMACS format (``dimacs=True``): ``c`` comment lines, a mandatory
     ``p <name> <n> <m>`` header, and ``e u v`` lines with 1-based ids.
 
-    Self-loops, repeated edges, out-of-range ids, malformed tokens, and edge
-    counts disagreeing with the header all raise :class:`ParseError`.
+    Self-loops, repeated edges, out-of-range ids, malformed tokens (anything
+    but ASCII decimal digits, a minus sign allowed), and edge counts
+    disagreeing with the header all raise :class:`ParseError`.
     """
     n_declared: int | None = None
     m_declared: int | None = None
@@ -138,8 +148,8 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
                     f"header needs {'p <name> <n> <m>' if dimacs else 'p <n> <m>'}, got {raw!r}",
                 )
             try:
-                n_declared = int(tok[-2])
-                m_declared = int(tok[-1])
+                n_declared = _decimal(tok[-2])
+                m_declared = _decimal(tok[-1])
             except ValueError:
                 raise ParseError(line_no, f"non-integer counts in header {raw!r}") from None
             if n_declared < 0 or m_declared < 0:
@@ -156,7 +166,7 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
         elif len(tok) != 2:
             raise ParseError(line_no, f"expected '<u> <v>', got {raw!r}")
         try:
-            u, v = int(tok[0]), int(tok[1])
+            u, v = _decimal(tok[0]), _decimal(tok[1])
         except ValueError:
             raise ParseError(line_no, f"non-integer vertex id in {raw!r}") from None
         if dimacs:
@@ -281,7 +291,8 @@ def _write_case(exc: InternalContradictionError, g: Graph, args: argparse.Namesp
 def _parse_coloring(text: str) -> tuple[dict[tuple[int, int], int], int]:
     """Read 'u v c' lines (comments/blanks allowed); returns the map and the
     largest class index seen (0 when empty).  Structural edge problems are
-    left to the verifier; only unreadable lines fail here."""
+    left to the verifier; only unreadable lines fail here, such as a token
+    that is not ASCII decimal digits (see :func:`_decimal`)."""
     result: dict[tuple[int, int], int] = {}
     high = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -292,7 +303,7 @@ def _parse_coloring(text: str) -> tuple[dict[tuple[int, int], int], int]:
         if len(tok) != 3:
             raise ParseError(line_no, f"expected '<u> <v> <class>', got {raw!r}")
         try:
-            u, v, c = int(tok[0]), int(tok[1]), int(tok[2])
+            u, v, c = _decimal(tok[0]), _decimal(tok[1]), _decimal(tok[2])
         except ValueError:
             raise ParseError(line_no, f"non-integer field in {raw!r}") from None
         key = (u, v) if u <= v else (v, u)

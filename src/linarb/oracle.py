@@ -2,7 +2,8 @@
 
 The search is only feasible for small graphs (roughly 20 edges); it exists
 as an independent ground truth for testing the constructive solver, so it
-shares no machinery with it.
+shares no machinery with it.  The closed-form bounds, by contrast, read
+the solver's thresholds and class counts.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import NamedTuple
 from .degeneracy import degeneracy_ordering
 from .errors import PreconditionError
 from .graph import Graph, max_degree
+from .solver import Mode, class_count_for, required_max_degree
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -161,11 +163,12 @@ def la_bounds(g: Graph) -> LaBounds:
     if delta == 0:
         return LaBounds(0, 0, True, 0, 0)
     k = degeneracy_ordering(g).k
-    lower = (delta + 1) // 2
+    half = class_count_for(delta, k, Mode.MINIMUM)
+    lower = half
     if delta % 2 == 0 and all(g.degree(v) == delta for v in range(g.n)):
-        lower = delta // 2 + 1
-    if k <= 1 or delta >= 2 * k * k - k:
-        return LaBounds(lower, (delta + 1) // 2, True, delta, k)
-    upper = delta // 2 + 1
-    proven = delta >= 2 * k * k - 2 * k or delta <= 6 or delta in (8, 10)
+        lower += 1
+    if delta >= required_max_degree(k, Mode.MINIMUM):
+        return LaBounds(lower, half, True, delta, k)
+    upper = class_count_for(delta, k, Mode.LAC)
+    proven = delta >= required_max_degree(k, Mode.LAC) or delta <= 6 or delta in (8, 10)
     return LaBounds(lower, upper, proven, delta, k)

@@ -1,21 +1,24 @@
-"""Disjoint representative selection for high-degree vertices.
+"""Disjoint representative selection for the sweep's owners.
 
-Given a graph with a degeneracy ordering and a degree threshold ``d``, every
-vertex of degree at least ``d`` must reserve ``r = (d - k) // k`` of its
-right-neighbors, with all reserved sets pairwise disjoint (a system of
-distinct representatives of multiplicity r).  Existence is guaranteed
-because each vertex lies in at most ``k`` of the right-neighborhoods while
-every right-neighborhood of a degree->=d vertex has at least ``d - k >= r*k``
-members, so Hall's condition holds with room to spare.
+The caller chooses the owners, the order the greedy pass visits them in, and
+``r``; every owner must reserve ``r`` of its right-neighbors, with all
+reserved sets pairwise disjoint (a system of distinct representatives of
+multiplicity r).  The sweep passes every vertex padded to degree D, in id
+order, with ``r = (D - k) // k``.  Its rows then admit a full assignment:
+each vertex lies in at most ``k`` of the right-neighborhoods, while an
+owner's right-neighborhood and its phantoms number at least ``D - k >= r*k``,
+so Hall's condition holds with room to spare and :func:`_augment` always
+finds a path.
 
 The selection is a maximum flow on the bipartite demand network (source ->
 owner with capacity r, owner -> candidate and candidate -> sink with
-capacity 1).  A greedy smallest-id pass, owners in id order, saturates
-almost all demand, and breadth-first augmenting paths finish the rest, so
-the result is deterministic.  Each augment rescans its start owner's row,
-so a hub whose id follows its neighbours' ids is quadratic: on a fan (a path
-plus a hub joined to all of it) the path owners take the hub's candidates
-first, and its deficit of about half its degree is filled one scan at a time.
+capacity 1).  A greedy pass, each owner in the given order taking its
+smallest free candidates, saturates almost all demand, and breadth-first
+augmenting paths finish the rest, so the result is deterministic.  Each augment rescans its start
+owner's row, so a hub visited after its neighbours is quadratic: on a fan (a
+path plus a hub joined to all of it) with owners in id order and the hub
+last, the path owners take the hub's candidates first, and its deficit of
+about half its degree is filled one scan at a time.
 
 The candidates are read from a right-row table the caller builds once and
 shares with the sweep: one flat list of targets, where the right-neighbors
@@ -42,67 +45,38 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
 
-from .degeneracy import DegeneracyOrdering
-from .errors import InternalContradictionError, PreconditionError
-from .graph import Graph
-
-
-class SdrAssignment:
-    """Disjoint representative sets for every vertex of degree >= d.
-
-    ``reserved[e] == 1`` when edge ``e`` (an index into the right-row
-    targets) joins its row's owner to one of its real representatives.  Each
-    owner reserves ``r`` in all: its flagged edges, then phantom leaves for
-    the rest.  Rows of vertices below the degree threshold hold no flag.
-    """
-
-    __slots__ = ("r", "reserved", "__weakref__")
-
-    def __init__(self, r: int, reserved: bytearray) -> None:
-        self.r, self.reserved = r, reserved
+from .errors import InternalContradictionError
 
 
 def compute_sdr(
-    g: Graph,
-    ordering: DegeneracyOrdering,
-    d: int,
+    owners: Sequence[int],
+    r: int,
     targets: list[int],
     offsets: Sequence[int],
-    pad: Sequence[int] | None = None,
-) -> SdrAssignment:
-    """Reserve ``(d - k) // k`` disjoint right-neighbors for every degree->=d vertex.
+    position: Sequence[int],
+    pad: Sequence[int],
+) -> bytearray:
+    """Reserve ``r`` disjoint right-neighbors for each of ``owners`` and
+    return the reservation flags, one per edge id.
 
-    ``targets`` and ``offsets`` are the right rows of ``ordering`` (see the
-    module docstring); they must cover the position of every vertex of
-    degree at least ``d``.  ``pad[v]``, when given, is the number of
-    phantom leaves padding ``v``: they count toward its degree and are
-    candidates only ``v`` can take, after all its real ones.
+    The greedy pass visits ``owners`` in the order given.  ``targets`` and
+    ``offsets`` are the right rows by position (see the module docstring);
+    they must cover ``position[v]`` for every owner ``v``.  ``pad[v]`` is
+    the number of phantom leaves padding ``v``: candidates only ``v`` can
+    take, after all its real ones.
 
-    Raises :class:`PreconditionError` unless ``k <= d <= max_degree(g)``, and
-    :class:`InternalContradictionError` if no full assignment exists (which a
-    valid k-degenerate ordering rules out).
+    Raises :class:`InternalContradictionError` if no full assignment exists,
+    which the sweep's rows rule out (see the module docstring).
     """
-    k = ordering.k
-    if k <= 0:
-        raise PreconditionError("ordering certifies degeneracy 0; no representatives to reserve")
-    adj = g._adj
-    pad = pad if pad is not None else [0] * g.n
-    degree = [len(row) + p for row, p in zip(adj, pad)]
-    delta = max(degree, default=0)
-    if not k <= d <= delta:
-        raise PreconditionError(f"need k <= d <= max degree, got k={k}, d={d}, max={delta}")
-    r = (d - k) // k
-    owners = [v for v in range(g.n) if degree[v] >= d]
     reserved = bytearray(len(targets))
     if r == 0:
-        return SdrAssignment(r, reserved)
+        return reserved
 
-    position = ordering.position
-    taken_by = array("i", [-1]) * g.n  # the owner holding each vertex, or -1
+    taken_by = array("i", [-1]) * len(position)  # the owner holding each vertex, or -1
     phantoms = array("i", pad)  # the phantoms each owner may still take
 
     # Greedy warm start: each owner grabs its smallest free candidates.
-    short: list[tuple[int, int]] = []  # (owner, deficit) it left, in id order
+    short: list[tuple[int, int]] = []  # (owner, deficit) it left, in visit order
     for v in owners:
         i = position[v]
         need = r
@@ -124,7 +98,7 @@ def compute_sdr(
     for v, deficit in short:
         for _ in range(deficit):
             _augment(v, targets, offsets, position, taken_by, phantoms, reserved)
-    return SdrAssignment(r, reserved)
+    return reserved
 
 
 def _augment(

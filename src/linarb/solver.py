@@ -43,7 +43,7 @@ from .coloring import NIL, ForestColoring, place_light_edge
 from .degeneracy import DegeneracyOrdering, degeneracy_ordering
 from .errors import InternalContradictionError, PreconditionError
 from .graph import Graph, max_degree
-from .sdr import SdrAssignment, compute_sdr
+from .sdr import compute_sdr
 from .verify import verify_partition
 
 
@@ -170,10 +170,14 @@ class SolverState:
     The rows of the degree-D block come first; the few edges between two
     degree-1 vertices (K2 components) form the table's tail, each listed
     once by its earlier endpoint, whose only neighbor it names.  The sweep
-    keeps classes by edge id only, in the coloring's class array, and the
-    representative selection marks the reserved edges by id.  Since
-    ``k >= 2`` and ``target_delta >= 2k^2 - 2k``, each owner reserves
-    ``r = (target_delta - k) // k >= 2k - 3 >= 1`` edges.
+    keeps classes by edge id only, in the coloring's class array.
+
+    The state alone decides who reserves and how many: the owners are the
+    vertices padded to degree ``target_delta``, visited in id order, and
+    since ``k >= 2`` and ``target_delta >= 2k^2 - 2k``, each reserves
+    :attr:`r` ``= (target_delta - k) // k >= 2k - 3 >= 1`` edges.
+    :func:`compute_sdr` only matches them, and :attr:`reserved` holds its
+    flags by edge id.
 
     ``t`` must be ``class_count_for(target_delta, k, mode)``, the budget the
     sweep's argument counts on.  :meth:`run` drives the sweep to completion
@@ -234,11 +238,13 @@ class SolverState:
         # certifies degeneracy k, and every degree-1 vertex trails every
         # degree-D vertex as the sweep requires.  Padding pendants would
         # trail both.  A peel removes low degrees first, so its order is
-        # usually partitioned already and is kept as it is.
-        n_high = n - sum(len(row) <= 1 for row in adj)
-        # One int object per vertex id, shared by any positions built here
-        # and the output map's keys (see edge_keys).
+        # usually partitioned already and is kept as it is.  The degree-D
+        # vertices are the owners, which reserve representatives in id order.
+        # One int object per vertex id, shared by the owners, any positions
+        # built here and the output map's keys (see edge_keys).
         ids = list(range(n))
+        owners = [v for v in ids if len(adj[v]) > 1]
+        n_high = len(owners)
         order = base_ordering.order
         if all(len(adj[v]) > 1 for v in islice(order, n_high)):
             self.ordering = base_ordering
@@ -278,9 +284,8 @@ class SolverState:
                     targets.append(row[0])
         self.targets = targets
         self.offsets = offsets
-        self.sdr: SdrAssignment = compute_sdr(
-            g, self.ordering, target_delta, targets, offsets, pad
-        )
+        self.r = (target_delta - k) // k
+        self.reserved = compute_sdr(owners, self.r, targets, offsets, position, pad)
         self.stats.sdr_ms += (time.perf_counter() - mark) * 1000.0
         self.fc = ForestColoring(n, t, g.edge_count)
         # Debug only: owner position per reserved vertex (-1 when never
@@ -289,7 +294,7 @@ class SolverState:
         self.reserved_owner_pos: list[int] = []
         if debug:
             self.reserved_owner_pos = [-1] * n
-            flags = self.sdr.reserved
+            flags = self.reserved
             for i in range(self.n_high):
                 for e in range(offsets[i], offsets[i + 1]):
                     if flags[e]:
@@ -327,7 +332,7 @@ class SolverState:
         uncolored = cls.count(NIL)
         if uncolored:
             raise InternalContradictionError(f"sweep left {uncolored} edges uncolored")
-        del self.sdr, self.fc, fc
+        del self.reserved, self.fc, fc
         out = dict(zip(self.edge_keys(), map(first.__add__, cls) if first else cls))
         self.stats.sweep_ms += (time.perf_counter() - start) * 1000.0
         return out
@@ -366,8 +371,8 @@ class SolverState:
         a reserved edge closes a cycle, for the repair.
         """
         fc, targets, offsets = self.fc, self.targets, self.offsets
-        order, pad, flags = self.ordering.order, self.pad, self.sdr.reserved
-        t, r, debug = fc.t, self.sdr.r, self.debug
+        order, pad, flags = self.ordering.order, self.pad, self.reserved
+        t, r, debug = fc.t, self.r, self.debug
         top = r + 1 if self.mode is Mode.MINIMUM else r + 2
         for i in positions:
             v = order[i]

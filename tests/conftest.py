@@ -24,6 +24,7 @@ from linarb import (
     required_max_degree,
 )
 from linarb.coloring import NIL, ForestColoring
+import linarb.sdr
 from linarb.sdr import _augment
 from linarb.solver import _color_forest
 from linarb.verify import (
@@ -419,26 +420,45 @@ def right_rows(g: Graph, ordering: DegeneracyOrdering) -> tuple[list[int], list[
     return targets, offsets
 
 
-def owner_reservation(sdr, ordering: DegeneracyOrdering, rows, v: int) -> tuple[list[int], int]:
+def threshold_sdr(
+    g: Graph, ordering: DegeneracyOrdering, d: int, pad=None
+) -> tuple[bytearray, int]:
+    """``compute_sdr`` at a generic degree threshold ``d``: every vertex of
+    degree at least ``d``, its phantoms ``pad[v]`` counted, reserves
+    ``r = (d - k) // k`` right-neighbors, owners in id order, over the
+    right rows of every position.  Returns the flags and ``r``."""
+    k = ordering.k
+    pad = pad if pad is not None else [0] * g.n
+    owners = [v for v in range(g.n) if g.degree(v) + pad[v] >= d]
+    r = (d - k) // k
+    targets, offsets = right_rows(g, ordering)
+    # Looked up on the module, so that a test can wrap it there.
+    return linarb.sdr.compute_sdr(owners, r, targets, offsets, ordering.position, pad), r
+
+
+def owner_reservation(
+    flags: bytearray, r: int, ordering: DegeneracyOrdering, rows, v: int
+) -> tuple[list[int], int]:
     """Owner ``v``'s real representatives, ascending, and its reserved leaf
-    count, read from the SDR's flags over ``v``'s row of the right-row table
-    ``rows`` (a ``(targets, offsets)`` pair, as :func:`right_rows` builds)."""
+    count, read from the reservation flags over ``v``'s row of the right-row
+    table ``rows`` (a ``(targets, offsets)`` pair, as :func:`right_rows`
+    builds), when each owner reserves ``r``."""
     targets, offsets = rows
     i = ordering.position[v]
-    reps = [targets[e] for e in range(offsets[i], offsets[i + 1]) if sdr.reserved[e]]
-    return reps, sdr.r - len(reps)
+    reps = [targets[e] for e in range(offsets[i], offsets[i + 1]) if flags[e]]
+    return reps, r - len(reps)
 
 
-def flagged_owners(sdr, ordering: DegeneracyOrdering, rows) -> set[int]:
+def flagged_owners(flags: bytearray, ordering: DegeneracyOrdering, rows) -> set[int]:
     """The vertices whose row of ``rows`` holds a reserved flag; the flags
     must span exactly the table."""
     targets, offsets = rows
-    assert len(sdr.reserved) == len(targets)
+    assert len(flags) == len(targets)
     order = ordering.order
     return {
         order[i]
         for i in range(len(offsets) - 1)
-        if any(sdr.reserved[offsets[i]:offsets[i + 1]])
+        if any(flags[offsets[i]:offsets[i + 1]])
     }
 
 
@@ -684,29 +704,23 @@ def reference_decompose_by_component(
 
 
 def reference_augment_starts(
-    g: Graph,
-    ordering: DegeneracyOrdering,
-    d: int,
+    owners: Sequence[int],
+    r: int,
     targets: list[int],
     offsets,
-    pad=None,
+    position: Sequence[int],
+    pad: Sequence[int],
 ) -> tuple[list[int], bytearray]:
     """``compute_sdr`` as it ran before its greedy pass listed the owners it
     left short: after that pass every owner's deficit was recounted from its
-    flags and its phantoms, and each owner with one was augmented in id
-    order.  Returns the start owner of every ``_augment`` call, in call
-    order, and the reservation flags."""
-    k = ordering.k
-    pad = pad if pad is not None else [0] * g.n
-    degree = [len(row) + p for row, p in zip(g._adj, pad)]
-    r = (d - k) // k
-    owners = [v for v in range(g.n) if degree[v] >= d]
+    flags and its phantoms, and each owner with one was augmented in the
+    greedy order.  Returns the start owner of every ``_augment`` call, in
+    call order, and the reservation flags."""
     reserved = bytearray(len(targets))
     starts: list[int] = []
     if r == 0:
         return starts, reserved
-    position = ordering.position
-    taken_by = array("i", [-1]) * g.n
+    taken_by = array("i", [-1]) * len(position)
     phantoms = array("i", pad)
     for v in owners:
         i = position[v]

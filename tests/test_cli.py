@@ -220,6 +220,38 @@ def test_parse_rejects_non_integer_ids():
         parse_edge_list("a b\n")
 
 
+# Tokens ``int`` takes beyond ASCII decimal digits, and the two ASCII forms
+# that stay readable: a leading zero, and a minus sign the id check reports.
+TOKEN_CASES = [("1_0", None), ("+1", None), ("３", None), ("٣", None), ("-1", -1), ("01", 1)]
+
+
+@pytest.mark.parametrize("tok, value", TOKEN_CASES)
+def test_parse_reads_only_ascii_decimal_tokens(tok, value):
+    if value is None:
+        with pytest.raises(ParseError, match="line 2: non-integer vertex id"):
+            parse_edge_list(f"0 3\n{tok} 2\n")
+        with pytest.raises(ParseError, match="line 1: non-integer counts"):
+            parse_edge_list(f"p edge {tok} 0\n", dimacs=True)
+    elif value < 0:
+        with pytest.raises(ParseError, match="line 2: vertex id -1 is negative"):
+            parse_edge_list(f"0 3\n{tok} 2\n")
+    else:
+        assert parse_edge_list(f"0 3\n{tok} 2\n").edges() == [(0, 3), (1, 2)]
+
+
+@pytest.mark.parametrize("tok, value", TOKEN_CASES)
+def test_coloring_reads_only_ascii_decimal_tokens(tok, value):
+    id_line, class_line = f"0 1 1\n{tok} 2 1\n", f"0 1 1\n3 4 {tok}\n"
+    if value is None:
+        for text in (id_line, class_line):
+            with pytest.raises(ParseError, match="line 2: non-integer field"):
+                linarb.cli._parse_coloring(text)
+    else:
+        edge = (min(value, 2), max(value, 2))
+        assert linarb.cli._parse_coloring(id_line) == ({(0, 1): 1, edge: 1}, 1)
+        assert linarb.cli._parse_coloring(class_line) == ({(0, 1): 1, (3, 4): value}, max(1, value))
+
+
 def test_parse_rejects_self_loop():
     with pytest.raises(ParseError, match="self-loop"):
         parse_edge_list("0 1\n2 2\n")

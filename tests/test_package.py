@@ -114,6 +114,19 @@ def test_coloring_raises_only_internal_contradictions():
     assert raised == {"InternalContradictionError"}
 
 
+def test_the_sdr_imports_from_the_package_only_its_fault_type():
+    """The sweep decides who reserves and how many, so the matcher reads no
+    graph or ordering: ``sdr.py`` imports only ``.errors`` from the package
+    (``linarb`` by name counts too)."""
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "sdr.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "linarb"):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.partition(".")[0] == "linarb")
+    assert imported == {".errors"}
+
+
 def test_the_environment_is_read_only_for_the_dump_dir():
     """No environment variable changes what a library call computes: the
     one variable the package reads, in the CLI, names where a failed

@@ -30,6 +30,7 @@ from conftest import (
     reference_augment_starts,
     right_rows,
     star_graph,
+    threshold_sdr,
 )
 
 
@@ -38,16 +39,14 @@ def right_neighbors(g, ordering, v):
     return {u for u in g.neighbors(v) if pos[u] > pos[v]}
 
 
-def check_assignment(g, ordering, d, sdr):
-    k = ordering.k
-    assert sdr.r == (d - k) // k
+def check_assignment(g, ordering, d, flags, r):
     owners = [v for v in range(g.n) if g.degree(v) >= d]
     rows = right_rows(g, ordering)
-    assert flagged_owners(sdr, ordering, rows) <= set(owners)
+    assert flagged_owners(flags, ordering, rows) <= set(owners)
     seen: set[int] = set()
     for v in owners:
-        reps, leaves = owner_reservation(sdr, ordering, rows, v)
-        assert (len(reps), leaves) == (sdr.r, 0)
+        reps, leaves = owner_reservation(flags, r, ordering, rows, v)
+        assert (len(reps), leaves) == (r, 0)
         assert reps == sorted(reps)
         assert set(reps) <= right_neighbors(g, ordering, v)
         for u in reps:
@@ -55,48 +54,32 @@ def check_assignment(g, ordering, d, sdr):
             seen.add(u)
 
 
-def test_zero_degeneracy_rejected():
-    g = Graph(4)
-    ordering = degeneracy_ordering(g)
-    with pytest.raises(PreconditionError):
-        compute_sdr(g, ordering, 1, *right_rows(g, ordering))
-
-
-def test_threshold_range_enforced():
-    g = cycle_graph(5)
-    ordering = degeneracy_ordering(g)
-    with pytest.raises(PreconditionError):
-        compute_sdr(g, ordering, 1, *right_rows(g, ordering))
-    with pytest.raises(PreconditionError):
-        compute_sdr(g, ordering, 3, *right_rows(g, ordering))
-
-
 def test_threshold_equal_to_degeneracy_reserves_nothing():
     g = cycle_graph(6)
     ordering = degeneracy_ordering(g)
     rows = right_rows(g, ordering)
-    sdr = compute_sdr(g, ordering, 2, *rows)
-    assert sdr.r == 0
-    assert flagged_owners(sdr, ordering, rows) == set()
-    assert owner_reservation(sdr, ordering, rows, 0) == ([], 0)
+    flags, r = threshold_sdr(g, ordering, 2)
+    assert r == 0
+    assert flagged_owners(flags, ordering, rows) == set()
+    assert owner_reservation(flags, r, ordering, rows, 0) == ([], 0)
 
 
 def test_star_center_reserves_all_but_one_leaf():
     g = star_graph(8)
     ordering = degeneracy_ordering(g)
     rows = right_rows(g, ordering)
-    sdr = compute_sdr(g, ordering, 8, *rows)
-    assert sdr.r == 7
-    assert flagged_owners(sdr, ordering, rows) == {0}
-    check_assignment(g, ordering, 8, sdr)
+    flags, r = threshold_sdr(g, ordering, 8)
+    assert r == 7
+    assert flagged_owners(flags, ordering, rows) == {0}
+    check_assignment(g, ordering, 8, flags, r)
 
 
 def test_reps_of_non_owner_is_empty():
     g = star_graph(5)
     ordering = degeneracy_ordering(g)
     rows = right_rows(g, ordering)
-    sdr = compute_sdr(g, ordering, 5, *rows)
-    assert owner_reservation(sdr, ordering, rows, 3)[0] == []
+    flags, r = threshold_sdr(g, ordering, 5)
+    assert owner_reservation(flags, r, ordering, rows, 3)[0] == []
 
 
 def three_grab_one_graph() -> Graph:
@@ -122,10 +105,34 @@ def test_greedy_deficit_resolved_by_reassignment():
     g = three_grab_one_graph()
     ordering = ordering_for(g, list(range(22)), 2)
     rows = right_rows(g, ordering)
-    sdr = compute_sdr(g, ordering, 6, *rows)
-    assert sdr.r == 2
-    check_assignment(g, ordering, 6, sdr)
-    assert len(owner_reservation(sdr, ordering, rows, 3)[0]) == 2
+    flags, r = threshold_sdr(g, ordering, 6)
+    assert r == 2
+    check_assignment(g, ordering, 6, flags, r)
+    assert len(owner_reservation(flags, r, ordering, rows, 3)[0]) == 2
+
+
+@pytest.mark.parametrize(
+    "owners, want_starts", [([0, 1, 2, 3], [3, 3]), ([3, 0, 1, 2], [])]
+)
+def test_greedy_pass_follows_the_given_owner_order(owners, want_starts, monkeypatch):
+    """The greedy pass visits the owners in the caller's order: in id order
+    owner 3 finds its pool taken and starts two augments; visited first, it
+    takes its pool and no augment runs.  Both end at the same family."""
+    starts = []
+    real_augment = linarb.sdr._augment
+
+    def augment(start, *rest):
+        starts.append(start)
+        real_augment(start, *rest)
+
+    monkeypatch.setattr(linarb.sdr, "_augment", augment)
+    g = three_grab_one_graph()
+    ordering = ordering_for(g, list(range(22)), 2)
+    rows = right_rows(g, ordering)
+    flags = compute_sdr(owners, 2, *rows, ordering.position, [0] * g.n)
+    assert starts == want_starts
+    reps = {v: owner_reservation(flags, 2, ordering, rows, v) for v in range(4)}
+    assert reps == {0: ([10, 11], 0), 1: ([6, 7], 0), 2: ([8, 9], 0), 3: ([4, 5], 0)}
 
 
 def test_deterministic():
@@ -133,9 +140,7 @@ def test_deterministic():
     g = random_graph(rnd, 12, 30)
     ordering = degeneracy_ordering(g)
     d = max(ordering.k, max_degree(g) - 1)
-    a = compute_sdr(g, ordering, d, *right_rows(g, ordering))
-    b = compute_sdr(g, ordering, d, *right_rows(g, ordering))
-    assert a.reserved == b.reserved
+    assert threshold_sdr(g, ordering, d) == threshold_sdr(g, ordering, d)
 
 
 @settings(max_examples=80, deadline=None)
@@ -146,8 +151,7 @@ def test_random_assignments_valid(n, data):
     g = gfrom(n, chosen)
     ordering = degeneracy_ordering(g)
     d = data.draw(st.integers(ordering.k, max_degree(g)))
-    sdr = compute_sdr(g, ordering, d, *right_rows(g, ordering))
-    check_assignment(g, ordering, d, sdr)
+    check_assignment(g, ordering, d, *threshold_sdr(g, ordering, d))
 
 
 def with_explicit_pendants(g, ordering, pad):
@@ -178,18 +182,18 @@ def test_phantom_padding_matches_explicit_pendants(seed):
     d = max_degree(g) + rnd.randrange(0, 3)
     pad = [d - g.degree(v) if 1 < g.degree(v) < d else 0 for v in range(g.n)]
     rows = right_rows(g, ordering)
-    got = compute_sdr(g, ordering, d, *rows, pad)
+    got, r = threshold_sdr(g, ordering, d, pad)
     padded, padded_ordering = with_explicit_pendants(g, ordering, pad)
     padded_rows = right_rows(padded, padded_ordering)
-    want = compute_sdr(padded, padded_ordering, d, *padded_rows)
-    assert got.r == want.r
+    want, padded_r = threshold_sdr(padded, padded_ordering, d)
+    assert r == padded_r
     owners = [v for v in range(padded.n) if padded.degree(v) >= d]
     assert flagged_owners(got, ordering, rows) <= set(owners)
     for v in owners:
-        reps, leaves = owner_reservation(want, padded_ordering, padded_rows, v)
+        reps, leaves = owner_reservation(want, r, padded_ordering, padded_rows, v)
         assert leaves == 0
         real = [u for u in reps if u < g.n]
-        assert owner_reservation(got, ordering, rows, v) == (real, len(reps) - len(real))
+        assert owner_reservation(got, r, ordering, rows, v) == (real, len(reps) - len(real))
 
 
 def phantom_deficit_case() -> tuple[Graph, DegeneracyOrdering, list[int]]:
@@ -207,14 +211,14 @@ def test_deficit_resolved_through_a_phantom():
     which releases a real candidate to owner 2."""
     g, ordering, pad = phantom_deficit_case()
     rows = right_rows(g, ordering)
-    sdr = compute_sdr(g, ordering, 6, *rows, pad)
-    assert owner_reservation(sdr, ordering, rows, 0) == ([], 2)
-    assert owner_reservation(sdr, ordering, rows, 1) == ([5, 6], 0)
-    assert owner_reservation(sdr, ordering, rows, 2) == ([3, 4], 0)
+    flags, r = threshold_sdr(g, ordering, 6, pad)
+    assert owner_reservation(flags, r, ordering, rows, 0) == ([], 2)
+    assert owner_reservation(flags, r, ordering, rows, 1) == ([5, 6], 0)
+    assert owner_reservation(flags, r, ordering, rows, 2) == ([3, 4], 0)
     padded, padded_ordering = with_explicit_pendants(g, ordering, pad)
     rows = right_rows(padded, padded_ordering)
-    sdr = compute_sdr(padded, padded_ordering, 6, *rows)
-    assert owner_reservation(sdr, ordering, rows, 2) == ([3, 4], 0)
+    flags, r = threshold_sdr(padded, padded_ordering, 6)
+    assert owner_reservation(flags, r, ordering, rows, 2) == ([3, 4], 0)
 
 
 def capped_graph(k: int, seed: int, n: int) -> Graph:
@@ -246,18 +250,18 @@ def padded_flags(g: Graph, k: int) -> bytes:
     ``max(2k^2 - k, max degree)`` in MINIMUM mode."""
     delta = max(required_max_degree(k, Mode.MINIMUM), max_degree(g))
     state = SolverState(g, degeneracy_ordering(g), delta, (delta + 1) // 2, Mode.MINIMUM)
-    return bytes(state.sdr.reserved)
+    return bytes(state.reserved)
 
 
 def unpadded_flags() -> bytes:
     g = three_grab_one_graph()
     ordering = ordering_for(g, list(range(22)), 2)
-    return bytes(compute_sdr(g, ordering, 6, *right_rows(g, ordering)).reserved)
+    return bytes(threshold_sdr(g, ordering, 6)[0])
 
 
 def phantom_flags() -> bytes:
     g, ordering, pad = phantom_deficit_case()
-    return bytes(compute_sdr(g, ordering, 6, *right_rows(g, ordering), pad).reserved)
+    return bytes(threshold_sdr(g, ordering, 6, pad)[0])
 
 
 # family -> sha256 of the reservation flags.  Between them the families end
@@ -305,13 +309,13 @@ def random_sdr_call(seed: int):
     ordering = degeneracy_ordering(g)
     d = rnd.randint(min(2 * ordering.k, max_degree(g)), max_degree(g))
     pad = [rnd.randrange(3) for _ in range(n)] if seed % 2 else None
-    return lambda: compute_sdr(g, ordering, d, *right_rows(g, ordering), pad)
+    return lambda: threshold_sdr(g, ordering, d, pad)
 
 
 def unpadded_fan_call(hub_first: bool):
     g = fan_graph(300, hub_first)
     ordering = degeneracy_ordering(g)
-    return lambda: compute_sdr(g, ordering, 299, *right_rows(g, ordering))
+    return lambda: threshold_sdr(g, ordering, 299)
 
 
 AUGMENT_CASES = {
@@ -353,13 +357,12 @@ def test_augments_start_where_the_recount_started_them(case, monkeypatch):
 
     def sdr(*args):
         seen["args"], seen["starts"] = args, []
-        got = real_sdr(*args)
-        seen["flags"] = got.reserved
-        return got
+        seen["flags"] = real_sdr(*args)
+        return seen["flags"]
 
     monkeypatch.setattr(linarb.sdr, "_augment", augment)
+    monkeypatch.setattr(linarb.sdr, "compute_sdr", sdr)
     monkeypatch.setattr(linarb.solver, "compute_sdr", sdr)
-    monkeypatch.setitem(globals(), "compute_sdr", sdr)
     AUGMENT_CASES[case]()
     want_starts, want_flags = reference_augment_starts(*seen["args"])
     assert seen["starts"] == want_starts
