@@ -124,14 +124,23 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
     Self-loops, repeated edges, out-of-range ids, malformed tokens (anything
     but ASCII decimal digits, a minus sign allowed), and edge counts
     disagreeing with the header all raise :class:`ParseError`.
+
+    Each distinct id token is converted once, and its int is shared by every
+    row and key that names the vertex, so canonical tokens give one object
+    per vertex.  No line number is kept per edge: a repeated edge's first
+    line is found by rescanning the lines before it.
     """
     n_declared: int | None = None
     m_declared: int | None = None
     header_line = 0
-    found: dict[tuple[int, int], int] = {}
+    found: dict[tuple[int, int], None] = {}  # insertion order: input order
+    ids: dict[str, int] = {}  # token -> 0-based id, one int per token
+    get = ids.get
+    shift = 1 if dimacs else 0
     saw_data = False
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -165,15 +174,17 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
             tok = tok[1:]
         elif len(tok) != 2:
             raise ParseError(line_no, f"expected '<u> <v>', got {raw!r}")
+        a, b = tok
         try:
-            u, v = _decimal(tok[0]), _decimal(tok[1])
+            u = get(a)
+            if u is None:
+                u = ids[a] = _decimal(a) - shift
+            v = get(b)
+            if v is None:
+                v = ids[b] = _decimal(b) - shift
         except ValueError:
             raise ParseError(line_no, f"non-integer vertex id in {raw!r}") from None
-        if dimacs:
-            u -= 1
-            v -= 1
-        lo = min(u, v)
-        hi = max(u, v)
+        lo, hi = (u, v) if u < v else (v, u)
         if lo < 0:
             bad = f"{lo + 1} is below 1: DIMACS ids start at 1" if dimacs else f"{lo} is negative"
             raise ParseError(line_no, f"vertex id {bad}")
@@ -185,11 +196,11 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
             )
         if u == v:
             raise ParseError(line_no, f"self-loop at vertex {u if not dimacs else u + 1}")
-        if (lo, hi) in found:
-            raise ParseError(
-                line_no, f"edge {lo}-{hi} already given on line {found[(lo, hi)]}"
-            )
-        found[(lo, hi)] = line_no
+        key = (lo, hi)
+        if key in found:
+            first = _first_line(lines, line_no, key, ids, dimacs)
+            raise ParseError(line_no, f"edge {lo}-{hi} already given on line {first}")
+        found[key] = None
 
     if dimacs and n_declared is None and found:
         raise ParseError(1, "DIMACS input lacks a 'p' header")
@@ -206,6 +217,23 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
         adj[lo].append(hi)
         adj[hi].append(lo)
     return Graph._from_parts(adj, set(found))
+
+
+def _first_line(
+    lines: list[str], stop: int, key: tuple[int, int], ids: dict[str, int], dimacs: bool
+) -> int:
+    """The number of the first line before line ``stop`` whose edge is
+    ``key``.  Every data line before ``stop`` has parsed, so its tokens are
+    in ``ids`` and a line with two of them after any ``e`` is an edge."""
+    for line_no, raw in enumerate(lines[:stop - 1], start=1):
+        tok = raw.split()
+        if dimacs and tok[:1] == ["e"]:
+            del tok[0]
+        if len(tok) == 2 and tok[0] in ids and tok[1] in ids:
+            u, v = ids[tok[0]], ids[tok[1]]
+            if (min(u, v), max(u, v)) == key:
+                return line_no
+    raise InternalContradictionError(f"edge {key[0]}-{key[1]} repeated but not found")
 
 
 # --------------------------------------------------------------------- output
@@ -260,6 +288,25 @@ def _classes(g: Graph, coloring: dict[tuple[int, int], int]) -> array:
     except KeyError as exc:
         u, w = exc.args[0]
         raise InternalContradictionError(f"partition misses edge {u}-{w}") from None
+
+
+def _json_partition(head: dict, g: Graph, classes: array) -> Iterator[str]:
+    """``json.dumps({**head, "classes": rows}, indent=2, sort_keys=True)``
+    in pieces for :func:`_write`, one per class row, ``rows`` being
+    ``[u, w, c]`` for every edge in :func:`_ascending_edges` order.
+    ``"classes"`` sorts before every head key, so the rows come first, each
+    rendered as ``json.dumps`` renders it at that depth, and the head's own
+    dump follows them without its opening brace."""
+    if not classes:
+        yield '{\n  "classes": [],'
+    else:
+        yield '{\n  "classes": ['
+        rows = zip(_ascending_edges(g), classes)
+        yield from (f"    [\n      {u},\n      {w},\n      {c}\n    ],"
+                    for (u, w), c in islice(rows, len(classes) - 1))
+        for (u, w), c in rows:
+            yield f"    [\n      {u},\n      {w},\n      {c}\n    ]\n  ],"
+    yield json.dumps(head, indent=2, sort_keys=True)[2:]
 
 
 def _write_case(exc: InternalContradictionError, g: Graph, args: argparse.Namespace) -> None:
@@ -375,8 +422,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.format == "json":
         if args.stats:
             head["stats"] = stats_dict
-        head["classes"] = [[u, w, c] for (u, w), c in zip(_ascending_edges(g), classes)]
-        _write([json.dumps(head, indent=2, sort_keys=True)])
+        _write(_json_partition(head, g, classes))
     else:
         stats = [f"# stats {' '.join(f'{k}={v}' for k, v in sorted(stats_dict.items()))}"]
         _write(chain([f"# {' '.join(f'{k}={v}' for k, v in head.items())}"],

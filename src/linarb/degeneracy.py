@@ -19,12 +19,17 @@ class DegeneracyOrdering:
     ``order[i]`` is the vertex at position ``i``; ``position`` is the inverse
     permutation.  ``k`` is the exact degeneracy: no vertex has more than
     ``k`` neighbors at earlier positions, and some vertex meets the bound.
+
+    ``ids[v]`` is the int object that ``order`` holds for vertex ``v``, so
+    that callers can name each vertex by one object.  The orderings computed
+    here fill ``order`` and ``position`` from one list of such objects.
     """
 
-    __slots__ = ("order", "position", "k")
+    __slots__ = ("order", "position", "k", "ids")
 
     def __init__(self, order: list[int], position: list[int], k: int) -> None:
         self.order, self.position, self.k = order, position, k
+        self.ids = list(map(order.__getitem__, position))
 
 
 def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
@@ -50,7 +55,8 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
     deg = [len(row) for row in adj]
     removed = bytearray(n)
     removal: list[int] = []
-    rest: list[int] | range = range(n)  # the unremoved vertices at the last rise
+    ids = list(range(n))  # the one int object per vertex id
+    rest = ids  # the unremoved vertices at the last rise
     heap: list[int] = []
     level = -1
     while True:
@@ -59,7 +65,7 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
             if removed[v] or d != deg[v]:
                 continue
             removed[v] = 1
-            removal.append(v)
+            removal.append(ids[v])
             for u in adj[v]:
                 if not removed[u]:
                     deg[u] = du = deg[u] - 1
@@ -72,6 +78,6 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
         heap = [level * n + v for v in rest if deg[v] == level]  # ascending: a heap
     order = removal[::-1]
     position = [0] * n
-    for i, v in enumerate(order):
+    for i, v in zip(ids, order):
         position[v] = i
     return DegeneracyOrdering(order, position, level)

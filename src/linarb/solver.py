@@ -240,9 +240,9 @@ class SolverState:
         # trail both.  A peel removes low degrees first, so its order is
         # usually partitioned already and is kept as it is.  The degree-D
         # vertices are the owners, which reserve representatives in id order.
-        # One int object per vertex id, shared by the owners, any positions
-        # built here and the output map's keys (see edge_keys).
-        ids = list(range(n))
+        # The ordering's one int object per vertex id is shared by the owners,
+        # any positions built here and the output map's keys (see edge_keys).
+        ids = base_ordering.ids
         owners = [v for v in ids if len(adj[v]) > 1]
         n_high = len(owners)
         order = base_ordering.order
@@ -258,7 +258,6 @@ class SolverState:
             for i, v in zip(ids, order):
                 position[v] = i
             self.ordering = DegeneracyOrdering(order, position, k)
-        self.ids = ids
         self.n_high = n_high
 
         # The right rows of the degree-D block, ascending by id, built once
@@ -340,14 +339,14 @@ class SolverState:
     def edge_keys(self) -> Iterator[tuple[int, int]]:
         """Every edge as its ``(u, v)`` pair, ``u < v``, in edge-id order.
 
-        The pairs hold one int object per vertex, from :attr:`ids`: the
-        rows' own objects, several per vertex, made verify_partition 15-25%
-        slower on the map.
+        The pairs hold one int object per vertex, from the ordering's
+        ``ids``: the rows' own objects, which may be several per vertex,
+        made verify_partition 15-25% slower on the map.
         """
-        ids, adj = self.ids, self.g._adj
+        ids, adj = self.ordering.ids, self.g._adj
         order, targets, offsets = self.ordering.order, self.targets, self.offsets
         for i in range(self.n_high):
-            v = ids[order[i]]
+            v = order[i]
             for u in targets[offsets[i]:offsets[i + 1]]:
                 u = ids[u]
                 yield (v, u) if v < u else (u, v)
@@ -631,9 +630,10 @@ class SolverState:
         ])
 
 
-def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
+def _color_forest(g: Graph, t: int, ids: list[int]) -> dict[tuple[int, int], int]:
     """Pair the edges of a forest into ``ceil(max_degree/2) <= t`` classes,
-    numbered from 1 as :func:`decompose` reports them.
+    numbered from 1 as :func:`decompose` reports them.  The keys name each
+    vertex ``v`` by ``ids[v]``, one int object per vertex, as the sweep's do.
 
     Any assignment keeping per-vertex class counts at 2 works: subgraphs of a
     forest are forests, so no cycles can arise.  Children fill the smallest
@@ -642,7 +642,6 @@ def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
     below slot ``2 * pc``, and ``(i + 1) // 2`` from there on.
     """
     n = g.n
-    ids = list(range(n))  # one int object per vertex in the keys, as the sweep's
     out: dict[tuple[int, int], int] = {}
     seen = bytearray(n)
     by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
@@ -711,7 +710,7 @@ def _solve(
     k = ordering.k
     t = class_count_for(delta, k, mode)
     if k <= 1:
-        coloring = _color_forest(g, t)
+        coloring = _color_forest(g, t, ordering.ids)
     else:
         coloring = SolverState(g, ordering, delta, t, mode, debug_checks, stats).run(first=1)
     stats.wall_ms = (time.perf_counter() - start) * 1000.0

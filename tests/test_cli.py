@@ -266,9 +266,31 @@ def test_parse_checks_the_id_range_before_a_self_loop():
         parse_edge_list("p 3 1\n5 5\n")
 
 
+DUPLICATES = [  # (text, dimacs, message)
+    ("0 1\n1 0\n", False, "line 2: edge 0-1 already given on line 1"),
+    ("# 0 1\n0 1\n\n# 1 0\n\n2 3\n  1\t0  \n", False,
+     "line 7: edge 0-1 already given on line 2"),
+    ("p 4 3\n0 1\n1 2\n2 1\n", False, "line 4: edge 1-2 already given on line 3"),
+    ("c 1 2\np edge 3 2\ne 1 2\nc e 1 2\n\ne 2 1\n", True,
+     "line 6: edge 0-1 already given on line 3"),
+    ("p edge 400 2\ne 300 301\ne 301 300\n", True,
+     "line 3: edge 299-300 already given on line 2"),
+    ("0 1\n0 2\n01 0\n", False, "line 3: edge 0-1 already given on line 1"),
+    ("p 400 2\n300 301\n301 0300\n", False, "line 3: edge 300-301 already given on line 2"),
+    ("0 1\n1 2\n2 3\n3 1\n0 2\n3 0\n2 1", False, "line 7: edge 1-2 already given on line 2"),
+    ("0 1\r\n1 2\r\n1 0\r\n", False, "line 3: edge 0-1 already given on line 1"),
+]
+
+
 def test_parse_rejects_duplicate_edge_and_names_first_line():
+    """The first copy of a repeated edge is named by its line, whatever lies
+    between the copies or how either copy writes the pair."""
     with pytest.raises(ParseError, match="line 1"):
         parse_edge_list("0 1\n1 0\n")
+    for text, dimacs, message in DUPLICATES:
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text, dimacs=dimacs)
+        assert str(info.value) == message, text
 
 
 def test_parse_rejects_negative_id():
@@ -361,16 +383,16 @@ def edge_file(rnd, g, style):
     return n, pairs, "\n".join(lines) + "\n"
 
 
-def record(monkeypatch, name):
-    """Replace ``linarb.cli.<name>`` by a wrapper that keeps every result."""
+def record(monkeypatch, name, module=linarb.cli):
+    """Replace ``module.<name>`` by a wrapper that keeps every result."""
     seen = []
-    real = getattr(linarb.cli, name)
+    real = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         seen.append(real(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(linarb.cli, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return seen
 
 
@@ -390,6 +412,35 @@ def test_parse_gives_ascending_rows_and_the_edge_set_of_from_edges(style, seed):
     assert g._edges == want._edges
     assert all(row == sorted(row) for row in g._adj)
     assert [sorted(row) for row in g._adj] == [sorted(row) for row in want._adj]
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_parse_names_each_vertex_by_one_int_object(style):
+    """With decimal tokens as ``str(id)`` writes them, every row and key of
+    the parsed graph that names a vertex holds the same int object."""
+    rnd = random.Random(7)
+    base = generate_k_degenerate(900, 2, 12, 7)  # ids past the small-int cache
+    _, _, text = edge_file(rnd, base, style)
+    g = parse_edge_list(text, dimacs=style == "dimacs")
+    seen: dict[int, int] = {}
+    names = [v for row in g._adj for v in row] + [v for key in g._edges for v in key]
+    assert all(seen.setdefault(v, v) is v for v in names)
+    assert len(seen) == g.n - sum(not row for row in g._adj)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_decompose_keys_are_the_orderings_own_ints(monkeypatch, k):
+    """The map's keys name each vertex by the object its ordering holds:
+    ``ids[v]``, which is ``order[position[v]]``, for the sweep and the
+    forest pairing alike."""
+    orderings = record(monkeypatch, "degeneracy_ordering", linarb.solver)
+    g = generate_k_degenerate(700, k, 2 * k * k, 3)
+    coloring = decompose(g).coloring
+    (ordering,) = orderings
+    ids, order, position = ordering.ids, ordering.order, ordering.position
+    assert len(coloring) == g.edge_count
+    assert all(u is order[position[u]] and w is order[position[w]] for u, w in coloring)
+    assert all(ids[v] is order[position[v]] for v in range(g.n))
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -430,7 +481,7 @@ def test_cli_renderings_match_the_sorted_reference(monkeypatch, style, fmt, extr
 def test_cli_auto_renderings_match_the_sorted_reference(monkeypatch, text, mode, fmt):
     g = parse_edge_list(text)
     results = record(monkeypatch, "exact_la" if mode == "exact" else "_solve")
-    argv = ["decompose", "-", "--mode", "auto", "--format", fmt, "--stats"]
+    argv = ["decompose", "-", "--mode", "auto", "--format", fmt, "--stats", "--verify-after"]
     code, out, err = run_cli(argv, stdin_text=text)
     assert code == 0 and err == ""
     (found,) = results
@@ -439,7 +490,7 @@ def test_cli_auto_renderings_match_the_sorted_reference(monkeypatch, text, mode,
     else:
         t, coloring, stats = found.t, found.coloring, vars(found.stats)
     head = {"t": t, "k": degeneracy_ordering(g).k, "delta": max_degree(g), "mode": mode,
-            "n": g.n, "m": g.edge_count}
+            "n": g.n, "m": g.edge_count, "verified": True}
     assert out == reference_partition_output(head, coloring, fmt, stats)
 
 
@@ -474,6 +525,31 @@ def test_cli_text_output_across_chunk_boundaries(monkeypatch, m, extra):
     assert out == reference_partition_output(head, result.coloring, "text", stats)
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--stats"], ["--verify-after"], ["--stats", "--verify-after"]],
+    ids=["plain", "stats", "verify", "stats-verify"],
+)
+@pytest.mark.parametrize("m", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+def test_cli_json_output_across_chunk_boundaries(monkeypatch, m, extra):
+    """The JSON output, written one class row per piece in chunks of
+    ``_CHUNK_LINES`` pieces, is ``json.dumps(..., indent=2,
+    sort_keys=True)`` of the whole payload byte for byte."""
+    rnd = random.Random(m)
+    n, pairs, text = edge_file(rnd, graph_of_size(m, rnd), "header")
+    results = record(monkeypatch, "decompose")
+    argv = ["decompose", "-", "--mode", "lac", "--format", "json", *extra]
+    code, out, err = run_cli(argv, stdin_text=text)
+    assert code == 0 and err == ""
+    (result,) = results
+    assert len(pairs) == len(result.coloring) == m
+    head = {"t": result.t, "k": result.k, "delta": result.delta, "mode": "lac",
+            "n": n, "m": m}
+    if "--verify-after" in extra:
+        head["verified"] = True
+    stats = vars(result.stats) if "--stats" in extra else None
+    assert out == reference_partition_output(head, result.coloring, "json", stats)
+
+
 class _Discard:
     """A stdout that keeps nothing, so only the writer's own memory counts."""
 
@@ -498,6 +574,26 @@ def test_cli_text_writer_memory_does_not_grow_with_the_edge_count():
         try:
             with contextlib.redirect_stdout(_Discard()):
                 linarb.cli._write(lines)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(len(classes) * classes.itemsize)
+    assert peaks[1] - peaks[0] < sizes[1] - sizes[0], (peaks, sizes)
+
+
+def test_cli_json_writer_memory_does_not_grow_with_the_edge_count():
+    """The JSON rows go out one chunk at a time too: the traced peak on the
+    output of 4m edges exceeds the one at m edges by less than the class
+    array itself grows."""
+    peaks, sizes = [], []
+    for m in (5 * CHUNK, 20 * CHUNK):
+        g = Graph.from_edges(m + 1, [(i, i + 1) for i in range(m)])
+        classes = linarb.cli._classes(g, {(i, i + 1): 1 + i % 2 for i in range(m)})
+        head = {"t": 1, "k": 1, "delta": 2, "mode": "minimum", "n": g.n, "m": m}
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                linarb.cli._write(linarb.cli._json_partition(head, g, classes))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
