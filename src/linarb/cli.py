@@ -81,14 +81,14 @@ def generate_k_degenerate(n: int, k: int, delta_min: int = 0, seed: int = 0) -> 
         raise PreconditionError(f"delta_min must be non-negative, got {delta_min}")
     rng = SplitMix64(seed)
     adj: list[list[int]] = [[] for _ in range(n)]
-    edges: set[tuple[int, int]] = set()
+    edges: dict[tuple[int, int], None] = {}
     for i in range(1, n):
         want = min(k, i)
         picked: set[int] = set()
         while len(picked) < want:
             picked.add(rng.below(i))
         for c in sorted(picked):
-            edges.add((c, i))
+            edges[c, i] = None
             adj[c].append(i)
             adj[i].append(c)
     if delta_min > 0:
@@ -97,7 +97,7 @@ def generate_k_degenerate(n: int, k: int, delta_min: int = 0, seed: int = 0) -> 
             w = len(adj)
             adj.append([hub])
             adj[hub].append(w)
-            edges.add((hub, w))
+            edges[hub, w] = None
     return Graph._from_parts(adj, edges)
 
 
@@ -110,7 +110,7 @@ def _decimal(tok: str) -> int:
     raise ValueError(tok)
 
 
-def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
+def parse_edge_list(text: str, dimacs: bool = False, ids: dict[str, int] | None = None) -> Graph:
     """Parse an edge list into a Graph, reporting errors with line numbers.
 
     Plain format: ``#`` starts a comment, blank lines are skipped, and an
@@ -127,14 +127,16 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
 
     Each distinct id token is converted once, and its int is shared by every
     row and key that names the vertex, so canonical tokens give one object
-    per vertex.  No line number is kept per edge: a repeated edge's first
-    line is found by rescanning the lines before it.
+    per vertex; the token-to-id dict is ``ids`` when given.  No line number
+    is kept per edge: a repeated edge's first line is found by rescanning
+    the lines before it.
     """
     n_declared: int | None = None
     m_declared: int | None = None
     header_line = 0
     found: dict[tuple[int, int], None] = {}  # insertion order: input order
-    ids: dict[str, int] = {}  # token -> 0-based id, one int per token
+    if ids is None:
+        ids = {}  # token -> 0-based id, one int per token
     get = ids.get
     shift = 1 if dimacs else 0
     saw_data = False
@@ -199,7 +201,9 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
         key = (lo, hi)
         if key in found:
             first = _first_line(lines, line_no, key, ids, dimacs)
-            raise ParseError(line_no, f"edge {lo}-{hi} already given on line {first}")
+            raise ParseError(
+                line_no, f"edge {lo + shift}-{hi + shift} already given on line {first}"
+            )
         found[key] = None
 
     if dimacs and n_declared is None and found:
@@ -216,7 +220,7 @@ def parse_edge_list(text: str, dimacs: bool = False) -> Graph:
     for lo, hi in sorted(found):
         adj[lo].append(hi)
         adj[hi].append(lo)
-    return Graph._from_parts(adj, set(found))
+    return Graph._from_parts(adj, found)
 
 
 def _first_line(
@@ -335,11 +339,13 @@ def _write_case(exc: InternalContradictionError, g: Graph, args: argparse.Namesp
     exc.args = (f"{message}\n  {note}",)
 
 
-def _parse_coloring(text: str) -> tuple[dict[tuple[int, int], int], int]:
+def _parse_coloring(text: str, ids: dict[str, int]) -> tuple[dict[tuple[int, int], int], int]:
     """Read 'u v c' lines (comments/blanks allowed); returns the map and the
     largest class index seen (0 when empty).  Structural edge problems are
     left to the verifier; only unreadable lines fail here, such as a token
-    that is not ASCII decimal digits (see :func:`_decimal`)."""
+    that is not ASCII decimal digits (see :func:`_decimal`).  Each distinct
+    token is converted once, through and into the token-to-int dict ``ids``.
+    """
     result: dict[tuple[int, int], int] = {}
     high = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -350,7 +356,7 @@ def _parse_coloring(text: str) -> tuple[dict[tuple[int, int], int], int]:
         if len(tok) != 3:
             raise ParseError(line_no, f"expected '<u> <v> <class>', got {raw!r}")
         try:
-            u, v, c = _decimal(tok[0]), _decimal(tok[1]), _decimal(tok[2])
+            u, v, c = [ids[x] if x in ids else ids.setdefault(x, _decimal(x)) for x in tok]
         except ValueError:
             raise ParseError(line_no, f"non-integer field in {raw!r}") from None
         key = (u, v) if u <= v else (v, u)
@@ -456,8 +462,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = parse_edge_list(_read_input(args.input), dimacs=args.dimacs)
-    coloring, high = _parse_coloring(_read_input(args.classes))
+    # Class files are 0-based, so only a plain graph's token dict reads one:
+    # its keys then name each vertex by the graph's own int object.
+    ids: dict[str, int] = {}
+    g = parse_edge_list(_read_input(args.input), args.dimacs, None if args.dimacs else ids)
+    coloring, high = _parse_coloring(_read_input(args.classes), ids)
     t = args.t if args.t is not None else high
     report = verify_partition(g, coloring, t)
     if args.format == "json":

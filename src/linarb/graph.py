@@ -20,6 +20,9 @@ class Graph:
     graphs of :func:`linarb.cli.parse_edge_list` (built from sorted edges)
     and :func:`linarb.cli.generate_k_degenerate` have ascending rows, which
     the CLI relies on to write any edge list in order without sorting.
+    The edge table, the one edge-keyed table of a solve, maps each pair
+    ``(u, v)``, ``u < v``, to None in insertion order: ``decompose`` keys its
+    map by the table's own tuples.
     """
 
     __slots__ = ("_adj", "_edges")
@@ -31,7 +34,7 @@ class Graph:
             raise GraphError(f"vertex count must be an int, got {n!r}") from None
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        self._edges: set[tuple[int, int]] = set()
+        self._edges: dict[tuple[int, int], None] = {}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -44,7 +47,7 @@ class Graph:
             u, v = e
             if (type(e) is tuple and type(u) is int and type(v) is int
                     and 0 <= u < v < n and e not in keys):
-                keys.add(e)
+                keys[e] = None
                 adj[u].append(v)
                 adj[v].append(u)
             else:
@@ -52,7 +55,7 @@ class Graph:
         return g
 
     @classmethod
-    def _from_parts(cls, adj: list[list[int]], edges: set[tuple[int, int]]) -> "Graph":
+    def _from_parts(cls, adj: list[list[int]], edges: dict[tuple[int, int], None]) -> "Graph":
         # Trusted fast path for derived graphs; skips per-edge validation.
         g = cls.__new__(cls)
         g._adj = adj
@@ -91,7 +94,7 @@ class Graph:
         key = (u, v) if u < v else (v, u)
         if key in self._edges:
             raise GraphError(f"duplicate edge {key}")
-        self._edges.add(key)
+        self._edges[key] = None
         ru.append(v)
         rv.append(u)
 

@@ -240,8 +240,8 @@ class SolverState:
         # trail both.  A peel removes low degrees first, so its order is
         # usually partitioned already and is kept as it is.  The degree-D
         # vertices are the owners, which reserve representatives in id order.
-        # The ordering's one int object per vertex id is shared by the owners,
-        # any positions built here and the output map's keys (see edge_keys).
+        # The ordering's one int object per vertex id is shared by the owners
+        # and any positions built here.
         ids = base_ordering.ids
         owners = [v for v in ids if len(adj[v]) > 1]
         n_high = len(owners)
@@ -312,10 +312,11 @@ class SolverState:
         counted from ``first``: 0-based by default, 1-based as
         :func:`decompose` reports them with ``first=1``.
 
-        The map, in edge-id order, is the largest structure of a solve, so
-        it is built from the class array only after the representatives and
-        the coloring tables are released, and with its final classes, so
-        that no second pass rewrites it: the state is spent afterwards.
+        The map, keyed by the graph's own edge tuples in the graph's order,
+        is the largest structure of a solve, so it is built from the class
+        array only after the representatives and the coloring tables are
+        released, and with its final classes, so that no second pass
+        rewrites it: the state is spent afterwards.
         """
         # Positions past the degree-D block hold isolated and degree-1
         # vertices, whose edge is colored from its other end, or here for a
@@ -332,27 +333,26 @@ class SolverState:
         if uncolored:
             raise InternalContradictionError(f"sweep left {uncolored} edges uncolored")
         del self.reserved, self.fc, fc
-        out = dict(zip(self.edge_keys(), map(first.__add__, cls) if first else cls))
+        out = dict.fromkeys(self.g._edges)
+        out.update(zip(self.edge_keys(), map(first.__add__, cls) if first else cls))
+        _check_map(self.g, out)
         self.stats.sweep_ms += (time.perf_counter() - start) * 1000.0
         return out
 
     def edge_keys(self) -> Iterator[tuple[int, int]]:
         """Every edge as its ``(u, v)`` pair, ``u < v``, in edge-id order.
 
-        The pairs hold one int object per vertex, from the ordering's
-        ``ids``: the rows' own objects, which may be several per vertex,
-        made verify_partition 15-25% slower on the map.
+        The pairs hold the rows' own ints and only probe the graph's edge
+        table, whose tuples key the map (see :func:`_check_map`).
         """
-        ids, adj = self.ordering.ids, self.g._adj
-        order, targets, offsets = self.ordering.order, self.targets, self.offsets
+        adj, order = self.g._adj, self.ordering.order
+        targets, offsets = self.targets, self.offsets
         for i in range(self.n_high):
             v = order[i]
             for u in targets[offsets[i]:offsets[i + 1]]:
-                u = ids[u]
                 yield (v, u) if v < u else (u, v)
         for u in targets[offsets[self.n_high]:]:
-            v = ids[adj[u][0]]
-            u = ids[u]
+            v = adj[u][0]
             yield (v, u) if v < u else (u, v)
 
     def _sweep(self, positions: range) -> None:
@@ -630,10 +630,21 @@ class SolverState:
         ])
 
 
-def _color_forest(g: Graph, t: int, ids: list[int]) -> dict[tuple[int, int], int]:
+def _check_map(g: Graph, out: dict[tuple[int, int], int | None]) -> None:
+    """Check a map built as ``dict.fromkeys(g._edges)``, so keyed by the
+    graph's own tuples in its order, whose values the solve's pairs then
+    set: a pair that is no edge adds a key, and an edge no pair names keeps
+    None.  Either is a solver bug."""
+    if len(out) != g.edge_count or None in out.values():
+        raise InternalContradictionError(
+            f"edge map has {len(out)} keys for {g.edge_count} edges, "
+            f"{sum(c is None for c in out.values())} without a class"
+        )
+
+
+def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
     """Pair the edges of a forest into ``ceil(max_degree/2) <= t`` classes,
-    numbered from 1 as :func:`decompose` reports them.  The keys name each
-    vertex ``v`` by ``ids[v]``, one int object per vertex, as the sweep's do.
+    numbered from 1 as :func:`decompose` reports them.
 
     Any assignment keeping per-vertex class counts at 2 works: subgraphs of a
     forest are forests, so no cycles can arise.  Children fill the smallest
@@ -642,7 +653,7 @@ def _color_forest(g: Graph, t: int, ids: list[int]) -> dict[tuple[int, int], int
     below slot ``2 * pc``, and ``(i + 1) // 2`` from there on.
     """
     n = g.n
-    out: dict[tuple[int, int], int] = {}
+    out: dict[tuple[int, int], int | None] = dict.fromkeys(g._edges)
     seen = bytearray(n)
     by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
     for root in by_degree:
@@ -660,10 +671,11 @@ def _color_forest(g: Graph, t: int, ids: list[int]) -> dict[tuple[int, int], int
                 c = i // 2 if i < split else (i + 1) // 2
                 if c >= t:
                     raise InternalContradictionError(f"forest pairing ran out of classes at {x}")
-                out[(ids[x], ids[y]) if x < y else (ids[y], ids[x])] = c + 1
+                out[(x, y) if x < y else (y, x)] = c + 1
                 i += 1
                 seen[y] = 1
                 stack.append((y, x, c))
+    _check_map(g, out)
     return out
 
 
@@ -710,7 +722,7 @@ def _solve(
     k = ordering.k
     t = class_count_for(delta, k, mode)
     if k <= 1:
-        coloring = _color_forest(g, t, ordering.ids)
+        coloring = _color_forest(g, t)
     else:
         coloring = SolverState(g, ordering, delta, t, mode, debug_checks, stats).run(first=1)
     stats.wall_ms = (time.perf_counter() - start) * 1000.0

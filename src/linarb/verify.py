@@ -78,7 +78,7 @@ def _exact(e) -> bool:
     return type(e) is tuple and set(map(type, e)) <= {int}
 
 
-def _group(coloring: dict, edges: set[tuple[int, int]], class_count: int):
+def _group(coloring: dict, edges: dict[tuple[int, int], None], class_count: int):
     """Split ``coloring`` into accepted edges by class and rejected entries.
 
     An entry is accepted when its key is a tuple of exact ints that is an
@@ -106,7 +106,9 @@ def _group(coloring: dict, edges: set[tuple[int, int]], class_count: int):
             rejected.append((e, c))
         coloring = kept
     groups: defaultdict[int, list] = defaultdict(list)
-    foreign = coloring.keys() - edges
+    # The subset test builds nothing, where the difference would build a set
+    # of every key; it fails only when some key is foreign.
+    foreign = () if coloring.keys() <= edges.keys() else coloring.keys() - edges
     for e, c in coloring.items():
         groups[c].append(e)
     rejected += [(e, coloring[e]) for e in foreign]
@@ -205,7 +207,7 @@ def verify_partition(
         violations.append(Violation(UNKNOWN_EDGE, detail, edge=e))
 
     if sum(map(len, groups.values())) < len(edges):
-        for u, v in sorted(edges.difference(colored)):
+        for u, v in sorted(edges.keys() - colored):
             violations.append(
                 Violation(UNCOLORED_EDGE, f"edge ({u}, {v}) received no class", edge=(u, v))
             )

@@ -94,7 +94,7 @@ def scale_graph() -> Graph:
     rng = SplitMix64(20260819)
     n = 100_000
     adj: list[list[int]] = [[] for _ in range(n)]
-    edges: set[tuple[int, int]] = set()
+    edges: dict[tuple[int, int], None] = {}
     for i in range(1, n):
         want = min(2, i)
         picked: set[int] = set()
@@ -106,14 +106,14 @@ def scale_graph() -> Graph:
                 continue
             picked.add(c)
         for c in sorted(picked):
-            edges.add((c, i))
+            edges[c, i] = None
             adj[c].append(i)
             adj[i].append(c)
     while len(adj[0]) < 8:
         w = len(adj)
         adj.append([0])
         adj[0].append(w)
-        edges.add((0, w))
+        edges[0, w] = None
     return Graph._from_parts(adj, edges)
 
 
@@ -695,7 +695,7 @@ def reference_decompose_by_component(
                     sub.add_edge(local[v], local[u])
         base = degeneracy_ordering(sub)
         if base.k <= 1:
-            part = _color_forest(sub, t, base.ids)
+            part = _color_forest(sub, t)
         else:
             part = {e: c + 1 for e, c in SolverState(sub, base, delta, t, mode).run().items()}
         for (a, b), c in part.items():

@@ -27,6 +27,7 @@ from linarb import (
     Mode,
     ParseError,
     PreconditionError,
+    SolverState,
     SplitMix64,
     decompose,
     degeneracy_ordering,
@@ -245,11 +246,12 @@ def test_coloring_reads_only_ascii_decimal_tokens(tok, value):
     if value is None:
         for text in (id_line, class_line):
             with pytest.raises(ParseError, match="line 2: non-integer field"):
-                linarb.cli._parse_coloring(text)
+                linarb.cli._parse_coloring(text, {})
     else:
         edge = (min(value, 2), max(value, 2))
-        assert linarb.cli._parse_coloring(id_line) == ({(0, 1): 1, edge: 1}, 1)
-        assert linarb.cli._parse_coloring(class_line) == ({(0, 1): 1, (3, 4): value}, max(1, value))
+        assert linarb.cli._parse_coloring(id_line, {}) == ({(0, 1): 1, edge: 1}, 1)
+        assert linarb.cli._parse_coloring(class_line, {}) == (
+            {(0, 1): 1, (3, 4): value}, max(1, value))
 
 
 def test_parse_rejects_self_loop():
@@ -272,9 +274,9 @@ DUPLICATES = [  # (text, dimacs, message)
      "line 7: edge 0-1 already given on line 2"),
     ("p 4 3\n0 1\n1 2\n2 1\n", False, "line 4: edge 1-2 already given on line 3"),
     ("c 1 2\np edge 3 2\ne 1 2\nc e 1 2\n\ne 2 1\n", True,
-     "line 6: edge 0-1 already given on line 3"),
+     "line 6: edge 1-2 already given on line 3"),
     ("p edge 400 2\ne 300 301\ne 301 300\n", True,
-     "line 3: edge 299-300 already given on line 2"),
+     "line 3: edge 300-301 already given on line 2"),
     ("0 1\n0 2\n01 0\n", False, "line 3: edge 0-1 already given on line 1"),
     ("p 400 2\n300 301\n301 0300\n", False, "line 3: edge 300-301 already given on line 2"),
     ("0 1\n1 2\n2 3\n3 1\n0 2\n3 0\n2 1", False, "line 7: edge 1-2 already given on line 2"),
@@ -415,9 +417,12 @@ def test_parse_gives_ascending_rows_and_the_edge_set_of_from_edges(style, seed):
 
 
 @pytest.mark.parametrize("style", STYLES)
-def test_parse_names_each_vertex_by_one_int_object(style):
+def test_parse_names_each_vertex_by_one_int_object(monkeypatch, tmp_path, style):
     """With decimal tokens as ``str(id)`` writes them, every row and key of
-    the parsed graph that names a vertex holds the same int object."""
+    the parsed graph that names a vertex holds the same int object.  Under
+    ``linarb verify`` the class file's keys hold one int object per vertex
+    too: the graph's own for a plain-format graph, and their own for a
+    DIMACS one, whose file gives other tokens."""
     rnd = random.Random(7)
     base = generate_k_degenerate(900, 2, 12, 7)  # ids past the small-int cache
     _, _, text = edge_file(rnd, base, style)
@@ -427,20 +432,46 @@ def test_parse_names_each_vertex_by_one_int_object(style):
     assert all(seen.setdefault(v, v) is v for v in names)
     assert len(seen) == g.n - sum(not row for row in g._adj)
 
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_decompose_keys_are_the_orderings_own_ints(monkeypatch, k):
-    """The map's keys name each vertex by the object its ordering holds:
-    ``ids[v]``, which is ``order[position[v]]``, for the sweep and the
-    forest pairing alike."""
-    orderings = record(monkeypatch, "degeneracy_ordering", linarb.solver)
-    g = generate_k_degenerate(700, k, 2 * k * k, 3)
-    coloring = decompose(g).coloring
-    (ordering,) = orderings
-    ids, order, position = ordering.ids, ordering.order, ordering.position
+    graphs = record(monkeypatch, "parse_edge_list")
+    colorings = record(monkeypatch, "_parse_coloring")
+    (tmp_path / "g.txt").write_text(text)
+    (tmp_path / "c.txt").write_text(
+        "".join(f"{u} {w} {c}\n" for (u, w), c in decompose(g).coloring.items()))
+    argv = ["verify", str(tmp_path / "g.txt"), "--classes", str(tmp_path / "c.txt")]
+    code, out, err = run_cli(argv + (["--dimacs"] if style == "dimacs" else []))
+    assert (code, err) == (0, "")
+    (g,), ((coloring, _),) = graphs, colorings
+    names = [v for key in coloring for v in key]
     assert len(coloring) == g.edge_count
-    assert all(u is order[position[u]] and w is order[position[w]] for u, w in coloring)
-    assert all(ids[v] is order[position[v]] for v in range(g.n))
+    if style == "dimacs":
+        own: dict[int, int] = {}
+        assert all(own.setdefault(v, v) is v for v in names)
+    else:
+        graph_ints = {v: v for row in g._adj for v in row}
+        assert all(graph_ints[v] is v for v in names)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("build", ["parsed", "from_edges", "add_edge"])
+def test_decompose_keys_are_the_graphs_own_tuples(k, build):
+    """The map is keyed by the graph's edge tuples themselves, in the
+    graph's order, for the sweep and the forest pairing alike: parsed,
+    from pairs of fresh ints, or edge by edge in shuffled, reversed pairs."""
+    base = generate_k_degenerate(700, k, 2 * k * k - k, 3)
+    rnd = random.Random(k)
+    pairs = [(int(str(u)), int(str(w))) for u, w in base.edges()]  # fresh ints
+    rnd.shuffle(pairs)
+    if build == "parsed":
+        g = parse_edge_list(edge_file(rnd, base, "plain")[2])
+    elif build == "from_edges":
+        g = Graph.from_edges(base.n, pairs)
+    else:
+        g = Graph(base.n)
+        for u, w in pairs:
+            g.add_edge(w, u)
+    coloring = decompose(g).coloring
+    assert len(coloring) == len(g._edges) == g.edge_count
+    assert all(a is b for a, b in zip(coloring, g._edges))
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -703,11 +734,29 @@ def _drop_an_edge(monkeypatch):
     monkeypatch.setattr(linarb.cli, "decompose", dropping)
 
 
+def _drop_a_probe(monkeypatch):
+    keys = SolverState.edge_keys
+    monkeypatch.setattr(SolverState, "edge_keys",
+                        lambda self: itertools.islice(keys(self), 1, None))
+
+
+def _repeat_a_probe(monkeypatch):
+    keys = SolverState.edge_keys
+
+    def repeating(self):
+        probes = keys(self)
+        first = next(probes)
+        return itertools.chain([first, first], probes)
+
+    monkeypatch.setattr(SolverState, "edge_keys", repeating)
+
+
 CYCLE_HUB_TEXT = "".join(f"{u} {v}\n" for u, v in CYCLE_HUB_EDGES)
 CYCLE_HUB_DIMACS = f"p edge 9 {len(CYCLE_HUB_EDGES)}\n" + "".join(
     f"e {u + 1} {v + 1}\n" for u, v in CYCLE_HUB_EDGES
 )
 GENERATED_TEXT = "".join(f"{u} {v}\n" for u, v in generate_k_degenerate(40, 2, 8, 3).edges())
+GENERATED_M = GENERATED_TEXT.count("\n")
 
 # Every way ``linarb decompose`` can reach an internal contradiction, each
 # forced by a patch: (patch, input, extra arguments, start of the message).
@@ -718,6 +767,11 @@ FORCED_SITES = {
     "forest": (lambda mp: mp.setattr(linarb.solver, "class_count_for", lambda *args: 1),
                STAR6_TEXT, [], "forest pairing ran out of classes at 0"),
     "classes": (_drop_an_edge, GAP_TEXT, ["--mode", "lac"], "partition has 6 entries"),
+    # A probe the row table lost or repeated leaves one edge without a class.
+    "dropped-probe": (_drop_a_probe, GENERATED_TEXT, [],
+                      f"edge map has {GENERATED_M} keys for {GENERATED_M} edges, 1 without"),
+    "repeated-probe": (_repeat_a_probe, GENERATED_TEXT, [],
+                       f"edge map has {GENERATED_M} keys for {GENERATED_M} edges, 1 without"),
     "verify-after": (cyclic_sweep, CYCLE_HUB_DIMACS, ["--dimacs", "--verify-after"],
                      "self-check failed:"),
 }

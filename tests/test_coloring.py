@@ -23,7 +23,7 @@ def test_edge_key_normalizes():
     """The forest pairing keys each edge as ``(u, v)`` with ``u < v``,
     whichever way round the graph lists it."""
     g = gfrom(6, [(3, 1), (1, 0), (5, 1), (2, 4), (4, 3)])
-    assert sorted(_color_forest(g, 2, list(range(6)))) == [(0, 1), (1, 3), (1, 5), (2, 4), (3, 4)]
+    assert sorted(_color_forest(g, 2)) == [(0, 1), (1, 3), (1, 5), (2, 4), (3, 4)]
 
 
 def test_assign_updates_all_views():

@@ -246,6 +246,32 @@ def test_matches_reference_on_corrupted_solver_output(seed, k, ops):
     assert_same_report(g, corrupt(rnd, g, result.coloring, result.t, ops), result.t)
 
 
+def _fresh(x):
+    """An int equal to ``x`` that is another object past the small-int
+    cache; anything else as it is (a bool must stay a bool)."""
+    return int(str(x)) if type(x) is int else x
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_same_report_for_equal_keys_that_are_other_objects(seed):
+    """decompose keys its map by the graph's own edge tuples.  A map whose
+    keys only equal them, tuples of fresh ints, gets the same report, valid
+    or corrupted, and both match the reference."""
+    rnd = random.Random(seed)
+    k = 1 + seed % 3
+    g = generate_k_degenerate(n=400, k=k, delta_min=max(2, 2 * k * k - k), seed=seed)
+    result = decompose(g)
+    own = corrupt(rnd, g, result.coloring, result.t, rnd.sample(OPS, seed % 4))
+    fresh = {tuple(map(_fresh, e)) if isinstance(e, tuple) else e: c for e, c in own.items()}
+    assert fresh == own
+    assert not any(a is b for a, b in zip(fresh, own) if a[-1] > 256)
+    assert any(a is b for a, b in zip(own, g._edges))
+    got = verify_partition(g, fresh, result.t)
+    assert repr(got) == repr(verify_partition(g, own, result.t))
+    assert got.valid == (seed % 4 == 0)
+    assert_same_report(g, fresh, result.t)
+
+
 class V(IntEnum):
     ZERO = 0
     ONE = 1
