@@ -14,10 +14,10 @@ import json
 import os
 import sys
 import time
-from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
+from operator import eq, is_
 from typing import TextIO
 
 from .degeneracy import degeneracy_ordering
@@ -130,6 +130,10 @@ def parse_edge_list(text: str, dimacs: bool = False, ids: dict[str, int] | None 
     per vertex; the token-to-id dict is ``ids`` when given.  No line number
     is kept per edge: a repeated edge's first line is found by rescanning
     the lines before it.
+
+    The graph's rows and its edge table come out ascending, whatever the
+    input order: :func:`decompose` keys its map in the table's order, which
+    is then the output's.  Sorted input keeps the parsed dict as the table.
     """
     n_declared: int | None = None
     m_declared: int | None = None
@@ -216,10 +220,15 @@ def parse_edge_list(text: str, dimacs: bool = False, ids: dict[str, int] | None 
         max((hi for (_, hi) in found), default=-1) + 1
     )
     # Filled from the sorted edges, every row comes out ascending.
+    edges = sorted(found)
     adj: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in sorted(found):
+    for lo, hi in edges:
         adj[lo].append(hi)
         adj[hi].append(lo)
+    # The sort keeps the key objects, so input already in order matches the
+    # dict position by position, object for object.
+    if not all(map(is_, edges, found)):
+        found = dict.fromkeys(edges)
     return Graph._from_parts(adj, found)
 
 
@@ -270,44 +279,47 @@ def _write(lines: Iterable[str], out: TextIO | None = None) -> None:
 
 def _ascending_edges(g: Graph) -> Iterator[tuple[int, int]]:
     """Every edge ``(u, w)``, ``u < w``, of a graph with ascending rows, in
-    ascending order, as the output lists them: the map is never sorted."""
+    ascending order: the order ``generate`` writes, though its graph's edge
+    table is in attachment order."""
     for u, row in enumerate(g._adj):
         for w in row[bisect_right(row, u):]:
             yield u, w
 
 
-def _classes(g: Graph, coloring: dict[tuple[int, int], int]) -> array:
-    """The class of every edge of ``g``, in :func:`_ascending_edges` order.
-
-    The map's keys must be exactly the graph's edges; anything else is a
-    solver bug and raises InternalContradictionError.  The lookups all run
-    here, so the caller has written nothing when that happens.
-    """
-    if len(coloring) != g.edge_count:
+def _check_partition(g: Graph, coloring: dict[tuple[int, int], int]) -> None:
+    """Check that the map's keys are the graph's edges in the graph's order,
+    the order the output lists them in; anything else is a solver bug and
+    raises InternalContradictionError.  The caller has written nothing yet.
+    The check is one key comparison per edge; only a failed one looks keys
+    up, to name the fault."""
+    edges = g._edges
+    if len(coloring) != len(edges):
         raise InternalContradictionError(
-            f"partition has {len(coloring)} entries for {g.edge_count} edges"
+            f"partition has {len(coloring)} entries for {len(edges)} edges"
         )
-    try:
-        return array("i", map(coloring.__getitem__, _ascending_edges(g)))
-    except KeyError as exc:
-        u, w = exc.args[0]
-        raise InternalContradictionError(f"partition misses edge {u}-{w}") from None
+    if all(map(eq, coloring, edges)):
+        return
+    for u, w in edges:
+        if (u, w) not in coloring:
+            raise InternalContradictionError(f"partition misses edge {u}-{w}")
+    u, w = next(edge for key, edge in zip(coloring, edges) if key != edge)
+    raise InternalContradictionError(f"partition lists edge {u}-{w} out of the graph's order")
 
 
-def _json_partition(head: dict, g: Graph, classes: array) -> Iterator[str]:
+def _json_partition(head: dict, coloring: dict[tuple[int, int], int]) -> Iterator[str]:
     """``json.dumps({**head, "classes": rows}, indent=2, sort_keys=True)``
     in pieces for :func:`_write`, one per class row, ``rows`` being
-    ``[u, w, c]`` for every edge in :func:`_ascending_edges` order.
+    ``[u, w, c]`` for every item of ``coloring`` in its order.
     ``"classes"`` sorts before every head key, so the rows come first, each
     rendered as ``json.dumps`` renders it at that depth, and the head's own
     dump follows them without its opening brace."""
-    if not classes:
+    if not coloring:
         yield '{\n  "classes": [],'
     else:
         yield '{\n  "classes": ['
-        rows = zip(_ascending_edges(g), classes)
+        rows = iter(coloring.items())
         yield from (f"    [\n      {u},\n      {w},\n      {c}\n    ],"
-                    for (u, w), c in islice(rows, len(classes) - 1))
+                    for (u, w), c in islice(rows, len(coloring) - 1))
         for (u, w), c in rows:
             yield f"    [\n      {u},\n      {w},\n      {c}\n    ]\n  ],"
     yield json.dumps(head, indent=2, sort_keys=True)[2:]
@@ -332,7 +344,7 @@ def _write_case(exc: InternalContradictionError, g: Graph, args: argparse.Namesp
         with open(fd, "w", encoding="utf-8") as out:
             _write(chain((f"# {line}" for line in message.splitlines()),
                          [replay, f"p {g.n} {g.edge_count}"],
-                         (f"{u} {w}" for u, w in _ascending_edges(g))), out)
+                         (f"{u} {w}" for u, w in g._edges)), out)
         note = f"reproducer: {path}"
     except OSError as err:
         note = f"reproducer not written: {err}"
@@ -401,7 +413,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                     "auto mode: exhaustive search ran out of budget; "
                     "give the graph a higher maximum degree or fewer edges"
                 )
-            coloring = found.witness or {}
+            # Ascending, the parsed graph's order, which the sweep's map keeps.
+            coloring = dict(sorted((found.witness or {}).items()))
             t = found.la
             stats_dict: dict = {"nodes_explored": found.nodes_explored}
         else:
@@ -421,18 +434,18 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 raise InternalContradictionError(
                     "self-check failed: " + "; ".join(v.detail for v in report.violations[:5])
                 )
-        classes = _classes(g, coloring)
+        _check_partition(g, coloring)
     except InternalContradictionError as exc:
         _write_case(exc, g, args)
         raise
     if args.format == "json":
         if args.stats:
             head["stats"] = stats_dict
-        _write(_json_partition(head, g, classes))
+        _write(_json_partition(head, coloring))
     else:
         stats = [f"# stats {' '.join(f'{k}={v}' for k, v in sorted(stats_dict.items()))}"]
         _write(chain([f"# {' '.join(f'{k}={v}' for k, v in head.items())}"],
-                     (f"{u} {w} {c}" for (u, w), c in zip(_ascending_edges(g), classes)),
+                     (f"{u} {w} {c}" for (u, w), c in coloring.items()),
                      stats if args.stats else []))
     return 0
 

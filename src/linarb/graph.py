@@ -17,12 +17,13 @@ class Graph:
 
     Adjacency lists preserve insertion order, which keeps every algorithm in
     this package deterministic for a fixed construction sequence.  The
-    graphs of :func:`linarb.cli.parse_edge_list` (built from sorted edges)
-    and :func:`linarb.cli.generate_k_degenerate` have ascending rows, which
-    the CLI relies on to write any edge list in order without sorting.
-    The edge table, the one edge-keyed table of a solve, maps each pair
+    edge table, the one edge-keyed table of a solve, maps each pair
     ``(u, v)``, ``u < v``, to None in insertion order: ``decompose`` keys its
-    map by the table's own tuples.
+    map by the table's own tuples, in its order.  A graph of
+    :func:`linarb.cli.parse_edge_list` has ascending rows and an ascending
+    table, so the CLI writes a map in its own order; one of
+    :func:`linarb.cli.generate_k_degenerate` has ascending rows and its
+    table in attachment order.
     """
 
     __slots__ = ("_adj", "_edges")

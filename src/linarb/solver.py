@@ -100,8 +100,10 @@ class DecomposeResult(NamedTuple):
     """A complete edge coloring plus the parameters that shaped it.
 
     ``coloring`` maps each edge (canonical ``(u, v)``, ``u < v``) to a class
-    in ``1..t``.  ``t`` is the number of classes made available, which for
-    MINIMUM mode equals ``ceil(delta/2)`` exactly.
+    in ``1..t``; its keys are the graph's own edge tuples, in the graph's
+    order (ascending for a parsed graph, which the CLI writes as it is).
+    ``t`` is the number of classes made available, which for MINIMUM mode
+    equals ``ceil(delta/2)`` exactly.
     """
 
     coloring: dict[tuple[int, int], int]
@@ -693,7 +695,8 @@ def decompose(
     threshold.  One degeneracy ordering of the whole graph drives one sweep:
     the thresholds are global, so an ordering certifying the global ``k``
     meets the paper's Hall and budget argument on every component at once.
-    Isolated vertices have no edge to color and are skipped.
+    Isolated vertices have no edge to color and are skipped.  The map's keys
+    are the tuples of ``g``'s edge table, in the table's order.
 
     ``debug_checks`` enables expensive internal invariant scans plus a final
     independent verification.

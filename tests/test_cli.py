@@ -412,6 +412,7 @@ def test_parse_gives_ascending_rows_and_the_edge_set_of_from_edges(style, seed):
     want = Graph.from_edges(n, pairs)
     assert g.n == want.n
     assert g._edges == want._edges
+    assert list(g._edges) == sorted(g._edges)
     assert all(row == sorted(row) for row in g._adj)
     assert [sorted(row) for row in g._adj] == [sorted(row) for row in want._adj]
 
@@ -482,7 +483,7 @@ def test_decompose_keys_are_the_graphs_own_tuples(k, build):
 )
 @pytest.mark.parametrize("seed", range(2))
 def test_cli_renderings_match_the_sorted_reference(monkeypatch, style, fmt, extra, seed):
-    """Walking the parsed graph's rows prints what sorting the map printed."""
+    """Writing the map in its own order prints what sorting the map printed."""
     rnd = random.Random(100 + seed)
     k = rnd.choice((2, 3))
     mode = ("minimum", "lac")[seed]
@@ -523,6 +524,30 @@ def test_cli_auto_renderings_match_the_sorted_reference(monkeypatch, text, mode,
     head = {"t": t, "k": degeneracy_ordering(g).k, "delta": max_degree(g), "mode": mode,
             "n": g.n, "m": g.edge_count, "verified": True}
     assert out == reference_partition_output(head, coloring, fmt, stats)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("mode", ["minimum", "lac", "auto"])
+def test_cli_output_does_not_depend_on_the_input_order(fmt, mode):
+    """A shuffled copy of an input, every pair reversed, decomposes to the
+    same bytes as the sorted input: the parser's edge table is ascending
+    either way, and the output is written in the map's own order."""
+    if mode == "auto":
+        # The oracle tries the edges at vertex 3 first, so its witness is
+        # not in ascending order.
+        base = parse_edge_list(K4_TEXT + "3 4\n")
+    else:
+        k = 2 if mode == "minimum" else 3
+        base = generate_k_degenerate(300, k, required_max_degree(k, Mode(mode)), 11)
+    pairs = base.edges()
+    sorted_text = "".join(f"{u} {w}\n" for u, w in pairs)
+    random.Random(5).shuffle(pairs)
+    shuffled_text = "".join(f"{w} {u}\n" for u, w in pairs)
+    argv = ["decompose", "-", "--mode", mode, "--format", fmt, "--verify-after"]
+    code, out, err = run_cli(argv, stdin_text=sorted_text)
+    assert (code, err) == (0, "")
+    assert ("mode=exact" in out or '"mode": "exact"' in out) == (mode == "auto")
+    assert run_cli(argv, stdin_text=shuffled_text) == (code, out, err)
 
 
 CHUNK = linarb.cli._CHUNK_LINES
@@ -588,47 +613,50 @@ class _Discard:
         return len(text)
 
 
+def _traced_peak(pieces):
+    """The traced memory peak of writing ``pieces`` to a stdout that keeps
+    nothing."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            linarb.cli._write(pieces)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The class array the emit once built grew by 4 bytes an edge; the writer
+# must grow by less.
+ARRAY_BYTES_PER_EDGE = 4
+
+
 def test_cli_text_writer_memory_does_not_grow_with_the_edge_count():
     """The writer holds one chunk at a time: its traced peak on the text
-    output of 4m edges exceeds the one at m edges by less than the class
-    array itself grows."""
+    output of 4m edges, written from the map's items, exceeds the one at m
+    edges by less than 4 bytes an added edge."""
     peaks, sizes = [], []
     for m in (5 * CHUNK, 20 * CHUNK):
-        g = Graph.from_edges(m + 1, [(i, i + 1) for i in range(m)])
-        classes = linarb.cli._classes(g, {(i, i + 1): 1 + i % 2 for i in range(m)})
-        head = {"t": 1, "k": 1, "delta": 2, "mode": "minimum", "n": g.n, "m": m}
+        coloring = {(i, i + 1): 1 + i % 2 for i in range(m)}
+        head = {"t": 1, "k": 1, "delta": 2, "mode": "minimum", "n": m + 1, "m": m}
         lines = itertools.chain(
             [f"# {' '.join(f'{k}={v}' for k, v in head.items())}"],
-            (f"{u} {w} {c}" for (u, w), c in zip(linarb.cli._ascending_edges(g), classes)),
+            (f"{u} {w} {c}" for (u, w), c in coloring.items()),
         )
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(_Discard()):
-                linarb.cli._write(lines)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        sizes.append(len(classes) * classes.itemsize)
+        peaks.append(_traced_peak(lines))
+        sizes.append(m * ARRAY_BYTES_PER_EDGE)
     assert peaks[1] - peaks[0] < sizes[1] - sizes[0], (peaks, sizes)
 
 
 def test_cli_json_writer_memory_does_not_grow_with_the_edge_count():
     """The JSON rows go out one chunk at a time too: the traced peak on the
-    output of 4m edges exceeds the one at m edges by less than the class
-    array itself grows."""
+    output of 4m edges exceeds the one at m edges by less than 4 bytes an
+    added edge."""
     peaks, sizes = [], []
     for m in (5 * CHUNK, 20 * CHUNK):
-        g = Graph.from_edges(m + 1, [(i, i + 1) for i in range(m)])
-        classes = linarb.cli._classes(g, {(i, i + 1): 1 + i % 2 for i in range(m)})
-        head = {"t": 1, "k": 1, "delta": 2, "mode": "minimum", "n": g.n, "m": m}
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(_Discard()):
-                linarb.cli._write(linarb.cli._json_partition(head, g, classes))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        sizes.append(len(classes) * classes.itemsize)
+        coloring = {(i, i + 1): 1 + i % 2 for i in range(m)}
+        head = {"t": 1, "k": 1, "delta": 2, "mode": "minimum", "n": m + 1, "m": m}
+        peaks.append(_traced_peak(linarb.cli._json_partition(head, coloring)))
+        sizes.append(m * ARRAY_BYTES_PER_EDGE)
     assert peaks[1] - peaks[0] < sizes[1] - sizes[0], (peaks, sizes)
 
 
@@ -636,11 +664,13 @@ def test_cli_json_writer_memory_does_not_grow_with_the_edge_count():
 @pytest.mark.parametrize(
     "fault, message",
     [("drop", "6 entries for 7 edges"), ("rename", "misses edge 3-4"),
-     ("extra", "8 entries for 7 edges")],
+     ("extra", "8 entries for 7 edges"),
+     ("reorder", "lists edge 1-2 out of")],
 )
 def test_cli_decompose_emits_nothing_off_the_edge_set(monkeypatch, fmt, fault, message):
     """Without ``--verify-after`` the emit still holds the map to the graph's
-    edge set: a dropped, renamed or extra key is an internal contradiction,
+    edge set in the graph's order, the order it writes: a dropped, renamed or
+    extra key, or the right keys out of order, is an internal contradiction,
     exit 2, with nothing on stdout."""
     real = linarb.cli.decompose
 
@@ -648,6 +678,8 @@ def test_cli_decompose_emits_nothing_off_the_edge_set(monkeypatch, fmt, fault, m
         result = real(g, mode, **kwargs)
         if fault == "extra":
             result.coloring[5, 6] = 1
+        elif fault == "reorder":
+            result.coloring[1, 2] = result.coloring.pop((1, 2))
         else:
             c = result.coloring.pop((3, 4))
             if fault == "rename":
