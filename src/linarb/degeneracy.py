@@ -9,6 +9,7 @@ k is the degeneracy.  The orderings produced here certify the exact value.
 from __future__ import annotations
 
 import heapq
+from array import array
 
 from .graph import Graph
 
@@ -23,12 +24,14 @@ class DegeneracyOrdering:
     ``ids[v]`` is the int object that ``order`` holds for vertex ``v``, so
     that callers can name each vertex by one object.  The orderings computed
     here fill ``order`` and ``position`` from one list of such objects.
+    ``left[v]``, if given, is the number of neighbors of ``v`` at earlier
+    positions, the degree the peel left ``v`` with when it removed it.
     """
 
-    __slots__ = ("order", "position", "k", "ids")
+    __slots__ = ("order", "position", "k", "ids", "left")
 
-    def __init__(self, order: list[int], position: list[int], k: int) -> None:
-        self.order, self.position, self.k = order, position, k
+    def __init__(self, order: list[int], position: list[int], k: int, left=None) -> None:
+        self.order, self.position, self.k, self.left = order, position, k, left
         self.ids = list(map(order.__getitem__, position))
 
 
@@ -80,4 +83,4 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
     position = [0] * n
     for i, v in zip(ids, order):
         position[v] = i
-    return DegeneracyOrdering(order, position, level)
+    return DegeneracyOrdering(order, position, level, array("i", deg))

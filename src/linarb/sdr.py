@@ -21,16 +21,15 @@ last, the path owners take the hub's candidates first, and its deficit of
 about half its degree is filled one scan at a time.
 
 The candidates are read from a right-row table the caller builds once and
-shares with the sweep: one flat list of targets, where the right-neighbors
+shares with the sweep: one flat sequence of targets, where the right-neighbors
 of the vertex at position ``i``, ascending by id, are
-``targets[offsets[i]:offsets[i + 1]]``.  Nothing here builds rows of its
-own.
+``targets[starts[i]:ends[i]]``; nothing here builds rows of its own.
 
-The matching lives in flat arrays only: the returned flags, one per edge id
-(an index into ``targets``), set when the edge joins its row's owner to one
-of that owner's representatives; the owner holding each vertex, or -1; and
-the phantoms each owner may still take.  An augment flips the flags along
-its path, finding each edge by bisection in its owner's row.
+The matching lives in flat arrays only: the returned flags, one per slot of
+``targets``, set when the slot's edge joins its row's owner to one of that
+owner's representatives; the owner holding each vertex, or -1; and the
+phantoms each owner may still take.  An augment flips the flags along its
+path, finding each edge by bisection in its owner's row.
 
 A vertex may be padded with phantom leaves: private right-neighbors that
 only it can reserve.  Their ids would follow every real vertex, so each
@@ -51,19 +50,20 @@ from .errors import InternalContradictionError
 def compute_sdr(
     owners: Sequence[int],
     r: int,
-    targets: list[int],
-    offsets: Sequence[int],
+    targets: Sequence[int],
+    starts: Sequence[int],
+    ends: Sequence[int],
     position: Sequence[int],
     pad: Sequence[int],
 ) -> bytearray:
     """Reserve ``r`` disjoint right-neighbors for each of ``owners`` and
-    return the reservation flags, one per edge id.
+    return the reservation flags, one per slot of ``targets``.
 
-    The greedy pass visits ``owners`` in the order given.  ``targets`` and
-    ``offsets`` are the right rows by position (see the module docstring);
-    they must cover ``position[v]`` for every owner ``v``.  ``pad[v]`` is
-    the number of phantom leaves padding ``v``: candidates only ``v`` can
-    take, after all its real ones.
+    The greedy pass visits ``owners`` in the order given.  ``targets``,
+    ``starts`` and ``ends`` are the right rows by position (see the module
+    docstring); they must cover ``position[v]`` for every owner ``v``.
+    ``pad[v]`` is the number of phantom leaves padding ``v``: candidates
+    only ``v`` can take, after all its real ones.
 
     Raises :class:`InternalContradictionError` if no full assignment exists,
     which the sweep's rows rule out (see the module docstring).
@@ -80,7 +80,7 @@ def compute_sdr(
     for v in owners:
         i = position[v]
         need = r
-        for e in range(offsets[i], offsets[i + 1]):
+        for e in range(starts[i], ends[i]):
             u = targets[e]
             if taken_by[u] < 0:
                 taken_by[u] = v
@@ -97,14 +97,15 @@ def compute_sdr(
     # still the one the greedy pass left and no other owner falls short.
     for v, deficit in short:
         for _ in range(deficit):
-            _augment(v, targets, offsets, position, taken_by, phantoms, reserved)
+            _augment(v, targets, starts, ends, position, taken_by, phantoms, reserved)
     return reserved
 
 
 def _augment(
     start: int,
-    targets: list[int],
-    offsets: Sequence[int],
+    targets: Sequence[int],
+    starts: Sequence[int],
+    ends: Sequence[int],
     position: Sequence[int],
     taken_by: array,
     phantoms: array,
@@ -127,7 +128,7 @@ def _augment(
     while queue:
         v = queue.popleft()
         i = position[v]
-        for u in targets[offsets[i]:offsets[i + 1]]:
+        for u in targets[starts[i]:ends[i]]:
             if u in parent_owner:
                 continue
             parent_owner[u] = v
@@ -160,8 +161,8 @@ def _augment(
         holder, v = taken_by[u], parent_owner[u]
         if holder >= 0:  # a free candidate has no edge to unflag
             i = position[holder]
-            reserved[bisect_left(targets, u, offsets[i], offsets[i + 1])] = 0
+            reserved[bisect_left(targets, u, starts[i], ends[i])] = 0
         i = position[v]
-        reserved[bisect_left(targets, u, offsets[i], offsets[i + 1])] = 1
+        reserved[bisect_left(targets, u, starts[i], ends[i])] = 1
         taken_by[u] = v
         u = via_candidate.get(v, -1)

@@ -36,7 +36,8 @@ import time
 from array import array
 from collections.abc import Iterator
 from enum import Enum
-from itertools import islice
+from itertools import accumulate, compress, count, islice
+from operator import lt, sub
 from typing import NamedTuple
 
 from .coloring import NIL, ForestColoring, place_light_edge
@@ -78,10 +79,9 @@ def class_count_for(delta: int, k: int, mode: Mode) -> int:
 class SolveStats:
     """Counters and coarse stage timers of one decompose call.
 
-    ``order_ms``, ``sdr_ms`` and ``sweep_ms`` time the degeneracy ordering,
-    the representative selection and the sweep (repairs included).
-    ``sdr_ms`` includes building the right-row table that the selection and
-    the sweep share.
+    ``order_ms``, ``rows_ms``, ``sdr_ms``, ``sweep_ms`` and ``project_ms``
+    time the degeneracy ordering, the right-row table, the representative
+    selection, the sweep (repairs included) and the map's build.
     """
 
     def __init__(self) -> None:
@@ -91,8 +91,10 @@ class SolveStats:
         self.repairs_owner_free = 0
         self.repairs_unreserved = 0
         self.order_ms = 0.0
+        self.rows_ms = 0.0
         self.sdr_ms = 0.0
         self.sweep_ms = 0.0
+        self.project_ms = 0.0
         self.wall_ms = 0.0
 
 
@@ -101,9 +103,9 @@ class DecomposeResult(NamedTuple):
 
     ``coloring`` maps each edge (canonical ``(u, v)``, ``u < v``) to a class
     in ``1..t``; its keys are the graph's own edge tuples, in the graph's
-    order (ascending for a parsed graph, which the CLI writes as it is).
-    ``t`` is the number of classes made available, which for MINIMUM mode
-    equals ``ceil(delta/2)`` exactly.
+    order (ascending for a parsed graph, which the CLI writes as it is), as
+    a solve numbers its edges.  ``t`` is the number of classes made
+    available, which for MINIMUM mode equals ``ceil(delta/2)`` exactly.
     """
 
     coloring: dict[tuple[int, int], int]
@@ -168,11 +170,12 @@ class SolverState:
     Isolated vertices are allowed and skipped: they get no padding and sit
     with the degree-1 vertices behind the sweep.
 
-    Every edge has an id, its index in the right-row table (:attr:`targets`).
-    The rows of the degree-D block come first; the few edges between two
-    degree-1 vertices (K2 components) form the table's tail, each listed
-    once by its earlier endpoint, whose only neighbor it names.  The sweep
-    keeps classes by edge id only, in the coloring's class array.
+    Every edge has an id, its position in the graph's edge table, and the
+    sweep keeps classes by id only, in the coloring's class array.  The
+    right-row table files each edge in the row of its earlier endpoint in
+    the sweep order, its id in :attr:`ids` beside its far end in
+    :attr:`targets`: the row at position ``i``, ascending, is the slots
+    ``starts[i]:ends[i]``, past the degree-D block for a K2 component's edge.
 
     The state alone decides who reserves and how many: the owners are the
     vertices padded to degree ``target_delta``, visited in id order, and
@@ -231,7 +234,7 @@ class SolverState:
                 f"target degree {target_delta} is below maximum degree {delta}"
             )
         adj = g._adj
-        pad = [target_delta - len(row) if len(row) > 1 else 0 for row in adj]
+        pad = array("i", [target_delta - len(row) if len(row) > 1 else 0 for row in adj])
         self.pad = pad
         self.stats.pendants_added += sum(pad)
 
@@ -251,55 +254,62 @@ class SolverState:
         if all(len(adj[v]) > 1 for v in islice(order, n_high)):
             self.ordering = base_ordering
         else:
-            highs: list[int] = []
-            ones: list[int] = []
-            for v in order:
-                (ones if len(adj[v]) <= 1 else highs).append(v)
-            order = highs + ones
+            order = [v for v in order if len(adj[v]) > 1] + [v for v in order if len(adj[v]) <= 1]
             position = [0] * n
             for i, v in zip(ids, order):
                 position[v] = i
             self.ordering = DegeneracyOrdering(order, position, k)
         self.n_high = n_high
 
-        # The right rows of the degree-D block, ascending by id, built once
-        # and read by both the representative selection and the sweep: the
-        # row at position i is targets[offsets[i]:offsets[i + 1]], and an
-        # index into targets is the id of that edge.  The offsets are only
-        # read, so an array holds them.  Past the last row, the tail names
-        # the later endpoint of each K2 edge, whose earlier one is its only
-        # neighbor.
+        # The right rows, for the representative selection and the sweep, in
+        # one pass over the edge table: each fills its range (its exact size
+        # if the ordering knows left-degrees, else its vertex's degree) in
+        # table order, the owner's adjacency order, which is ascending for a
+        # parsed or generated graph.  A row with a far end below the one
+        # before it is noted, and only noted rows are sorted, ids with them.
         mark = time.perf_counter()
-        position = self.ordering.position
-        targets: list[int] = []
-        offsets = array("i", [0])
-        for i, v in enumerate(islice(order, n_high)):
-            row = [u for u in adj[v] if position[u] > i]
-            row.sort()
-            targets += row
-            offsets.append(len(targets))
-        if len(targets) < g.edge_count:
-            for v in islice(order, n_high, None):
-                row = adj[v]
-                if row and len(adj[row[0]]) == 1 and position[row[0]] > position[v]:
-                    targets.append(row[0])
-        self.targets = targets
-        self.offsets = offsets
+        position, left = self.ordering.position, self.ordering.left
+        sizes = map(len, map(adj.__getitem__, order))
+        if left is not None:
+            sizes = map(sub, sizes, map(left.__getitem__, order))
+        nxt = array("i", accumulate(sizes, initial=0))
+        size = nxt.pop()
+        starts = array("i", nxt)
+        targets = array("i", [NIL]) * size
+        ids = array("i", targets)
+        noted, last = [], [NIL] * n
+        for e, (a, b) in enumerate(g._edges):
+            i, j = position[a], position[b]
+            if j < i:
+                i, b = j, a
+            s = nxt[i]
+            nxt[i] = s + 1
+            targets[s] = b
+            ids[s] = e
+            if last[i] > b:
+                noted.append(i)
+            last[i] = b
+        for i in set(noted):
+            lo, hi = starts[i], nxt[i]
+            row = sorted(zip(targets[lo:hi], ids[lo:hi]))
+            targets[lo:hi] = array("i", [u for u, _ in row])
+            ids[lo:hi] = array("i", [e for _, e in row])
+        self.targets, self.ids, self.starts, self.ends = targets, ids, starts, nxt
+        self.stats.rows_ms += (time.perf_counter() - mark) * 1000.0
+        mark = time.perf_counter()
         self.r = (target_delta - k) // k
-        self.reserved = compute_sdr(owners, self.r, targets, offsets, position, pad)
+        self.reserved = compute_sdr(owners, self.r, targets, starts, self.ends, position, pad)
+        del owners, last  # before the coloring tables, which can take their place
         self.stats.sdr_ms += (time.perf_counter() - mark) * 1000.0
         self.fc = ForestColoring(n, t, g.edge_count)
         # Debug only: owner position per reserved vertex (-1 when never
         # reserved); a vertex is "pending" while its owner lies ahead of the
         # sweep, and pending vertices must keep every class degree at most 1.
-        self.reserved_owner_pos: list[int] = []
-        if debug:
-            self.reserved_owner_pos = [-1] * n
-            flags = self.reserved
-            for i in range(self.n_high):
-                for e in range(offsets[i], offsets[i + 1]):
-                    if flags[e]:
-                        self.reserved_owner_pos[targets[e]] = i
+        self.reserved_owner_pos = [-1] * n if debug else []
+        for i in range(n_high if debug else 0):
+            for s in range(starts[i], nxt[i]):
+                if self.reserved[s]:
+                    self.reserved_owner_pos[targets[s]] = i
         self._touched: list[int] = []
         # The classes of the leaves of the owner being repaired, its spare
         # leaves in pendant order and its reserved leaves: built only when a
@@ -316,46 +326,32 @@ class SolverState:
 
         The map, keyed by the graph's own edge tuples in the graph's order,
         is the largest structure of a solve, so it is built from the class
-        array only after the representatives and the coloring tables are
-        released, and with its final classes, so that no second pass
-        rewrites it: the state is spent afterwards.
+        array only after the row table, the representatives and the coloring
+        tables are released, and with its final classes, so that no second
+        pass rewrites it: the state is spent afterwards.  The class array is
+        in the table's order, so one ``update`` zips the two.
         """
-        # Positions past the degree-D block hold isolated and degree-1
-        # vertices, whose edge is colored from its other end, or here for a
-        # K2 edge: alone in its component, it closes no cycle in class 0.
+        # Past the degree-D block, a degree-1 vertex's edge is colored from
+        # its other end, or here for a K2 edge: it closes no cycle in class 0.
         start = time.perf_counter()
-        self._sweep(range(self.n_high))
-        fc = self.fc
-        adj, targets = self.g._adj, self.targets
-        for e in range(self.offsets[self.n_high], len(targets)):
-            u = targets[e]
-            fc.assign(e, adj[u][0], u, 0)
+        n_high = self.n_high
+        self._sweep(range(n_high))
+        fc, targets, ids, starts = self.fc, self.targets, self.ids, self.starts
+        order = self.ordering.order
+        for i in compress(count(n_high), map(lt, starts[n_high:], self.ends[n_high:])):
+            fc.assign(ids[starts[i]], order[i], targets[starts[i]], 0)
         cls = fc.edge_class
-        uncolored = cls.count(NIL)
-        if uncolored:
+        if uncolored := cls.count(NIL):
             raise InternalContradictionError(f"sweep left {uncolored} edges uncolored")
-        del self.reserved, self.fc, fc
-        out = dict.fromkeys(self.g._edges)
-        out.update(zip(self.edge_keys(), map(first.__add__, cls) if first else cls))
+        del self.targets, self.ids, self.reserved, self.fc, fc, targets, ids
+        mark = time.perf_counter()
+        self.stats.sweep_ms += (mark - start) * 1000.0
+        edges = self.g._edges
+        out = dict.fromkeys(edges)
+        out.update(zip(edges, map(first.__add__, cls) if first else cls))
         _check_map(self.g, out)
-        self.stats.sweep_ms += (time.perf_counter() - start) * 1000.0
+        self.stats.project_ms += (time.perf_counter() - mark) * 1000.0
         return out
-
-    def edge_keys(self) -> Iterator[tuple[int, int]]:
-        """Every edge as its ``(u, v)`` pair, ``u < v``, in edge-id order.
-
-        The pairs hold the rows' own ints and only probe the graph's edge
-        table, whose tuples key the map (see :func:`_check_map`).
-        """
-        adj, order = self.g._adj, self.ordering.order
-        targets, offsets = self.targets, self.offsets
-        for i in range(self.n_high):
-            v = order[i]
-            for u in targets[offsets[i]:offsets[i + 1]]:
-                yield (v, u) if v < u else (u, v)
-        for u in targets[offsets[self.n_high]:]:
-            v = adj[u][0]
-            yield (v, u) if v < u else (u, v)
 
     def _sweep(self, positions: range) -> None:
         """At each of ``positions``, all inside the degree-D block, color
@@ -371,37 +367,37 @@ class SolverState:
         (:attr:`spare_leaves`, :attr:`reserved_leaves`) are listed only when
         a reserved edge closes a cycle, for the repair.
         """
-        fc, targets, offsets = self.fc, self.targets, self.offsets
+        fc, targets, ids, starts, ends = self.fc, self.targets, self.ids, self.starts, self.ends
         order, pad, flags = self.ordering.order, self.pad, self.reserved
         t, r, debug = fc.t, self.r, self.debug
         top = r + 1 if self.mode is Mode.MINIMUM else r + 2
         for i in positions:
             v = order[i]
-            lo, hi = offsets[i], offsets[i + 1]
-            # The reserved edges by far end, ascending like the row, and the
-            # ids of the other right-edges; reserved leaves make up the rest
-            # of r.  One loop: rows are short, and two comprehensions cost
-            # 2.6x as much.
+            lo, hi = starts[i], ends[i]
+            # The ids of the reserved edges by far end, ascending like the
+            # row, and the row slots of the other right-edges; reserved
+            # leaves make up the rest of r.  One loop: rows are short, and
+            # two comprehensions cost 2.6x as much.
             rep_edge: dict[int, int] = {}
             spare: list[int] = []
-            for e in range(lo, hi):
-                if flags[e]:
-                    rep_edge[targets[e]] = e
+            for s in range(lo, hi):
+                if flags[s]:
+                    rep_edge[targets[s]] = ids[s]
                 else:
-                    spare.append(e)
+                    spare.append(s)
             reserved = r - len(rep_edge)
             if reserved < 0:
                 raise InternalContradictionError(f"owner {v} holds {len(rep_edge)} reserved edges")
             if debug:
-                self._touched = [v] + targets[lo:hi]
+                self._touched = [v, *targets[lo:hi]]
             # Classes full at v are skipped once for the whole stage (degrees
             # at v only grow here), so every class below ptr stays full.  row
             # keeps v's class degrees in step with the placements.
             row, ptr = fc.row(v), 0
-            for e in spare:
+            for s in spare:
                 while ptr < t and row[ptr] == 2:
                     ptr += 1
-                row[place_light_edge(fc, e, targets[e], v, ptr)] += 1
+                row[place_light_edge(fc, ids[s], targets[s], v, ptr)] += 1
             # With its spare leaves, v holds D - r edges and leaves, so the
             # budget left, 2t - (D - r) slots, is r or r + 1 (r + 2 in
             # relaxed mode).
@@ -459,7 +455,7 @@ class SolverState:
         """Drive the set of cycle-carrying reserved edges to empty.
 
         ``rep_edge`` maps the far end of each reserved edge of ``v`` to its
-        edge id, and ``spare`` lists the ids of the other right-edges.  The
+        edge id, and ``spare`` lists the row slots of the other right-edges.  The
         set holds the far ends of the reserved edges on a cycle, computed by
         one test before the first move and after each move.
 
@@ -474,7 +470,6 @@ class SolverState:
         """
         fc = self.fc
         cls = fc.edge_class
-        targets = self.targets
 
         def on_cycle() -> set[int]:
             return {u for u, e in rep_edge.items() if v in fc.walk(cls[e], u, v)}
@@ -488,8 +483,7 @@ class SolverState:
             move = self._choose_repair_move(v, rep_edge, spare, w, xi)
             kind = move[0]
             if kind == "swap":
-                e = move[2]
-                fc.swap_colors(ew, v, w, e, v, targets[e])
+                fc.swap_colors(ew, v, w, move[2], v, move[3])
             else:
                 fc.recolor(ew, v, w, move[1])
             if kind == "reserved leaf":
@@ -524,7 +518,8 @@ class SolverState:
 
         Among partners a leaf ranks after every real vertex, as the id of
         its pendant would.  A move returns as ``("recolor", j)``, or as
-        ``("swap", j, e)`` with the partner's edge id ``e``.  A trade with a
+        ``("swap", j, e, u)`` with the partner's edge id ``e`` and far end
+        ``u``.  A trade with a
         reserved leaf of class ``j`` (one in :attr:`reserved_leaves`) is
         returned as ``("reserved leaf", j)``, and one with the spare leaf at
         index ``i`` of :attr:`spare_leaves` as ``("spare leaf", j, i)``.
@@ -559,7 +554,7 @@ class SolverState:
                 if u not in rep_edge or cls[rep_edge[u]] != j:
                     reason = f"path partner {u} is not reserved in class {j}"
                     raise InternalContradictionError(self._dump(v, rep_edge, {w}, reason))
-                return ("swap", j, rep_edge[u])
+                return ("swap", j, rep_edge[u], u)
 
         # Both pools empty forces degeneracy exactly 2 (the class budget at v
         # cannot cover r reserved edges otherwise), so a non-reserved trade
@@ -568,11 +563,11 @@ class SolverState:
             raise InternalContradictionError(
                 self._dump(v, rep_edge, {w}, f"unreserved trade reached at degeneracy {self.k}")
             )
-        for e in spare:
-            eta = cls[e]
+        for s in spare:
+            eta = cls[self.ids[s]]
             if eta != NIL and eta != xi:
                 self.stats.repairs_unreserved += 1
-                return ("swap", eta, e)
+                return ("swap", eta, self.ids[s], self.targets[s])
         for i, eta in enumerate(self.spare_leaves):
             if eta != xi:
                 self.stats.repairs_unreserved += 1
@@ -588,7 +583,8 @@ class SolverState:
         cls = self.fc.edge_class
         partners = [u for u, e in rep_edge.items() if u != w and cls[e] == j]
         if partners:
-            return ("swap", j, rep_edge[min(partners)])
+            u = min(partners)
+            return ("swap", j, rep_edge[u], u)
         if j in self.reserved_leaves:
             return ("reserved leaf", j)
         return None
@@ -634,9 +630,8 @@ class SolverState:
 
 def _check_map(g: Graph, out: dict[tuple[int, int], int | None]) -> None:
     """Check a map built as ``dict.fromkeys(g._edges)``, so keyed by the
-    graph's own tuples in its order, whose values the solve's pairs then
-    set: a pair that is no edge adds a key, and an edge no pair names keeps
-    None.  Either is a solver bug."""
+    graph's own tuples in its order, and then filled: a pair that is no edge
+    adds a key, and an edge left unfilled keeps None.  Either is a solver bug."""
     if len(out) != g.edge_count or None in out.values():
         raise InternalContradictionError(
             f"edge map has {len(out)} keys for {g.edge_count} edges, "

@@ -348,13 +348,23 @@ def write_cell(fc: ForestColoring, v: int, j: int, *, degree=None, mate=None) ->
 
 
 def state_edge_ids(state: SolverState, extra=()) -> dict[tuple[int, int], int]:
-    """The edge id of every ``(u, v)`` pair of a sweep state, in id order.
+    """The edge id of every ``(u, v)`` pair of a sweep state, in id order,
+    read from the ids beside its row slots, which must number each edge by
+    its position in the graph's edge table.
 
     Hand-set states may color pairs the graph lacks: each pair of ``extra``
     that is no edge gets the next id past the graph's, and the coloring's
     class array grows by one uncolored entry for it.
     """
-    ids = {key: e for e, key in enumerate(state.edge_keys())}
+    order, targets, slot_ids = state.ordering.order, state.targets, state.ids
+    by_id = {
+        slot_ids[s]: edge_key(order[i], targets[s])
+        for i, (lo, hi) in enumerate(zip(state.starts, state.ends))
+        for s in range(lo, hi)
+    }
+    assert sorted(by_id) == list(range(state.g.edge_count))
+    ids = {by_id[e]: e for e in range(state.g.edge_count)}
+    assert list(ids) == list(state.g._edges)
     for pair in extra:
         if pair not in ids:
             ids[pair] = len(state.fc.edge_class)
@@ -433,7 +443,10 @@ def threshold_sdr(
     r = (d - k) // k
     targets, offsets = right_rows(g, ordering)
     # Looked up on the module, so that a test can wrap it there.
-    return linarb.sdr.compute_sdr(owners, r, targets, offsets, ordering.position, pad), r
+    flags = linarb.sdr.compute_sdr(
+        owners, r, targets, offsets, offsets[1:], ordering.position, pad
+    )
+    return flags, r
 
 
 def owner_reservation(
@@ -707,7 +720,8 @@ def reference_augment_starts(
     owners: Sequence[int],
     r: int,
     targets: list[int],
-    offsets,
+    starts,
+    ends,
     position: Sequence[int],
     pad: Sequence[int],
 ) -> tuple[list[int], bytearray]:
@@ -717,15 +731,15 @@ def reference_augment_starts(
     greedy order.  Returns the start owner of every ``_augment`` call, in
     call order, and the reservation flags."""
     reserved = bytearray(len(targets))
-    starts: list[int] = []
+    began: list[int] = []
     if r == 0:
-        return starts, reserved
+        return began, reserved
     taken_by = array("i", [-1]) * len(position)
     phantoms = array("i", pad)
     for v in owners:
         i = position[v]
         need = r
-        for e in range(offsets[i], offsets[i + 1]):
+        for e in range(starts[i], ends[i]):
             u = targets[e]
             if taken_by[u] < 0:
                 taken_by[u] = v
@@ -736,11 +750,11 @@ def reference_augment_starts(
         phantoms[v] -= min(need, phantoms[v])
     for v in owners:
         i = position[v]
-        held = reserved.count(1, offsets[i], offsets[i + 1]) + pad[v] - phantoms[v]
+        held = reserved.count(1, starts[i], ends[i]) + pad[v] - phantoms[v]
         for _ in range(r - held):
-            starts.append(v)
-            _augment(v, targets, offsets, position, taken_by, phantoms, reserved)
-    return starts, reserved
+            began.append(v)
+            _augment(v, targets, starts, ends, position, taken_by, phantoms, reserved)
+    return began, reserved
 
 
 # -------------------------------------------- repair-forcing constructions

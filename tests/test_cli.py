@@ -37,6 +37,7 @@ from linarb import (
     parse_edge_list,
     required_max_degree,
 )
+from linarb.coloring import NIL
 
 from conftest import (
     capped_instance,
@@ -766,21 +767,24 @@ def _drop_an_edge(monkeypatch):
     monkeypatch.setattr(linarb.cli, "decompose", dropping)
 
 
-def _drop_a_probe(monkeypatch):
-    keys = SolverState.edge_keys
-    monkeypatch.setattr(SolverState, "edge_keys",
-                        lambda self: itertools.islice(keys(self), 1, None))
+def _shorten_the_classes(monkeypatch):
+    sweep = SolverState._sweep
+
+    def shortened(self, positions):
+        sweep(self, positions)
+        self.fc.edge_class.pop()
+
+    monkeypatch.setattr(SolverState, "_sweep", shortened)
 
 
-def _repeat_a_probe(monkeypatch):
-    keys = SolverState.edge_keys
+def _nil_an_id(monkeypatch):
+    init = SolverState.__init__
 
-    def repeating(self):
-        probes = keys(self)
-        first = next(probes)
-        return itertools.chain([first, first], probes)
+    def nil_first(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.ids[self.starts[0]] = NIL
 
-    monkeypatch.setattr(SolverState, "edge_keys", repeating)
+    monkeypatch.setattr(SolverState, "__init__", nil_first)
 
 
 CYCLE_HUB_TEXT = "".join(f"{u} {v}\n" for u, v in CYCLE_HUB_EDGES)
@@ -799,11 +803,12 @@ FORCED_SITES = {
     "forest": (lambda mp: mp.setattr(linarb.solver, "class_count_for", lambda *args: 1),
                STAR6_TEXT, [], "forest pairing ran out of classes at 0"),
     "classes": (_drop_an_edge, GAP_TEXT, ["--mode", "lac"], "partition has 6 entries"),
-    # A probe the row table lost or repeated leaves one edge without a class.
-    "dropped-probe": (_drop_a_probe, GENERATED_TEXT, [],
-                      f"edge map has {GENERATED_M} keys for {GENERATED_M} edges, 1 without"),
-    "repeated-probe": (_repeat_a_probe, GENERATED_TEXT, [],
-                       f"edge map has {GENERATED_M} keys for {GENERATED_M} edges, 1 without"),
+    # A class array one entry short leaves the last edge of the table
+    # without a class in the map.
+    "short-class-array": (_shorten_the_classes, GENERATED_TEXT, [],
+                          f"edge map has {GENERATED_M} keys for {GENERATED_M} edges, 1 without"),
+    # An id left NIL in the row table colors the table's last edge twice.
+    "nil-id": (_nil_an_id, GENERATED_TEXT, [], f"edge {GENERATED_M - 1} ("),
     "verify-after": (cyclic_sweep, CYCLE_HUB_DIMACS, ["--dimacs", "--verify-after"],
                      "self-check failed:"),
 }
@@ -1006,13 +1011,16 @@ def test_cli_decompose_json_without_verify_has_no_verified_key():
     assert "verified" not in json.loads(out)
 
 
+STAGE_TIMERS = ("order_ms", "rows_ms", "sdr_ms", "sweep_ms", "project_ms", "wall_ms")
+
+
 def test_cli_decompose_stats_flag_adds_counters():
     code, out, _ = run_cli(["decompose", "-", "--stats"], stdin_text=STAR6_TEXT)
     assert code == 0
     last = out.splitlines()[-1]
     assert last.startswith("# stats ")
     assert "repair_iterations=0" in last
-    for timer in ("order_ms", "sdr_ms", "sweep_ms", "wall_ms"):
+    for timer in STAGE_TIMERS:
         assert f" {timer}=" in last
     _, gen_text, _ = run_cli(
         ["generate", "--n", "30", "--k", "2", "--delta-min", "8", "--seed", "11"]
@@ -1020,7 +1028,7 @@ def test_cli_decompose_stats_flag_adds_counters():
     code, out, _ = run_cli(["decompose", "-", "--stats", "--format", "json"], stdin_text=gen_text)
     stats = json.loads(out)["stats"]
     assert "components" not in stats
-    assert all(stats[timer] > 0 for timer in ("order_ms", "sdr_ms", "sweep_ms", "wall_ms"))
+    assert all(stats[timer] > 0 for timer in STAGE_TIMERS)
     code, out, _ = run_cli(["decompose", "-"], stdin_text=STAR6_TEXT)
     assert "stats" not in out
 

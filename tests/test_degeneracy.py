@@ -26,16 +26,30 @@ from conftest import (
 
 
 def check_certificate(g, ordering):
-    """Every vertex may look back at no more than k earlier neighbors."""
+    """Every vertex may look back at no more than k earlier neighbors, as
+    many as the ordering's left-degrees say when it has them."""
     assert sorted(ordering.order) == list(range(g.n))
     assert len(ordering.position) == g.n
     assert all(ordering.position[v] == i for i, v in enumerate(ordering.order))
     worst = 0
     for v in ordering.order:
         back = sum(1 for u in g.neighbors(v) if ordering.position[u] < ordering.position[v])
+        assert ordering.left is None or ordering.left[v] == back
         worst = max(worst, back)
     assert worst <= ordering.k
     return worst
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_peel_records_left_degrees(seed):
+    """A peel's ordering lists every vertex's left-degree; one built by
+    hand lists none."""
+    rnd = random.Random(seed)
+    g = random_graph(rnd, rnd.randrange(2, 40), rnd.randrange(120))
+    ordering = degeneracy_ordering(g)
+    assert len(ordering.left) == g.n
+    check_certificate(g, ordering)
+    assert DegeneracyOrdering(ordering.order, ordering.position, ordering.k).left is None
 
 
 def test_empty_and_isolated():

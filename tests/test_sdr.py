@@ -128,8 +128,8 @@ def test_greedy_pass_follows_the_given_owner_order(owners, want_starts, monkeypa
     monkeypatch.setattr(linarb.sdr, "_augment", augment)
     g = three_grab_one_graph()
     ordering = ordering_for(g, list(range(22)), 2)
-    rows = right_rows(g, ordering)
-    flags = compute_sdr(owners, 2, *rows, ordering.position, [0] * g.n)
+    rows = targets, offsets = right_rows(g, ordering)
+    flags = compute_sdr(owners, 2, targets, offsets, offsets[1:], ordering.position, [0] * g.n)
     assert starts == want_starts
     reps = {v: owner_reservation(flags, 2, ordering, rows, v) for v in range(4)}
     assert reps == {0: ([10, 11], 0), 1: ([6, 7], 0), 2: ([8, 9], 0), 3: ([4, 5], 0)}
@@ -247,10 +247,11 @@ def capped_graph(k: int, seed: int, n: int) -> Graph:
 
 def padded_flags(g: Graph, k: int) -> bytes:
     """The reservation flags of the sweep state padding ``g`` to degree
-    ``max(2k^2 - k, max degree)`` in MINIMUM mode."""
+    ``max(2k^2 - k, max degree)`` in MINIMUM mode, row after row in the
+    sweep order."""
     delta = max(required_max_degree(k, Mode.MINIMUM), max_degree(g))
     state = SolverState(g, degeneracy_ordering(g), delta, (delta + 1) // 2, Mode.MINIMUM)
-    return bytes(state.reserved)
+    return b"".join(state.reserved[lo:hi] for lo, hi in zip(state.starts, state.ends))
 
 
 def unpadded_flags() -> bytes:

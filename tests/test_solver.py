@@ -112,9 +112,12 @@ def test_solver_state_rejects_a_class_count_off_the_mode(mode, shift):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_shared_right_rows_match_the_reference(seed):
-    """The one right-row table covers the degree-D block of the sweep order,
-    ascending by id, also when the graph's own rows are not, and lists each
-    K2 edge once in its tail, also when the larger id comes first."""
+    """The one right-row table holds the reference row at every position
+    of the sweep order, ascending by id, also when the graph's own rows are
+    not; the id beside each slot is the position in the edge table of the
+    edge from the row's owner to the slot's target; and each K2 edge lies
+    in the row of its earlier endpoint, also when the larger id comes
+    first."""
     rnd = random.Random(seed)
     k = rnd.choice((2, 3))
     base = generate_k_degenerate(rnd.randrange(k + 3, 60), k, 2 * k * k, seed)
@@ -134,18 +137,55 @@ def test_shared_right_rows_match_the_reference(seed):
         ordering = ordering_for(g, [v for v in ordering.order if v < base.n] + ends, k)
     state = SolverState(g, ordering, delta, t, Mode.LAC)
     targets, offsets = right_rows(g, state.ordering)
-    head = offsets[state.n_high]
-    assert list(state.offsets) == offsets[:state.n_high + 1]
-    assert state.targets[:head] == targets[:head]
-    # The reference lists a K2 edge at its earlier endpoint, as the tail does.
-    tail = state.targets[head:]
-    assert tail == targets[head:]
-    assert sorted(edge_key(g.neighbors(u)[0], u) for u in tail) == pairs
+    order, table = state.ordering.order, list(g._edges)
+    bounds = list(zip(state.starts, state.ends))
+    for i, (lo, hi) in enumerate(bounds):
+        assert state.targets[lo:hi].tolist() == targets[offsets[i]:offsets[i + 1]]
+        assert [table[e] for e in state.ids[lo:hi]] == [
+            edge_key(order[i], u) for u in state.targets[lo:hi]
+        ]
+    ids = sorted(state.ids[s] for lo, hi in bounds for s in range(lo, hi))
+    assert ids == list(range(g.edge_count))
+    # Past the degree-D block, only K2 edges, one to a row.
+    tail = [(order[i], state.targets[lo]) for i, (lo, hi) in enumerate(bounds)
+            if i >= state.n_high and hi > lo]
+    assert sorted(edge_key(*e) for e in tail) == pairs
     if not seed % 2:
-        assert all(g.neighbors(u)[0] > u for u in tail)
-    assert len(state.targets) == g.edge_count
+        assert all(v > u for v, u in tail)
     coloring = state.run()
     assert all(coloring[e] == 0 for e in pairs)
+
+
+@pytest.mark.parametrize("k, mode, seed", [(2, Mode.MINIMUM, 1), (3, Mode.LAC, 2), (2, Mode.LAC, 3)])
+def test_shuffled_pairs_color_as_the_sorted_pairs_do(k, mode, seed):
+    """One graph built twice, from its sorted pairs and from the same pairs
+    shuffled and pair-swapped, whose adjacency rows are then not ascending:
+    the second build's rows are sorted into the reference rows, each slot's
+    id names the edge from the row's owner to the slot's target, and every
+    edge gets the same class from both builds."""
+    rnd = random.Random(seed)
+    base = generate_k_degenerate(300, k, required_max_degree(k, mode), seed)
+    pairs = base.edges()
+    shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs]
+    rnd.shuffle(shuffled)
+    sorted_g = Graph.from_edges(base.n, pairs)
+    g = Graph.from_edges(base.n, shuffled)
+    assert any(row != sorted(row) for row in g._adj)
+    ordering = degeneracy_ordering(g)
+    delta = max_degree(g)
+    state = SolverState(g, ordering, delta, class_count_for(delta, ordering.k, mode), mode)
+    # The peel's left-degrees size every row exactly.
+    assert state.ordering is ordering and state.ends[:-1] == state.starts[1:]
+    targets, offsets = right_rows(g, state.ordering)
+    order, table = state.ordering.order, list(g._edges)
+    for i, (lo, hi) in enumerate(zip(state.starts, state.ends)):
+        assert state.targets[lo:hi].tolist() == targets[offsets[i]:offsets[i + 1]]
+        for s in range(lo, hi):
+            assert table[state.ids[s]] == edge_key(order[i], state.targets[s])
+    want = decompose(sorted_g, mode).coloring
+    got = decompose(g, mode).coloring
+    assert list(got) == table
+    assert got == want
 
 
 def test_solver_state_sweeps_isolated_vertices():
@@ -227,8 +267,8 @@ def record_leaves(monkeypatch, state):
 
     def checking(v, repaired):
         i = state.ordering.position[v]
-        rep_edges = [e for e in range(state.offsets[i], state.offsets[i + 1])
-                     if state.reserved[e]]
+        rep_edges = [state.ids[s] for s in range(state.starts[i], state.ends[i])
+                     if state.reserved[s]]
         tail, spare = fitted
         ptr = t - len(tail)
         slots, leaves, _ = reference_owner_slots(
@@ -680,7 +720,7 @@ def test_reserved_partner_ranks_real_edges_before_leaves():
     state.fc.assign(e46, 4, 6, 2)
     state.reserved_leaves = [1, 2]  # one reserved leaf in each of classes 1 and 2
     rep_edge = {6: e46}
-    assert state._reserved_partner(rep_edge, 0, 2) == ("swap", 2, e46)
+    assert state._reserved_partner(rep_edge, 0, 2) == ("swap", 2, e46, 6)
     assert state._reserved_partner(rep_edge, 0, 1) == ("reserved leaf", 1)
     assert state._reserved_partner(rep_edge, 6, 2) == ("reserved leaf", 2)
     assert state._reserved_partner(rep_edge, 0, 0) is None
@@ -859,7 +899,7 @@ def test_stepwise_sweep_keeps_every_invariant(monkeypatch):
     t = class_count_for(delta, base.k, Mode.MINIMUM)
     state = SolverState(g, base, delta, t, Mode.MINIMUM, debug=True)
     counts = record_leaves(monkeypatch, state)
-    ends = list(state.edge_keys())
+    ends = list(g._edges)
     for i in range(state.n_high):
         state._sweep(range(i, i + 1))
         assert coloring_problems(state.fc, ends) == []
@@ -1139,9 +1179,9 @@ def test_fan_graph_uses_classes_past_a_byte():
 
 def test_run_counts_uncolored_edges_by_the_sentinel():
     """An edge between two degree-1 vertices left uncolored is caught by
-    the class array's sentinel count at the end of run(): with the last K2
-    edge cut from the table's tail, no loop reaches its id, and without the
-    count run() would return a map that lacks it."""
+    the class array's sentinel count at the end of run(): with the K2 edge
+    cut from its row, no loop reaches its id, and without the count run()
+    would return a map whose entry for it is None."""
     g0 = generate_k_degenerate(n=200, k=2, delta_min=6, seed=3)
     n0 = g0.n
     g = Graph.from_edges(n0 + 2, g0.edges() + [(n0, n0 + 1)])
@@ -1150,43 +1190,59 @@ def test_run_counts_uncolored_edges_by_the_sentinel():
     delta = max_degree(g0)
     t = class_count_for(delta, base.k, Mode.MINIMUM)
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
-    assert state.targets.pop() == n0 + 1
+    i = state.ordering.position[n0]
+    assert state.targets[state.starts[i]:state.ends[i]].tolist() == [n0 + 1]
+    state.ends[i] -= 1
     with pytest.raises(InternalContradictionError, match="sweep left 1 edges uncolored"):
         state.run()
 
 
-def test_edge_keys_list_every_edge_once_in_id_order():
+def test_edge_ids_are_edge_table_positions():
+    """Every edge's id is its position in the graph's edge table, listed
+    once in the row of its earlier endpoint in the sweep order, so the
+    class array lines up with the table and the map keeps its order."""
     g, ordering, delta, t = pendant_partner_fixture()
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
-    keys = list(state.edge_keys())
-    assert sorted(keys) == g.edges()
-    assert len(state.fc.edge_class) == len(keys)
+    ids = state_edge_ids(state)
+    assert list(ids.values()) == list(range(g.edge_count))
+    assert len(state.fc.edge_class) == g.edge_count
     pos = state.ordering.position
-    first = [min(e, key=pos.__getitem__) for e in keys]
-    assert [pos[v] for v in first] == sorted(pos[v] for v in first)
+    for (u, v), e in ids.items():
+        i = min(pos[u], pos[v])
+        assert e in state.ids[state.starts[i]:state.ends[i]]
     coloring = state.run()
     assert list(coloring) == list(g._edges)
 
 
-def test_run_releases_the_coloring_before_building_the_map(monkeypatch):
+class _WatchedTable(dict):
+    """An edge table that calls ``seen`` each time it is iterated."""
+
+    def __init__(self, table, seen):
+        super().__init__(table)
+        self.seen = seen
+
+    def __iter__(self):
+        self.seen()
+        return super().__iter__()
+
+
+def test_run_releases_the_coloring_before_building_the_map():
     """The output map is the largest structure of a solve, so run() drops
-    the coloring tables and the reservations before it builds the map.  A
-    bytearray takes no weak reference, so the flags are checked by count:
-    the state's reference is gone when the map is built."""
+    the row table, the coloring tables and the reservations before it
+    iterates the edge table to build the map.  A bytearray takes no weak
+    reference, so the flags are checked by count: the state's reference is
+    gone when the map is built."""
     g, ordering, delta, t = pendant_partner_fixture()
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
     alive, flags = weakref.ref(state.fc), state.reserved
     seen = []
-    keys = state.edge_keys
-
-    def edge_keys():
-        seen.append((alive(), sys.getrefcount(flags)))
-        return keys()
-
-    monkeypatch.setattr(state, "edge_keys", edge_keys)
     held = sys.getrefcount(flags)
-    state.run()
-    assert seen == [(None, held - 1)]
+    g._edges = _WatchedTable(g._edges, lambda: seen.append(
+        (alive(), sys.getrefcount(flags), hasattr(state, "targets"), hasattr(state, "ids"))
+    ))
+    coloring = state.run()
+    assert seen == [(None, held - 1, False, False)] * 2
+    assert list(coloring) == list(g._edges)
 
 
 def test_repair_contradiction_dump_lists_the_owner_leaves(monkeypatch):
