@@ -17,14 +17,14 @@ import time
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
-from operator import eq, is_
+from operator import is_
 from typing import TextIO
 
 from .degeneracy import degeneracy_ordering
 from .errors import GraphError, InternalContradictionError, ParseError, PreconditionError
 from .graph import Graph, max_degree
 from .oracle import DEFAULT_NODE_BUDGET, exact_la, la_bounds
-from .solver import Mode, _solve, decompose, required_max_degree
+from .solver import Mode, _check_map, _solve, decompose, required_max_degree
 from .verify import verify_partition
 
 _MASK64 = (1 << 64) - 1
@@ -72,6 +72,9 @@ def generate_k_degenerate(n: int, k: int, delta_min: int = 0, seed: int = 0) -> 
     the target.  Degree-1 additions never raise the degeneracy, and raising a
     single vertex's degree cannot lower it, so the promise above survives the
     boost (a boosted single-vertex graph becomes a star of degeneracy 1).
+
+    The rows come out ascending, and the edge table, read off them, is then
+    ascending as a parsed graph's is.  One int object names each vertex.
     """
     if n < 1:
         raise PreconditionError(f"need at least one vertex, got n={n}")
@@ -80,24 +83,24 @@ def generate_k_degenerate(n: int, k: int, delta_min: int = 0, seed: int = 0) -> 
     if delta_min < 0:
         raise PreconditionError(f"delta_min must be non-negative, got {delta_min}")
     rng = SplitMix64(seed)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    edges: dict[tuple[int, int], None] = {}
-    for i in range(1, n):
+    ids = list(range(n))  # one int object per vertex, shared by rows and keys
+    adj: list[list[int]] = [[] for _ in ids]
+    for i in ids:
         want = min(k, i)
         picked: set[int] = set()
         while len(picked) < want:
             picked.add(rng.below(i))
         for c in sorted(picked):
-            edges[c, i] = None
             adj[c].append(i)
-            adj[i].append(c)
+            adj[i].append(ids[c])
     if delta_min > 0:
-        hub = max(range(n), key=lambda v: (len(adj[v]), -v))
+        hub = max(ids, key=lambda v: (len(adj[v]), -v))
         while len(adj[hub]) < delta_min:
             w = len(adj)
             adj.append([hub])
             adj[hub].append(w)
-            edges[hub, w] = None
+    # zip stops before the boost's leaves, whose one neighbor is below them.
+    edges = dict.fromkeys((u, w) for u, row in zip(ids, adj) for w in row[bisect_right(row, u):])
     return Graph._from_parts(adj, edges)
 
 
@@ -277,35 +280,6 @@ def _write(lines: Iterable[str], out: TextIO | None = None) -> None:
         write("\n".join(chunk))
 
 
-def _ascending_edges(g: Graph) -> Iterator[tuple[int, int]]:
-    """Every edge ``(u, w)``, ``u < w``, of a graph with ascending rows, in
-    ascending order: the order ``generate`` writes, though its graph's edge
-    table is in attachment order."""
-    for u, row in enumerate(g._adj):
-        for w in row[bisect_right(row, u):]:
-            yield u, w
-
-
-def _check_partition(g: Graph, coloring: dict[tuple[int, int], int]) -> None:
-    """Check that the map's keys are the graph's edges in the graph's order,
-    the order the output lists them in; anything else is a solver bug and
-    raises InternalContradictionError.  The caller has written nothing yet.
-    The check is one key comparison per edge; only a failed one looks keys
-    up, to name the fault."""
-    edges = g._edges
-    if len(coloring) != len(edges):
-        raise InternalContradictionError(
-            f"partition has {len(coloring)} entries for {len(edges)} edges"
-        )
-    if all(map(eq, coloring, edges)):
-        return
-    for u, w in edges:
-        if (u, w) not in coloring:
-            raise InternalContradictionError(f"partition misses edge {u}-{w}")
-    u, w = next(edge for key, edge in zip(coloring, edges) if key != edge)
-    raise InternalContradictionError(f"partition lists edge {u}-{w} out of the graph's order")
-
-
 def _json_partition(head: dict, coloring: dict[tuple[int, int], int]) -> Iterator[str]:
     """``json.dumps({**head, "classes": rows}, indent=2, sort_keys=True)``
     in pieces for :func:`_write`, one per class row, ``rows`` being
@@ -413,8 +387,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                     "auto mode: exhaustive search ran out of budget; "
                     "give the graph a higher maximum degree or fewer edges"
                 )
-            # Ascending, the parsed graph's order, which the sweep's map keeps.
-            coloring = dict(sorted((found.witness or {}).items()))
+            # Built as the solver builds its maps, so in the graph's order.
+            coloring = dict.fromkeys(g._edges)
+            coloring.update(found.witness or {})
+            _check_map(g, coloring)
             t = found.la
             stats_dict: dict = {"nodes_explored": found.nodes_explored}
         else:
@@ -434,7 +410,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 raise InternalContradictionError(
                     "self-check failed: " + "; ".join(v.detail for v in report.violations[:5])
                 )
-        _check_partition(g, coloring)
     except InternalContradictionError as exc:
         _write_case(exc, g, args)
         raise
@@ -500,7 +475,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     g = generate_k_degenerate(args.n, args.k, args.delta_min, args.seed)
     head = [f"# generated n={args.n} k={args.k} delta_min={args.delta_min} seed={args.seed}",
             f"p {g.n} {g.edge_count}"]
-    _write(chain(head, (f"{u} {v}" for u, v in _ascending_edges(g))))
+    _write(chain(head, (f"{u} {v}" for u, v in g._edges)))
     return 0
 
 

@@ -20,10 +20,9 @@ class Graph:
     edge table, the one edge-keyed table of a solve, maps each pair
     ``(u, v)``, ``u < v``, to None in insertion order: ``decompose`` keys its
     map by the table's own tuples, in its order.  A graph of
-    :func:`linarb.cli.parse_edge_list` has ascending rows and an ascending
-    table, so the CLI writes a map in its own order; one of
-    :func:`linarb.cli.generate_k_degenerate` has ascending rows and its
-    table in attachment order.
+    :func:`linarb.cli.parse_edge_list` or of
+    :func:`linarb.cli.generate_k_degenerate` has ascending rows and an
+    ascending table, which the CLI writes in its own order.
     """
 
     __slots__ = ("_adj", "_edges")

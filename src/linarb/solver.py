@@ -81,7 +81,9 @@ class SolveStats:
 
     ``order_ms``, ``rows_ms``, ``sdr_ms``, ``sweep_ms`` and ``project_ms``
     time the degeneracy ordering, the right-row table, the representative
-    selection, the sweep (repairs included) and the map's build.
+    selection, the sweep (repairs included) and the map's build.  Padding is
+    no stage: an owner's leaves are arithmetic inside its sweep step
+    (:func:`_fit_leaves`), under ``sweep_ms``, and have no timer of their own.
     """
 
     def __init__(self) -> None:
@@ -629,9 +631,11 @@ class SolverState:
 
 
 def _check_map(g: Graph, out: dict[tuple[int, int], int | None]) -> None:
-    """Check a map built as ``dict.fromkeys(g._edges)``, so keyed by the
-    graph's own tuples in its order, and then filled: a pair that is no edge
-    adds a key, and an edge left unfilled keeps None.  Either is a solver bug."""
+    """Check a map built as ``dict.fromkeys(g._edges)`` and then filled, never
+    deleted from: a pair that is no edge adds a key, and an edge left unfilled
+    keeps None.  Either is a solver bug.  Filling keeps a present key's object
+    and position, so a passing map holds the table's tuples in its order, the
+    order the CLI writes: a reorder cannot arise, and no second check runs."""
     if len(out) != g.edge_count or None in out.values():
         raise InternalContradictionError(
             f"edge map has {len(out)} keys for {g.edge_count} edges, "

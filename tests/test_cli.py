@@ -62,6 +62,9 @@ def run_cli(argv, stdin_text=None):
 
 
 K4_TEXT = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+# Degeneracy 3 at maximum degree 4, far below either threshold, and 7 edges:
+# ``--mode auto`` takes the exact branch.
+K4_PENDANT_TEXT = K4_TEXT + "3 4\n"
 STAR6_TEXT = "\n".join(f"0 {i}" for i in range(1, 7)) + "\n"
 # A five-cycle with two extra leaves on one vertex: degeneracy 2 and maximum
 # degree 4, which only the relaxed class count can handle.
@@ -179,10 +182,12 @@ def test_generator_degeneracy_never_exceeds_k(n, k, seed):
     st.integers(min_value=0, max_value=2**32),
 )
 def test_generator_rows_are_ascending(n, k, delta_min, seed):
-    """``generate`` lists the edges by walking the rows, so they must be
-    ascending, boosted hub included, as a parsed graph's are."""
+    """``generate`` writes the edge table as it is, so the table must be
+    ascending, and the rows it is read off too, boosted hub included, as a
+    parsed graph's are."""
     g = generate_k_degenerate(n, k, delta_min, seed)
     assert all(row == sorted(row) for row in g._adj)
+    assert list(g._edges) == g.edges()
 
 
 # -------------------------------------------------------------------- parsing
@@ -454,16 +459,19 @@ def test_parse_names_each_vertex_by_one_int_object(monkeypatch, tmp_path, style)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("build", ["parsed", "from_edges", "add_edge"])
+@pytest.mark.parametrize("build", ["generated", "parsed", "from_edges", "add_edge"])
 def test_decompose_keys_are_the_graphs_own_tuples(k, build):
     """The map is keyed by the graph's edge tuples themselves, in the
-    graph's order, for the sweep and the forest pairing alike: parsed,
-    from pairs of fresh ints, or edge by edge in shuffled, reversed pairs."""
+    graph's order, for the sweep and the forest pairing alike: generated,
+    parsed, from pairs of fresh ints, or edge by edge in shuffled, reversed
+    pairs."""
     base = generate_k_degenerate(700, k, 2 * k * k - k, 3)
     rnd = random.Random(k)
     pairs = [(int(str(u)), int(str(w))) for u, w in base.edges()]  # fresh ints
     rnd.shuffle(pairs)
-    if build == "parsed":
+    if build == "generated":
+        g = base
+    elif build == "parsed":
         g = parse_edge_list(edge_file(rnd, base, "plain")[2])
     elif build == "from_edges":
         g = Graph.from_edges(base.n, pairs)
@@ -536,7 +544,7 @@ def test_cli_output_does_not_depend_on_the_input_order(fmt, mode):
     if mode == "auto":
         # The oracle tries the edges at vertex 3 first, so its witness is
         # not in ascending order.
-        base = parse_edge_list(K4_TEXT + "3 4\n")
+        base = parse_edge_list(K4_PENDANT_TEXT)
     else:
         k = 2 if mode == "minimum" else 3
         base = generate_k_degenerate(300, k, required_max_degree(k, Mode(mode)), 11)
@@ -661,37 +669,41 @@ def test_cli_json_writer_memory_does_not_grow_with_the_edge_count():
     assert peaks[1] - peaks[0] < sizes[1] - sizes[0], (peaks, sizes)
 
 
+def _fault_the_witness(monkeypatch, fault):
+    """Make the oracle's witness drop the edge 3-4, name it as 4-3, or add
+    the non-edge 1-4 of ``K4_PENDANT_TEXT``."""
+    real = linarb.cli.exact_la
+
+    def faulty(g, **kwargs):
+        found = real(g, **kwargs)
+        witness = dict(found.witness)
+        if fault == "extra":
+            witness[1, 4] = 1
+        else:
+            c = witness.pop((3, 4))
+            if fault == "rename":
+                witness[4, 3] = c
+        return found._replace(witness=witness)
+
+    monkeypatch.setattr(linarb.cli, "exact_la", faulty)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "fault, message",
-    [("drop", "6 entries for 7 edges"), ("rename", "misses edge 3-4"),
-     ("extra", "8 entries for 7 edges"),
-     ("reorder", "lists edge 1-2 out of")],
+    [("drop", "7 keys for 7 edges, 1 without"), ("rename", "8 keys for 7 edges, 1 without"),
+     ("extra", "8 keys for 7 edges, 0 without")],
+    ids=["drop", "rename", "extra"],
 )
 def test_cli_decompose_emits_nothing_off_the_edge_set(monkeypatch, fmt, fault, message):
-    """Without ``--verify-after`` the emit still holds the map to the graph's
-    edge set in the graph's order, the order it writes: a dropped, renamed or
-    extra key, or the right keys out of order, is an internal contradiction,
-    exit 2, with nothing on stdout."""
-    real = linarb.cli.decompose
-
-    def faulty(g, mode, **kwargs):
-        result = real(g, mode, **kwargs)
-        if fault == "extra":
-            result.coloring[5, 6] = 1
-        elif fault == "reorder":
-            result.coloring[1, 2] = result.coloring.pop((1, 2))
-        else:
-            c = result.coloring.pop((3, 4))
-            if fault == "rename":
-                result.coloring[4, 3] = c
-        return result
-
-    monkeypatch.setattr(linarb.cli, "decompose", faulty)
-    code, out, err = run_cli(["decompose", "-", "--mode", "lac", "--format", fmt],
-                             stdin_text=GAP_TEXT)
+    """Without ``--verify-after`` the exact branch still holds its map to
+    the graph's edge set: a dropped, renamed or extra witness key is an
+    internal contradiction, exit 2, with nothing on stdout."""
+    _fault_the_witness(monkeypatch, fault)
+    code, out, err = run_cli(["decompose", "-", "--mode", "auto", "--format", fmt],
+                             stdin_text=K4_PENDANT_TEXT)
     assert (code, out) == (2, "")
-    assert err.startswith("internal error:") and message in err
+    assert err.startswith("internal error: edge map has") and message in err
 
 
 # A five-cycle with four leaves on vertex 0: degeneracy 2 at maximum degree
@@ -756,17 +768,6 @@ def _refuse_light_edge(monkeypatch):
     monkeypatch.setattr(linarb.solver, "place_light_edge", refuse)
 
 
-def _drop_an_edge(monkeypatch):
-    real = linarb.cli.decompose
-
-    def dropping(g, mode, **kwargs):
-        result = real(g, mode, **kwargs)
-        del result.coloring[min(result.coloring)]
-        return result
-
-    monkeypatch.setattr(linarb.cli, "decompose", dropping)
-
-
 def _shorten_the_classes(monkeypatch):
     sweep = SolverState._sweep
 
@@ -802,7 +803,8 @@ FORCED_SITES = {
     "sweep": (_refuse_light_edge, GENERATED_TEXT, ["--mode", "lac"], "light edge"),
     "forest": (lambda mp: mp.setattr(linarb.solver, "class_count_for", lambda *args: 1),
                STAR6_TEXT, [], "forest pairing ran out of classes at 0"),
-    "classes": (_drop_an_edge, GAP_TEXT, ["--mode", "lac"], "partition has 6 entries"),
+    "classes": (lambda mp: _fault_the_witness(mp, "drop"), K4_PENDANT_TEXT, ["--mode", "auto"],
+                "edge map has 7 keys for 7 edges, 1 without"),
     # A class array one entry short leaves the last edge of the table
     # without a class in the map.
     "short-class-array": (_shorten_the_classes, GENERATED_TEXT, [],
