@@ -21,10 +21,10 @@ constructs such a partition:
 4.  Sweep the ordering.  At each degree-D vertex, first place the
     non-reserved right-edges greedily (each lands in a class untouched at the
     light endpoint), then exhaust the owner's remaining class budget on the
-    reserved edges, and finally repair any monochromatic cycle with local
-    recoloring/swaps, each of which strictly shrinks the set of cycles.
-    An edge between two degree-1 vertices, a component of its own, takes
-    class 0 after the sweep.
+    reserved edges by a slot plan, computed once per distinct open class row,
+    leaf count and reserved count, and finally repair any monochromatic cycle
+    with local recoloring/swaps, each of which strictly shrinks the set of
+    cycles.  A K2 component's edge takes class 0 after the sweep.
 
 The same sweep with one extra class (``t = ceil((D+1)/2)``) works whenever
 D >= 2k^2 - 2k ("relaxed" mode, matching the classic one-more-class bound).
@@ -81,13 +81,15 @@ class SolveStats:
 
     ``order_ms``, ``rows_ms``, ``sdr_ms``, ``sweep_ms`` and ``project_ms``
     time the degeneracy ordering, the right-row table, the representative
-    selection, the sweep (repairs included) and the map's build.  Padding is
-    no stage: an owner's leaves are arithmetic inside its sweep step
-    (:func:`_fit_leaves`), under ``sweep_ms``, and have no timer of their own.
+    selection, the sweep and the map's build; ``repair_ms`` times the repairs
+    inside the sweep.  Padding is no stage: an owner's leaves are arithmetic
+    in its sweep step, whose slot plans (``slot_plans`` counts those computed)
+    are shared by the owners presenting the same case (:func:`_plan`).
     """
 
     def __init__(self) -> None:
         self.pendants_added = 0
+        self.slot_plans = 0
         self.repair_iterations = 0
         self.repairs_endpoint_free = 0
         self.repairs_owner_free = 0
@@ -96,6 +98,7 @@ class SolveStats:
         self.rows_ms = 0.0
         self.sdr_ms = 0.0
         self.sweep_ms = 0.0
+        self.repair_ms = 0.0
         self.project_ms = 0.0
         self.wall_ms = 0.0
 
@@ -117,7 +120,7 @@ class DecomposeResult(NamedTuple):
     stats: SolveStats
 
 
-def _fit_leaves(row: bytearray, spare: int) -> tuple[int, int, int]:
+def _fit_leaves(row: bytes, spare: int) -> tuple[int, int, int]:
     """Fill the open slots of an owner's class ``row`` (its class degrees
     from some class on) with ``spare`` leaves, lowest class first.  Returns
     ``(budget, m, left)``: the slots left open (negative if the leaves do
@@ -132,7 +135,7 @@ def _fit_leaves(row: bytearray, spare: int) -> tuple[int, int, int]:
     return 2 * row.count(0) + row.count(1) - spare, m, 2 * m - s - spare
 
 
-def _slot_order(row: bytearray, m: int, left: int) -> Iterator[int]:
+def _slot_order(row: bytes, m: int, left: int) -> Iterator[int]:
     """The slots of ``row`` still open past its spare leaves (``m`` and
     ``left`` from :func:`_fit_leaves`), in the order the reserved edges and
     then the reserved leaves take them: each free class from ``m`` on twice,
@@ -149,9 +152,7 @@ def _slot_order(row: bytearray, m: int, left: int) -> Iterator[int]:
         j = row.find(1, j + 1)
 
 
-def _leaf_rows(
-    ptr: int, row: bytearray, m: int, left: int, nrep: int, r: int
-) -> tuple[list[int], list[int]]:
+def _leaf_rows(ptr: int, row: bytes, m: int, left: int, nrep: int, r: int) -> tuple[list, list]:
     """The classes of an owner's spare leaves, in pendant order, which is
     ascending, and of its reserved leaves, for a ``row`` starting at class
     ``ptr``: the spare leaves fill classes ``[ptr, ptr + m)`` but the
@@ -161,6 +162,18 @@ def _leaf_rows(
     if left:
         spare.pop()
     return spare, [ptr + c for c in islice(_slot_order(row, m, left), nrep, r)]
+
+
+def _plan(plans: dict, tail: bytes, spare: int, nrep: int) -> tuple[int, int, tuple[int, ...]]:
+    """``m``, ``left`` (:func:`_fit_leaves`) and the first ``nrep`` slots
+    (:func:`_slot_order`) of an owner whose class row past its full classes
+    is ``tail``, with ``spare`` spare leaves.  They depend on these alone, so
+    ``plans`` keeps each plan it computes, keyed by them, for later owners."""
+    key = (tail, spare, nrep)
+    if (plan := plans.get(key)) is None:
+        _, m, left = _fit_leaves(tail, spare)
+        plans[key] = plan = (m, left, tuple(islice(_slot_order(tail, m, left), nrep)))
+    return plan
 
 
 class SolverState:
@@ -363,64 +376,66 @@ class SolverState:
 
         A leaf joins no path, so it matters only while it uses up a class at
         its owner, and every other vertex a step reads lies later in the
-        order, with no leaves yet.  Sums over the owner's class row place the
-        leaves and the reserved edges (:func:`_fit_leaves`), so a step's
-        Python work follows its degree, not ``t``; the leaves' classes
-        (:attr:`spare_leaves`, :attr:`reserved_leaves`) are listed only when
-        a reserved edge closes a cycle, for the repair.
+        order, with no leaves yet.  Past the light edges, the slots of the
+        leaves and reserved edges are a pure function of the owner's class
+        row from ``ptr``, its spare leaves and its reserved count, as
+        :func:`_fit_leaves` and :func:`_slot_order` read nothing else, so one
+        table per call computes each distinct case once (:func:`_plan`; under
+        ``debug`` each owner's is derived again and compared).  Sums over the
+        row check the budget.  An owner's step does Python work in its degree,
+        not ``t``; the leaves' classes (:attr:`spare_leaves`,
+        :attr:`reserved_leaves`) are listed only for a repair.
         """
         fc, targets, ids, starts, ends = self.fc, self.targets, self.ids, self.starts, self.ends
         order, pad, flags = self.ordering.order, self.pad, self.reserved
         t, r, debug = fc.t, self.r, self.debug
         top = r + 1 if self.mode is Mode.MINIMUM else r + 2
+        plans: dict[tuple[bytes, int, int], tuple[int, int, tuple[int, ...]]] = {}
         for i in positions:
             v = order[i]
             lo, hi = starts[i], ends[i]
-            # The ids of the reserved edges by far end, ascending like the
-            # row, and the row slots of the other right-edges; reserved
-            # leaves make up the rest of r.  One loop: rows are short, and
-            # two comprehensions cost 2.6x as much.
-            rep_edge: dict[int, int] = {}
-            spare: list[int] = []
-            for s in range(lo, hi):
-                if flags[s]:
-                    rep_edge[targets[s]] = ids[s]
-                else:
-                    spare.append(s)
-            reserved = r - len(rep_edge)
-            if reserved < 0:
-                raise InternalContradictionError(f"owner {v} holds {len(rep_edge)} reserved edges")
             if debug:
                 self._touched = [v, *targets[lo:hi]]
-            # Classes full at v are skipped once for the whole stage (degrees
-            # at v only grow here), so every class below ptr stays full.  row
-            # keeps v's class degrees in step with the placements.
-            row, ptr = fc.row(v), 0
-            for s in spare:
+            # One pass counts the reserved edges and places the others.  Full
+            # classes at v are skipped once (degrees at v only grow here), so
+            # all below ptr stay full; row keeps v's degrees in step.
+            row, ptr, nrep = fc.row(v), 0, 0
+            for s in range(lo, hi):
+                if flags[s]:
+                    nrep += 1
+                    continue
                 while ptr < t and row[ptr] == 2:
                     ptr += 1
                 row[place_light_edge(fc, ids[s], targets[s], v, ptr)] += 1
+            if nrep > r:
+                raise InternalContradictionError(f"owner {v} holds {nrep} reserved edges")
             # With its spare leaves, v holds D - r edges and leaves, so the
             # budget left, 2t - (D - r) slots, is r or r + 1 (r + 2 in
             # relaxed mode).
-            row = row[ptr:]
-            budget, m, left = _fit_leaves(row, pad[v] - reserved)
+            spare = pad[v] - (r - nrep)
+            budget = 2 * row.count(0) + row.count(1) - spare
             if not r <= budget <= top:
                 raise InternalContradictionError(
                     f"class budget {budget} at owner {v} outside [{r}, {top}]"
                 )
             closed = False
-            for (u, e), c in zip(rep_edge.items(), _slot_order(row, m, left)):
-                c += ptr
-                closed |= fc.assign(e, v, u, c)
+            if nrep:
+                tail = bytes(row[ptr:])
+                m, left, plan = planned = _plan(plans, tail, spare, nrep)
+                if debug and _plan({}, tail, spare, nrep) != planned:
+                    raise InternalContradictionError(f"owner {v} reused a stale plan {planned}")
+                for c, s in zip(plan, compress(range(lo, hi), flags[lo:hi])):
+                    closed |= fc.assign(ids[s], v, targets[s], ptr + c)
             if closed:
-                self.spare_leaves, self.reserved_leaves = _leaf_rows(
-                    ptr, row, m, left, len(rep_edge), r
-                )
-                self._repair(v, rep_edge, spare)
+                self.spare_leaves, self.reserved_leaves = _leaf_rows(ptr, tail, m, left, nrep, r)
+                rep_edge = {targets[s]: ids[s] for s in range(lo, hi) if flags[s]}
+                mark = time.perf_counter()
+                self._repair(v, rep_edge, [s for s in range(lo, hi) if not flags[s]])
+                self.stats.repair_ms += (time.perf_counter() - mark) * 1000.0
             self._check_capacity(v, closed)
             if debug:
                 self._check_pending_headroom(i)
+        self.stats.slot_plans += len(plans)
 
     def _check_capacity(self, v: int, repaired: bool) -> None:
         """End of an owner's step: the class row of ``v`` counts all its

@@ -1021,7 +1021,8 @@ def test_cli_decompose_stats_flag_adds_counters():
     assert code == 0
     last = out.splitlines()[-1]
     assert last.startswith("# stats ")
-    assert "repair_iterations=0" in last
+    assert "repair_iterations=0" in last and " repair_ms=0.0" in last
+    assert " slot_plans=" in last
     for timer in STAGE_TIMERS:
         assert f" {timer}=" in last
     _, gen_text, _ = run_cli(
@@ -1031,6 +1032,7 @@ def test_cli_decompose_stats_flag_adds_counters():
     stats = json.loads(out)["stats"]
     assert "components" not in stats
     assert all(stats[timer] > 0 for timer in STAGE_TIMERS)
+    assert 0 < stats["slot_plans"] < 30 and stats["repair_iterations"] == stats["repair_ms"] == 0
     code, out, _ = run_cli(["decompose", "-"], stdin_text=STAR6_TEXT)
     assert "stats" not in out
 

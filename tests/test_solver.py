@@ -4,6 +4,7 @@ import random
 import sys
 import time
 import weakref
+from itertools import islice, product
 from operator import add
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from linarb import (
     verify_partition,
 )
 from linarb.coloring import NIL
-from linarb.solver import _fit_leaves, _leaf_rows, _slot_order, place_light_edge
+from linarb.solver import _fit_leaves, _leaf_rows, _plan, _slot_order, place_light_edge
 from conftest import (
     Pairs,
     capped_instance,
@@ -250,40 +251,44 @@ def leaf_counts(state):
 
 def record_leaves(monkeypatch, state):
     """Map each owner to the number of leaves its step placed, read from
-    per-class leaf rows: those of ``reference_owner_slots`` on the class row
-    the step fit its leaves into, or the counts of the leaf lists its repair
-    built.  The hooks also check that the reserved edges took the
-    reference's first slots, that the leaves fit beside the edges in every
-    class, and that the end-of-step check passes on each owner and sees the
-    same count."""
+    per-class leaf rows: those of ``reference_owner_slots`` on the row the
+    step fit its leaves into, which is the owner's class row less its
+    reserved edges, or the counts of the leaf lists its repair moved.  The
+    slot plans are kept in a table and computed only for new cases, so the
+    hooks rebuild that row for every owner instead: before its repair, if
+    it has one, else at the end of its step.  There they check that the
+    reserved edges took the reference's first slots and that a repair
+    starts from the reference's leaves; at the end of the step, that the
+    leaves fit beside the edges in every class, and that the end-of-step
+    check passes on each owner and sees the same count."""
     counts = {}
-    fit, check = linarb.solver._fit_leaves, state._check_capacity
-    t, cls = state.t, state.fc.edge_class
-    fitted = []
+    repair, check = state._repair, state._check_capacity
+    r, cls = state.r, state.fc.edge_class
 
-    def fitting(row, spare):
-        fitted[:] = [bytes(row), spare]
-        return fit(row, spare)
-
-    def checking(v, repaired):
+    def reference_leaves(v):
         i = state.ordering.position[v]
         rep_edges = [state.ids[s] for s in range(state.starts[i], state.ends[i])
                      if state.reserved[s]]
-        tail, spare = fitted
-        ptr = t - len(tail)
-        slots, leaves, _ = reference_owner_slots(
-            [2] * ptr + list(tail), ptr, spare, len(rep_edges), state.r
-        )
-        if repaired:
-            leaves = leaf_counts(state)
-        else:
-            assert [cls[e] for e in rep_edges] == slots[:len(rep_edges)]
+        fitted = state.fc.row(v)
+        for e in rep_edges:
+            fitted[cls[e]] -= 1
+        nrep = len(rep_edges)
+        slots, leaves, _ = reference_owner_slots(fitted, 0, state.pad[v] - r + nrep, nrep, r)
+        assert [cls[e] for e in rep_edges] == slots[:nrep]
+        return leaves
+
+    def repairing(v, *args):
+        assert leaf_counts(state) == reference_leaves(v)
+        repair(v, *args)
+
+    def checking(v, repaired):
+        leaves = leaf_counts(state) if repaired else reference_leaves(v)
         assert max(map(add, state.fc.row(v), leaves)) <= 2
         counts[v] = sum(leaves)
         check(v, repaired)
         assert state.delta - sum(state.fc.row(v)) == counts[v]
 
-    monkeypatch.setattr(linarb.solver, "_fit_leaves", fitting)
+    monkeypatch.setattr(state, "_repair", repairing)
     monkeypatch.setattr(state, "_check_capacity", checking)
     return counts
 
@@ -389,6 +394,61 @@ def test_slot_arithmetic_matches_the_class_loop(data):
     assert spare_leaves == sorted(spare_leaves)
     assert class_counts(reserved_leaves, t) == res
     assert class_counts(spare_leaves + reserved_leaves, t) == leaves
+
+
+def test_plan_table_hands_out_fresh_plans():
+    """Every class row of length up to 4 over {0, 1, 2}, with every spare
+    leaf count and reserved count its budget admits, asked of one shared
+    plan table twice, in opposite orders: each answer, hit or miss, is a
+    fresh ``_fit_leaves`` with the first ``nrep`` slots of ``_slot_order``,
+    and those slots are the class loop's (``reference_owner_slots``)."""
+    cases = [
+        (bytes(row), spare, nrep)
+        for size in range(5)
+        for row in product(range(3), repeat=size)
+        for spare in range(2 * size - sum(row) + 1)
+        for nrep in range(2 * size - sum(row) - spare + 1)
+    ]
+    plans = {}
+    for tail, spare, nrep in cases + cases[::-1]:
+        _, m, left = _fit_leaves(tail, spare)
+        slots = tuple(islice(_slot_order(tail, m, left), nrep))
+        assert _plan(plans, tail, spare, nrep) == (m, left, slots)
+        assert list(slots) == reference_owner_slots(list(tail), 0, spare, nrep, nrep)[0][:nrep]
+    assert len(plans) == len(cases) == 1691
+
+
+def test_debug_sweep_rejects_a_stale_plan(monkeypatch):
+    """A plan table that hands a later owner a plan its own case would not
+    produce raises under debug checks, before the plan places an edge."""
+    plan = linarb.solver._plan
+
+    def poisoning(plans, tail, spare, nrep):
+        found = plan(plans, tail, spare, nrep)
+        m, left, slots = found
+        plans[tail, spare, nrep] = (m, left, tuple(c + 1 for c in slots))
+        return found
+
+    monkeypatch.setattr(linarb.solver, "_plan", poisoning)
+    g = generate_k_degenerate(n=200, k=2, delta_min=6, seed=3)
+    with pytest.raises(InternalContradictionError, match="stale plan"):
+        decompose(g, debug_checks=True)
+
+
+def test_solve_stats_count_plans_and_time_repairs_alone():
+    """``slot_plans`` counts the plans computed: a generated degeneracy-2
+    graph presents few distinct cases to its 5000 owners (391 at this seed),
+    and K(2,N) three whatever N.  ``repair_ms`` reads zero without a
+    repair."""
+    g = generate_k_degenerate(n=5000, k=2, delta_min=8, seed=1)
+    stats = decompose(g).stats
+    owners = sum(g.degree(v) > 1 for v in range(g.n))
+    assert stats.slot_plans <= 400 < owners // 12
+    assert stats.repair_iterations == 0 and stats.repair_ms == 0.0
+    for n in (50, 400, 2000):
+        g = Graph.from_edges(n + 2, [(i, n + h) for h in (0, 1) for i in range(n)])
+        assert decompose(g).stats.slot_plans <= 3
+    assert run_fixture(endpoint_recolor_fixture).stats.repair_ms > 0
 
 
 def sweep_line_events(delta_min: int) -> int:
@@ -907,6 +967,21 @@ def test_stepwise_sweep_keeps_every_invariant(monkeypatch):
     check_leaf_counts(g, delta, state, counts)
     report = verify_partition(g, {e: c + 1 for e, c in zip(ends, state.fc.edge_class)}, t)
     assert report.valid
+
+
+@pytest.mark.parametrize("fixture", [
+    endpoint_recolor_fixture, path_partner_swap_fixture, pendant_partner_fixture,
+    unreserved_trade_fixture,
+])
+def test_repaired_owners_start_from_the_reference_leaves(monkeypatch, fixture):
+    """Each fixture repairs one owner: its leaf lists start as the class
+    loop's leaves and, moved by the repair, still fit beside its edges."""
+    g, ordering, delta, t = fixture()
+    state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=True)
+    counts = record_leaves(monkeypatch, state)
+    state.run()
+    assert state.stats.repair_iterations >= 1
+    check_leaf_counts(g, delta, state, counts)
 
 
 def test_padding_stays_implicit_on_a_lifted_hub():
