@@ -20,11 +20,11 @@ constructs such a partition:
     every class until their owner is processed.
 4.  Sweep the ordering.  At each degree-D vertex, first place the
     non-reserved right-edges greedily (each lands in a class untouched at the
-    light endpoint), then exhaust the owner's remaining class budget on the
-    reserved edges by a slot plan, computed once per distinct open class row,
-    leaf count and reserved count, and finally repair any monochromatic cycle
-    with local recoloring/swaps, each of which strictly shrinks the set of
-    cycles.  A K2 component's edge takes class 0 after the sweep.
+    light endpoint), check that exactly ``2t - D + r`` class slots are left,
+    place the reserved edges in them by a slot plan computed once per
+    distinct open class row, leaf count and reserved count, and repair any
+    monochromatic cycle by local recoloring/swaps, each strictly shrinking
+    the set of cycles.  A K2 component's edge takes class 0 after the sweep.
 
 The same sweep with one extra class (``t = ceil((D+1)/2)``) works whenever
 D >= 2k^2 - 2k ("relaxed" mode, matching the classic one-more-class bound).
@@ -120,19 +120,19 @@ class DecomposeResult(NamedTuple):
     stats: SolveStats
 
 
-def _fit_leaves(row: bytes, spare: int) -> tuple[int, int, int]:
+def _fit_leaves(row: bytes, spare: int) -> tuple[int, int]:
     """Fill the open slots of an owner's class ``row`` (its class degrees
-    from some class on) with ``spare`` leaves, lowest class first.  Returns
-    ``(budget, m, left)``: the slots left open (negative if the leaves do
-    not fit); the least ``m`` with ``2m - sum(row[:m]) >= spare``, so that
-    the leaves fill classes ``[0, m)``; and the ``left`` slots, 0 or 1, that
-    class ``m - 1`` keeps.  ``m <- ceil((spare + sum(row[:m])) / 2)`` never
-    passes that ``m`` and moves again only past an occupied class."""
+    from some class on) with ``spare`` leaves, lowest class first, which fit
+    when ``row`` has that many open slots.  Returns ``(m, left)``: the least
+    ``m`` with ``2m - sum(row[:m]) >= spare``, so that the leaves fill
+    classes ``[0, m)``, and the ``left`` slots, 0 or 1, that class ``m - 1``
+    keeps.  ``m <- ceil((spare + sum(row[:m])) / 2)`` never passes that
+    ``m`` and moves again only past an occupied class."""
     m = s = 0
     while (nxt := (spare + s + 1) // 2) > m:
         s += sum(row[m:nxt])
         m = nxt
-    return 2 * row.count(0) + row.count(1) - spare, m, 2 * m - s - spare
+    return m, 2 * m - s - spare
 
 
 def _slot_order(row: bytes, m: int, left: int) -> Iterator[int]:
@@ -171,7 +171,7 @@ def _plan(plans: dict, tail: bytes, spare: int, nrep: int) -> tuple[int, int, tu
     ``plans`` keeps each plan it computes, keyed by them, for later owners."""
     key = (tail, spare, nrep)
     if (plan := plans.get(key)) is None:
-        _, m, left = _fit_leaves(tail, spare)
+        m, left = _fit_leaves(tail, spare)
         plans[key] = plan = (m, left, tuple(islice(_slot_order(tail, m, left), nrep)))
     return plan
 
@@ -328,7 +328,7 @@ class SolverState:
         self._touched: list[int] = []
         # The classes of the leaves of the owner being repaired, its spare
         # leaves in pendant order and its reserved leaves: built only when a
-        # reserved edge closes a cycle, for its repair and end-of-step check.
+        # reserved edge closes a cycle, for its repair and the check after it.
         self.spare_leaves: list[int] = []
         self.reserved_leaves: list[int] = []
 
@@ -371,25 +371,32 @@ class SolverState:
     def _sweep(self, positions: range) -> None:
         """At each of ``positions``, all inside the degree-D block, color
         every right-edge of the owner there around its ``pad[v]`` padding
-        leaves, reading the tables of the solve once for all of them.  (A
-        degree-1 vertex's edge is colored from the other side.)
+        leaves, reading the tables of the solve once for all of them.
 
         A leaf joins no path, so it matters only while it uses up a class at
         its owner, and every other vertex a step reads lies later in the
         order, with no leaves yet.  Past the light edges, the slots of the
         leaves and reserved edges are a pure function of the owner's class
-        row from ``ptr``, its spare leaves and its reserved count, as
-        :func:`_fit_leaves` and :func:`_slot_order` read nothing else, so one
-        table per call computes each distinct case once (:func:`_plan`; under
-        ``debug`` each owner's is derived again and compared).  Sums over the
-        row check the budget.  An owner's step does Python work in its degree,
-        not ``t``; the leaves' classes (:attr:`spare_leaves`,
-        :attr:`reserved_leaves`) are listed only for a repair.
+        row from ``ptr``, its spare leaves and its reserved count, which are
+        all :func:`_fit_leaves` and :func:`_slot_order` read, so one table
+        per call computes each distinct case once (:func:`_plan`; under
+        ``debug`` each owner's is derived again and compared).  A step does
+        Python work in the owner's degree, not ``t``.
+
+        One exact check bounds each owner's degree.  Past its light edges and
+        ``spare = pad[v] - r + nrep`` leaves, ``budget = 2t - sum(row) -
+        spare`` slots are open, and ``budget == 2t - D + r`` holds exactly
+        when ``sum(row) + nrep + pad[v] == D``: every edge of ``v`` but its
+        ``nrep`` reserved ones is colored.  :func:`_slot_order` yields
+        ``budget >= r >= nrep`` slots (``2t >= D``), so each reserved edge
+        takes one, in a class ``fc.assign`` caps: the owner ends at degree
+        ``D`` by construction, and only a repair, which moves its edges and
+        leaves, is checked again (:meth:`_check_capacity`).
         """
         fc, targets, ids, starts, ends = self.fc, self.targets, self.ids, self.starts, self.ends
         order, pad, flags = self.ordering.order, self.pad, self.reserved
         t, r, debug = fc.t, self.r, self.debug
-        top = r + 1 if self.mode is Mode.MINIMUM else r + 2
+        want = 2 * t - self.delta + r
         plans: dict[tuple[bytes, int, int], tuple[int, int, tuple[int, ...]]] = {}
         for i in positions:
             v = order[i]
@@ -409,15 +416,11 @@ class SolverState:
                 row[place_light_edge(fc, ids[s], targets[s], v, ptr)] += 1
             if nrep > r:
                 raise InternalContradictionError(f"owner {v} holds {nrep} reserved edges")
-            # With its spare leaves, v holds D - r edges and leaves, so the
-            # budget left, 2t - (D - r) slots, is r or r + 1 (r + 2 in
-            # relaxed mode).
+            # v holds D - r edges and spare leaves: 2t - D + r slots are left.
             spare = pad[v] - (r - nrep)
             budget = 2 * row.count(0) + row.count(1) - spare
-            if not r <= budget <= top:
-                raise InternalContradictionError(
-                    f"class budget {budget} at owner {v} outside [{r}, {top}]"
-                )
+            if budget != want:
+                raise InternalContradictionError(f"class budget {budget} at owner {v}, not {want}")
             closed = False
             if nrep:
                 tail = bytes(row[ptr:])
@@ -432,32 +435,29 @@ class SolverState:
                 mark = time.perf_counter()
                 self._repair(v, rep_edge, [s for s in range(lo, hi) if not flags[s]])
                 self.stats.repair_ms += (time.perf_counter() - mark) * 1000.0
-            self._check_capacity(v, closed)
+                self._check_capacity(v)
             if debug:
                 self._check_pending_headroom(i)
         self.stats.slot_plans += len(plans)
 
-    def _check_capacity(self, v: int, repaired: bool) -> None:
-        """End of an owner's step: the class row of ``v`` counts all its
-        edges, which with ``pad[v]`` leaves make degree ``D``; after a repair
-        (it moves leaves), the two leaf lists hold ``pad[v]`` leaves that fit
-        beside the edges in every class.  ForestColoring caps edges alone,
-        so this is the one check that sees the leaves."""
+    def _check_capacity(self, v: int) -> None:
+        """After a repair at ``v``, which moves its edges and leaves: the
+        class row of ``v`` still counts ``D - pad[v]`` edges, and the leaf
+        lists hold ``pad[v]`` leaves that fit beside them in every class.
+        ForestColoring caps edges alone; only this check sees the leaves."""
         row = self.fc.row(v)
-        edges = sum(row)
-        if edges + self.pad[v] != self.delta:
+        if (edges := sum(row)) + self.pad[v] != self.delta:
             raise InternalContradictionError(
                 f"owner {v} has {edges} colored edges and padding {self.pad[v]}, "
                 f"not degree {self.delta}"
             )
-        if repaired:
-            leaves = self._leaf_counts()
-            loads = [d + x for d, x in zip(row, leaves)]
-            if sum(leaves) != self.pad[v] or max(loads) > 2:
-                raise InternalContradictionError(
-                    f"owner {v} holds {sum(leaves)} leaves for padding {self.pad[v]}, "
-                    f"class loads {loads}"
-                )
+        leaves = self._leaf_counts()
+        loads = [d + x for d, x in zip(row, leaves)]
+        if sum(leaves) != self.pad[v] or max(loads) > 2:
+            raise InternalContradictionError(
+                f"owner {v} holds {sum(leaves)} leaves for padding {self.pad[v]}, "
+                f"class loads {loads}"
+            )
 
     def _leaf_counts(self) -> list[int]:
         """The leaves of the owner being repaired, counted per class."""

@@ -26,7 +26,7 @@ from linarb import (
     required_max_degree,
     verify_partition,
 )
-from linarb.coloring import NIL
+from linarb.coloring import NIL, ForestColoring
 from linarb.solver import _fit_leaves, _leaf_rows, _plan, _slot_order, place_light_edge
 from conftest import (
     Pairs,
@@ -255,14 +255,14 @@ def record_leaves(monkeypatch, state):
     step fit its leaves into, which is the owner's class row less its
     reserved edges, or the counts of the leaf lists its repair moved.  The
     slot plans are kept in a table and computed only for new cases, so the
-    hooks rebuild that row for every owner instead: before its repair, if
-    it has one, else at the end of its step.  There they check that the
-    reserved edges took the reference's first slots and that a repair
-    starts from the reference's leaves; at the end of the step, that the
-    leaves fit beside the edges in every class, and that the end-of-step
-    check passes on each owner and sees the same count."""
+    hooks rebuild that row for every owner instead, with the sweep run one
+    position at a time: before its repair, if it has one, else at the end
+    of its step.  There they check that the reserved edges took the
+    reference's first slots and that a repair starts from the reference's
+    leaves; at the end of every step, that the leaves fit beside the edges
+    in every class and with them make degree ``delta``."""
     counts = {}
-    repair, check = state._repair, state._check_capacity
+    sweep, repair, repaired = state._sweep, state._repair, set()
     r, cls = state.r, state.fc.edge_class
 
     def reference_leaves(v):
@@ -280,16 +280,19 @@ def record_leaves(monkeypatch, state):
     def repairing(v, *args):
         assert leaf_counts(state) == reference_leaves(v)
         repair(v, *args)
+        repaired.add(v)
 
-    def checking(v, repaired):
-        leaves = leaf_counts(state) if repaired else reference_leaves(v)
-        assert max(map(add, state.fc.row(v), leaves)) <= 2
-        counts[v] = sum(leaves)
-        check(v, repaired)
-        assert state.delta - sum(state.fc.row(v)) == counts[v]
+    def stepping(positions):
+        for i in positions:
+            sweep(range(i, i + 1))
+            v = state.ordering.order[i]
+            leaves = leaf_counts(state) if v in repaired else reference_leaves(v)
+            assert max(map(add, state.fc.row(v), leaves)) <= 2
+            counts[v] = sum(leaves)
+            assert state.delta - sum(state.fc.row(v)) == counts[v]
 
     monkeypatch.setattr(state, "_repair", repairing)
-    monkeypatch.setattr(state, "_check_capacity", checking)
+    monkeypatch.setattr(state, "_sweep", stepping)
     return counts
 
 
@@ -316,13 +319,16 @@ def test_pendants_added_counts_the_padding(monkeypatch, k, mode, seed):
 
 @pytest.mark.parametrize("debug", [False, True])
 def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
-    """ForestColoring caps edges alone, so the end of each owner's step
-    compares the owner's class row with its padding: ``pad[v]`` one too
-    high or one too low, or one class-row entry off by one, raises with or
-    without debug checks, at owner 2 (no leaves) and at owner 4 (leaves and
-    a repair).  After a repair the built leaf lists are checked too: a leaf
-    moved into a full class raises."""
+    """ForestColoring caps edges alone, so the sweep compares each owner's
+    class row with its padding: ``pad[v]`` one too high or one too low, or
+    one class-row entry off by one, raises with or without debug checks, at
+    owner 2 (no leaves, no repair) and at owner 4 (leaves and a repair).
+    Owner 2's fault, made before its step, meets the exact class budget;
+    owner 4's, made after its repair, the check that follows a repair.
+    After a repair the built leaf lists are checked too: a leaf moved into
+    a full class raises."""
     g, ordering, delta, t = pendant_partner_fixture()
+    assert ordering.order[0] == 2 and ordering.order[4] == 4
 
     def pad_high(state, v):
         state.pad[v] += 1
@@ -332,22 +338,25 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
 
     def row_entry(state, v):
         row = state.fc.row(v)
-        j = next(j for j in range(t) if row[j])
-        write_cell(state.fc, v, j, degree=row[j] - 1)
+        write_cell(state.fc, v, 0, degree=row[0] - 1 if row[0] else 1)
 
     for tamper in (pad_high, pad_low, row_entry):
-        for position in (0, 4):
-            state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=debug)
-            state._sweep(range(position))
-            check = state._check_capacity
+        state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=debug)
+        tamper(state, 2)
+        with pytest.raises(InternalContradictionError, match="class budget .* at owner 2"):
+            state._sweep(range(1))
 
-            def tampered(v, repaired, state=state, check=check, tamper=tamper):
-                tamper(state, v)
-                check(v, repaired)
+        state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=debug)
+        state._sweep(range(4))
+        repair = state._repair
 
-            monkeypatch.setattr(state, "_check_capacity", tampered)
-            with pytest.raises(InternalContradictionError, match="colored edges and padding"):
-                state._sweep(range(position, position + 1))
+        def tampered(v, *args, state=state, repair=repair, tamper=tamper):
+            repair(v, *args)
+            tamper(state, v)
+
+        monkeypatch.setattr(state, "_repair", tampered)
+        with pytest.raises(InternalContradictionError, match="owner 4 has .* colored edges and padding"):
+            state._sweep(range(4, 5))
 
     state = SolverState(g, ordering, delta, t, Mode.MINIMUM, debug=debug)
     repair = state._repair
@@ -366,6 +375,30 @@ def test_owner_capacity_check_fires_outside_debug(monkeypatch, debug):
         state.run()
 
 
+@pytest.mark.parametrize("debug", [False, True])
+def test_exact_budget_catches_a_fault_the_range_let_through(debug):
+    """In LAC mode at an even maximum degree D, ``t = D/2 + 1``, so an
+    owner's exact budget ``2t - D + r`` is ``r + 2``.  Two padding leaves
+    too many leave it ``r``, inside the range ``[r, r + 2]`` the sweep once
+    checked, which raised only after the reserved edges were placed; the
+    exact check raises on the budget, before any of them is colored."""
+    g = generate_k_degenerate(n=200, k=2, delta_min=6, seed=3)
+    ordering, delta = degeneracy_ordering(g), max_degree(g)
+    t = class_count_for(delta, ordering.k, Mode.LAC)
+    state = SolverState(g, ordering, delta, t, Mode.LAC, debug=debug)
+    r = state.r
+    assert delta % 2 == 0 and 2 * t - delta + r == r + 2
+    rows = [range(state.starts[i], state.ends[i]) for i in range(state.n_high)]
+    i = next(i for i in range(state.n_high // 2, state.n_high)
+             if any(state.reserved[s] for s in rows[i]))
+    state._sweep(range(i))
+    v = state.ordering.order[i]
+    state.pad[v] += 2
+    with pytest.raises(InternalContradictionError, match=f"class budget {r} at owner {v}, not {r + 2}"):
+        state._sweep(range(i, i + 1))
+    assert all(state.fc.edge_class[state.ids[s]] == NIL for s in rows[i] if state.reserved[s])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_slot_arithmetic_matches_the_class_loop(data):
@@ -379,13 +412,14 @@ def test_slot_arithmetic_matches_the_class_loop(data):
     ptr = data.draw(st.integers(0, t), label="ptr")
     tail = row[ptr:]
     spare = data.draw(st.integers(0, 2 * len(tail) + 2), label="spare")
-    budget, m, left = _fit_leaves(tail, spare)
+    budget = 2 * tail.count(0) + tail.count(1) - spare
     try:
         slots, _, _ = reference_owner_slots(row, ptr, spare, 0, 0)
     except ValueError:
         assert budget < 0
         return
     assert budget == len(slots)
+    m, left = _fit_leaves(tail, spare)
     assert [ptr + c for c in _slot_order(tail, m, left)] == slots
     r = data.draw(st.integers(0, budget + 2), label="r")
     nrep = data.draw(st.integers(0, r), label="nrep")
@@ -411,7 +445,7 @@ def test_plan_table_hands_out_fresh_plans():
     ]
     plans = {}
     for tail, spare, nrep in cases + cases[::-1]:
-        _, m, left = _fit_leaves(tail, spare)
+        m, left = _fit_leaves(tail, spare)
         slots = tuple(islice(_slot_order(tail, m, left), nrep))
         assert _plan(plans, tail, spare, nrep) == (m, left, slots)
         assert list(slots) == reference_owner_slots(list(tail), 0, spare, nrep, nrep)[0][:nrep]
@@ -449,6 +483,32 @@ def test_solve_stats_count_plans_and_time_repairs_alone():
         g = Graph.from_edges(n + 2, [(i, n + h) for h in (0, 1) for i in range(n)])
         assert decompose(g).stats.slot_plans <= 3
     assert run_fixture(endpoint_recolor_fixture).stats.repair_ms > 0
+
+
+def test_sweep_reads_each_class_row_once_without_a_repair(monkeypatch):
+    """Without a repair or debug checks an owner's step reads its class row
+    once, to place its edges: the exact budget bounds its degree, so no
+    second read confirms it.  On a generated degeneracy-2 graph and on
+    K(2,N)."""
+    read, calls = ForestColoring.row, 0
+
+    def counting(fc, v):
+        nonlocal calls
+        calls += 1
+        return read(fc, v)
+
+    monkeypatch.setattr(ForestColoring, "row", counting)
+    graphs = [generate_k_degenerate(n=5000, k=2, delta_min=8, seed=1)]
+    graphs += [Graph.from_edges(n + 2, [(i, n + h) for h in (0, 1) for i in range(n)])
+               for n in (50, 400)]
+    for g in graphs:
+        ordering, delta = degeneracy_ordering(g), max_degree(g)
+        t = class_count_for(delta, ordering.k, Mode.MINIMUM)
+        state = SolverState(g, ordering, delta, t, Mode.MINIMUM)
+        calls = 0
+        state.run()
+        assert state.stats.repair_iterations == 0
+        assert calls == state.n_high > 0
 
 
 def sweep_line_events(delta_min: int) -> int:
