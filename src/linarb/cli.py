@@ -24,7 +24,7 @@ from .degeneracy import degeneracy_ordering
 from .errors import GraphError, InternalContradictionError, ParseError, PreconditionError
 from .graph import Graph, max_degree
 from .oracle import DEFAULT_NODE_BUDGET, exact_la, la_bounds
-from .solver import Mode, _check_map, _solve, decompose, required_max_degree
+from .solver import Mode, _check_map, decompose, required_max_degree
 from .verify import verify_partition
 
 _MASK64 = (1 << 64) - 1
@@ -213,8 +213,6 @@ def parse_edge_list(text: str, dimacs: bool = False, ids: dict[str, int] | None 
             )
         found[key] = None
 
-    if dimacs and n_declared is None and found:
-        raise ParseError(1, "DIMACS input lacks a 'p' header")
     if m_declared is not None and m_declared != len(found):
         raise ParseError(
             header_line, f"header declares {m_declared} edges, found {len(found)}"
@@ -359,11 +357,12 @@ def _parse_coloring(text: str, ids: dict[str, int]) -> tuple[dict[tuple[int, int
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = parse_edge_list(_read_input(args.input), dimacs=args.dimacs)
     try:
-        ordering = None
+        ordering, peel_ms = None, 0.0
         if args.mode == "auto":
             delta = max_degree(g)
             start = time.perf_counter()
             ordering = degeneracy_ordering(g)
+            peel_ms = (time.perf_counter() - start) * 1000.0
             k = ordering.k
             if k <= 1 or delta >= required_max_degree(k, Mode.MINIMUM):
                 mode: Mode | None = Mode.MINIMUM
@@ -394,10 +393,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             t = found.la
             stats_dict: dict = {"nodes_explored": found.nodes_explored}
         else:
-            if ordering is None:
-                result = decompose(g, mode, debug_checks=args.debug_assertions)
-            else:
-                result = _solve(g, ordering, mode, args.debug_assertions, start)
+            result = decompose(g, mode, debug_checks=args.debug_assertions, ordering=ordering)
+            result.stats.order_ms += peel_ms  # auto's own peel
+            result.stats.wall_ms += peel_ms
             coloring, t, k, delta = result.coloring, result.t, result.k, result.delta
             stats_dict = dict(vars(result.stats))
         head = {"t": t, "k": k, "delta": delta, "mode": "exact" if mode is None else mode.value,

@@ -202,7 +202,7 @@ class SolverState:
     ``t`` must be ``class_count_for(target_delta, k, mode)``, the budget the
     sweep's argument counts on.  :meth:`run` drives the sweep to completion
     and returns the coloring of the graph's edges (0-based classes unless
-    asked otherwise).
+    asked otherwise), with its counters and stage timers in :attr:`stats`.
     """
 
     def __init__(
@@ -213,7 +213,6 @@ class SolverState:
         t: int,
         mode: Mode,
         debug: bool = False,
-        stats: SolveStats | None = None,
     ) -> None:
         k = base_ordering.k
         if k < 2:
@@ -235,7 +234,7 @@ class SolverState:
         self.t = t
         self.mode = mode
         self.debug = debug
-        self.stats = stats if stats is not None else SolveStats()
+        self.stats = SolveStats()
 
         # Padding: every vertex of degree 2..D-1 gets D - degree leaves, so
         # every degree becomes D, 1 or 0.  Pendants would peel first, so the
@@ -700,6 +699,7 @@ def decompose(
     mode: Mode | str = Mode.MINIMUM,
     *,
     debug_checks: bool = False,
+    ordering: DegeneracyOrdering | None = None,
 ) -> DecomposeResult:
     """Partition the edges of ``g`` into ``t`` linear forests.
 
@@ -712,36 +712,28 @@ def decompose(
     Isolated vertices have no edge to color and are skipped.  The map's keys
     are the tuples of ``g``'s edge table, in the table's order.
 
-    ``debug_checks`` enables expensive internal invariant scans plus a final
-    independent verification.
+    ``ordering`` is a degeneracy ordering of ``g`` the caller already holds:
+    none is computed then, and ``order_ms`` times nothing.  ``debug_checks``
+    enables expensive internal invariant scans plus a final independent
+    verification.
 
     Raises :class:`PreconditionError` when the degree threshold fails, and
     :class:`InternalContradictionError` only on an implementation bug.
     """
     mode = Mode(mode)
     start = time.perf_counter()
-    return _solve(g, degeneracy_ordering(g), mode, debug_checks, start)
-
-
-def _solve(
-    g: Graph,
-    ordering: DegeneracyOrdering,
-    mode: Mode,
-    debug_checks: bool,
-    start: float,
-) -> DecomposeResult:
-    """:func:`decompose` given a degeneracy ordering of ``g`` the caller
-    already holds.  ``start`` is the clock reading taken right before that
-    ordering was computed, so ``order_ms`` and ``wall_ms`` still cover it."""
-    stats = SolveStats()
-    stats.order_ms = (time.perf_counter() - start) * 1000.0
+    if ordering is None:
+        ordering = degeneracy_ordering(g)
+    order_ms = (time.perf_counter() - start) * 1000.0
     delta = max_degree(g)
     k = ordering.k
     t = class_count_for(delta, k, mode)
     if k <= 1:
-        coloring = _color_forest(g, t)
+        coloring, stats = _color_forest(g, t), SolveStats()
     else:
-        coloring = SolverState(g, ordering, delta, t, mode, debug_checks, stats).run(first=1)
+        state = SolverState(g, ordering, delta, t, mode, debug_checks)
+        coloring, stats = state.run(first=1), state.stats
+    stats.order_ms = order_ms
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     result = DecomposeResult(coloring, t, k, delta, stats)
     if debug_checks:

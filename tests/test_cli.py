@@ -11,6 +11,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from linarb import (
     SplitMix64,
     decompose,
     degeneracy_ordering,
+    exact_la,
     generate_k_degenerate,
     main,
     max_degree,
@@ -521,7 +523,7 @@ def test_cli_renderings_match_the_sorted_reference(monkeypatch, style, fmt, extr
 )
 def test_cli_auto_renderings_match_the_sorted_reference(monkeypatch, text, mode, fmt):
     g = parse_edge_list(text)
-    results = record(monkeypatch, "exact_la" if mode == "exact" else "_solve")
+    results = record(monkeypatch, "exact_la" if mode == "exact" else "decompose")
     argv = ["decompose", "-", "--mode", "auto", "--format", fmt, "--stats", "--verify-after"]
     code, out, err = run_cli(argv, stdin_text=text)
     assert code == 0 and err == ""
@@ -533,6 +535,34 @@ def test_cli_auto_renderings_match_the_sorted_reference(monkeypatch, text, mode,
     head = {"t": t, "k": degeneracy_ordering(g).k, "delta": max_degree(g), "mode": mode,
             "n": g.n, "m": g.edge_count, "verified": True}
     assert out == reference_partition_output(head, coloring, fmt, stats)
+
+
+@pytest.mark.parametrize("text", [GAP_TEXT, STAR6_TEXT], ids=["sweep", "forest"])
+def test_cli_auto_stats_cover_its_own_peel(monkeypatch, text):
+    """Auto mode peels once and hands the ordering on to :func:`decompose`,
+    whose ``order_ms`` then times nothing: the CLI adds its peel's time to
+    ``order_ms`` and ``wall_ms``."""
+    def slow(g):
+        time.sleep(0.05)
+        return degeneracy_ordering(g)
+
+    monkeypatch.setattr(linarb.cli, "degeneracy_ordering", slow)
+    argv = ["decompose", "-", "--mode", "auto", "--format", "json", "--stats"]
+    code, out, err = run_cli(argv, stdin_text=text)
+    assert (code, err) == (0, "")
+    stats = json.loads(out)["stats"]
+    assert stats["wall_ms"] >= stats["order_ms"] >= 50
+
+
+def test_cli_auto_reports_an_exhausted_search(monkeypatch):
+    """An exact branch whose search ran out of budget is a precondition
+    failure, exit 1, with nothing on stdout."""
+    real = linarb.cli.exact_la
+    monkeypatch.setattr(linarb.cli, "exact_la",
+                        lambda g, **kw: real(g, **kw)._replace(complete=False))
+    code, out, err = run_cli(["decompose", "-", "--mode", "auto"], stdin_text=K4_TEXT)
+    assert (code, out) == (1, "")
+    assert "exhaustive search ran out of budget" in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1145,6 +1175,31 @@ def test_cli_oracle_on_a_four_cycle():
         witness[(u, v)] = c
     assert len(witness) == 4
     assert set(witness.values()) == {1, 2}
+
+
+@pytest.mark.parametrize("text", ["2 3\n0 3\n1 2\n0 1\n", K4_PENDANT_TEXT],
+                         ids=["four-cycle", "k4-pendant"])
+def test_cli_oracle_json_writes_sorted_witness_rows(text):
+    """The oracle's witness is not always ascending (on ``K4_PENDANT_TEXT``
+    it starts at vertex 3); the JSON rows are."""
+    found = exact_la(parse_edge_list(text))
+    code, out, err = run_cli(["oracle", "-", "--format", "json"], stdin_text=text)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["la"], payload["complete"]) == (found.la, True)
+    assert payload["classes"] == [[u, v, c] for (u, v), c in sorted(found.witness.items())]
+    assert len(payload["classes"]) == len(found.witness) == text.count("\n")
+
+
+@pytest.mark.parametrize("line", ["0 1", "0 1 1 1"], ids=["two", "four"])
+def test_cli_verify_rejects_a_class_line_of_the_wrong_width(tmp_path, line):
+    graph_file = tmp_path / "graph.txt"
+    classes_file = tmp_path / "classes.txt"
+    graph_file.write_text("0 1\n1 2\n")
+    classes_file.write_text(f"1 2 1\n{line}\n")
+    code, out, err = run_cli(["verify", str(graph_file), "--classes", str(classes_file)])
+    assert (code, out) == (1, "")
+    assert "line 2" in err and "expected '<u> <v> <class>'" in err
 
 
 def test_cli_oracle_json_and_budget_exhaustion():

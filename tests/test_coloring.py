@@ -137,6 +137,16 @@ def test_recolor_moves_and_errors():
         fc.recolor(p(0, 1), 0, 1, 1)
 
 
+@pytest.mark.parametrize("j", [-1, 3])
+def test_recolor_rejects_a_class_out_of_range(j):
+    p = Pairs(2)
+    fc = p.coloring(3)
+    fc.assign(p(0, 1), 0, 1, 0)
+    with pytest.raises(InternalContradictionError, match="out of range"):
+        fc.recolor(p(0, 1), 0, 1, j)
+    assert fc.edge_class[p(0, 1)] == 0
+
+
 def test_swap_exchanges_classes():
     p = Pairs(5)
     fc = p.coloring(3)

@@ -57,6 +57,11 @@ def test_duplicate_edge_rejected():
         g.add_edge(1, 0)
 
 
+def test_negative_vertex_count_rejected():
+    with pytest.raises(GraphError, match="non-negative"):
+        Graph(-1)
+
+
 def test_vertex_out_of_range_rejected():
     g = Graph(3)
     with pytest.raises(GraphError):

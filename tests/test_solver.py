@@ -485,6 +485,35 @@ def test_solve_stats_count_plans_and_time_repairs_alone():
     assert run_fixture(endpoint_recolor_fixture).stats.repair_ms > 0
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_decompose_with_a_given_ordering_matches_its_own_peel(monkeypatch, mode, k, seed):
+    """Handed the ordering it would peel, ``decompose`` peels nothing and
+    returns the same map, item by item, the same parameters and the same
+    counters."""
+    rnd = random.Random(seed)
+    g = generate_k_degenerate(rnd.randrange(30, 300), k,
+                              required_max_degree(k, mode) + rnd.randrange(4), seed)
+    ordering = degeneracy_ordering(g)
+    want = decompose(g, mode)
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return degeneracy_ordering(h)
+
+    monkeypatch.setattr(linarb.solver, "degeneracy_ordering", counting)
+    got = decompose(g, mode, ordering=ordering)
+    assert calls == []
+    assert list(got.coloring.items()) == list(want.coloring.items())
+    assert (got.t, got.k, got.delta) == (want.t, want.k, want.delta) and got.k == min(k, g.n - 1)
+    got_counts, want_counts = ({x: c for x, c in vars(r.stats).items() if not x.endswith("_ms")}
+                               for r in (got, want))
+    assert got_counts == want_counts
+    assert 0 <= got.stats.order_ms <= got.stats.wall_ms
+
+
 def test_sweep_reads_each_class_row_once_without_a_repair(monkeypatch):
     """Without a repair or debug checks an owner's step reads its class row
     once, to place its edges: the exact budget bounds its degree, so no
