@@ -9,7 +9,6 @@ k is the degeneracy.  The orderings produced here certify the exact value.
 from __future__ import annotations
 
 import heapq
-from array import array
 
 from .graph import Graph
 
@@ -20,19 +19,14 @@ class DegeneracyOrdering:
     ``order[i]`` is the vertex at position ``i``; ``position`` is the inverse
     permutation.  ``k`` is the exact degeneracy: no vertex has more than
     ``k`` neighbors at earlier positions, and some vertex meets the bound.
-
-    ``ids[v]`` is the int object that ``order`` holds for vertex ``v``, so
-    that callers can name each vertex by one object.  The orderings computed
-    here fill ``order`` and ``position`` from one list of such objects.
-    ``left[v]``, if given, is the number of neighbors of ``v`` at earlier
-    positions, the degree the peel left ``v`` with when it removed it.
+    The orderings computed here fill ``order`` and ``position`` from one int
+    object per vertex id, so ``order[position[v]]`` is the object for ``v``.
     """
 
-    __slots__ = ("order", "position", "k", "ids", "left")
+    __slots__ = ("order", "position", "k")
 
-    def __init__(self, order: list[int], position: list[int], k: int, left=None) -> None:
-        self.order, self.position, self.k, self.left = order, position, k, left
-        self.ids = list(map(order.__getitem__, position))
+    def __init__(self, order: list[int], position: list[int], k: int) -> None:
+        self.order, self.position, self.k = order, position, k
 
 
 def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
@@ -52,8 +46,6 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
     rises scan at most n + 2m * H(k).  The last level is ``k``.
     """
     n = g.n
-    if n == 0:
-        return DegeneracyOrdering([], [], 0)
     adj = g._adj
     deg = [len(row) for row in adj]
     removed = bytearray(n)
@@ -61,7 +53,7 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
     ids = list(range(n))  # the one int object per vertex id
     rest = ids  # the unremoved vertices at the last rise
     heap: list[int] = []
-    level = -1
+    level = 0  # k of a graph without vertices
     while True:
         while heap:
             d, v = divmod(heapq.heappop(heap), n)
@@ -83,4 +75,4 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrdering:
     position = [0] * n
     for i, v in zip(ids, order):
         position[v] = i
-    return DegeneracyOrdering(order, position, level, array("i", deg))
+    return DegeneracyOrdering(order, position, level)

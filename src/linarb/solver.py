@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from collections import Counter
 from collections.abc import Iterator
 from enum import Enum
 from itertools import accumulate, compress, count, islice
@@ -191,6 +192,8 @@ class SolverState:
     the sweep order, its id in :attr:`ids` beside its far end in
     :attr:`targets`: the row at position ``i``, ascending, is the slots
     ``starts[i]:ends[i]``, past the degree-D block for a K2 component's edge.
+    Each row has a range of its vertex's degree, so the slots past its end
+    count the vertex's earlier neighbors: more than ``k`` is an error.
 
     The state alone decides who reserves and how many: the owners are the
     vertices padded to degree ``target_delta``, visited in id order, and
@@ -238,17 +241,14 @@ class SolverState:
 
         # Padding: every vertex of degree 2..D-1 gets D - degree leaves, so
         # every degree becomes D, 1 or 0.  Pendants would peel first, so the
-        # degeneracy is unchanged.
+        # degeneracy is unchanged.  A negative count is a degree above D.
         n = g.n
-        delta = max_degree(g)
-        if delta < 2:
-            raise PreconditionError(f"padding needs maximum degree >= 2, got {delta}")
-        if target_delta < delta:
-            raise PreconditionError(
-                f"target degree {target_delta} is below maximum degree {delta}"
-            )
         adj = g._adj
         pad = array("i", [target_delta - len(row) if len(row) > 1 else 0 for row in adj])
+        if min(pad, default=0) < 0:
+            raise PreconditionError(
+                f"target degree {target_delta} is below maximum degree {max_degree(g)}"
+            )
         self.pad = pad
         self.stats.pendants_added += sum(pad)
 
@@ -259,36 +259,33 @@ class SolverState:
         # trail both.  A peel removes low degrees first, so its order is
         # usually partitioned already and is kept as it is.  The degree-D
         # vertices are the owners, which reserve representatives in id order.
-        # The ordering's one int object per vertex id is shared by the owners
-        # and any positions built here.
-        ids = base_ordering.ids
-        owners = [v for v in ids if len(adj[v]) > 1]
-        n_high = len(owners)
-        order = base_ordering.order
+        # They and any positions built here share the ordering's int object
+        # for each vertex ``v``, ``order[position[v]]``.
+        order, position = base_ordering.order, base_ordering.position
+        owners = [v for v in map(order.__getitem__, position) if len(adj[v]) > 1]
+        if not owners:
+            raise PreconditionError(f"padding needs maximum degree >= 2, got {max_degree(g)}")
+        self.n_high = n_high = len(owners)
         if all(len(adj[v]) > 1 for v in islice(order, n_high)):
             self.ordering = base_ordering
         else:
             order = [v for v in order if len(adj[v]) > 1] + [v for v in order if len(adj[v]) <= 1]
             position = [0] * n
-            for i, v in zip(ids, order):
+            for i, v in zip(map(base_ordering.order.__getitem__, base_ordering.position), order):
                 position[v] = i
             self.ordering = DegeneracyOrdering(order, position, k)
-        self.n_high = n_high
 
         # The right rows, for the representative selection and the sweep, in
-        # one pass over the edge table: each fills its range (its exact size
-        # if the ordering knows left-degrees, else its vertex's degree) in
-        # table order, the owner's adjacency order, which is ascending for a
-        # parsed or generated graph.  A row with a far end below the one
-        # before it is noted, and only noted rows are sorted, ids with them.
+        # one pass over the edge table: each fills a range of its vertex's
+        # degree in table order, the owner's adjacency order, which is
+        # ascending for a parsed or generated graph.  A row with a far end
+        # below the one before it is noted, and only noted rows are sorted,
+        # ids with them.  The gap from a row's end to the next range (or the
+        # table's end) is its vertex's left-degree, at most k in a valid order.
         mark = time.perf_counter()
-        position, left = self.ordering.position, self.ordering.left
-        sizes = map(len, map(adj.__getitem__, order))
-        if left is not None:
-            sizes = map(sub, sizes, map(left.__getitem__, order))
-        nxt = array("i", accumulate(sizes, initial=0))
-        size = nxt.pop()
-        starts = array("i", nxt)
+        bounds = array("i", accumulate(map(len, map(adj.__getitem__, order)), initial=0))
+        starts, nxt = bounds[:-1], bounds[:-1]
+        size = bounds[-1]
         targets = array("i", [NIL]) * size
         ids = array("i", targets)
         noted, last = [], [NIL] * n
@@ -303,6 +300,9 @@ class SolverState:
             if last[i] > b:
                 noted.append(i)
             last[i] = b
+        if (most := max(map(sub, bounds[1:], nxt))) > k:
+            v = order[list(map(sub, bounds[1:], nxt)).index(most)]
+            raise PreconditionError(f"vertex {v} has {most} earlier neighbors, more than k = {k}")
         for i in set(noted):
             lo, hi = starts[i], nxt[i]
             row = sorted(zip(targets[lo:hi], ids[lo:hi]))
@@ -694,6 +694,21 @@ def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
     return out
 
 
+def _check_ordering(g: Graph, ordering: DegeneracyOrdering) -> None:
+    """Reject a given ordering that is no permutation of ``g``'s vertices or,
+    at ``k <= 1``, where the forest pairing takes it on trust, puts more than
+    ``k`` earlier neighbors before a vertex.  At ``k >= 2`` the sweep's row
+    build counts them, in its own order, which moves degree-1 vertices last."""
+    n, order, position, k = g.n, ordering.order, ordering.position, ordering.k
+    ids = list(range(n))
+    if len(position) != n or sorted(order) != ids or [*map(position.__getitem__, order)] != ids:
+        raise PreconditionError(f"the ordering is no permutation of the graph's {n} vertices")
+    if k <= 1 and (later := Counter(a if position[a] > position[b] else b for a, b in g._edges)):
+        ((v, most),) = later.most_common(1)
+        if most > k:
+            raise PreconditionError(f"vertex {v} has {most} earlier neighbors, more than k = {k}")
+
+
 def decompose(
     g: Graph,
     mode: Mode | str = Mode.MINIMUM,
@@ -713,17 +728,20 @@ def decompose(
     are the tuples of ``g``'s edge table, in the table's order.
 
     ``ordering`` is a degeneracy ordering of ``g`` the caller already holds:
-    none is computed then, and ``order_ms`` times nothing.  ``debug_checks``
+    none is computed then, and ``order_ms`` times only its check.  ``debug_checks``
     enables expensive internal invariant scans plus a final independent
     verification.
 
-    Raises :class:`PreconditionError` when the degree threshold fails, and
-    :class:`InternalContradictionError` only on an implementation bug.
+    Raises :class:`PreconditionError` when the degree threshold fails or a
+    given ``ordering`` does not certify its ``k`` (:func:`_check_ordering`),
+    and :class:`InternalContradictionError` only on an implementation bug.
     """
     mode = Mode(mode)
     start = time.perf_counter()
     if ordering is None:
         ordering = degeneracy_ordering(g)
+    else:
+        _check_ordering(g, ordering)
     order_ms = (time.perf_counter() - start) * 1000.0
     delta = max_degree(g)
     k = ordering.k

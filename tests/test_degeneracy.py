@@ -26,30 +26,28 @@ from conftest import (
 
 
 def check_certificate(g, ordering):
-    """Every vertex may look back at no more than k earlier neighbors, as
-    many as the ordering's left-degrees say when it has them."""
+    """Every vertex may look back at no more than k earlier neighbors,
+    counted from the graph's edges alone."""
     assert sorted(ordering.order) == list(range(g.n))
     assert len(ordering.position) == g.n
     assert all(ordering.position[v] == i for i, v in enumerate(ordering.order))
-    worst = 0
-    for v in ordering.order:
-        back = sum(1 for u in g.neighbors(v) if ordering.position[u] < ordering.position[v])
-        assert ordering.left is None or ordering.left[v] == back
-        worst = max(worst, back)
+    back = [0] * g.n
+    for u, v in g.edges():
+        back[u if ordering.position[u] > ordering.position[v] else v] += 1
+    worst = max(back, default=0)
     assert worst <= ordering.k
     return worst
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_peel_records_left_degrees(seed):
-    """A peel's ordering lists every vertex's left-degree; one built by
-    hand lists none."""
-    rnd = random.Random(seed)
-    g = random_graph(rnd, rnd.randrange(2, 40), rnd.randrange(120))
+def test_ordering_holds_its_order_positions_and_k():
+    """A peel's ordering is its order, positions and k, and both lists hold
+    one int object per vertex id, past the small ints Python caches."""
+    g = generate_k_degenerate(600, 2, 6, 3)
     ordering = degeneracy_ordering(g)
-    assert len(ordering.left) == g.n
-    check_certificate(g, ordering)
-    assert DegeneracyOrdering(ordering.order, ordering.position, ordering.k).left is None
+    assert DegeneracyOrdering.__slots__ == ("order", "position", "k")
+    assert check_certificate(g, ordering) == ordering.k == 2
+    order, position = ordering.order, ordering.position
+    assert all(order[position[i]] is position[order[i]] for i in range(g.n))
 
 
 def test_empty_and_isolated():

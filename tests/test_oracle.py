@@ -78,6 +78,15 @@ def test_budget_exhaustion_reports_incomplete():
     assert res.nodes_explored == 50
 
 
+def test_budget_spent_on_the_last_placement_stops_the_search():
+    """A path of two edges fits one class, but a budget of one placement
+    runs out after the first edge: the search must stop there, not place
+    the second edge unpaid and report a complete answer."""
+    res = exact_la(Graph.from_edges(3, [(0, 1), (1, 2)]), budget=1)
+    assert (res.la, res.witness, res.nodes_explored, res.complete) == (None, None, 1, False)
+    assert exact_la(Graph.from_edges(3, [(0, 1), (1, 2)]), budget=2).la == 1
+
+
 def test_budget_must_be_positive():
     with pytest.raises(PreconditionError):
         exact_la(path_graph(3), budget=0)

@@ -1,6 +1,8 @@
 import ast
 import hashlib
+import os
 import random
+import subprocess
 import sys
 import time
 import weakref
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import linarb.solver
 from linarb import (
+    DegeneracyOrdering,
     Graph,
     InternalContradictionError,
     Mode,
@@ -172,17 +175,24 @@ def test_shuffled_pairs_color_as_the_sorted_pairs_do(k, mode, seed):
     sorted_g = Graph.from_edges(base.n, pairs)
     g = Graph.from_edges(base.n, shuffled)
     assert any(row != sorted(row) for row in g._adj)
-    ordering = degeneracy_ordering(g)
+    peel = degeneracy_ordering(g)
     delta = max_degree(g)
-    state = SolverState(g, ordering, delta, class_count_for(delta, ordering.k, mode), mode)
-    # The peel's left-degrees size every row exactly.
-    assert state.ordering is ordering and state.ends[:-1] == state.starts[1:]
-    targets, offsets = right_rows(g, state.ordering)
-    order, table = state.ordering.order, list(g._edges)
-    for i, (lo, hi) in enumerate(zip(state.starts, state.ends)):
-        assert state.targets[lo:hi].tolist() == targets[offsets[i]:offsets[i + 1]]
-        for s in range(lo, hi):
-            assert table[state.ids[s]] == edge_key(order[i], state.targets[s])
+    table = list(g._edges)
+    for ordering in peel, random_peel_ordering(g, peel.k, rnd):
+        state = SolverState(g, ordering, delta, class_count_for(delta, peel.k, mode), mode)
+        if ordering is peel:
+            assert state.ordering is peel
+        targets, offsets = right_rows(g, state.ordering)
+        order, position = state.ordering.order, state.ordering.position
+        # Each range is its vertex's degree: the slots a row leaves free, up
+        # to the next range or the table's end, are its earlier neighbors.
+        nxt = [*state.starts[1:], len(state.targets)]
+        for i, (lo, hi) in enumerate(zip(state.starts, state.ends)):
+            v = order[i]
+            assert nxt[i] - hi == sum(position[u] < i for u in g.neighbors(v))
+            assert state.targets[lo:hi].tolist() == targets[offsets[i]:offsets[i + 1]]
+            for s in range(lo, hi):
+                assert table[state.ids[s]] == edge_key(v, state.targets[s])
     want = decompose(sorted_g, mode).coloring
     got = decompose(g, mode).coloring
     assert list(got) == table
@@ -512,6 +522,73 @@ def test_decompose_with_a_given_ordering_matches_its_own_peel(monkeypatch, mode,
                                for r in (got, want))
     assert got_counts == want_counts
     assert 0 <= got.stats.order_ms <= got.stats.wall_ms
+
+
+# A forest-path ordering that is not trusted blindly: the pairing would walk
+# a cycle forever or, on a large graph, grow until the process is killed.  So
+# each case runs in a fresh interpreter under a time limit and a memory cap.
+FOREST_ORDERING_CASE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from linarb import (DegeneracyOrdering, Graph, PreconditionError, decompose,
+                    degeneracy_ordering, generate_k_degenerate)
+n, k, delta, seed, given_k = map(int, sys.argv[1:])
+if n == 3:
+    g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+else:
+    g = generate_k_degenerate(n, k, delta, seed)
+peel = degeneracy_ordering(g)
+try:
+    decompose(g, ordering=DegeneracyOrdering(peel.order, peel.position, given_k))
+except PreconditionError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("case, want", [
+    ("3 2 2 0 0", "vertex 0 has 2 earlier neighbors, more than k = 0"),
+    ("3 2 2 0 1", "vertex 0 has 2 earlier neighbors, more than k = 1"),
+    ("300 3 26 1 1", "earlier neighbors, more than k = 1"),
+], ids=["triangle-k0", "triangle-k1", "k3-graph-k1"])
+def test_decompose_rejects_a_forest_ordering_of_a_cyclic_graph(case, want):
+    path = [str(Path(linarb.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", FOREST_ORDERING_CASE, *case.split()],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert want in done.stdout
+
+
+def test_decompose_rejects_an_ordering_it_cannot_sweep(monkeypatch):
+    """A given ordering is checked before any solving: another graph's, one
+    naming a vertex twice, and a valid order whose k is too small all raise
+    :class:`PreconditionError`, in both modes, before any representative is
+    selected."""
+    selected = []
+    monkeypatch.setattr(linarb.solver, "compute_sdr", lambda *a: selected.append(a))
+    g = generate_k_degenerate(300, 3, 26, 1)
+    peel = degeneracy_ordering(g)
+    assert peel.k == 3
+    other = degeneracy_ordering(generate_k_degenerate(200, 3, 26, 1))
+    twice = DegeneracyOrdering([peel.order[0], *peel.order[:-1]], peel.position, 3)
+    reversed_order = peel.order[::-1]
+    position = [0] * g.n
+    for i, v in enumerate(reversed_order):
+        position[v] = i
+    backwards = DegeneracyOrdering(reversed_order, position, 3)
+    understated = DegeneracyOrdering(peel.order, peel.position, 2)
+    not_a_permutation = f"no permutation of the graph's {g.n} vertices"
+    for mode in Mode:
+        for ordering in other, twice:
+            with pytest.raises(PreconditionError, match=not_a_permutation):
+                decompose(g, mode, ordering=ordering)
+        for ordering, k in (backwards, 3), (understated, 2):
+            with pytest.raises(PreconditionError, match=f"earlier neighbors, more than k = {k}$"):
+                decompose(g, mode, ordering=ordering)
+    assert selected == []
+    # The peel's own ordering passes the same checks.
+    monkeypatch.undo()
+    assert decompose(g, ordering=peel).k == 3
 
 
 def test_sweep_reads_each_class_row_once_without_a_repair(monkeypatch):
