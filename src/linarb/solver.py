@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from collections import Counter
 from collections.abc import Iterator
 from enum import Enum
 from itertools import accumulate, compress, count, islice
@@ -177,6 +176,44 @@ def _plan(plans: dict, tail: bytes, spare: int, nrep: int) -> tuple[int, int, tu
     return plan
 
 
+def _right_rows(g: Graph, order: list[int], position: list[int], k: int) -> tuple[array, ...]:
+    """The right rows of ``order``, in one pass over the edge table: each
+    edge's id in ``ids`` beside its far end in ``targets``, in the row of its
+    earlier endpoint, the slots ``starts[i]:ends[i]`` for position ``i``.
+    Each row fills a range of its vertex's degree in table order, ascending
+    for a parsed or generated graph; only rows noted out of order are sorted,
+    ids with them.  The gap past a row is its vertex's left-degree: more than
+    ``k`` is a :class:`PreconditionError`, as is an order of another size."""
+    n = g.n
+    if len(order) != n or len(position) != n:
+        raise PreconditionError(f"the ordering is no permutation of the graph's {n} vertices")
+    bounds = array("i", accumulate(map(len, map(g._adj.__getitem__, order)), initial=0))
+    starts, nxt = bounds[:-1], bounds[:-1]
+    targets = array("i", [NIL]) * bounds[-1]
+    ids = array("i", targets)
+    noted, last = [], [NIL] * n
+    for e, (a, b) in enumerate(g._edges):
+        i, j = position[a], position[b]
+        if j < i:
+            i, b = j, a
+        s = nxt[i]
+        nxt[i] = s + 1
+        targets[s] = b
+        ids[s] = e
+        if last[i] > b:
+            noted.append(i)
+        last[i] = b
+    if (most := max(map(sub, bounds[1:], nxt), default=0)) > k:
+        v = order[list(map(sub, bounds[1:], nxt)).index(most)]
+        raise PreconditionError(f"vertex {v} has {most} earlier neighbors, more than k = {k}")
+    for i in set(noted):
+        lo, hi = starts[i], nxt[i]
+        row = sorted(zip(targets[lo:hi], ids[lo:hi]))
+        targets[lo:hi] = array("i", [u for u, _ in row])
+        ids[lo:hi] = array("i", [e for _, e in row])
+    return targets, ids, starts, nxt
+
+
 class SolverState:
     """Sweep state over one graph, padded implicitly: each owner's padding
     leaves are placed by arithmetic over its class row during its step.  A
@@ -188,12 +225,9 @@ class SolverState:
 
     Every edge has an id, its position in the graph's edge table, and the
     sweep keeps classes by id only, in the coloring's class array.  The
-    right-row table files each edge in the row of its earlier endpoint in
-    the sweep order, its id in :attr:`ids` beside its far end in
-    :attr:`targets`: the row at position ``i``, ascending, is the slots
-    ``starts[i]:ends[i]``, past the degree-D block for a K2 component's edge.
-    Each row has a range of its vertex's degree, so the slots past its end
-    count the vertex's earlier neighbors: more than ``k`` is an error.
+    right rows of the sweep order (:func:`_right_rows`) are :attr:`targets`,
+    :attr:`ids`, :attr:`starts` and :attr:`ends`; a K2 component's edge lies
+    past the degree-D block.
 
     The state alone decides who reserves and how many: the owners are the
     vertices padded to degree ``target_delta``, visited in id order, and
@@ -275,45 +309,14 @@ class SolverState:
                 position[v] = i
             self.ordering = DegeneracyOrdering(order, position, k)
 
-        # The right rows, for the representative selection and the sweep, in
-        # one pass over the edge table: each fills a range of its vertex's
-        # degree in table order, the owner's adjacency order, which is
-        # ascending for a parsed or generated graph.  A row with a far end
-        # below the one before it is noted, and only noted rows are sorted,
-        # ids with them.  The gap from a row's end to the next range (or the
-        # table's end) is its vertex's left-degree, at most k in a valid order.
         mark = time.perf_counter()
-        bounds = array("i", accumulate(map(len, map(adj.__getitem__, order)), initial=0))
-        starts, nxt = bounds[:-1], bounds[:-1]
-        size = bounds[-1]
-        targets = array("i", [NIL]) * size
-        ids = array("i", targets)
-        noted, last = [], [NIL] * n
-        for e, (a, b) in enumerate(g._edges):
-            i, j = position[a], position[b]
-            if j < i:
-                i, b = j, a
-            s = nxt[i]
-            nxt[i] = s + 1
-            targets[s] = b
-            ids[s] = e
-            if last[i] > b:
-                noted.append(i)
-            last[i] = b
-        if (most := max(map(sub, bounds[1:], nxt))) > k:
-            v = order[list(map(sub, bounds[1:], nxt)).index(most)]
-            raise PreconditionError(f"vertex {v} has {most} earlier neighbors, more than k = {k}")
-        for i in set(noted):
-            lo, hi = starts[i], nxt[i]
-            row = sorted(zip(targets[lo:hi], ids[lo:hi]))
-            targets[lo:hi] = array("i", [u for u, _ in row])
-            ids[lo:hi] = array("i", [e for _, e in row])
-        self.targets, self.ids, self.starts, self.ends = targets, ids, starts, nxt
+        self.targets, self.ids, self.starts, self.ends = _right_rows(g, order, position, k)
+        targets, starts, ends = self.targets, self.starts, self.ends
         self.stats.rows_ms += (time.perf_counter() - mark) * 1000.0
         mark = time.perf_counter()
         self.r = (target_delta - k) // k
-        self.reserved = compute_sdr(owners, self.r, targets, starts, self.ends, position, pad)
-        del owners, last  # before the coloring tables, which can take their place
+        self.reserved = compute_sdr(owners, self.r, targets, starts, ends, position, pad)
+        del owners  # before the coloring tables, which can take their place
         self.stats.sdr_ms += (time.perf_counter() - mark) * 1000.0
         self.fc = ForestColoring(n, t, g.edge_count)
         # Debug only: owner position per reserved vertex (-1 when never
@@ -321,7 +324,7 @@ class SolverState:
         # sweep, and pending vertices must keep every class degree at most 1.
         self.reserved_owner_pos = [-1] * n if debug else []
         for i in range(n_high if debug else 0):
-            for s in range(starts[i], nxt[i]):
+            for s in range(starts[i], ends[i]):
                 if self.reserved[s]:
                     self.reserved_owner_pos[targets[s]] = i
         self._touched: list[int] = []
@@ -657,56 +660,42 @@ def _check_map(g: Graph, out: dict[tuple[int, int], int | None]) -> None:
         )
 
 
-def _color_forest(g: Graph, t: int) -> dict[tuple[int, int], int]:
+def _color_forest(g: Graph, ordering: DegeneracyOrdering, t: int) -> dict[tuple[int, int], int]:
     """Pair the edges of a forest into ``ceil(max_degree/2) <= t`` classes,
-    numbered from 1 as :func:`decompose` reports them.
+    numbered from 1 as :func:`decompose` reports them, along the right rows
+    of ``ordering`` (:func:`_right_rows`, which checks its ``k <= 1``).
 
     Any assignment keeping per-vertex class counts at 2 works: subgraphs of a
-    forest are forests, so no cycles can arise.  Children fill the smallest
-    classes with remaining capacity at the parent, two to a class, one in the
-    parent edge's class ``pc``: the ``i``-th child takes class ``i // 2``
-    below slot ``2 * pc``, and ``(i + 1) // 2`` from there on.
+    forest are forests, so no cycles can arise.  A vertex's one earlier
+    neighbor is its parent, paired first, so the class ``pc`` of the edge
+    between them is known (``t`` at a root).  The children, its row, fill
+    the smallest classes with room, two to a class, one in ``pc``: the
+    ``i``-th takes class ``i // 2`` below slot ``2 * pc``, and ``(i + 1) //
+    2`` from there on.
     """
-    n = g.n
-    out: dict[tuple[int, int], int | None] = dict.fromkeys(g._edges)
-    seen = bytearray(n)
-    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    for root in by_degree:
-        if seen[root] or g.degree(root) == 0:
-            continue
-        seen[root] = 1
-        stack: list[tuple[int, int, int]] = [(root, -1, -1)]
-        while stack:
-            x, parent, pc = stack.pop()
-            split = 2 * pc if pc >= 0 else n
-            i = 0
-            for y in sorted(g.neighbors(x)):
-                if y == parent:
-                    continue
-                c = i // 2 if i < split else (i + 1) // 2
-                if c >= t:
-                    raise InternalContradictionError(f"forest pairing ran out of classes at {x}")
-                out[(x, y) if x < y else (y, x)] = c + 1
-                i += 1
-                seen[y] = 1
-                stack.append((y, x, c))
-    _check_map(g, out)
+    targets, ids, starts, ends = _right_rows(g, ordering.order, ordering.position, ordering.k)
+    cls = [0] * g.edge_count
+    parent_class = [t] * g.n
+    for v, lo, hi in zip(ordering.order, starts, ends):
+        pc = parent_class[v]
+        if hi - lo + (pc < t) > 2 * t:
+            raise InternalContradictionError(f"forest pairing ran out of classes at {v}")
+        split = lo + 2 * pc
+        for s in range(lo, hi):
+            parent_class[targets[s]] = cls[ids[s]] = (s - lo + (s >= split)) // 2
+    out = dict.fromkeys(g._edges)
+    out.update(zip(g._edges, map((1).__add__, cls)))
     return out
 
 
 def _check_ordering(g: Graph, ordering: DegeneracyOrdering) -> None:
-    """Reject a given ordering that is no permutation of ``g``'s vertices or,
-    at ``k <= 1``, where the forest pairing takes it on trust, puts more than
-    ``k`` earlier neighbors before a vertex.  At ``k >= 2`` the sweep's row
-    build counts them, in its own order, which moves degree-1 vertices last."""
-    n, order, position, k = g.n, ordering.order, ordering.position, ordering.k
-    ids = list(range(n))
-    if len(position) != n or sorted(order) != ids or [*map(position.__getitem__, order)] != ids:
+    """Reject a given ordering that is no permutation of ``g``'s vertices, in
+    O(n) without a sort: ``n`` positions, entries in ``0..n-1`` and
+    ``position[order[i]] == i`` make one.  :func:`_right_rows` checks its ``k``."""
+    n, order, position = g.n, ordering.order, ordering.position
+    if (len(position) != n or min(order, default=0) < 0 or max(order, default=-1) >= n
+            or [*map(position.__getitem__, order)] != list(range(n))):
         raise PreconditionError(f"the ordering is no permutation of the graph's {n} vertices")
-    if k <= 1 and (later := Counter(a if position[a] > position[b] else b for a, b in g._edges)):
-        ((v, most),) = later.most_common(1)
-        if most > k:
-            raise PreconditionError(f"vertex {v} has {most} earlier neighbors, more than k = {k}")
 
 
 def decompose(
@@ -733,8 +722,9 @@ def decompose(
     verification.
 
     Raises :class:`PreconditionError` when the degree threshold fails or a
-    given ``ordering`` does not certify its ``k`` (:func:`_check_ordering`),
-    and :class:`InternalContradictionError` only on an implementation bug.
+    given ``ordering`` is no permutation (:func:`_check_ordering`) or does
+    not certify its ``k`` (:func:`_right_rows`), and
+    :class:`InternalContradictionError` only on an implementation bug.
     """
     mode = Mode(mode)
     start = time.perf_counter()
@@ -747,7 +737,7 @@ def decompose(
     k = ordering.k
     t = class_count_for(delta, k, mode)
     if k <= 1:
-        coloring, stats = _color_forest(g, t), SolveStats()
+        coloring, stats = _color_forest(g, ordering, t), SolveStats()
     else:
         state = SolverState(g, ordering, delta, t, mode, debug_checks)
         coloring, stats = state.run(first=1), state.stats

@@ -708,7 +708,7 @@ def reference_decompose_by_component(
                     sub.add_edge(local[v], local[u])
         base = degeneracy_ordering(sub)
         if base.k <= 1:
-            part = _color_forest(sub, t)
+            part = _color_forest(sub, base, t)
         else:
             part = {e: c + 1 for e, c in SolverState(sub, base, delta, t, mode).run().items()}
         for (a, b), c in part.items():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from linarb import InternalContradictionError
+from linarb import InternalContradictionError, degeneracy_ordering
 from linarb.coloring import NIL, ForestColoring
 from linarb.solver import _color_forest
 from conftest import (
@@ -23,7 +23,8 @@ def test_edge_key_normalizes():
     """The forest pairing keys each edge as ``(u, v)`` with ``u < v``,
     whichever way round the graph lists it."""
     g = gfrom(6, [(3, 1), (1, 0), (5, 1), (2, 4), (4, 3)])
-    assert sorted(_color_forest(g, 2)) == [(0, 1), (1, 3), (1, 5), (2, 4), (3, 4)]
+    want = [(0, 1), (1, 3), (1, 5), (2, 4), (3, 4)]
+    assert sorted(_color_forest(g, degeneracy_ordering(g), 2)) == want
 
 
 def test_assign_updates_all_views():

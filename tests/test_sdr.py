@@ -1,5 +1,6 @@
 import hashlib
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from linarb import (
     DegeneracyOrdering,
     Graph,
+    InternalContradictionError,
     Mode,
     PreconditionError,
     SolverState,
@@ -203,6 +205,14 @@ def phantom_deficit_case() -> tuple[Graph, DegeneracyOrdering, list[int]]:
     ordering = ordering_for(g, [0, 1, 7, 8, 2, 3, 4, 5, 6], 2)
     pad = [6 - g.degree(v) if g.degree(v) > 1 else 0 for v in range(g.n)]
     return g, ordering, pad
+
+
+def test_augment_rejects_a_demand_no_path_meets():
+    """Owner 0 must reserve two representatives but has one candidate and
+    no phantom: after the greedy pass takes vertex 1, the augmenting search
+    reaches no free candidate and no free phantom."""
+    with pytest.raises(InternalContradictionError, match="representative demand is infeasible"):
+        compute_sdr([0], 2, array("i", [1]), [0], [1], [0, 1], [0, 0])
 
 
 def test_deficit_resolved_through_a_phantom():

@@ -479,6 +479,16 @@ def test_debug_sweep_rejects_a_stale_plan(monkeypatch):
         decompose(g, debug_checks=True)
 
 
+def test_sweep_rejects_an_owner_over_its_reserved_count(monkeypatch):
+    """Representatives that flag every right-edge leave owner 4 with 8
+    reserved edges against its ``r``: the owner step raises before it
+    plans a slot."""
+    monkeypatch.setattr(linarb.solver, "compute_sdr",
+                        lambda owners, r, targets, *rest: bytearray([1]) * len(targets))
+    with pytest.raises(InternalContradictionError, match="^owner 4 holds 8 reserved edges$"):
+        decompose(generate_k_degenerate(60, 2, 6, 3))
+
+
 def test_solve_stats_count_plans_and_time_repairs_alone():
     """``slot_plans`` counts the plans computed: a generated degeneracy-2
     graph presents few distinct cases to its 5000 owners (391 at this seed),
@@ -524,9 +534,10 @@ def test_decompose_with_a_given_ordering_matches_its_own_peel(monkeypatch, mode,
     assert 0 <= got.stats.order_ms <= got.stats.wall_ms
 
 
-# A forest-path ordering that is not trusted blindly: the pairing would walk
-# a cycle forever or, on a large graph, grow until the process is killed.  So
-# each case runs in a fresh interpreter under a time limit and a memory cap.
+# A forest ordering of a graph with a cycle.  The pairing reads finite rows,
+# whose build rejects the ordering; a pairing that walked the graph instead
+# would loop forever or grow until the process is killed.  So each case still
+# runs in a fresh interpreter under a time limit and a memory cap.
 FOREST_ORDERING_CASE = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -561,7 +572,8 @@ def test_decompose_rejects_a_forest_ordering_of_a_cyclic_graph(case, want):
 
 def test_decompose_rejects_an_ordering_it_cannot_sweep(monkeypatch):
     """A given ordering is checked before any solving: another graph's, one
-    naming a vertex twice, and a valid order whose k is too small all raise
+    naming a vertex twice, one naming a negative id or an id past the last
+    vertex, and a valid order whose k is too small all raise
     :class:`PreconditionError`, in both modes, before any representative is
     selected."""
     selected = []
@@ -571,6 +583,8 @@ def test_decompose_rejects_an_ordering_it_cannot_sweep(monkeypatch):
     assert peel.k == 3
     other = degeneracy_ordering(generate_k_degenerate(200, 3, 26, 1))
     twice = DegeneracyOrdering([peel.order[0], *peel.order[:-1]], peel.position, 3)
+    negative = DegeneracyOrdering([-1, *peel.order[1:]], peel.position, 3)
+    past_the_end = DegeneracyOrdering([*peel.order[:-1], g.n], peel.position, 3)
     reversed_order = peel.order[::-1]
     position = [0] * g.n
     for i, v in enumerate(reversed_order):
@@ -579,7 +593,7 @@ def test_decompose_rejects_an_ordering_it_cannot_sweep(monkeypatch):
     understated = DegeneracyOrdering(peel.order, peel.position, 2)
     not_a_permutation = f"no permutation of the graph's {g.n} vertices"
     for mode in Mode:
-        for ordering in other, twice:
+        for ordering in other, twice, negative, past_the_end:
             with pytest.raises(PreconditionError, match=not_a_permutation):
                 decompose(g, mode, ordering=ordering)
         for ordering, k in (backwards, 3), (understated, 2):
@@ -589,6 +603,19 @@ def test_decompose_rejects_an_ordering_it_cannot_sweep(monkeypatch):
     # The peel's own ordering passes the same checks.
     monkeypatch.undo()
     assert decompose(g, ordering=peel).k == 3
+
+
+def test_solver_state_rejects_another_graphs_ordering():
+    """``SolverState`` is an entry point of its own, without
+    :func:`decompose`'s permutation check: the row build rejects an ordering
+    of a smaller graph before it reads a position, where an ``IndexError``
+    once escaped."""
+    g = generate_k_degenerate(300, 3, 26, 1)
+    other = degeneracy_ordering(generate_k_degenerate(200, 3, 26, 1))
+    delta = max_degree(g)
+    t = class_count_for(delta, 3, Mode.MINIMUM)
+    with pytest.raises(PreconditionError, match=f"no permutation of the graph's {g.n} vertices"):
+        SolverState(g, other, delta, t, Mode.MINIMUM)
 
 
 def test_sweep_reads_each_class_row_once_without_a_repair(monkeypatch):
@@ -1564,13 +1591,14 @@ def forest_family(name: str) -> list[Graph]:
 
 
 # sha256, per family, of every forest's sorted "u v c" lines, each graph's
-# block headed by its "n m" line; recorded from the forest path that kept a
-# per-vertex array of class loads.  Forests get ceil(D/2) classes in both
-# modes, so both modes must give these digests.
+# block headed by its "n m" line; recorded from the pairing along the right
+# rows of the peel, which roots each tree at its first vertex in the
+# ordering.  Forests get ceil(D/2) classes in both modes, so both modes must
+# give these digests.
 FOREST_SHA256 = {
-    "random": "a3bebb653a7b8b9437b47972998450311828918790edf1efa01823db181028bf",
-    "star": "6dec9b0422d515e7c65e3b0b32907e23434a7b09b17f49600ee8a8245578d160",
-    "caterpillar": "31fde598a13d04cd15b84a4049064cdae35a486b7c0b146705efd1e6574f6f04",
+    "random": "67c413315525c0d6a688450979447309629b9bb4d7ed213036563882810ef2e7",
+    "star": "577b7ad870a6091d7d50ea6d054da4444cb2ff35c6a4aac8cfa4e1c2ff10b02e",
+    "caterpillar": "ba3cf8418d649fd92ac044258bd44707017c42d4b1744cf765585f596fb85ef9",
 }
 
 
@@ -1586,6 +1614,28 @@ def test_forest_colorings_are_pinned(family, mode):
         for (u, v), c in sorted(result.coloring.items()):
             h.update(f"{u} {v} {c}\n".encode())
     assert h.hexdigest() == FOREST_SHA256[family]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forest_pairing_follows_the_given_ordering(seed):
+    """A forest is paired along the ordering it is given, the peel's or a
+    random valid one: each vertex's later neighbors, ascending, take classes
+    around the class ``pc`` of its edge to its earlier neighbor, the
+    ``i``-th ``i // 2`` below slot ``2 * pc`` and ``(i + 1) // 2`` from
+    there, and a root's the ``i``-th ``i // 2``."""
+    rnd = random.Random(seed)
+    for _ in range(30):
+        g = random_forest(rnd, rnd.randrange(2, 60))
+        for ordering in degeneracy_ordering(g), random_peel_ordering(g, 1, rnd):
+            result = decompose(g, rnd.choice(list(Mode)), ordering=ordering)
+            check_decomposition(g, result)
+            pos = ordering.position
+            for v in ordering.order:
+                earlier = [u for u in g.neighbors(v) if pos[u] < pos[v]]
+                split = 2 * (result.coloring[edge_key(v, earlier[0])] - 1) if earlier else g.n
+                later = sorted(u for u in g.neighbors(v) if pos[u] > pos[v])
+                for i, u in enumerate(later):
+                    assert result.coloring[edge_key(v, u)] == (i if i < split else i + 1) // 2 + 1
 
 
 def test_large_star_decomposes_in_linear_time():
